@@ -28,8 +28,10 @@ from .operator import (
 from .eigen import (
     EigenPolynomial,
     EigenvalueCollision,
+    EigenvalueCountMismatch,
     MomentRangeExceeded,
     MomentTable,
+    NonpositiveNorm,
     eigenvalue,
     hk_space,
     inner_product,
@@ -102,8 +104,10 @@ __all__ = [
     "generator",
     "EigenPolynomial",
     "EigenvalueCollision",
+    "EigenvalueCountMismatch",
     "MomentRangeExceeded",
     "MomentTable",
+    "NonpositiveNorm",
     "eigenvalue",
     "hk_space",
     "inner_product",

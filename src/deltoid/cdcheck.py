@@ -249,11 +249,11 @@ def factorization_check(a1, b1) -> FactorizationResult:
     m2 = r.r12 * r.r12 - r.r11 * r.r22
 
     allowed = {(0, 0), (1, 1), (2, 2), (3, 0), (0, 3)}
-    stray = {k: c for k, c in m2.terms.items() if k not in allowed}
+    stray = [k for k in m2.num if k not in allowed]
     if stray:
         raise IdentityMismatch(f"unexpected monomials {sorted(stray)}", m2)
-    for k, c in m2.terms.items():
-        if c.im != 0:
+    for k, (_, im) in m2.num.items():
+        if im:
             raise IdentityMismatch(f"non-real coefficient at {k}", m2)
 
     k_want = (b1 - 9 * a1) * (Rat(3, 2) - b1)
@@ -265,10 +265,10 @@ def factorization_check(a1, b1) -> FactorizationResult:
         )
 
     # ray restriction: rho^(i+j) picks up every term
-    ray = [Rat(0)] * 7
-    for (i, j), c in m2.terms.items():
-        ray[i + j] += c.re
-    ray = _u_trim(ray)
+    ray = [0] * 7
+    for (i, j), (re, _) in m2.num.items():
+        ray[i + j] += re
+    ray = _u_trim([Rat(c, m2.den) for c in ray])
 
     lin1 = [Rat(1), Rat(-1)]                      # 1 - rho
     lin2 = [Rat(3) - b1, b1]                      # 3 - b1 + b1 rho

@@ -22,8 +22,9 @@ believed unreachable; it stays as a defensive check on the divide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from .exact import BivarPoly, CRat, Rat
+from .exact import BivarPoly, CRat, Rat, _make
 from .operator import Lambda, _lam
 
 
@@ -35,21 +36,19 @@ class MomentRangeExceeded(Exception):
     """Moment lookup outside the table's computed degree range."""
 
 
+class NonpositiveNorm(Exception):
+    """An eigenpolynomial's exact squared norm came out <= 0."""
+
+
+class EigenvalueCountMismatch(Exception):
+    """A degree space H_k has other than k // 2 + 1 distinct eigenvalues."""
+
+
 def eigenvalue(p: int, q: int, lam) -> "Rat":
     if p < 0 or q < 0:
         raise ValueError("need p, q >= 0")
     lv = _lam(lam)
     return (lv - 1) * (p + q) + Rat(p * p + p * q + q * q)
-
-
-def _moves(i: int, j: int):
-    # (target monomial, integer weight) triples with zero weights dropped
-    if i >= 2:
-        yield (i - 2, j + 1), i * (i - 1)
-    if i >= 1 and j >= 1:
-        yield (i - 1, j - 1), i * j
-    if j >= 2:
-        yield (i + 1, j - 2), j * (j - 1)
 
 
 @dataclass(frozen=True)
@@ -75,6 +74,7 @@ class MomentTable:
         self.lam = lam if isinstance(lam, Lambda) else Lambda(lam)
         self.max_degree = -1
         self._m = {}
+        self._ints = None
         self.extend_to(max_degree)
 
     def extend_to(self, max_degree: int) -> "MomentTable":
@@ -98,6 +98,7 @@ class MomentTable:
                 if acc:
                     self._m[(i, j)] = acc / eigenvalue(i, j, self.lam)
         self.max_degree = max_degree
+        self._ints = None
         return self
 
     def get(self, i: int, j: int) -> "Rat":
@@ -107,6 +108,23 @@ class MomentTable:
 
     def items(self):
         return self._m.items()
+
+    def integers(self) -> tuple:
+        """(num, den): every stored moment as num[(i, j)] / den, one den.
+
+        Built on first use after each extension and kept on the table.
+        """
+        if self._ints is None:
+            den = 1
+            for m in self._m.values():
+                d = int(m.denominator)
+                den = den * d // gcd(den, d)
+            num = {
+                k: int(m.numerator) * (den // int(m.denominator))
+                for k, m in self._m.items()
+            }
+            self._ints = (num, den)
+        return self._ints
 
 
 def moments(lam, max_degree: int) -> MomentTable:
@@ -135,64 +153,94 @@ def solve_eigenpoly(p: int, q: int, lam) -> EigenPolynomial:
     Processes monomials in decreasing (degree, i) order; every lowering
     move lands strictly below the current degree, so each coefficient is
     fully accumulated before it is resolved.
+
+    The back-substitution is fraction-free.  With lam = a/b every scaled
+    gap b (mu_key - mu_target) is an integer; coefficients are integers
+    over a running denominator, which a gap enlarges only by the factor
+    that the new coefficient's reduced denominator needs.  Pending sums
+    are rescaled when it grows, resolved coefficients once at the end.
     """
     lam = lam if isinstance(lam, Lambda) else Lambda(lam)
-    mu_target = eigenvalue(p, q, lam)
-    coeffs = {(p, q): Rat(1)}
-    incoming: dict = {}
-    degrees: dict = {p + q: [(p, q)]}
+    a, b = int(lam.value.numerator), int(lam.value.denominator)
+    target = (a - b) * (p + q) + b * (p * p + p * q + q * q)
+    den = 1
+    coeffs = {}  # key -> (numerator, den when it was resolved)
+    incoming = {(p, q): 1}  # key -> pending numerator over den
+    # moves keep i - j mod 3, so only those keys of each degree can occur
+    r = (p - q) % 3
     for deg in range(p + q, -1, -1):
-        keys = degrees.pop(deg, None)
-        if not keys:
-            continue
-        for key in sorted(keys, reverse=True):
-            if key in coeffs:
-                c = coeffs[key]
+        for i in range(deg - (r - deg) % 3, -1, -3):
+            j = deg - i
+            n = incoming.pop((i, j), 0)
+            if not n:
+                continue
+            if deg == p + q:
+                c = 1
             else:
-                gap = eigenvalue(key[0], key[1], lam) - mu_target
+                # c = n / (mu_key - mu_target) = b n / (den gap)
+                gap = (a - b) * deg + b * (i * i + i * j + j * j) - target
                 if not gap:
                     raise EigenvalueCollision(
-                        f"mu({key}) = mu({(p, q)}) at lambda = {lam.value}"
+                        f"mu({(i, j)}) = mu({(p, q)}) at lambda = {lam.value}"
                     )
-                c = incoming.pop(key) / gap
-                if not c:
-                    continue
-                coeffs[key] = c
-            for tgt, w in _moves(*key):
-                if tgt in incoming:
-                    incoming[tgt] += w * c
-                else:
-                    incoming[tgt] = w * c
-                    degrees.setdefault(tgt[0] + tgt[1], []).append(tgt)
-    poly = BivarPoly({k: CRat(v) for k, v in coeffs.items()})
-    table = _cached_table(lam, 2 * (p + q))
+                c = b * n
+                if gap < 0:
+                    c, gap = -c, -gap
+                g = gcd(c, gap)
+                c, gap = c // g, gap // g
+                if gap != 1:
+                    f = gcd(c, den, gap)
+                    grow = gap // f
+                    c //= f
+                    if grow != 1:
+                        den *= grow
+                        for k in incoming:
+                            incoming[k] *= grow
+            coeffs[(i, j)] = (c, den)
+            for tgt, w in (((i - 2, j + 1), i * (i - 1)),
+                           ((i - 1, j - 1), i * j),
+                           ((i + 1, j - 2), j * (j - 1))):
+                if w:
+                    incoming[tgt] = incoming.get(tgt, 0) + w * c
+    poly = _make({k: (n * (den // d), 0) for k, (n, d) in coeffs.items()}, den)
+    mnum, mden = _cached_table(lam, 2 * (p + q)).integers()
     # <P, P> reduces to <P, leading monomial>: the tail of P expands in
     # eigenpolynomials of strictly smaller mu, all orthogonal to P
-    norm2 = Rat(0)
-    for (i, j), c in coeffs.items():
-        norm2 += c * table.get(i + q, j + p)
+    acc = 0
+    for (i, j), (re, _) in poly.num.items():
+        m = mnum.get((i + q, j + p))
+        if m:
+            acc += re * m
+    norm2 = Rat(acc, poly.den * mden)
     if norm2 <= 0:
-        raise AssertionError(f"nonpositive norm for P_{p},{q}")
-    return EigenPolynomial(p=p, q=q, lam=lam, poly=poly, mu=mu_target, norm2=norm2)
+        raise NonpositiveNorm(f"nonpositive norm for P_{p},{q}")
+    mu = Rat(target, b)
+    return EigenPolynomial(p=p, q=q, lam=lam, poly=poly, mu=mu, norm2=norm2)
 
 
 def inner_product(f: BivarPoly, g: BivarPoly, table: MomentTable) -> CRat:
     """Exact integral of f * conj(g) against the invariant measure.
 
     conj(g) contributes conj(g_kl) Zbar^k Z^l on the real locus, so the
-    expansion is sum over f_(i,j), g_(k,l) of f conj(g) m_(i+l, j+k).
+    expansion is sum over f_(i,j), g_(k,l) of f conj(g) m_(i+l, j+k),
+    summed as integers over f.den * g.den * (the moments' common den).
     """
     if f.degree() + g.degree() > table.max_degree:
         raise MomentRangeExceeded(
             f"degree {f.degree()}+{g.degree()} exceeds table degree {table.max_degree}"
         )
-    acc = CRat()
-    for (i, j), cf in f.terms.items():
-        for (k, l), cg in g.terms.items():
-            m = table.get(i + l, j + k)
+    mnum, mden = table.integers()
+    get = mnum.get
+    right = [(l, k, gr, gi) for (k, l), (gr, gi) in g.num.items()]
+    re = im = 0
+    for (i, j), (fr, fi) in f.num.items():
+        for l, k, gr, gi in right:
+            m = get((i + l, j + k))
             if m:
-                acc = acc + cf * cg.conj() * CRat(m)
-    return acc
+                re += (fr * gr + fi * gi) * m
+                im += (fi * gr - fr * gi) * m
+    den = f.den * g.den * mden
+    return CRat(Rat(re, den), Rat(im, den))
 
 
 @dataclass(frozen=True)
@@ -208,7 +256,7 @@ class HkSpace:
         return len(self.distinct_eigenvalues)
 
 
-def hk_space(k: int, lam, table: MomentTable = None) -> HkSpace:
+def hk_space(k: int, lam) -> HkSpace:
     """All eigenpolynomials of total degree k plus their real forms."""
     if k < 0:
         raise ValueError("need k >= 0")
@@ -229,7 +277,10 @@ def hk_space(k: int, lam, table: MomentTable = None) -> HkSpace:
     mus = sorted({(int(e.mu.numerator), int(e.mu.denominator)) for e in basis})
     distinct = tuple(Rat(n, d) for n, d in mus)
     expected = k // 2 + 1 if k else 1
-    assert len(distinct) == expected, (k, distinct)
+    if len(distinct) != expected:
+        raise EigenvalueCountMismatch(
+            f"H_{k} has {len(distinct)} distinct eigenvalues, expected {expected}"
+        )
     return HkSpace(
         k=k,
         basis=tuple(basis),

@@ -44,11 +44,6 @@ class Lambda:
     def is_geq_one(self) -> bool:
         return self.value >= 1
 
-    @property
-    def alpha(self) -> "Rat":
-        # lam = (6*alpha + 5) / 2 inverted
-        return (2 * self.value - 5) / 6
-
 
 def _lam(lam) -> "Rat":
     if isinstance(lam, Lambda):

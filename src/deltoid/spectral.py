@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import hk_space, solve_eigenpoly
+from .eigen import solve_eigenpoly
 from .geometry import TrianglePoint, V0, V1, V2, triangle_to_deltoid
 from .operator import Lambda
 
@@ -57,11 +57,12 @@ class HeatKernelTruncation:
         self.modes = tuple(modes)
         # flat tables: per-term arrays plus mode boundaries
         ii, jj, cc, bounds = [], [], [], [0]
-        for ep in modes:
-            for (i, j), c in sorted(ep.poly.terms.items()):
+        coeffs = [ep.poly.complex_coeffs() for ep in modes]
+        for terms in coeffs:
+            for i, j, c in sorted(terms):
                 ii.append(i)
                 jj.append(j)
-                cc.append(c.to_complex())
+                cc.append(c)
             bounds.append(len(ii))
         self._ti = np.array(ii, dtype=np.intp)
         self._tj = np.array(jj, dtype=np.intp)
@@ -74,10 +75,8 @@ class HeatKernelTruncation:
         # about eps times the coefficient sum, so once this ratio nears
         # 1/eps the normalized mode value is pure noise
         cond = []
-        for ep in modes:
-            mass = sum(
-                abs(float(c.re)) + abs(float(c.im)) for c in ep.poly.terms.values()
-            )
+        for ep, terms in zip(modes, coeffs):
+            mass = sum(abs(c.real) + abs(c.imag) for _, _, c in terms)
             cond.append(mass * math.sqrt(float(1 / ep.norm2)))
         self._cond = np.array(cond)
 
@@ -126,15 +125,17 @@ class HeatKernelTruncation:
         """
         from .eigen import moments
 
-        table = moments(self.lam, self.max_degree)
+        mnum, mden = moments(self.lam, self.max_degree).integers()
         for ep in self.modes:
-            total = sum(
-                (c * table.get(i, j) for (i, j), c in ep.poly.terms.items()),
-            )
-            if ep.p == ep.q == 0:
-                if total != 1:
-                    return False
-            elif total != 0:
+            re = im = 0
+            for key, (cr, ci) in ep.poly.num.items():
+                m = mnum.get(key)
+                if m:
+                    re += cr * m
+                    im += ci * m
+            # the mean is (re + im i) / (den * mden)
+            one = ep.poly.den * mden if ep.p == ep.q == 0 else 0
+            if re != one or im:
                 return False
         return True
 
@@ -291,8 +292,8 @@ class _ModeGridCache:
 
     def values(self, poly):
         total = np.zeros(len(self.zs), dtype=complex)
-        for (i, j), c in poly.terms.items():
-            total += c.to_complex() * self._zp[i] * self._zbp[j]
+        for i, j, c in poly.complex_coeffs():
+            total += c * self._zp[i] * self._zbp[j]
         return total
 
     def polished_sup(self, poly):
@@ -512,8 +513,8 @@ def kernel_bound_check(nu, lam, max_k, x_grid):
         if k == 0 or nus[k - 1] == 0.0:
             continue
         vals = np.zeros(npts, dtype=complex)
-        for (i, j), c in ep.poly.terms.items():
-            vals += c.to_complex() * zs**i * np.conj(zs) ** j
+        for i, j, c in ep.poly.complex_coeffs():
+            vals += c * zs**i * np.conj(zs) ** j
         vals /= math.sqrt(float(ep.norm2))
         kernel += nus[k - 1] ** 2 * np.outer(vals, vals.conj())
     sup_abs = float(np.abs(kernel).max()) if npts else 0.0

@@ -469,8 +469,8 @@ def _compose_with_trace(f):
     zt = normalized_trace()
     zbt = zt.conj()
     out = EntryPoly()
-    for (i, j), c in f.terms.items():
-        term = entry_const(c.to_complex())
+    for i, j, c in f.complex_coeffs():
+        term = entry_const(c)
         for _ in range(i):
             term = term * zt
         for _ in range(j):

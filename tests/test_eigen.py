@@ -1,11 +1,15 @@
+import dataclasses
 import random
 
 import pytest
 
+from deltoid import eigen
 from deltoid.exact import BivarPoly, Rat, Z, ZBAR
 from deltoid.eigen import (
+    EigenvalueCountMismatch,
     MomentRangeExceeded,
     MomentTable,
+    NonpositiveNorm,
     eigenvalue,
     hk_space,
     inner_product,
@@ -260,3 +264,27 @@ def test_equal_mu_pair_still_orthogonal():
     b = solve_eigenpoly(0, 3, lam)
     ip = inner_product(a.poly, b.poly, t)
     assert ip.re == Rat(0) and ip.im == Rat(0)
+
+
+def test_nonpositive_norm_is_a_typed_error(monkeypatch):
+    # with every moment's sign flipped each squared norm comes out negative
+    table = MomentTable(Lambda(4), 4)
+
+    class Flipped:
+        def integers(self):
+            num, den = table.integers()
+            return {k: -v for k, v in num.items()}, den
+
+    monkeypatch.setattr(eigen, "_cached_table", lambda lam, degree: Flipped())
+    with pytest.raises(NonpositiveNorm):
+        solve_eigenpoly(1, 1, Lambda(4))
+
+
+def test_eigenvalue_count_is_a_typed_error(monkeypatch):
+    # H_2 needs two distinct eigenvalues; a solver that reports one for
+    # every mode must be rejected, also under python -O
+    solve = eigen.solve_eigenpoly
+    monkeypatch.setattr(eigen, "solve_eigenpoly",
+                        lambda p, q, lam: dataclasses.replace(solve(p, q, lam), mu=Rat(1)))
+    with pytest.raises(EigenvalueCountMismatch):
+        hk_space(2, Lambda(4))

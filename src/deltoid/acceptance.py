@@ -10,6 +10,8 @@ import math
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exact import ONE, Rat, Z, ZBAR
 from .operator import (
     Lambda,
@@ -39,7 +41,7 @@ class CriterionResult:
 
 
 def _c01_density_discriminant():
-    from .geometry import sample_interior, triangle_to_deltoid, w_density
+    from .geometry import sample_interior, triangles_to_deltoid, w_density
 
     t0 = time.monotonic()
     # re-derive the 108 symbolically: the discriminant of the monic
@@ -58,12 +60,11 @@ def _c01_density_discriminant():
     # scale-guarded relative error: where both sides cancel below the
     # density's unit scale, double evaluation cannot support a bare
     # relative comparison, so the denominator is clamped at 1
-    P = boundary_poly()
-    worst = 0.0
-    for pt in sample_interior(1000, "low-discrepancy", seed=3):
-        w = w_density(pt)
-        ref = 108.0 * complex(P.eval(triangle_to_deltoid(pt).Z)).real
-        worst = max(worst, abs(w - ref) / max(abs(ref), 1.0))
+    pts = sample_interior(1000, "low-discrepancy", seed=3)
+    w = np.array([w_density(pt) for pt in pts])
+    zs = np.array([d.Z for d in triangles_to_deltoid(pts)])
+    ref = 108.0 * boundary_poly().eval(zs).real
+    worst = float(np.max(np.abs(w - ref) / np.maximum(np.abs(ref), 1.0)))
     dt = time.monotonic() - t0
     ok = symbolic_ok and worst < 1e-10 and dt < 1.0
     return ok, f"symbolic -108 match {symbolic_ok}, max rel err {worst:.2e}"
@@ -116,8 +117,6 @@ def _c04_eigen_system():
 
 
 def _c05_moments_and_haar():
-    import numpy as np
-
     from .eigen import moments
     from .su3 import haar_sample
 
@@ -205,8 +204,6 @@ def _c08_gamma2_sampling():
 
 
 def _c09_group_model():
-    import numpy as np
-
     from .su3 import (
         charpoly_identity_check,
         commutator_table,

@@ -24,12 +24,14 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .exact import BivarPoly, CRat, Rat, Z, ZBAR, as_rat
 from .geometry import (
     DeltoidPoint,
     interior_lattice,
     sample_interior,
-    triangle_to_deltoid,
+    triangles_to_deltoid,
     w_density,
     TrianglePoint,
 )
@@ -125,8 +127,6 @@ def tensor_residual(a1, b1) -> HermitianTensorField:
 
 @dataclass(frozen=True)
 class PsdReport:
-    a1: object
-    b1: object
     count: int
     failures: int
     min_margin1: float
@@ -139,43 +139,50 @@ class PsdReport:
         return self.failures == 0
 
 
+def _failing(margins, tol):
+    """Mask of margins below -tol or not finite (NaN or infinite)."""
+    return ~np.isfinite(margins) | (margins < -tol)
+
+
+def _below(a, b) -> bool:
+    """Whether a ranks below b, NaN lowest, as np.argmin ranks them."""
+    return a < b or (a != a and b == b)
+
+
+def _points_array(points):
+    zs = np.fromiter((d.Z if isinstance(d, DeltoidPoint) else complex(d) for d in points),
+                     dtype=complex)
+    if not zs.size:
+        raise ValueError("no points to check")
+    return zs
+
+
 def psd_check(t: HermitianTensorField, points, tol: float = 1e-12) -> PsdReport:
     """Pointwise positivity of a Hermitian tensor on the given points.
 
     Both margins (off-diagonal entry, and its square minus the product of
-    the diagonal) must clear -tol.
+    the diagonal) must clear -tol; a margin that is not finite fails.
+    The minima rank NaN lowest, and worst_point is the first point where
+    the det-type margin takes its minimum.  An empty point set raises
+    ValueError.
     """
-    worst1 = math.inf
-    worst2 = math.inf
-    worst_pt = None
-    fails = 0
-    n = 0
-    for d in points:
-        z = d.Z if isinstance(d, DeltoidPoint) else complex(d)
-        m1, m2 = t.psd_margins(z)
-        n += 1
-        if m1 < worst1:
-            worst1 = m1
-        if m2 < worst2:
-            worst2 = m2
-            worst_pt = z
-        if m1 < -tol or m2 < -tol:
-            fails += 1
+    zs = _points_array(points)
+    m1, m2 = t.psd_margins(zs)
+    k1 = int(np.argmin(m1))
+    k2 = int(np.argmin(m2))
     return PsdReport(
-        a1=None,
-        b1=None,
-        count=n,
-        failures=fails,
-        min_margin1=worst1,
-        min_margin2=worst2,
-        worst_point=worst_pt,
+        count=zs.size,
+        failures=int(np.count_nonzero(_failing(m1, tol) | _failing(m2, tol))),
+        min_margin1=float(m1[k1]),
+        min_margin2=float(m2[k2]),
+        worst_point=complex(zs[k2]),
         tol=tol,
     )
 
 
 def deltoid_grid(m: int):
     """Mapped barycentric grid; includes the medians, hence the cusp rays."""
-    return [triangle_to_deltoid(p) for p in interior_lattice(m)]
+    return triangles_to_deltoid(interior_lattice(m))
 
 
 # exact univariate helpers, coefficient lists lowest power first
@@ -723,7 +730,9 @@ def gamma2_sample_check(lam, rho, n, trials: int = 100, points: int = 100,
 
     Probes the cusp neighbourhoods and f = Z + Zbar deterministically
     before the random sweep: when n dips below 2 lam the violation lives
-    exactly there (Gamma vanishes at the cusps but L f does not).
+    exactly there (Gamma vanishes at the cusps but L f does not).  A
+    margin below -tol or not finite is a violation; the minimum ranks
+    NaN lowest and keeps the first function and point that attain it.
     """
     lam = lam if isinstance(lam, Lambda) else Lambda(lam)
     rho = float(rho)
@@ -739,8 +748,10 @@ def gamma2_sample_check(lam, rho, n, trials: int = 100, points: int = 100,
         BivarPoly({(1, 0): CRat(Rat(0), Rat(1)), (0, 1): CRat(Rat(0), Rat(-1))}),
         Z * ZBAR,
     ]
-    pool = [triangle_to_deltoid(p).Z for p in
-            sample_interior(points, "low-discrepancy", seed + 1)]
+    pool = [d.Z for d in triangles_to_deltoid(
+        sample_interior(points, "low-discrepancy", seed + 1))]
+    det_zs = _points_array(det_points + pool)
+    pool_zs = _points_array(pool)
 
     funcs = list(det_funcs)
     for _ in range(trials):
@@ -755,20 +766,19 @@ def gamma2_sample_check(lam, rho, n, trials: int = 100, points: int = 100,
         g2 = gamma2(f, f, lam)
         g1 = gamma(f, f)
         lf = generator(f, lam)
-        pts = det_points + pool if idx < len(det_funcs) else pool
-        for z in pts:
-            m = (
-                g2.eval(z).real
-                - rho * g1.eval(z).real
-                - lf.eval(z).real ** 2 / n
-            )
-            pairs += 1
-            if m < worst:
-                worst = m
-                worst_f = repr(f)
-                worst_z = z
-            if m < -tol:
-                violations += 1
+        zs = det_zs if idx < len(det_funcs) else pool_zs
+        lf_re = lf.eval(zs).real
+        # Python's float ** 2 calls the C library's pow, which can round
+        # differently from the x * x that numpy squares with
+        lf_sq = np.array([v**2 for v in lf_re.tolist()])
+        m = g2.eval(zs).real - rho * g1.eval(zs).real - lf_sq / n
+        pairs += m.size
+        violations += int(np.count_nonzero(_failing(m, tol)))
+        k = int(np.argmin(m))
+        if _below(m[k], worst):
+            worst = float(m[k])
+            worst_f = repr(f)
+            worst_z = complex(zs[k])
     return Gamma2Report(
         lam=lam.value,
         rho=rho,

@@ -15,32 +15,19 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 
-from .exact import Rat
+from . import __version__
+from .exact import Rat, as_rat
 from .operator import Lambda
 
 SCHEMA_VERSION = 1
 
 
-def _tool_version():
-    try:
-        from importlib.metadata import version
-
-        return version("deltoid")
-    except Exception:
-        return "unknown"
-
-
 def rat_arg(text):
     """Parse 'num' or 'num/den' into an exact rational."""
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            r = Rat(int(num), int(den))
-        else:
-            r = Rat(int(text))
+        return as_rat(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
-    return r
 
 
 def positive_rat_arg(text):
@@ -89,7 +76,7 @@ class RunConfig:
 def _report(config, result):
     return {
         "schema_version": SCHEMA_VERSION,
-        "tool": f"deltoid {_tool_version()}",
+        "tool": f"deltoid {__version__}",
         "config": asdict(config),
         "result": result,
     }

@@ -17,6 +17,9 @@ operation.
 Float conversion divides each numerator by den as Python ints.  Integer
 true division is correctly rounded, so a float coefficient is exactly
 the float nearest the rational value, the same as float(Fraction).
+Float evaluation has one implementation, HornerProgram: a polynomial
+compiled once into its Horner scheme, run on a point or on numpy arrays
+of points with the same bits either way.
 
 The rational type at the API boundary (`coeff`, `terms`, `scale`'s
 argument, inner products) is gmpy2.mpq when available and
@@ -28,6 +31,8 @@ from __future__ import annotations
 
 from math import gcd
 from types import MappingProxyType
+
+import numpy as np
 
 try:
     from gmpy2 import mpq as Rat
@@ -381,42 +386,26 @@ class BivarPoly:
         den = self.den
         return [(i, j, complex(re / den, im / den)) for (i, j), (re, im) in self.num.items()]
 
-    def eval(self, z: complex) -> complex:
-        """Evaluate with Z := z and Zbar := conj(z)."""
-        return self.eval2(z, complex(z).conjugate())
+    def eval(self, z):
+        """Evaluate with Z := z and Zbar := conj(z); z may be a numpy array."""
+        return HornerProgram(self).eval(z)
 
-    def eval2(self, z: complex, w: complex) -> complex:
+    def eval2(self, z, w):
         """Evaluate with Z := z, Zbar := w substituted independently.
 
         Horner in w inside each fixed Z-power group, then Horner in z over
-        the groups; sparse exponent gaps handled by repeated squaring.
+        the groups; sparse exponent gaps are bridged with integer powers.
+        This compiles the polynomial on every call; to evaluate one
+        polynomial many times, build its HornerProgram once.
+
+        z and w may be numpy arrays of points (broadcast against each
+        other); the result is then a complex array.  Each element is
+        bit for bit the complex that eval2 returns for the Python
+        complex pair of scalars at that position, because the array path
+        repeats CPython's complex arithmetic step by step in float64; where
+        a scalar evaluation raises OverflowError, so does the array one.
         """
-        if not self.num:
-            return 0j
-        groups: dict[int, list] = {}
-        for i, j, c in self.complex_coeffs():
-            groups.setdefault(i, []).append((j, c))
-        acc = 0j
-        prev_i = None
-        for i in sorted(groups, reverse=True):
-            inner = 0j
-            prev_j = None
-            for j, c in sorted(groups[i], reverse=True):
-                if prev_j is None:
-                    inner = c
-                else:
-                    inner = inner * w ** (prev_j - j) + c
-                prev_j = j
-            if prev_j:
-                inner *= w**prev_j
-            if prev_i is None:
-                acc = inner
-            else:
-                acc = acc * z ** (prev_i - i) + inner
-            prev_i = i
-        if prev_i:
-            acc *= z**prev_i
-        return acc
+        return HornerProgram(self).eval2(z, w)
 
     # -- exact division -------------------------------------------------
 
@@ -526,6 +515,165 @@ class BivarPoly:
             bits.append(f"{c!r}*{mono}" if mono else f"{c!r}")
         tail = " + ..." if len(self.num) > 8 else ""
         return "BivarPoly(" + " + ".join(bits) + tail + ")"
+
+
+def c_prod(ar, ai, br, bi):
+    """(ar + ai i)(br + bi i) as (re, im), rounded as CPython rounds it.
+
+    CPython's complex product (_Py_c_prod) rounds each of the four real
+    products and the two sums on its own.  Written out on float64 arrays
+    as separate ufuncs, it gives the same bits; numpy's own complex
+    multiply does not always (it may fuse a product into the sum).
+    """
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _c_pow(xr, xi, n):
+    """x ** n for an int n >= 1, as CPython's complex ** int computes it.
+
+    CPython uses binary exponentiation from 1 + 0i up to n = 100 and the
+    polar formula beyond; the polar case is left to CPython, per element.
+    """
+    if n > 100:
+        flat = [complex(r, i) ** n for r, i in
+                zip(np.ravel(xr).tolist(), np.ravel(xi).tolist())]
+        out = np.array(flat, dtype=complex).reshape(np.shape(xr))
+        return out.real, out.imag
+    rr, ri = 1.0, 0.0
+    pr, pi = xr, xi
+    mask = 1
+    while True:
+        if n & mask:
+            rr, ri = c_prod(rr, ri, pr, pi)
+        mask <<= 1
+        if mask > n:
+            break
+        pr, pi = c_prod(pr, pi, pr, pi)
+    # CPython raises where a power overflows to infinity
+    if np.isinf(rr).any() or np.isinf(ri).any():
+        raise OverflowError("complex exponentiation")
+    return rr, ri
+
+
+# points per pass of an array evaluation: the float temporaries of a
+# block stay small enough to be reused from the heap and to stay in cache
+_BLOCK = 4096
+
+
+class HornerProgram:
+    """A BivarPoly compiled once into its sparse two-level Horner scheme.
+
+    The float coefficients come from complex_coeffs(), grouped by the
+    power of Z in descending order and, inside a group, by the power of
+    Zbar in descending order.  Each group is (gap in the power of Z from
+    the previous group, leading coefficient, ((gap in the power of Zbar,
+    coefficient), ...), trailing power of Zbar); `ztail` is the least
+    power of Z.  The program holds floats only and never changes, so one
+    can be shared freely.
+
+    eval2 and eval take a scalar or numpy arrays (see BivarPoly.eval2).
+    """
+
+    __slots__ = ("groups", "ztail")
+
+    def __init__(self, poly: BivarPoly):
+        groups = []
+        prev_i = prev_j = None
+        # descending (i, j); no two terms share (i, j), so c is never compared
+        for i, j, c in sorted(poly.complex_coeffs(), reverse=True):
+            if i == prev_i:
+                steps.append((prev_j - j, c))
+            else:
+                if prev_i is not None:
+                    groups.append((zgap, c0, tuple(steps), prev_j))
+                zgap = 0 if prev_i is None else prev_i - i
+                c0, steps = c, []
+                prev_i = i
+            prev_j = j
+        if prev_i is not None:
+            groups.append((zgap, c0, tuple(steps), prev_j))
+        self.groups = tuple(groups)
+        self.ztail = prev_i or 0
+
+    def eval(self, z):
+        """Evaluate with Z := z and Zbar := conj(z)."""
+        if isinstance(z, np.ndarray):
+            z = z.astype(complex, copy=False)
+            return self._arrays(z, np.conj(z))
+        return self._scalars(z, complex(z).conjugate())
+
+    def eval2(self, z, w):
+        """Evaluate with Z := z and Zbar := w."""
+        if isinstance(z, np.ndarray) or isinstance(w, np.ndarray):
+            return self._arrays(np.asarray(z, dtype=complex),
+                                np.asarray(w, dtype=complex))
+        return self._scalars(z, w)
+
+    def _scalars(self, z, w):
+        if not self.groups:
+            return 0j
+        acc = None
+        for zgap, c0, steps, jtail in self.groups:
+            inner = c0
+            for gap, c in steps:
+                inner = inner * w**gap + c
+            if jtail:
+                inner *= w**jtail
+            acc = inner if acc is None else acc * z**zgap + inner
+        if self.ztail:
+            acc *= z**self.ztail
+        return acc
+
+    def _arrays(self, z, w):
+        shape = np.broadcast_shapes(z.shape, w.shape)
+        out = np.zeros(shape, dtype=complex)
+        if not self.groups:
+            return out
+        zf = np.broadcast_to(z, shape).reshape(-1)
+        wf = np.broadcast_to(w, shape).reshape(-1)
+        flat = out.reshape(-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, flat.size, _BLOCK):
+                hi = lo + _BLOCK
+                self._block(zf[lo:hi], wf[lo:hi], flat[lo:hi])
+        return out
+
+    def _block(self, z, w, out):
+        # the steps of _scalars, on (re, im) float arrays
+        zp, wp = _Powers(z), _Powers(w)
+        accr = acci = None
+        for zgap, c0, steps, jtail in self.groups:
+            ir, ii = c0.real, c0.imag
+            for gap, c in steps:
+                ir, ii = c_prod(ir, ii, *wp[gap])
+                ir, ii = ir + c.real, ii + c.imag
+            if jtail:
+                ir, ii = c_prod(ir, ii, *wp[jtail])
+            if accr is None:
+                accr, acci = ir, ii
+            else:
+                accr, acci = c_prod(accr, acci, *zp[zgap])
+                accr, acci = accr + ir, acci + ii
+        if self.ztail:
+            accr, acci = c_prod(accr, acci, *zp[self.ztail])
+        out.real = accr
+        out.imag = acci
+
+
+class _Powers(dict):
+    """(re, im) of x ** n for a complex array x, made on first use of n.
+
+    The same power rounds the same way every time, so one evaluation
+    computes each exponent once.
+    """
+
+    def __init__(self, x):
+        super().__init__()
+        self.x = x
+
+    def __missing__(self, n):
+        self[n] = _c_pow(self.x.real, self.x.imag, n)
+        return self[n]
 
 
 ZERO = BivarPoly.zero()

@@ -19,7 +19,9 @@ import csv
 import math
 from dataclasses import dataclass
 
-from .exact import BivarPoly, Rat, Z, ZBAR
+import numpy as np
+
+from .exact import HornerProgram
 from .operator import boundary_poly
 
 ROOT3 = math.sqrt(3.0)
@@ -40,7 +42,7 @@ CENTER = (
     (V0[1] + V1[1] + V2[1]) / 3.0,
 )
 
-_P = boundary_poly()
+_P = HornerProgram(boundary_poly())
 
 
 @dataclass(frozen=True)
@@ -100,12 +102,39 @@ def w_density(point: TrianglePoint) -> float:
     return w.real
 
 
-def triangle_to_deltoid(point: TrianglePoint) -> DeltoidPoint:
+# a mapped point with P below this has left the closed domain: the map is
+# exact, so only rounding can put an image outside
+_CLOSED_TOL = -1e-10
+
+
+def _image(point: TrianglePoint) -> DeltoidPoint:
     z1, z2, z3 = zk(point)
-    d = DeltoidPoint((z1 + z2 + z3) / 3.0)
-    if d.membership_residual() < -1e-10:
-        raise ArithmeticError(f"image left the closed domain: {d}")
+    return DeltoidPoint((z1 + z2 + z3) / 3.0)
+
+
+def _left_domain(d: DeltoidPoint) -> ArithmeticError:
+    return ArithmeticError(f"image left the closed domain: {d}")
+
+
+def triangle_to_deltoid(point: TrianglePoint) -> DeltoidPoint:
+    d = _image(point)
+    if d.membership_residual() < _CLOSED_TOL:
+        raise _left_domain(d)
     return d
+
+
+def triangles_to_deltoid(points) -> list:
+    """triangle_to_deltoid over a sequence, membership checked in one array.
+
+    Raises the same ArithmeticError for the first point whose image
+    leaves the closed domain.
+    """
+    out = [_image(p) for p in points]
+    zs = np.array([d.Z for d in out], dtype=complex)
+    bad = np.flatnonzero(_P.eval(zs).real < _CLOSED_TOL)
+    if bad.size:
+        raise _left_domain(out[bad[0]])
+    return out
 
 
 def pushforward_gamma(point: TrianglePoint):
@@ -230,11 +259,11 @@ def boundary_points(n: int):
 
 def write_csv(points, path):
     """Emit x, y, ReZ, ImZ, W rows for a list of TrianglePoint."""
+    points = list(points)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "y", "ReZ", "ImZ", "W"])
-        for p in points:
-            d = triangle_to_deltoid(p)
+        for p, d in zip(points, triangles_to_deltoid(points)):
             w.writerow(
                 [
                     repr(p.x),

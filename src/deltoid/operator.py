@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import BivarPoly, CRat, Rat, as_rat, Z, ZBAR
+from .exact import BivarPoly, CRat, Rat, as_rat, c_prod, Z, ZBAR
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,19 @@ class HermitianTensorField:
     r12: BivarPoly
     r22: BivarPoly
 
-    def psd_margins(self, z: complex) -> tuple:
-        """(trace-type margin r12, det-type margin r12^2 - |r11|^2) at z."""
+    def psd_margins(self, z) -> tuple:
+        """(trace-type margin r12, det-type margin r12^2 - |r11|^2) at z.
+
+        z is one point, giving two floats, or a numpy array of points,
+        giving two float arrays.  The det-type margin is the real part of
+        v12 * v12 - v11 * v22 in CPython's complex arithmetic either way.
+        """
         v12 = self.r12.eval(z)
         v11 = self.r11.eval(z)
         v22 = self.r22.eval(z)
-        m2 = v12 * v12 - v11 * v22
-        return v12.real, m2.real
+        sq, _ = c_prod(v12.real, v12.imag, v12.real, v12.imag)
+        pr, _ = c_prod(v11.real, v11.imag, v22.real, v22.imag)
+        return v12.real, sq - pr
 
     def scale(self, c) -> "HermitianTensorField":
         return HermitianTensorField(

@@ -15,8 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigen import solve_eigenpoly
-from .geometry import TrianglePoint, V0, V1, V2, triangle_to_deltoid
+from .exact import HornerProgram
+from .geometry import (TrianglePoint, V0, V1, V2, triangle_to_deltoid,
+                       triangles_to_deltoid)
 from .operator import Lambda
+
+
+# machine epsilon of float64: a float evaluation of a polynomial carries
+# absolute rounding noise of about _EPS times its coefficient mass
+_EPS = 2.0**-52
 
 
 class TruncationInsufficient(ArithmeticError):
@@ -93,8 +100,7 @@ class HeatKernelTruncation:
         diagonals at that depth are unusable even though the tail rule
         passes; cap the degree near 25 when this matters.
         """
-        eps = 2.0**-52
-        return float(np.exp(-self._mu * t) @ (eps * self._cond) ** 2)
+        return float(np.exp(-self._mu * t) @ (_EPS * self._cond) ** 2)
 
     def mode_values(self, z):
         """Values of every mode polynomial at the complex point z."""
@@ -282,7 +288,7 @@ class _ModeGridCache:
     def __init__(self, trunc, m=80):
         self.trunc = trunc
         self.tri = _closed_triangle_lattice(m)
-        self.zs = np.array([triangle_to_deltoid(p).Z for p in self.tri])
+        self.zs = np.array([d.Z for d in triangles_to_deltoid(self.tri)])
         n = trunc.max_degree
         zp = np.ones((n + 1, len(self.zs)), dtype=complex)
         for i in range(1, n + 1):
@@ -300,10 +306,11 @@ class _ModeGridCache:
         vals = np.abs(self.values(poly))
         k = int(np.argmax(vals))
         p0 = self.tri[k]
+        prog = HornerProgram(poly)
 
         def value_xy(x, y):
             z = triangle_to_deltoid(TrianglePoint(x, y)).Z
-            return abs(poly.eval(z))
+            return abs(prog.eval(z))
 
         return _newton_polish(value_xy, p0.x, p0.y)
 
@@ -321,8 +328,8 @@ def supnorm_bound_check(lam, max_degree, grid_m=80):
     trunc = HeatKernelTruncation(lam, max_degree)
     cache = _ModeGridCache(trunc, grid_m)
     half = float(lam.value) / 2.0
-    mus, ratios, consts = [], [], []
-    for ep in trunc.modes:
+    mus, ratios, consts, noise = [], [], [], []
+    for ep, cond in zip(trunc.modes, trunc._cond):
         mu = float(ep.mu)
         if mu == 0:
             continue
@@ -331,6 +338,9 @@ def supnorm_bound_check(lam, max_degree, grid_m=80):
         mus.append(mu)
         ratios.append(ratio)
         consts.append(ratio / mu**half)
+        # share of the sup that could be rounding noise: eps times the
+        # coefficient mass over the sup, both taken on the normalized mode
+        noise.append(_EPS * cond / ratio)
     slope, intercept = np.polyfit(np.log(mus), np.log(ratios), 1)
     fitted = slope * np.log(mus) + intercept
     residual = float(np.max(np.abs(fitted - np.log(ratios))))
@@ -340,7 +350,8 @@ def supnorm_bound_check(lam, max_degree, grid_m=80):
         residual=residual,
         constant=max(consts),
         target=half,
-        details={"modes": len(mus), "grid_m": grid_m},
+        details={"modes": len(mus), "grid_m": grid_m,
+                 "noise_fraction": float(max(noise))},
     )
 
 
@@ -357,10 +368,11 @@ def hk_bound_check(lam, max_k, grid_m=80, draws=5, seed=0):
     cache = _ModeGridCache(trunc, grid_m)
     rng = np.random.default_rng(seed)
     target = float(lam.value) + 0.5
-    ks, sups, consts = [], [], []
+    ks, sups, consts, noise = [], [], [], []
     for k in range(1, max_k + 1):
-        level = [ep for ep in trunc.modes if ep.p + ep.q == k]
-        vals = [cache.values(ep.poly) / math.sqrt(float(ep.norm2)) for ep in level]
+        level = [(ep, cond) for ep, cond in zip(trunc.modes, trunc._cond)
+                 if ep.p + ep.q == k]
+        vals = [cache.values(ep.poly) / math.sqrt(float(ep.norm2)) for ep, _ in level]
         best = 0.0
         for _ in range(draws):
             c = rng.standard_normal(len(level)) + 1j * rng.standard_normal(len(level))
@@ -373,6 +385,9 @@ def hk_bound_check(lam, max_k, grid_m=80, draws=5, seed=0):
         ks.append(k)
         sups.append(best)
         consts.append(best / k**target)
+        # eps times the largest coefficient mass of a normalized mode of
+        # the level, over the level's sup
+        noise.append(_EPS * max(cond for _, cond in level) / best)
     slope, intercept = np.polyfit(np.log(ks), np.log(sups), 1)
     fitted = slope * np.log(ks) + intercept
     residual = float(np.max(np.abs(fitted - np.log(sups))))
@@ -382,7 +397,8 @@ def hk_bound_check(lam, max_k, grid_m=80, draws=5, seed=0):
         residual=residual,
         constant=max(consts),
         target=target,
-        details={"draws": draws, "grid_m": grid_m},
+        details={"draws": draws, "grid_m": grid_m,
+                 "noise_fraction": float(max(noise))},
     )
 
 

@@ -15,7 +15,7 @@ quantities are assembled without finite differencing.
 
 import numpy as np
 
-from .exact import BivarPoly
+from .exact import HornerProgram
 from .operator import Lambda, gamma as deltoid_gamma, generator as deltoid_generator
 
 # diagonal scaling that gives the Cartan directions Casimir weight 2/3
@@ -48,6 +48,19 @@ def _family_d(k, l):
     return DIAG_WEIGHT * 1j * (_unit(k, k) - _unit(l, l))
 
 
+def _check_special_unitary(m):
+    """Raise ValueError unless every 3x3 matrix in m is in SU(3) to 1e-12.
+
+    m is one matrix or a stack of them; NaN entries fail both checks.
+    """
+    gram = np.swapaxes(m.conj(), -1, -2) @ m
+    gram -= np.eye(3)
+    if not np.all(np.abs(gram).max(axis=(-2, -1)) < 1e-12):
+        raise ValueError("matrix is not unitary to 1e-12")
+    if not np.all(np.abs(np.linalg.det(m) - 1.0) < 1e-12):
+        raise ValueError("determinant is not 1 to 1e-12")
+
+
 class SpecialUnitary3:
     """A validated SU(3) element.
 
@@ -61,12 +74,24 @@ class SpecialUnitary3:
         m = np.array(matrix, dtype=complex)
         if m.shape != (3, 3):
             raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-        if np.abs(m.conj().T @ m - np.eye(3)).max() >= 1e-12:
-            raise ValueError("matrix is not unitary to 1e-12")
-        if abs(np.linalg.det(m) - 1.0) >= 1e-12:
-            raise ValueError("determinant is not 1 to 1e-12")
+        _check_special_unitary(m)
         m.setflags(write=False)
         self.matrix = m
+
+    @classmethod
+    def _checked_stack(cls, stack):
+        """One element per matrix of an (n, 3, 3) stack, validated at once.
+
+        The elements hold read-only views into the stack.
+        """
+        _check_special_unitary(stack)
+        stack.setflags(write=False)
+        out = []
+        for m in stack:
+            u = cls.__new__(cls)
+            u.matrix = m
+            out.append(u)
+        return out
 
     def __repr__(self):
         return f"SpecialUnitary3(trace={np.trace(self.matrix):.6f})"
@@ -107,27 +132,40 @@ class LieBasis:
 _STD = LieBasis()
 
 
+# draws per stack: bounds the temporaries of a large sample
+_HAAR_BLOCK = 1024
+
+
 def haar_sample(seed, n):
     """Draw n Haar-distributed SU(3) elements, deterministic per seed.
 
     Each sample gets its own generator stream spawned from the master
-    seed, so the draw order is reproducible even if samples are computed
-    in parallel.  Orthonormalize a complex Gaussian matrix, fix the QR
-    phase ambiguity with the signs of the triangular diagonal, then
-    divide by a cube root of the determinant.
+    seed, so a draw does not depend on how many are drawn with it.
+    Orthonormalize a complex Gaussian matrix, fix the QR phase ambiguity
+    with the signs of the triangular diagonal (Mezzadri 2007), then
+    divide by a cube root of the determinant.  The linear algebra runs
+    on (k, 3, 3) stacks of up to _HAAR_BLOCK draws; every matrix comes
+    out bit for bit as it would from its own QR.
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    streams = np.random.SeedSequence(seed).spawn(n)
     out = []
-    for stream in np.random.SeedSequence(seed).spawn(n):
-        rng = np.random.default_rng(stream)
-        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        q, r = np.linalg.qr(g)
-        diag = np.diagonal(r)
-        q = q * (diag / np.abs(diag))
-        q = q / np.linalg.det(q) ** (1.0 / 3.0)
-        out.append(SpecialUnitary3(q))
+    for lo in range(0, n, _HAAR_BLOCK):
+        out += _haar_stack(streams[lo:lo + _HAAR_BLOCK])
     return out
+
+
+def _haar_stack(streams):
+    # per stream: nine real parts, then nine imaginary parts
+    normals = np.empty((len(streams), 2, 3, 3))
+    for k, stream in enumerate(streams):
+        np.random.default_rng(stream).standard_normal(out=normals[k])
+    q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (diag / np.abs(diag))[:, None, :]
+    q /= (np.linalg.det(q) ** (1.0 / 3.0))[:, None, None]
+    return SpecialUnitary3._checked_stack(q)
 
 
 def _mat_of(u):
@@ -515,8 +553,8 @@ def pushforward_check(lam4_grid, u_samples):
         lifted = _compose_with_trace(f)
         gamma_lift = gamma_fields(lifted, lifted)
         l_lift = casimir_apply(lifted)
-        gamma_flat = deltoid_gamma(f, f)
-        l_flat = deltoid_generator(f, lam)
+        gamma_flat = HornerProgram(deltoid_gamma(f, f))
+        l_flat = HornerProgram(deltoid_generator(f, lam))
         for u in u_samples:
             m = _mat_of(u)
             zv = np.trace(m) / 3.0

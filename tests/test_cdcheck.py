@@ -2,12 +2,15 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from deltoid.cdcheck import (
     CDParams,
     DegenerateDenominator,
     Gamma2Report,
+    PsdReport,
+    _random_real_poly,
     b_one_third_forms,
     b_one_third_of_t,
     deltoid_grid,
@@ -22,8 +25,9 @@ from deltoid.cdcheck import (
     tensor_residual,
     triangle_b,
 )
-from deltoid.exact import Rat, Z, ZBAR
-from deltoid.operator import boundary_poly
+from deltoid.exact import BivarPoly, CRat, Rat, Z, ZBAR
+from deltoid.geometry import sample_interior, triangle_to_deltoid
+from deltoid.operator import Lambda, boundary_poly, gamma, gamma2, generator
 
 
 def scan_points(n, seed=0, margin=0.4):
@@ -112,6 +116,52 @@ def test_psd_zero_pair_trivial():
     r = tensor_residual(0, 0)
     rep = psd_check(r, deltoid_grid(40))
     assert rep.passed
+
+
+def psd_check_per_point(t, points, tol=1e-12):
+    """Reference: psd_check as one scalar evaluation per point."""
+    worst1 = worst2 = math.inf
+    worst_pt = None
+    fails = 0
+    for d in points:
+        z = d.Z if hasattr(d, "Z") else complex(d)
+        v12, v11, v22 = t.r12.eval(z), t.r11.eval(z), t.r22.eval(z)
+        m1, m2 = v12.real, (v12 * v12 - v11 * v22).real
+        if m1 < worst1:
+            worst1 = m1
+        if m2 < worst2:
+            worst2 = m2
+            worst_pt = z
+        if m1 < -tol or m2 < -tol:
+            fails += 1
+    return PsdReport(count=len(points), failures=fails, min_margin1=worst1,
+                     min_margin2=worst2, worst_point=worst_pt, tol=tol)
+
+
+@pytest.mark.parametrize("b1", [Rat(9, 4), Rat(113, 50), Rat(3)])
+def test_psd_check_matches_per_point_loop(b1):
+    t = tensor_residual(Rat(1, 6), b1)
+    grid = deltoid_grid(40)
+    points = grid + [0.975 + 0j, -0.2 + 0.1j]
+    rep = psd_check(t, points)
+    assert rep == psd_check_per_point(t, points)
+    assert type(rep.worst_point) is complex and type(rep.min_margin2) is float
+    # one point at a time through psd_margins, too
+    m1, m2 = t.psd_margins(np.array([d.Z for d in grid]))
+    for k in (0, 7, len(grid) - 1):
+        assert (m1[k], m2[k]) == t.psd_margins(grid[k].Z)
+
+
+def test_psd_check_counts_nonfinite_margins_as_failures():
+    t = tensor_residual(Rat(1, 6), Rat(9, 4))
+    rep = psd_check(t, [complex("nan")])
+    assert rep.count == 1 and rep.failures == 1 and not rep.passed
+    assert math.isnan(rep.min_margin1) and math.isnan(rep.min_margin2)
+    # a NaN among good points is the worst point and the only failure
+    rep = psd_check(t, [0.1 + 0.1j, complex("nan"), -0.2j])
+    assert rep.failures == 1 and math.isnan(rep.worst_point.real)
+    with pytest.raises(ValueError):
+        psd_check(t, [])
 
 
 def test_factorization_optimal():
@@ -272,6 +322,49 @@ def test_gamma2_n7_violated():
     assert not rep.passed
     assert rep.min_margin < -0.5
     assert abs(rep.worst_point) > 0.9
+
+
+def gamma2_check_per_point(lam, rho, n, trials, points, seed, tol=1e-10):
+    """Reference: gamma2_sample_check as one scalar evaluation per pair."""
+    lam = Lambda(lam)
+    rng = random.Random(seed)
+    det_points = [cmath.exp(2j * math.pi * k / 3) * (1 - 1e-3) for k in range(3)] + [0j]
+    det_funcs = [
+        Z + ZBAR,
+        BivarPoly({(1, 0): CRat(Rat(0), Rat(1)), (0, 1): CRat(Rat(0), Rat(-1))}),
+        Z * ZBAR,
+    ]
+    pool = [triangle_to_deltoid(p).Z
+            for p in sample_interior(points, "low-discrepancy", seed + 1)]
+    funcs = det_funcs + [_random_real_poly(rng) for _ in range(trials)]
+    worst, worst_f, worst_z, violations, pairs = math.inf, None, None, 0, 0
+    for idx, f in enumerate(funcs):
+        g2, g1, lf = gamma2(f, f, lam), gamma(f, f), generator(f, lam)
+        for z in (det_points + pool if idx < len(det_funcs) else pool):
+            m = g2.eval(z).real - rho * g1.eval(z).real - lf.eval(z).real ** 2 / n
+            pairs += 1
+            if m < worst:
+                worst, worst_f, worst_z = m, repr(f), z
+            if m < -tol:
+                violations += 1
+    return Gamma2Report(lam=lam.value, rho=rho, n=n, pairs=pairs, min_margin=worst,
+                        worst_f=worst_f, worst_point=worst_z,
+                        violations=violations, tol=tol)
+
+
+@pytest.mark.parametrize("n, seed", [(8.0, 3), (7.0, 4), (6.5, 5)])
+def test_gamma2_sample_check_matches_per_point_loop(n, seed):
+    rep = gamma2_sample_check(4, 2.25, n, trials=10, points=40, seed=seed)
+    assert rep == gamma2_check_per_point(4, 2.25, n, trials=10, points=40, seed=seed)
+    assert type(rep.worst_point) is complex and type(rep.min_margin) is float
+
+
+def test_gamma2_counts_nonfinite_margins_as_violations():
+    # a NaN rho makes every margin NaN
+    rep = gamma2_sample_check(4, math.nan, 8.0, trials=2, points=5, seed=1)
+    assert rep.pairs == 3 * 9 + 2 * 5
+    assert rep.violations == rep.pairs and not rep.passed
+    assert math.isnan(rep.min_margin) and rep.worst_f == repr(Z + ZBAR)
 
 
 def test_route_agreement():

@@ -1,7 +1,9 @@
+import argparse
 import json
 
 import pytest
 
+import deltoid
 from deltoid.cli import main, rat_arg
 from deltoid.exact import Rat
 
@@ -15,12 +17,16 @@ def run_json(capsys, argv):
 def test_rat_arg_parsing():
     assert rat_arg("9/4") == Rat(9, 4)
     assert rat_arg("7") == Rat(7)
-    import argparse
+    assert rat_arg("-3") == Rat(-3)
+    assert rat_arg("7/2") == Rat(7, 2)
+    for bad in ("x", "1/0", "1.5"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            rat_arg(bad)
 
-    with pytest.raises(argparse.ArgumentTypeError):
-        rat_arg("1.5")
-    with pytest.raises(argparse.ArgumentTypeError):
-        rat_arg("1/0")
+
+def test_report_names_the_package_version(capsys):
+    _, rep = run_json(capsys, ["eigen", "--lambda", "4", "--pq", "1,0"])
+    assert rep["tool"] == f"deltoid {deltoid.__version__}"
 
 
 def test_usage_errors_exit_2(capsys):

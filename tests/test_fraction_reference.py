@@ -11,6 +11,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from deltoid.eigen import solve_eigenpoly
@@ -271,10 +272,20 @@ def ref_horner(d, z, w):
     return acc
 
 
+def bits(values):
+    """The raw 64-bit patterns of complex values, real and imaginary."""
+    return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+
+
+# signed zeros, a point on the real axis and a NaN beside random points
+EDGE_POINTS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+               1 + 0j, complex("nan")]
+
+
 def test_float_conversion_is_bit_identical():
     rng = random.Random(106)
     for a, b, _ in forms(106):
-        for d in (a, b, ref_mul(a, b)):
+        for d in (a, b, ref_mul(a, b), {}):
             p = to_poly(d)
             for i, j, c in p.complex_coeffs():
                 re, im = d[(i, j)]
@@ -284,6 +295,53 @@ def test_float_conversion_is_bit_identical():
                 w = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                 assert p.eval2(z, w) == ref_horner(d, z, w)
                 assert p.eval(z) == ref_horner(d, z, z.conjugate())
+            # arrays: every element bit for bit the scalar value, with w
+            # independent of z and with w = conj(z)
+            zs = [complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
+                  for _ in range(20)] + EDGE_POINTS
+            ws = [complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
+                  for _ in range(len(zs))]
+            got = p.eval2(np.array(zs), np.array(ws))
+            assert got.shape == (len(zs),)
+            assert bits(got) == bits([p.eval2(z, w) for z, w in zip(zs, ws)])
+            assert bits(p.eval(np.array(zs))) == bits([p.eval(z) for z in zs])
+            # a scalar w broadcasts against an array z
+            grid = np.array(zs).reshape(2, 13)
+            assert bits(p.eval2(grid, ws[0])) == bits(
+                [[p.eval2(z, ws[0]) for z in row] for row in grid.tolist()])
+
+
+def test_array_evaluation_spans_blocks():
+    # more points than one pass of the array path takes, in a 2-d array
+    rng = random.Random(107)
+    d = rand_ref(rng, deg=5, nterms=9)
+    p = to_poly(d)
+    zs = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                   for _ in range(9000)]).reshape(3, 3000)
+    got = p.eval(zs)
+    assert got.shape == (3, 3000)
+    assert bits(got) == bits([[p.eval(z) for z in row] for row in zs.tolist()])
+
+
+def test_array_evaluation_beyond_binary_exponentiation():
+    # CPython switches from binary exponentiation to the polar formula for
+    # integer powers above 100; the arrays must follow it there too
+    d = {(150, 0): (F(1), F(0)), (3, 120): (F(-2, 3), F(1, 5)), (0, 0): (F(1), F(0))}
+    p = to_poly(d)
+    zs = [0.99 + 0.1j, -0.5 + 0.7j, 1j] + EDGE_POINTS
+    assert bits(p.eval(np.array(zs))) == bits([p.eval(z) for z in zs])
+    assert bits(p.eval(np.array(zs))) == bits([ref_horner(d, z, z.conjugate()) for z in zs])
+
+
+def test_array_evaluation_raises_where_a_power_overflows():
+    # a power with an infinite part raises OverflowError in CPython, so a
+    # point at infinity raises from an array as it does alone
+    p = to_poly({(2, 1): (F(1), F(0)), (0, 0): (F(1), F(0))})
+    for z in (complex(0.5, float("inf")), complex(1e200, 0.0)):
+        with pytest.raises(OverflowError):
+            p.eval(z)
+        with pytest.raises(OverflowError):
+            p.eval(np.array([0.5j, z]))
 
 
 # -- the eigen solver -----------------------------------------------------

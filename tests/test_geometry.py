@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from deltoid import geometry
 from deltoid.geometry import (
     CENTER,
     DeltoidPoint,
@@ -18,6 +19,7 @@ from deltoid.geometry import (
     pushforward_gamma,
     sample_interior,
     triangle_to_deltoid,
+    triangles_to_deltoid,
     w_density,
     write_csv,
     zk,
@@ -115,6 +117,18 @@ def test_boundary_maps_to_curve():
         d = triangle_to_deltoid(p)
         assert abs(d.membership_residual()) < 1e-9
         assert d.is_boundary()
+
+
+def test_batch_map_matches_point_map(monkeypatch):
+    pts = rand_points(30, seed=8) + boundary_points(5) + interior_lattice(12)
+    assert triangles_to_deltoid(pts) == [triangle_to_deltoid(p) for p in pts]
+    # with the tolerance above every residual, both reject the first point alike
+    monkeypatch.setattr(geometry, "_CLOSED_TOL", 10.0)
+    with pytest.raises(ArithmeticError) as one:
+        triangle_to_deltoid(pts[0])
+    with pytest.raises(ArithmeticError) as many:
+        triangles_to_deltoid(pts)
+    assert str(many.value) == str(one.value)
 
 
 def test_pushforward_matches_gamma():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from deltoid.spectral import (
     HeatKernelTruncation,
     KernelReport,
     TruncationInsufficient,
+    _ModeGridCache,
     heat_diag,
     hk_bound_check,
     kernel_bound_check,
@@ -161,6 +163,20 @@ def test_evaluation_noise_cliff():
     assert tr.evaluation_noise(0.5) < tr.evaluation_noise(0.05)
 
 
+def exact_abs(poly, z):
+    """|poly(z, conj z)| from exact rational arithmetic at the float point z."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    re = im = Fraction(0)
+    for (i, j), (cr, ci) in poly.num.items():
+        # z^i conj(z)^j = |z|^(2 min(i, j)) z^(i - j) or conj(z)^(j - i)
+        pr, pi = (x * x + y * y) ** min(i, j), Fraction(0)
+        for _ in range(abs(i - j)):
+            pr, pi = pr * x - pi * (y if i > j else -y), pr * (y if i > j else -y) + pi * x
+        re += cr * pr - ci * pi
+        im += cr * pi + ci * pr
+    return math.sqrt((re * re + im * im) / poly.den**2)
+
+
 def test_supnorm_growth_lam4():
     rep = supnorm_bound_check(Lambda(4), 30)
     assert rep.exponent <= 2.1
@@ -169,6 +185,18 @@ def test_supnorm_growth_lam4():
     assert math.isfinite(rep.constant) and rep.constant > 0
     with pytest.raises(ValueError):
         supnorm_bound_check(Lambda(Rat(1, 2)), 10)
+    # the noisiest mode is (30, 0): both float evaluators stay within
+    # noise_fraction of the exact value at its grid argmax
+    noise = rep.details["noise_fraction"]
+    assert 0.05 < noise < 0.5
+    trunc = HeatKernelTruncation(Lambda(4), 30)
+    poly = next(ep.poly for ep in trunc.modes if (ep.p, ep.q) == (30, 0))
+    cache = _ModeGridCache(trunc, 80)
+    vals = np.abs(cache.values(poly))
+    z = complex(cache.zs[int(np.argmax(vals))])
+    exact = exact_abs(poly, z)
+    for got in (float(np.max(vals)), abs(poly.eval(z))):
+        assert abs(got - exact) <= noise * exact
 
 
 def test_supnorm_anchors_for_z_itself():
@@ -185,6 +213,8 @@ def test_hk_combination_growth_lam4():
     assert rep.exponent <= 4.6
     assert rep.target == 4.5
     assert rep.constant < 10.0
+    # degree 20 is far from the rounding floor
+    assert 0.0 < rep.details["noise_fraction"] < 1e-6
     again = hk_bound_check(Lambda(4), 20, seed=0)
     assert again.exponent == rep.exponent
 

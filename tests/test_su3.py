@@ -42,6 +42,8 @@ def test_special_unitary_validation():
         SpecialUnitary3(np.diag([1.0, 1.0, -1.0]))  # unitary, det = -1
     with pytest.raises(ValueError):
         SpecialUnitary3(np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        SpecialUnitary3(np.full((3, 3), np.nan))
 
 
 def test_lie_basis_structure():
@@ -77,6 +79,32 @@ def test_haar_determinism_and_arg_check():
     assert not np.array_equal(a1[0].matrix, b[0].matrix)
     with pytest.raises(ValueError):
         haar_sample(0, 0)
+
+
+def haar_per_draw(seed, n):
+    """Reference: one stream, QR, phase fix and determinant per draw."""
+    out = []
+    for stream in np.random.SeedSequence(seed).spawn(n):
+        rng = np.random.default_rng(stream)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        q, r = np.linalg.qr(g)
+        diag = np.diagonal(r)
+        q = q * (diag / np.abs(diag))
+        q = q / np.linalg.det(q) ** (1.0 / 3.0)
+        out.append(SpecialUnitary3(q))
+    return out
+
+
+@pytest.mark.parametrize("seed, n", [(0, 1), (7, 5), (17, 2100), (23, 100)])
+def test_haar_sample_matches_per_draw_loop(seed, n):
+    us = haar_sample(seed, n)
+    ref = haar_per_draw(seed, n)
+    assert len(us) == n
+    for u, v in zip(us, ref):
+        assert np.array_equal(u.matrix, v.matrix)
+        assert not u.matrix.flags.writeable
+    # a draw does not depend on how many are drawn with it
+    assert np.array_equal(haar_sample(seed, 1)[0].matrix, us[0].matrix)
 
 
 def test_haar_trace_moments():

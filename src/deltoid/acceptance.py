@@ -260,14 +260,16 @@ def _c10_heat_slopes():
 
 
 def _c11_supnorm_exponents():
-    from .spectral import hk_bound_check, supnorm_bound_check
+    from .spectral import GROWTH_SLACK, hk_bound_check, supnorm_bound_check
 
     single = supnorm_bound_check(Lambda(4), 30)
     combos = hk_bound_check(Lambda(4), 20, seed=0)
-    ok = single.exponent <= 2.1 and combos.exponent <= 4.6
+    single_cap = single.target + GROWTH_SLACK
+    combo_cap = combos.target + GROWTH_SLACK
+    ok = single.exponent <= single_cap and combos.exponent <= combo_cap
     return ok, (
-        f"mode exponent {single.exponent:.3f} <= 2.1, "
-        f"combination exponent {combos.exponent:.3f} <= 4.6"
+        f"mode exponent {single.exponent:.3f} <= {single_cap}, "
+        f"combination exponent {combos.exponent:.3f} <= {combo_cap}"
     )
 
 

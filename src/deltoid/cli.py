@@ -289,24 +289,14 @@ def _run_su3_check(args):
 
 def _run_heat_trace(args):
     from .spectral import (HeatKernelTruncation, TruncationInsufficient,
-                           _sup_grid)
+                           _sup_grid, heat_diag_sups)
     import numpy as np
 
-    lam = Lambda(args.lam)
-    trunc = HeatKernelTruncation(lam, args.degree)
-    grid = _sup_grid()
-    weights = [trunc.mode_weights(z) for z in grid]
+    trunc = HeatKernelTruncation(Lambda(args.lam), args.degree)
     ts = np.exp(np.linspace(math.log(args.t_min), math.log(args.t_max),
                             args.nt))
-    rows = []
     try:
-        for t in ts:
-            decay = np.exp(-trunc._mu * float(t))
-            sup = max(float(decay @ w) for w in weights)
-            tail = trunc.tail_estimate(float(t))
-            if tail > 0.01 * sup:
-                raise TruncationInsufficient(f"tail {tail:.3e} at t = {t}")
-            rows.append((float(t), sup))
+        rows = heat_diag_sups(trunc, ts, _sup_grid())
     except TruncationInsufficient as exc:
         print(f"truncation too shallow: {exc}", file=sys.stderr)
         return 1
@@ -323,7 +313,7 @@ def _run_heat_trace(args):
 
 
 def _run_bounds_supnorm(args):
-    from .spectral import supnorm_bound_check
+    from .spectral import GROWTH_SLACK, supnorm_bound_check
 
     rep = supnorm_bound_check(Lambda(args.lam), args.max_degree,
                               grid_m=args.grid_m)
@@ -335,14 +325,14 @@ def _run_bounds_supnorm(args):
         "constant": rep.constant,
         "residual": rep.residual,
         "window": list(rep.window),
-        "passed": rep.exponent <= rep.target + 0.1,
+        "passed": rep.exponent <= rep.target + GROWTH_SLACK,
     }
     _emit_json(_report(config, result), args.out)
     return 0 if result["passed"] else 1
 
 
 def _run_bounds_hk(args):
-    from .spectral import hk_bound_check
+    from .spectral import GROWTH_SLACK, hk_bound_check
 
     rep = hk_bound_check(Lambda(args.lam), args.max_k, seed=args.seed)
     config = RunConfig(command="bounds hk", lam=_rat_str(args.lam),
@@ -353,7 +343,7 @@ def _run_bounds_hk(args):
         "constant": rep.constant,
         "residual": rep.residual,
         "window": list(rep.window),
-        "passed": rep.exponent <= rep.target + 0.1,
+        "passed": rep.exponent <= rep.target + GROWTH_SLACK,
     }
     _emit_json(_report(config, result), args.out)
     return 0 if result["passed"] else 1

@@ -218,6 +218,34 @@ def solve_eigenpoly(p: int, q: int, lam) -> EigenPolynomial:
     return EigenPolynomial(p=p, q=q, lam=lam, poly=poly, mu=mu, norm2=norm2)
 
 
+def _mirror(ep: EigenPolynomial) -> EigenPolynomial:
+    """P_{q,p} from P_{p,q}: the same coefficients with i and j swapped.
+
+    L and the moments are symmetric under Z <-> Zbar and the coefficients
+    are real, so mu and the squared norm carry over.  The swapped terms
+    are laid out in the solver's storage order (degree descending, then
+    the power of Z descending), so the result equals a direct solve
+    down to the order of `num`.
+    """
+    swapped = sorted(ep.poly.num.items(),
+                     key=lambda kv: (-kv[0][0] - kv[0][1], -kv[0][1]))
+    poly = _make({(j, i): c for (i, j), c in swapped}, ep.poly.den)
+    return EigenPolynomial(p=ep.q, q=ep.p, lam=ep.lam, poly=poly, mu=ep.mu,
+                           norm2=ep.norm2)
+
+
+def _degree_basis(k: int, lam: Lambda) -> tuple:
+    """The eigenpolynomials of total degree k, p from k down to 0.
+
+    Only p >= q is solved; each P_{q,p} with q > p mirrors its partner.
+    """
+    basis = {}
+    for p in range(k, -1, -1):
+        q = k - p
+        basis[p] = solve_eigenpoly(p, q, lam) if p >= q else _mirror(basis[q])
+    return tuple(basis.values())
+
+
 def inner_product(f: BivarPoly, g: BivarPoly, table: MomentTable) -> CRat:
     """Exact integral of f * conj(g) against the invariant measure.
 
@@ -261,7 +289,7 @@ def hk_space(k: int, lam) -> HkSpace:
     if k < 0:
         raise ValueError("need k >= 0")
     lam = lam if isinstance(lam, Lambda) else Lambda(lam)
-    basis = [solve_eigenpoly(p, k - p, lam) for p in range(k, -1, -1)]
+    basis = _degree_basis(k, lam)
     half = CRat(Rat(1, 2))
     neg_half_i = CRat(Rat(0), -Rat(1, 2))
     sym = []
@@ -283,7 +311,7 @@ def hk_space(k: int, lam) -> HkSpace:
         )
     return HkSpace(
         k=k,
-        basis=tuple(basis),
+        basis=basis,
         sym=tuple(sym),
         antisym=tuple(antisym),
         distinct_eigenvalues=distinct,

@@ -5,8 +5,10 @@ exact rational eigenvalue and norm, plus flat numeric tables so that a
 point evaluation of all modes is a couple of vectorized gathers.  On top
 of that sit the ultracontractivity slope fit, the sup-norm growth fits,
 the Sobolev series estimate, and the multiplier-kernel boundedness
-check.  Fits are plain least squares on log-log data; every report
-records the window it was computed on.
+check.  The sup-norm, H_k and kernel checks evaluate many modes at many
+points through a mode table: one real matrix product per residue class
+of modes and block of points.  Fits are plain least squares on log-log
+data; every report records the window it was computed on.
 """
 
 import math
@@ -14,16 +16,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigen import solve_eigenpoly
-from .exact import HornerProgram
-from .geometry import (TrianglePoint, V0, V1, V2, triangle_to_deltoid,
-                       triangles_to_deltoid)
+from .eigen import _degree_basis
+from .exact import c_prod
+from .geometry import TrianglePoint, V0, V1, V2, triangles_to_deltoid
 from .operator import Lambda
 
 
 # machine epsilon of float64: a float evaluation of a polynomial carries
 # absolute rounding noise of about _EPS times its coefficient mass
 _EPS = 2.0**-52
+
+# a sup-norm or H_k growth exponent passes when it is at most its target
+# plus this slack; the fits run on short windows, so a little room is
+# left above the exponent the bound states
+GROWTH_SLACK = 0.1
 
 
 class TruncationInsufficient(ArithmeticError):
@@ -58,9 +64,7 @@ class HeatKernelTruncation:
         self.max_degree = max_degree
         modes = []
         for total in range(max_degree + 1):
-            for p in range(total, -1, -1):
-                q = total - p
-                modes.append(solve_eigenpoly(p, q, lam))
+            modes.extend(_degree_basis(total, lam))
         self.modes = tuple(modes)
         # flat tables: per-term arrays plus mode boundaries
         ii, jj, cc, bounds = [], [], [], [0]
@@ -181,6 +185,25 @@ def _sup_grid():
     return pts
 
 
+def heat_diag_sups(trunc, ts, points):
+    """(t, sup over points of the truncated heat diagonal) for each t in ts.
+
+    Raises TruncationInsufficient at the first t whose tail estimate is
+    more than 1% of the sup.
+    """
+    weights = [trunc.mode_weights(complex(getattr(p, "Z", p))) for p in points]
+    rows = []
+    for t in ts:
+        t = float(t)
+        decay = np.exp(-trunc._mu * t)
+        s = max(float(decay @ w) for w in weights)
+        tail = trunc.tail_estimate(t)
+        if tail > 0.01 * s:
+            raise TruncationInsufficient(f"tail {tail:.3e} at t = {t}")
+        rows.append((t, s))
+    return rows
+
+
 def ultracontractivity_fit(lam, t_window, trunc=None, grid=None, nt=12):
     """Slope of log sup_x p_t(x, x) against log t over the window.
 
@@ -193,16 +216,8 @@ def ultracontractivity_fit(lam, t_window, trunc=None, grid=None, nt=12):
     if not 0 < t_lo < t_hi:
         raise ValueError("bad window")
     pts = list(grid) if grid is not None else _sup_grid()
-    weights = [trunc.mode_weights(complex(getattr(p, "Z", p))) for p in pts]
     ts = np.exp(np.linspace(math.log(t_lo), math.log(t_hi), nt))
-    sups = []
-    for t in ts:
-        decay = np.exp(-trunc._mu * t)
-        s = max(float(decay @ w) for w in weights)
-        tail = trunc.tail_estimate(t)
-        if tail > 0.01 * s:
-            raise TruncationInsufficient(f"tail {tail:.3e} at t = {t}")
-        sups.append(s)
+    sups = [s for _, s in heat_diag_sups(trunc, ts, pts)]
     slope, intercept = np.polyfit(np.log(ts), np.log(sups), 1)
     fitted = slope * np.log(ts) + intercept
     residual = float(np.max(np.abs(fitted - np.log(sups))))
@@ -224,6 +239,175 @@ def ultracontractivity_fit(lam, t_window, trunc=None, grid=None, nt=12):
             "noise_fraction": noise_frac,
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# mode tables: many modes at many points
+
+
+# points per block of a table evaluation, so that the monomials and the
+# values of one block stay a few MB whatever the number of points
+_POINT_BLOCK = 256
+
+# A BLAS matrix product is not bound to round the same way at every
+# thread count.  OpenBLAS 0.3.31 (Intel Xeon, AVX-512 kernels) did, for
+# every shape tried at 1 to 4 threads, once the product had a multiple of
+# 8 columns and an inner dimension of at most 386; past 386 it split the
+# sum differently when threaded.  So blocks are padded to a multiple of 4
+# points (8 float64 columns) and the inner dimension, the monomials of a
+# class, is cut into slices of at most _INNER, summed in a fixed order.
+_INNER = 256
+
+
+def _power_table(zs, n):
+    """(r2, re, im) for the monomials of degree <= n at the points zs.
+
+    r2[k] = |z|^(2k) and re[d] + i im[d] = z^d, each the one before times
+    the base, in real arithmetic (exact.c_prod for z): a point's table has
+    the same bits wherever it sits in an array.
+    """
+    shape = (n + 1,) + zs.shape
+    r2, re, im = np.empty(shape), np.empty(shape), np.empty(shape)
+    r2[0], re[0], im[0] = 1.0, 1.0, 0.0
+    base = zs.real * zs.real + zs.imag * zs.imag
+    for i in range(1, n + 1):
+        r2[i] = r2[i - 1] * base
+        re[i], im[i] = c_prod(re[i - 1], im[i - 1], zs.real, zs.imag)
+    return r2, re, im
+
+
+def _monomials(powers, kk, dd, sign):
+    """(re, im) of Z^i Zbar^j = |z|^(2 min(i, j)) times z^(i - j) or conj(z)^(j - i).
+
+    kk = min(i, j), dd = |i - j| and sign = +-1, the sign of i - j; scalars
+    give one monomial, arrays (with sign shaped to broadcast) a stack.
+    """
+    r2, re, im = powers
+    g = r2[kk]
+    return g * re[dd], g * im[dd] * sign
+
+
+class _ModeTable:
+    """Values of real eigenmodes at a set of points, by residue class.
+
+    Every term Z^i Zbar^j of P_{p,q} has i - j = p - q mod 3, so the modes
+    of one class r = (p - q) mod 3 share one set of monomials.  A class
+    holds one real coefficient matrix over its monomials (rows: its modes),
+    and its values at a block of points are that matrix times the block's
+    monomials, read as float64 pairs: one real matrix product per class and
+    block.  Only one block's monomials and values are held at a time.
+    """
+
+    def __init__(self, modes, zs):
+        self.modes = tuple(modes)
+        self.zs = np.asarray(zs, dtype=complex).reshape(-1)
+        self._degree = max((ep.p + ep.q for ep in self.modes), default=0)
+        residue = [(ep.p - ep.q) % 3 for ep in self.modes]
+        self._class_of = np.empty(len(self.modes), dtype=np.intp)
+        self._slot = np.empty(len(self.modes), dtype=np.intp)
+        self._classes = []
+        for r in range(3):
+            rows = [a for a, res in enumerate(residue) if res == r]
+            if not rows:
+                continue
+            # every term of the class as (row, i, j, coefficient)
+            terms = [self.modes[a].poly.complex_coeffs() for a in rows]
+            row = np.repeat(np.arange(len(rows)), [len(t) for t in terms])
+            i, j, c = (np.array(v) for v in zip(*(x for t in terms for x in t)))
+            bad = np.flatnonzero(c.imag)
+            if bad.size:
+                ep = self.modes[rows[row[bad[0]]]]
+                raise ValueError(f"P_{ep.p},{ep.q} has a complex coefficient; "
+                                 "eigenmodes are real")
+            # columns: the class's monomials in ascending (i, j)
+            keys, col = np.unique(i * (self._degree + 1) + j, return_inverse=True)
+            i, j = np.divmod(keys, self._degree + 1)
+            coef = np.zeros((len(rows), len(keys)))
+            coef[row, col] = c.real
+            self._class_of[rows] = len(self._classes)
+            self._slot[rows] = np.arange(len(rows))
+            self._classes.append((np.array(rows, dtype=np.intp),
+                                  np.minimum(i, j), np.abs(i - j),
+                                  np.where(i >= j, 1.0, -1.0), coef))
+        padded = np.concatenate([self.zs, np.zeros((-len(self.zs)) % 4)])
+        self._powers = _power_table(padded, self._degree)
+
+    def _spans(self):
+        npts = len(self.zs)
+        return [(lo, min(lo + _POINT_BLOCK, npts))
+                for lo in range(0, npts, _POINT_BLOCK)]
+
+    def _class_values(self, lo, hi):
+        """(rows, values of those modes) for each class, at the points lo:hi."""
+        width = hi - lo + (lo - hi) % 4
+        powers = tuple(t[:, lo:lo + width] for t in self._powers)
+        for rows, kk, dd, sign, coef in self._classes:
+            mono = np.empty((len(kk), width), dtype=complex)
+            mono.real, mono.imag = _monomials(powers, kk, dd, sign[:, None])
+            flat = mono.view(np.float64)
+            vals = coef[:, :_INNER] @ flat[:_INNER]
+            for k in range(_INNER, len(kk), _INNER):
+                vals += coef[:, k:k + _INNER] @ flat[k:k + _INNER]
+            yield rows, vals.view(complex)[:, :hi - lo]
+
+    def blocks(self):
+        """(first point index, values of every mode at a block of points)."""
+        for lo, hi in self._spans():
+            out = np.empty((len(self.modes), hi - lo), dtype=complex)
+            for rows, vals in self._class_values(lo, hi):
+                out[rows] = vals
+            yield lo, out
+
+    def values(self):
+        """Every mode at every point, (modes, points); for small point sets."""
+        out = np.empty((len(self.modes), len(self.zs)), dtype=complex)
+        for lo, vals in self.blocks():
+            out[:, lo:lo + vals.shape[1]] = vals
+        return out
+
+    def sup_argmax(self):
+        """Per mode, the largest |value| over the points and its first index."""
+        sup = np.full(len(self.modes), -np.inf)
+        arg = np.zeros(len(self.modes), dtype=np.intp)
+        for lo, hi in self._spans():
+            for rows, vals in self._class_values(lo, hi):
+                mag = np.abs(vals)
+                k = np.argmax(mag, axis=1)
+                top = mag[np.arange(len(rows)), k]
+                better = top > sup[rows]
+                sup[rows[better]] = top[better]
+                arg[rows[better]] = lo + k[better]
+        return sup, arg
+
+    def at(self, rows, zs):
+        """Mode rows[k] at the points zs[k] for each k; zs is (len(rows), s).
+
+        Terms are summed one monomial at a time in a fixed order, so a
+        value does not depend on which other rows and points come along.
+        The monomials have the same bits as in blocks(); the sum runs in
+        another order than the matrix product, so values agree with the
+        block values to rounding.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        zs = np.asarray(zs, dtype=complex)
+        out = np.empty(zs.shape, dtype=complex)
+        for c, (_, kk, dd, sign, coef) in enumerate(self._classes):
+            pick = np.flatnonzero(self._class_of[rows] == c)
+            if not pick.size:
+                continue
+            sel = coef[self._slot[rows[pick]]]
+            z = zs[pick]
+            powers = _power_table(z, self._degree)
+            acc_re = np.zeros(z.shape)
+            acc_im = np.zeros(z.shape)
+            for m in range(len(kk)):
+                mono_re, mono_im = _monomials(powers, kk[m], dd[m], sign[m])
+                weight = sel[:, m, None]
+                acc_re += weight * mono_re
+                acc_im += weight * mono_im
+            out.real[pick] = acc_re
+            out.imag[pick] = acc_im
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -251,26 +435,23 @@ def _in_closed_triangle(x, y, tol=1e-9):
     return min(b0, b1, b2) >= -tol
 
 
-def _newton_polish(value_xy, x0, y0, h=1e-4):
-    """One Newton step on a local maximum of value_xy, clipped to the domain."""
-    f0 = value_xy(x0, y0)
-    fxp = value_xy(x0 + h, y0)
-    fxm = value_xy(x0 - h, y0)
-    fyp = value_xy(x0, y0 + h)
-    fym = value_xy(x0, y0 - h)
+def _newton_step(f, x0, y0, h):
+    """Newton step from the stencil values f toward a local maximum.
+
+    f holds the values at (x0, y0), (x0 +- h, y0), (x0, y0 +- h) and
+    (x0 +- h, y0 +- h), in the order of _newton_polish.  Returns the
+    step's end point, or None where the start value stands: not a clean
+    interior maximum, or a step that leaves the closed triangle.
+    """
+    f0, fxp, fxm, fyp, fym, fpp, fpm, fmp, fmm = f
     gx = (fxp - fxm) / (2 * h)
     gy = (fyp - fym) / (2 * h)
     hxx = (fxp - 2 * f0 + fxm) / h**2
     hyy = (fyp - 2 * f0 + fym) / h**2
-    fpp = value_xy(x0 + h, y0 + h)
-    fpm = value_xy(x0 + h, y0 - h)
-    fmp = value_xy(x0 - h, y0 + h)
-    fmm = value_xy(x0 - h, y0 - h)
     hxy = (fpp - fpm - fmp + fmm) / (4 * h**2)
     det = hxx * hyy - hxy**2
     if det <= 0 or hxx >= 0:
-        # not a clean interior max; trust the grid value
-        return f0
+        return None
     dx = -(hyy * gx - hxy * gy) / det
     dy = -(hxx * gy - hxy * gx) / det
     step = math.hypot(dx, dy)
@@ -278,41 +459,57 @@ def _newton_polish(value_xy, x0, y0, h=1e-4):
         dx, dy = dx * 0.5 / step, dy * 0.5 / step
     x1, y1 = x0 + dx, y0 + dy
     if not _in_closed_triangle(x1, y1):
-        return f0
-    return max(f0, value_xy(x1, y1))
+        return None
+    return x1, y1
 
 
-class _ModeGridCache:
-    """Mode values over the closed-triangle lattice, shared by the fits."""
+def _newton_polish(value, x0, y0, h=1e-4):
+    """One Newton step per start point on a local maximum, clipped to the domain.
 
-    def __init__(self, trunc, m=80):
-        self.trunc = trunc
-        self.tri = _closed_triangle_lattice(m)
-        self.zs = np.array([d.Z for d in triangles_to_deltoid(self.tri)])
-        n = trunc.max_degree
-        zp = np.ones((n + 1, len(self.zs)), dtype=complex)
-        for i in range(1, n + 1):
-            zp[i] = zp[i - 1] * self.zs
-        zbp = zp.conj()
-        self._zp, self._zbp = zp, zbp
+    value(idx, xs, ys) gives function idx[k] at the plane points
+    (xs[k], ys[k]), for (n, s) arrays xs, ys.  Start k belongs to
+    function k.  Two calls serve every start: one for the 9-point
+    stencils, one for the step ends.  Returns max(start value, step end
+    value) per start, the start value where no step is taken.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    xs = np.stack([x0, x0 + h, x0 - h, x0, x0, x0 + h, x0 + h, x0 - h, x0 - h], axis=1)
+    ys = np.stack([y0, y0, y0, y0 + h, y0 - h, y0 + h, y0 - h, y0 + h, y0 - h], axis=1)
+    stencils = value(np.arange(len(x0)), xs, ys).tolist()
+    best = [f[0] for f in stencils]
+    moved, ends = [], []
+    for k, (f, x, y) in enumerate(zip(stencils, x0.tolist(), y0.tolist())):
+        end = _newton_step(f, x, y, h)
+        if end is not None:
+            moved.append(k)
+            ends.append(end)
+    if moved:
+        x1 = np.array([[x] for x, _ in ends])
+        y1 = np.array([[y] for _, y in ends])
+        for k, f1 in zip(moved, value(np.array(moved), x1, y1)[:, 0].tolist()):
+            best[k] = max(best[k], f1)
+    return best
 
-    def values(self, poly):
-        total = np.zeros(len(self.zs), dtype=complex)
-        for i, j, c in poly.complex_coeffs():
-            total += c * self._zp[i] * self._zbp[j]
-        return total
 
-    def polished_sup(self, poly):
-        vals = np.abs(self.values(poly))
-        k = int(np.argmax(vals))
-        p0 = self.tri[k]
-        prog = HornerProgram(poly)
+def _abs_on_triangle(table):
+    """value(idx, xs, ys) for _newton_polish: |mode idx[k] of the table|
+    at the images of the plane points (xs[k], ys[k])."""
 
-        def value_xy(x, y):
-            z = triangle_to_deltoid(TrianglePoint(x, y)).Z
-            return abs(prog.eval(z))
+    def value(idx, xs, ys):
+        pts = [TrianglePoint(x, y) for x, y in
+               zip(xs.ravel().tolist(), ys.ravel().tolist())]
+        zs = np.array([d.Z for d in triangles_to_deltoid(pts)], dtype=complex)
+        vals = table.at(idx, zs.reshape(xs.shape))
+        return np.hypot(vals.real, vals.imag)
 
-        return _newton_polish(value_xy, p0.x, p0.y)
+    return value
+
+
+def _lattice_table(modes, grid_m):
+    """The closed-triangle lattice of side grid_m and a mode table on its images."""
+    tri = _closed_triangle_lattice(grid_m)
+    return tri, _ModeTable(modes, [d.Z for d in triangles_to_deltoid(tri)])
 
 
 def supnorm_bound_check(lam, max_degree, grid_m=80):
@@ -321,19 +518,28 @@ def supnorm_bound_check(lam, max_degree, grid_m=80):
     Reports the largest ||P||_inf / (||P||_2 mu^(lam/2)) over all modes
     with mu > 0 and the least-squares growth exponent of the ratio
     ||P||_inf / ||P||_2 in mu, which the spectral bound caps at lam/2.
+    Each sup is the largest |P| on the lattice, polished by one Newton
+    step from its lattice argmax.  P_{q,p} is conj(P_{p,q}) on the
+    domain, so only p >= q is evaluated and a mirror takes its partner's
+    sup.
     """
     lam = lam if isinstance(lam, Lambda) else Lambda(lam)
     if float(lam.value) < 1:
         raise ValueError("stated for lam >= 1")
     trunc = HeatKernelTruncation(lam, max_degree)
-    cache = _ModeGridCache(trunc, grid_m)
+    live = [(ep, cond) for ep, cond in zip(trunc.modes, trunc._cond) if ep.mu != 0]
+    solved = [ep for ep, _ in live if ep.p >= ep.q]
+    tri, table = _lattice_table(solved, grid_m)
+    _, arg = table.sup_argmax()
+    starts = [tri[k] for k in arg.tolist()]
+    polished = _newton_polish(_abs_on_triangle(table), [p.x for p in starts],
+                              [p.y for p in starts])
+    sup_of = {(ep.p, ep.q): sup for ep, sup in zip(solved, polished)}
     half = float(lam.value) / 2.0
     mus, ratios, consts, noise = [], [], [], []
-    for ep, cond in zip(trunc.modes, trunc._cond):
+    for ep, cond in live:
+        sup = sup_of[max(ep.p, ep.q), min(ep.p, ep.q)]
         mu = float(ep.mu)
-        if mu == 0:
-            continue
-        sup = cache.polished_sup(ep.poly)
         ratio = sup / math.sqrt(float(ep.norm2))
         mus.append(mu)
         ratios.append(ratio)
@@ -365,29 +571,39 @@ def hk_bound_check(lam, max_k, grid_m=80, draws=5, seed=0):
     if float(lam.value) < 1:
         raise ValueError("stated for lam >= 1")
     trunc = HeatKernelTruncation(lam, max_k)
-    cache = _ModeGridCache(trunc, grid_m)
+    modes = [ep for ep in trunc.modes if ep.p + ep.q]
+    conds = [cond for ep, cond in zip(trunc.modes, trunc._cond) if ep.p + ep.q]
+    _, table = _lattice_table(modes, grid_m)
+    norms = np.array([math.sqrt(float(ep.norm2)) for ep in modes])
     rng = np.random.default_rng(seed)
     target = float(lam.value) + 0.5
-    ks, sups, consts, noise = [], [], [], []
-    for k in range(1, max_k + 1):
-        level = [(ep, cond) for ep, cond in zip(trunc.modes, trunc._cond)
-                 if ep.p + ep.q == k]
-        vals = [cache.values(ep.poly) / math.sqrt(float(ep.norm2)) for ep, _ in level]
-        best = 0.0
-        for _ in range(draws):
+    ks = list(range(1, max_k + 1))
+    levels, combos = [], []
+    for k in ks:
+        level = np.array([a for a, ep in enumerate(modes) if ep.p + ep.q == k])
+        cs = np.empty((draws, len(level)), dtype=complex)
+        for d in range(draws):
             c = rng.standard_normal(len(level)) + 1j * rng.standard_normal(len(level))
-            c /= np.linalg.norm(c)
-            combo = sum(ci * vi for ci, vi in zip(c, vals))
-            best = max(best, float(np.max(np.abs(combo))))
-        # single basis members too, tying this to the per-mode check
-        for vi in vals:
-            best = max(best, float(np.max(np.abs(vi))))
-        ks.append(k)
-        sups.append(best)
-        consts.append(best / k**target)
-        # eps times the largest coefficient mass of a normalized mode of
-        # the level, over the level's sup
-        noise.append(_EPS * max(cond for _, cond in level) / best)
+            cs[d] = c / np.linalg.norm(c)
+        levels.append(level)
+        combos.append(cs)
+    # per level, the largest |value| of a combination or of a single
+    # basis member, the latter tying this to the per-mode check; einsum
+    # sums without BLAS, so the bits do not depend on its thread count
+    sups = [0.0] * len(ks)
+    for _, vals in table.blocks():
+        vals /= norms[:, None]
+        for n, (level, cs) in enumerate(zip(levels, combos)):
+            v = vals[level]
+            combo = np.einsum("dm,mx->dx", cs, v)
+            top = max(float(np.max(np.abs(combo), initial=0.0)),
+                      float(np.max(np.abs(v))))
+            sups[n] = max(sups[n], top)
+    consts = [best / k**target for k, best in zip(ks, sups)]
+    # eps times the largest coefficient mass of a normalized mode of
+    # the level, over the level's sup
+    noise = [_EPS * max(conds[a] for a in level) / best
+             for level, best in zip(levels, sups)]
     slope, intercept = np.polyfit(np.log(ks), np.log(sups), 1)
     fitted = slope * np.log(ks) + intercept
     residual = float(np.max(np.abs(fitted - np.log(sups))))
@@ -423,17 +639,13 @@ def sobolev_series_check(p, a, t_grid=None, dps=30):
         raise ValueError("need a > 0 and p > 0")
     if t_grid is None:
         t_grid = [2.0**-j for j in range(14)]
-    old = mp.mp.dps
-    mp.mp.dps = dps
-    try:
-        normalized = []
-        halfpower = []
+    normalized = []
+    halfpower = []
+    with mp.workdps(dps):
         for t in t_grid:
             s = _sobolev_sum(mp, p, a, t)
             normalized.append(float(mp.power(t, p + 0.5) * s))
             halfpower.append(float(mp.power(t, (p + 1) / 2) * s))
-    finally:
-        mp.mp.dps = old
     ratio = max(normalized) / min(normalized)
     return FitReport(
         window=(min(t_grid), max(t_grid)),
@@ -523,16 +735,12 @@ def kernel_bound_check(nu, lam, max_k, x_grid):
     zs = np.array([complex(getattr(x, "Z", x)) for x in x_grid])
     trunc = HeatKernelTruncation(lam, max_k)
     npts = len(zs)
+    modes = [ep for ep in trunc.modes
+             if ep.p + ep.q and nus[ep.p + ep.q - 1] != 0.0]
     kernel = np.zeros((npts, npts), dtype=complex)
-    for ep in trunc.modes:
-        k = ep.p + ep.q
-        if k == 0 or nus[k - 1] == 0.0:
-            continue
-        vals = np.zeros(npts, dtype=complex)
-        for i, j, c in ep.poly.complex_coeffs():
-            vals += c * zs**i * np.conj(zs) ** j
+    for ep, vals in zip(modes, _ModeTable(modes, zs).values()):
         vals /= math.sqrt(float(ep.norm2))
-        kernel += nus[k - 1] ** 2 * np.outer(vals, vals.conj())
+        kernel += nus[ep.p + ep.q - 1] ** 2 * np.outer(vals, vals.conj())
     sup_abs = float(np.abs(kernel).max()) if npts else 0.0
     diag_sup = float(np.max(kernel.diagonal().real)) if npts else 0.0
     series = sum(

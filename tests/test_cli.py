@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -159,6 +162,26 @@ def test_bounds_subcommands(capsys):
         capsys, ["bounds", "hk", "--lambda", "4", "--max-k", "8"]
     )
     assert code == 0 and rep["result"]["passed"] is True
+
+
+@pytest.mark.parametrize("sizes", [["--max-degree", "12", "--grid-m", "30"], []])
+def test_bounds_supnorm_bytes_do_not_depend_on_blas_threads(sizes):
+    # the mode table's matrix products run in BLAS; one and two threads
+    # must give the same report bytes, also at the default sizes, whose
+    # products are large enough for BLAS to split them between threads
+    src = os.path.dirname(os.path.dirname(deltoid.__file__))
+    argv = [sys.executable, "-m", "deltoid.cli", "bounds", "supnorm",
+            "--lambda", "4"] + sizes
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr.decode()
+        reports.append(done.stdout)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["result"]["passed"] is True
 
 
 def test_sobolev_series_defaults(capsys):

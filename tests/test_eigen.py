@@ -5,6 +5,7 @@ import pytest
 
 from deltoid import eigen
 from deltoid.exact import BivarPoly, Rat, Z, ZBAR
+from deltoid.spectral import HeatKernelTruncation
 from deltoid.eigen import (
     EigenvalueCountMismatch,
     MomentRangeExceeded,
@@ -242,6 +243,23 @@ def test_r_k_count():
     lam = Lambda("7/3")
     for k in range(0, 14):
         assert hk_space(k, lam).r_k == k // 2 + 1
+
+
+@pytest.mark.parametrize("lam", [Rat(4), Rat(1), Rat(7, 2), Rat(9, 5)])
+def test_mirrored_solves_equal_direct_solves(lam):
+    # hk_space and the truncation solve p >= q and mirror the rest; each
+    # mirror must equal a direct solve down to the order of its terms
+    lam = Lambda(lam)
+    trunc = HeatKernelTruncation(lam, 14)
+    spaces = [ep for k in range(15) for ep in hk_space(k, lam).basis]
+    assert [(e.p, e.q) for e in spaces] == [(e.p, e.q) for e in trunc.modes]
+    for got in (spaces, trunc.modes):
+        for ep in got:
+            direct = solve_eigenpoly(ep.p, ep.q, lam)
+            assert ep.poly == direct.poly
+            assert list(ep.poly.num.items()) == list(direct.poly.num.items())
+            assert ep.poly.den == direct.poly.den
+            assert ep.mu == direct.mu and ep.norm2 == direct.norm2
 
 
 def test_collision_guard_never_fires():

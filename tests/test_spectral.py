@@ -4,15 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from deltoid.eigen import eigenvalue, inner_product, moments
-from deltoid.exact import Rat
+from deltoid import spectral
+from deltoid.eigen import EigenPolynomial, eigenvalue, inner_product, moments
+from deltoid.exact import BivarPoly, CRat, HornerProgram, Rat
 from deltoid.operator import Lambda
 from deltoid.spectral import (
     FitReport,
     HeatKernelTruncation,
     KernelReport,
     TruncationInsufficient,
-    _ModeGridCache,
+    _abs_on_triangle,
+    _in_closed_triangle,
+    _lattice_table,
+    _ModeTable,
+    _newton_polish,
     heat_diag,
     hk_bound_check,
     kernel_bound_check,
@@ -185,18 +190,108 @@ def test_supnorm_growth_lam4():
     assert math.isfinite(rep.constant) and rep.constant > 0
     with pytest.raises(ValueError):
         supnorm_bound_check(Lambda(Rat(1, 2)), 10)
-    # the noisiest mode is (30, 0): both float evaluators stay within
-    # noise_fraction of the exact value at its grid argmax
+    # the noisiest mode is (30, 0): the table's value at its grid argmax,
+    # and Horner's at the same point, stay within noise_fraction of the
+    # exact value there
     noise = rep.details["noise_fraction"]
     assert 0.05 < noise < 0.5
     trunc = HeatKernelTruncation(Lambda(4), 30)
-    poly = next(ep.poly for ep in trunc.modes if (ep.p, ep.q) == (30, 0))
-    cache = _ModeGridCache(trunc, 80)
-    vals = np.abs(cache.values(poly))
-    z = complex(cache.zs[int(np.argmax(vals))])
+    a = next(a for a, ep in enumerate(trunc.modes) if (ep.p, ep.q) == (30, 0))
+    _, table = _lattice_table(trunc.modes, 80)
+    sup, arg = table.sup_argmax()
+    z = complex(table.zs[arg[a]])
+    poly = trunc.modes[a].poly
     exact = exact_abs(poly, z)
-    for got in (float(np.max(vals)), abs(poly.eval(z))):
+    for got in (sup[a], abs(poly.eval(z))):
         assert abs(got - exact) <= noise * exact
+
+
+def test_mode_table_matches_horner():
+    # |P| <= coefficient mass on the closed domain, and float rounding
+    # noise scales with that mass, so the tolerance is relative to it
+    trunc = HeatKernelTruncation(Lambda(4), 12)
+    zs = np.array(KERNEL_GRID)
+    table = _ModeTable(trunc.modes, zs)
+    vals = table.values()
+    single = table.at(np.repeat(np.arange(len(trunc)), len(zs)),
+                      np.tile(zs, len(trunc)).reshape(-1, 1)).reshape(len(trunc), -1)
+    for a, ep in enumerate(trunc.modes):
+        want = HornerProgram(ep.poly).eval(zs)
+        mass = sum(abs(c.real) + abs(c.imag) for _, _, c in ep.poly.complex_coeffs())
+        assert np.max(np.abs(vals[a] - want)) <= 1e-12 * mass
+        assert np.max(np.abs(single[a] - want)) <= 1e-12 * mass
+
+
+def test_mode_table_streams_blocks():
+    # more points than one block: sup and argmax over blocks equal those
+    # over the assembled values, and no block is larger than the bound
+    trunc = HeatKernelTruncation(Lambda(4), 6)
+    _, table = _lattice_table(trunc.modes, 40)
+    assert len(table.zs) > spectral._POINT_BLOCK
+    blocks = list(table.blocks())
+    assert all(v.shape[1] <= spectral._POINT_BLOCK for _, v in blocks)
+    vals = table.values()
+    sup, arg = table.sup_argmax()
+    assert np.array_equal(sup, np.max(np.abs(vals), axis=1))
+    assert np.array_equal(arg, np.argmax(np.abs(vals), axis=1))
+
+
+def test_mode_table_rejects_complex_coefficients():
+    ep = HeatKernelTruncation(Lambda(4), 2).modes[1]
+    bad = EigenPolynomial(p=ep.p, q=ep.q, lam=ep.lam, mu=ep.mu, norm2=ep.norm2,
+                          poly=ep.poly + BivarPoly.const(CRat(0, 1)))
+    with pytest.raises(ValueError):
+        _ModeTable([bad], [0.1j])
+
+
+def _scalar_newton_polish(value_xy, x0, y0, h=1e-4):
+    """The per-point Newton polish, one evaluation at a time."""
+    f0 = value_xy(x0, y0)
+    fxp = value_xy(x0 + h, y0)
+    fxm = value_xy(x0 - h, y0)
+    fyp = value_xy(x0, y0 + h)
+    fym = value_xy(x0, y0 - h)
+    gx = (fxp - fxm) / (2 * h)
+    gy = (fyp - fym) / (2 * h)
+    hxx = (fxp - 2 * f0 + fxm) / h**2
+    hyy = (fyp - 2 * f0 + fym) / h**2
+    fpp = value_xy(x0 + h, y0 + h)
+    fpm = value_xy(x0 + h, y0 - h)
+    fmp = value_xy(x0 - h, y0 + h)
+    fmm = value_xy(x0 - h, y0 - h)
+    hxy = (fpp - fpm - fmp + fmm) / (4 * h**2)
+    det = hxx * hyy - hxy**2
+    if det <= 0 or hxx >= 0:
+        return f0
+    dx = -(hyy * gx - hxy * gy) / det
+    dy = -(hxx * gy - hxy * gx) / det
+    step = math.hypot(dx, dy)
+    if step > 0.5:
+        dx, dy = dx * 0.5 / step, dy * 0.5 / step
+    x1, y1 = x0 + dx, y0 + dy
+    if not _in_closed_triangle(x1, y1):
+        return f0
+    return max(f0, value_xy(x1, y1))
+
+
+def test_batched_polish_equals_scalar_loop():
+    trunc = HeatKernelTruncation(Lambda(4), 14)
+    tri, table = _lattice_table(trunc.modes[1:], 30)
+    _, arg = table.sup_argmax()
+    starts = [tri[k] for k in arg]
+    value = _abs_on_triangle(table)
+    batched = _newton_polish(value, [p.x for p in starts], [p.y for p in starts])
+    scalar = [
+        _scalar_newton_polish(
+            lambda x, y, a=a: float(value(np.array([a]), np.array([[x]]),
+                                          np.array([[y]]))[0, 0]),
+            p.x, p.y)
+        for a, p in enumerate(starts)
+    ]
+    assert batched == scalar
+    # the Newton step moved some sups off the lattice and kept others
+    lattice = np.abs(table.values()).max(axis=1)
+    assert any(b > s for b, s in zip(batched, lattice))
 
 
 def test_supnorm_anchors_for_z_itself():
@@ -230,6 +325,23 @@ def test_sobolev_series_stability():
     # it visible in details is the record of that discrepancy
     naive = rep.details["operator_exponent_normalized"]
     assert max(naive) / min(naive) > 1e6
+
+
+def test_sobolev_series_scopes_its_precision(monkeypatch):
+    import mpmath as mp
+
+    before = mp.mp.dps
+    seen = []
+
+    def failing_sum(mp_, p, a, t):
+        seen.append(mp_.mp.dps)
+        raise ArithmeticError("series summation did not settle")
+
+    monkeypatch.setattr(spectral, "_sobolev_sum", failing_sum)
+    with pytest.raises(ArithmeticError):
+        sobolev_series_check(4.5, 0.75, dps=45)
+    assert seen == [45]
+    assert mp.mp.dps == before
 
 
 def test_sobolev_series_reference_and_monotonicity():

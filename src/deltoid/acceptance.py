@@ -3,7 +3,10 @@
 Each criterion is a standalone runner returning pass/fail plus a one
 line summary with the decisive margins; run_all executes them in order.
 Tolerances are stated inline next to the check they govern so the
-numbers can be audited without chasing constants through the package.
+numbers can be audited without chasing constants through the package;
+the few that the CLI applies too are named once, next to the check
+(su3.RICCI_TOL and IDENTITY_TOL, spectral.GROWTH_SLACK and
+SOBOLEV_RATIO_CAP).  No verdict reads the clock.
 """
 
 import math
@@ -43,7 +46,6 @@ class CriterionResult:
 def _c01_density_discriminant():
     from .geometry import sample_interior, triangles_to_deltoid, w_density
 
-    t0 = time.monotonic()
     # re-derive the 108 symbolically: the discriminant of the monic
     # cubic with coefficient functions (-3Z, 3Zbar, -1) must equal
     # -108 times the boundary polynomial, exactly
@@ -65,8 +67,7 @@ def _c01_density_discriminant():
     zs = np.array([d.Z for d in triangles_to_deltoid(pts)])
     ref = 108.0 * boundary_poly().eval(zs).real
     worst = float(np.max(np.abs(w - ref) / np.maximum(np.abs(ref), 1.0)))
-    dt = time.monotonic() - t0
-    ok = symbolic_ok and worst < 1e-10 and dt < 1.0
+    ok = symbolic_ok and worst < 1e-10
     return ok, f"symbolic -108 match {symbolic_ok}, max rel err {worst:.2e}"
 
 
@@ -205,6 +206,8 @@ def _c08_gamma2_sampling():
 
 def _c09_group_model():
     from .su3 import (
+        IDENTITY_TOL,
+        RICCI_TOL,
         charpoly_identity_check,
         commutator_table,
         curvature_dimension_check,
@@ -214,7 +217,7 @@ def _c09_group_model():
     )
 
     ricci = ricci_constant()
-    if abs(ricci - 3.0) > 1e-10:
+    if abs(ricci - 3.0) > RICCI_TOL:
         return False, f"ricci {ricci}"
     table = commutator_table()  # raises if any entry breaks proportionality
     if len(table) != 36:
@@ -229,9 +232,9 @@ def _c09_group_model():
         char_worst = max(char_worst, res.gamma_residual, res.generator_residual)
     cd = curvature_dimension_check(trials=8, samples=40, seed=5, tol=1e-8)
     ok = (
-        push.max_gamma_residual < 1e-9
-        and push.max_generator_residual < 1e-9
-        and char_worst < 1e-9
+        push.max_gamma_residual < IDENTITY_TOL
+        and push.max_generator_residual < IDENTITY_TOL
+        and char_worst < IDENTITY_TOL
         and cd.passed
     )
     return ok, (
@@ -244,7 +247,6 @@ def _c09_group_model():
 def _c10_heat_slopes():
     from .spectral import HeatKernelTruncation, ultracontractivity_fit
 
-    t0 = time.monotonic()
     rep4 = ultracontractivity_fit(
         Lambda(4), (0.02, 0.2), HeatKernelTruncation(Lambda(4), 40)
     )
@@ -253,9 +255,7 @@ def _c10_heat_slopes():
     rep1 = ultracontractivity_fit(
         Lambda(1), (0.02, 0.2), HeatKernelTruncation(Lambda(1), 25)
     )
-    dt = time.monotonic() - t0
     ok = -4.5 <= rep4.exponent <= -3.5 and -1.3 <= rep1.exponent <= -0.8
-    ok = ok and dt < 300.0
     return ok, f"slopes {rep4.exponent:.3f} (target -4), {rep1.exponent:.3f} (target -1)"
 
 
@@ -274,11 +274,11 @@ def _c11_supnorm_exponents():
 
 
 def _c12_series_stability():
-    from .spectral import sobolev_series_check
+    from .spectral import SOBOLEV_RATIO_CAP, sobolev_series_check
 
     rep = sobolev_series_check(4.5, 0.75)
-    ok = rep.residual < 10.0
-    return ok, f"normalized max/min {rep.residual:.4f} < 10"
+    ok = rep.residual < SOBOLEV_RATIO_CAP
+    return ok, f"normalized max/min {rep.residual:.4f} < {SOBOLEV_RATIO_CAP:g}"
 
 
 CRITERIA = (

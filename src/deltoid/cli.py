@@ -237,8 +237,8 @@ def _run_cd_factor_check(args):
 def _run_su3_check(args):
     import numpy as np
 
-    from .su3 import (charpoly_identity_check, commutator_table,
-                      curvature_dimension_check, haar_sample,
+    from .su3 import (IDENTITY_TOL, RICCI_TOL, charpoly_identity_check,
+                      commutator_table, curvature_dimension_check, haar_sample,
                       pushforward_check, ricci_constant)
     from .exact import Z, ZBAR
 
@@ -272,11 +272,11 @@ def _run_su3_check(args):
         },
     }
     passed = (
-        abs(ricci - 3.0) < 1e-10
+        abs(ricci - 3.0) < RICCI_TOL
         and len(table) == 36
-        and push.max_gamma_residual < 1e-9
-        and push.max_generator_residual < 1e-9
-        and char_worst < 1e-9
+        and push.max_gamma_residual < IDENTITY_TOL
+        and push.max_generator_residual < IDENTITY_TOL
+        and char_worst < IDENTITY_TOL
         and cd.passed
         and abs(mean - 1.0 / 9.0) <= 3.0 * se
     )
@@ -350,7 +350,7 @@ def _run_bounds_hk(args):
 
 
 def _run_sobolev_series(args):
-    from .spectral import sobolev_series_check
+    from .spectral import SOBOLEV_RATIO_CAP, sobolev_series_check
 
     rep = sobolev_series_check(float(args.p), float(args.a))
     config = RunConfig(command="sobolev series", out=args.out,
@@ -359,7 +359,7 @@ def _run_sobolev_series(args):
         "exponent": rep.exponent,
         "max_min_ratio": rep.residual,
         "plateau_constant": rep.constant,
-        "passed": rep.residual < 10.0,
+        "passed": rep.residual < SOBOLEV_RATIO_CAP,
     }
     _emit_json(_report(config, result), args.out)
     return 0 if result["passed"] else 1

@@ -21,6 +21,7 @@ believed unreachable; it stays as a defensive check on the divide.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from math import gcd
 
@@ -132,18 +133,23 @@ def moments(lam, max_degree: int) -> MomentTable:
 
 
 # moment tables are expensive only through their largest degree, so keep
-# one growable table per lambda for the solver's internal needs
-_table_cache: dict = {}
+# one growable table per lambda for the solver's internal needs, for the
+# _TABLE_CACHE_SIZE lambdas used last; a table's entries do not depend on
+# how it was grown, so an evicted lambda only costs a rebuild
+_TABLE_CACHE_SIZE = 8
+_table_cache: OrderedDict = OrderedDict()
 
 
 def _cached_table(lam: Lambda, degree: int) -> MomentTable:
     key = (lam.value.numerator, lam.value.denominator)
-    tab = _table_cache.get(key)
+    tab = _table_cache.pop(key, None)
     if tab is None:
         tab = MomentTable(lam, degree)
-        _table_cache[key] = tab
     else:
         tab.extend_to(degree)
+    _table_cache[key] = tab
+    if len(_table_cache) > _TABLE_CACHE_SIZE:
+        _table_cache.popitem(last=False)
     return tab
 
 

@@ -1,24 +1,26 @@
 """Heat-kernel truncations and the spectral-bound experiments.
 
 A truncation keeps every eigenpolynomial up to a fixed total degree with
-exact rational eigenvalue and norm, plus flat numeric tables so that a
-point evaluation of all modes is a couple of vectorized gathers.  On top
-of that sit the ultracontractivity slope fit, the sup-norm growth fits,
-the Sobolev series estimate, and the multiplier-kernel boundedness
-check.  The sup-norm, H_k and kernel checks evaluate many modes at many
-points through a mode table: one real matrix product per residue class
-of modes and block of points.  Fits are plain least squares on log-log
-data; every report records the window it was computed on.
+exact rational eigenvalue and norm.  Its float side is one mode store,
+built on first float use: a real coefficient matrix per residue class of
+modes, so that the values of many modes at a block of points are one
+real matrix product per class.  Every float evaluation of modes reads
+that store: the heat diagonal and the ultracontractivity slope fit on all
+of its rows, the sup-norm, H_k and multiplier-kernel checks on row
+slices.  Beside them sit the Sobolev series estimate and the fits, plain
+least squares on log-log data; every report records the window it was
+computed on.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .eigen import _degree_basis
 from .exact import c_prod
-from .geometry import TrianglePoint, V0, V1, V2, triangles_to_deltoid
+from .geometry import DeltoidPoint, TrianglePoint, V0, V1, V2, triangles_to_deltoid
 from .operator import Lambda
 
 
@@ -30,6 +32,9 @@ _EPS = 2.0**-52
 # plus this slack; the fits run on short windows, so a little room is
 # left above the exponent the bound states
 GROWTH_SLACK = 0.1
+
+# the normalized Sobolev series is stable when its max/min stays below this
+SOBOLEV_RATIO_CAP = 10.0
 
 
 class TruncationInsufficient(ArithmeticError):
@@ -47,13 +52,14 @@ class FitReport:
 
 
 class HeatKernelTruncation:
-    """All eigenmodes of total degree <= max_degree, exact and tabulated.
+    """All eigenmodes of total degree <= max_degree, exact, with one float store.
 
     The exact side (mu, squared norm as rationals, the polynomials
-    themselves) lives in `modes`; the numeric side is a set of flat
-    arrays for gather-style evaluation of every mode at once.  The tail
-    of a truncation is estimated by exp(-(3/4) N^2 t), the lower bound
-    on how fast the first dropped level can decay.
+    themselves) lives in `modes`.  Every float value of a mode is read
+    from one `_ModeStore`, built on first float use, so a truncation used
+    only exactly never builds it.  The tail of a truncation is estimated
+    by exp(-(3/4) N^2 t), the lower bound on how fast the first dropped
+    level can decay.
     """
 
     def __init__(self, lam, max_degree=40):
@@ -66,33 +72,23 @@ class HeatKernelTruncation:
         for total in range(max_degree + 1):
             modes.extend(_degree_basis(total, lam))
         self.modes = tuple(modes)
-        # flat tables: per-term arrays plus mode boundaries
-        ii, jj, cc, bounds = [], [], [], [0]
-        coeffs = [ep.poly.complex_coeffs() for ep in modes]
-        for terms in coeffs:
-            for i, j, c in sorted(terms):
-                ii.append(i)
-                jj.append(j)
-                cc.append(c)
-            bounds.append(len(ii))
-        self._ti = np.array(ii, dtype=np.intp)
-        self._tj = np.array(jj, dtype=np.intp)
-        self._tc = np.array(cc, dtype=complex)
-        self._bounds = np.array(bounds, dtype=np.intp)
         self._mu = np.array([float(ep.mu) for ep in modes])
         self._inv_norm2 = np.array([1.0 / float(ep.norm2) for ep in modes])
+
+    def __len__(self):
+        return len(self.modes)
+
+    @cached_property
+    def _store(self):
+        return _ModeStore.of_modes(self.modes)
+
+    @cached_property
+    def _cond(self):
         # coefficient mass over norm, the cancellation ratio of a float
         # evaluation: absolute rounding noise on P(z) for |z| <= 1 is
         # about eps times the coefficient sum, so once this ratio nears
         # 1/eps the normalized mode value is pure noise
-        cond = []
-        for ep, terms in zip(modes, coeffs):
-            mass = sum(abs(c.real) + abs(c.imag) for _, _, c in terms)
-            cond.append(mass * math.sqrt(float(1 / ep.norm2)))
-        self._cond = np.array(cond)
-
-    def __len__(self):
-        return len(self.modes)
+        return self._store.mass() * np.sqrt(self._inv_norm2)
 
     def evaluation_noise(self, t):
         """Rounding-noise estimate for a heat_diag value at time t.
@@ -107,20 +103,16 @@ class HeatKernelTruncation:
         return float(np.exp(-self._mu * t) @ (_EPS * self._cond) ** 2)
 
     def mode_values(self, z):
-        """Values of every mode polynomial at the complex point z."""
-        z = complex(z)
-        zp = np.ones(self.max_degree + 1, dtype=complex)
-        for i in range(1, self.max_degree + 1):
-            zp[i] = zp[i - 1] * z
-        zbp = zp.conj()
-        prods = self._tc * zp[self._ti] * zbp[self._tj]
-        sums = np.add.reduceat(prods, self._bounds[:-1])
-        return sums
+        """Values of every mode at the complex point z, or at each point of
+        the 1-d array z (then one column per point)."""
+        zs = np.asarray(z, dtype=complex)
+        return self._store.values(zs.reshape(-1)).reshape((len(self),) + zs.shape)
 
     def mode_weights(self, z):
-        """|P_a(z)|^2 / ||P_a||^2 for every mode, the diagonal ingredients."""
+        """|P_a(z)|^2 / ||P_a||^2 for every mode, the diagonal ingredients;
+        z is a point or a 1-d array of points, as for mode_values."""
         v = self.mode_values(z)
-        return (v.real**2 + v.imag**2) * self._inv_norm2
+        return ((v.real**2 + v.imag**2).T * self._inv_norm2).T
 
     def tail_estimate(self, t):
         return math.exp(-0.75 * self.max_degree**2 * t)
@@ -160,18 +152,9 @@ def heat_diag(x, t, trunc):
     if t <= 0:
         raise ValueError("t must be positive")
     z = complex(getattr(x, "Z", x))
-    from .geometry import DeltoidPoint
-
     if DeltoidPoint(z).membership_residual() < -1e-12:
         raise ValueError(f"{z} is outside the closed domain")
-    w = trunc.mode_weights(z)
-    partial = float(np.exp(-trunc._mu * t) @ w)
-    tail = trunc.tail_estimate(t)
-    if tail > 0.01 * partial:
-        raise TruncationInsufficient(
-            f"tail {tail:.3e} vs partial {partial:.3e} at t = {t}"
-        )
-    return partial
+    return heat_diag_sups(trunc, [t], [z])[0][1]
 
 
 # cusp-hugging evaluation set: the small-t sup lives at the cusps, the
@@ -191,12 +174,13 @@ def heat_diag_sups(trunc, ts, points):
     Raises TruncationInsufficient at the first t whose tail estimate is
     more than 1% of the sup.
     """
-    weights = [trunc.mode_weights(complex(getattr(p, "Z", p))) for p in points]
+    weights = trunc.mode_weights([complex(getattr(p, "Z", p)) for p in points])
     rows = []
     for t in ts:
         t = float(t)
         decay = np.exp(-trunc._mu * t)
-        s = max(float(decay @ w) for w in weights)
+        # einsum, not BLAS: the bits do not depend on the thread count
+        s = float(np.max(np.einsum("m,mx->x", decay, weights)))
         tail = trunc.tail_estimate(t)
         if tail > 0.01 * s:
             raise TruncationInsufficient(f"tail {tail:.3e} at t = {t}")
@@ -223,9 +207,7 @@ def ultracontractivity_fit(lam, t_window, trunc=None, grid=None, nt=12):
     residual = float(np.max(np.abs(fitted - np.log(sups))))
     # worst-case share of a sup that could be evaluation rounding noise;
     # the window is only trustworthy while this stays small
-    noise_frac = max(
-        trunc.evaluation_noise(t) / s for t, s in zip(ts, sups)
-    )
+    noise_frac = max(trunc.evaluation_noise(t) / s for t, s in zip(ts, sups))
     return FitReport(
         window=(t_lo, t_hi),
         exponent=float(slope),
@@ -242,10 +224,10 @@ def ultracontractivity_fit(lam, t_window, trunc=None, grid=None, nt=12):
 
 
 # ---------------------------------------------------------------------------
-# mode tables: many modes at many points
+# the mode store: many modes at many points
 
 
-# points per block of a table evaluation, so that the monomials and the
+# points per block of a store evaluation, so that the monomials and the
 # values of one block stay a few MB whatever the number of points
 _POINT_BLOCK = 256
 
@@ -287,100 +269,118 @@ def _monomials(powers, kk, dd, sign):
     return g * re[dd], g * im[dd] * sign
 
 
-class _ModeTable:
-    """Values of real eigenmodes at a set of points, by residue class.
+class _ModeStore:
+    """Real eigenmodes as coefficient matrices by residue class.
 
     Every term Z^i Zbar^j of P_{p,q} has i - j = p - q mod 3, so the modes
     of one class r = (p - q) mod 3 share one set of monomials.  A class
-    holds one real coefficient matrix over its monomials (rows: its modes),
-    and its values at a block of points are that matrix times the block's
-    monomials, read as float64 pairs: one real matrix product per class and
-    block.  Only one block's monomials and values are held at a time.
+    holds one real coefficient matrix, rows its modes and columns its
+    monomials in ascending (i, j).  Its values at a block of points are
+    that matrix times the block's monomials, read as float64 pairs: one
+    real matrix product per class and block, one block held at a time.
+    A truncation holds the store of all its modes; select() cuts rows.
     """
 
-    def __init__(self, modes, zs):
-        self.modes = tuple(modes)
-        self.zs = np.asarray(zs, dtype=complex).reshape(-1)
-        self._degree = max((ep.p + ep.q for ep in self.modes), default=0)
-        residue = [(ep.p - ep.q) % 3 for ep in self.modes]
-        self._class_of = np.empty(len(self.modes), dtype=np.intp)
-        self._slot = np.empty(len(self.modes), dtype=np.intp)
-        self._classes = []
+    def __init__(self, classes, size):
+        # classes: (ascending store rows, min(i, j), |i - j|, sign of i - j, coef)
+        self.size = size
+        self._classes = classes
+        self._degree = max((int(np.max(2 * kk + dd)) for _, kk, dd, _, _ in classes),
+                           default=0)
+
+    @classmethod
+    def of_modes(cls, modes):
+        """The store of a truncation's modes, rows in the order of modes.
+
+        complex_coeffs() runs once per mode with p >= q; P_{q,p} takes
+        its partner's terms with i and j swapped, as eigen._mirror does.
+        """
+        terms = {(ep.p, ep.q): ep.poly.complex_coeffs() for ep in modes if ep.p >= ep.q}
+        terms.update({(q, p): [(j, i, c) for i, j, c in t]
+                      for (p, q), t in terms.items() if p > q})
+        terms = [terms[ep.p, ep.q] for ep in modes]
+        base = max(ep.p + ep.q for ep in modes) + 1
+        classes = []
         for r in range(3):
-            rows = [a for a, res in enumerate(residue) if res == r]
-            if not rows:
-                continue
+            rows = [a for a, ep in enumerate(modes) if (ep.p - ep.q) % 3 == r]
             # every term of the class as (row, i, j, coefficient)
-            terms = [self.modes[a].poly.complex_coeffs() for a in rows]
-            row = np.repeat(np.arange(len(rows)), [len(t) for t in terms])
-            i, j, c = (np.array(v) for v in zip(*(x for t in terms for x in t)))
+            row = np.repeat(np.arange(len(rows)), [len(terms[a]) for a in rows])
+            i, j, c = (np.array(v) for v in zip(*(x for a in rows for x in terms[a])))
             bad = np.flatnonzero(c.imag)
             if bad.size:
-                ep = self.modes[rows[row[bad[0]]]]
+                ep = modes[rows[row[bad[0]]]]
                 raise ValueError(f"P_{ep.p},{ep.q} has a complex coefficient; "
                                  "eigenmodes are real")
-            # columns: the class's monomials in ascending (i, j)
-            keys, col = np.unique(i * (self._degree + 1) + j, return_inverse=True)
-            i, j = np.divmod(keys, self._degree + 1)
+            keys, col = np.unique(i * base + j, return_inverse=True)
+            i, j = np.divmod(keys, base)
             coef = np.zeros((len(rows), len(keys)))
             coef[row, col] = c.real
-            self._class_of[rows] = len(self._classes)
-            self._slot[rows] = np.arange(len(rows))
-            self._classes.append((np.array(rows, dtype=np.intp),
-                                  np.minimum(i, j), np.abs(i - j),
-                                  np.where(i >= j, 1.0, -1.0), coef))
-        padded = np.concatenate([self.zs, np.zeros((-len(self.zs)) % 4)])
-        self._powers = _power_table(padded, self._degree)
+            classes.append((np.array(rows, dtype=np.intp), np.minimum(i, j),
+                            np.abs(i - j), np.where(i >= j, 1.0, -1.0), coef))
+        return cls(classes, len(modes))
 
-    def _spans(self):
-        npts = len(self.zs)
-        return [(lo, min(lo + _POINT_BLOCK, npts))
-                for lo in range(0, npts, _POINT_BLOCK)]
+    def select(self, rows):
+        """The store of the given rows, in that order, renumbered from 0,
+        without the columns that are zero on every one of them."""
+        rows = np.asarray(rows, dtype=np.intp)
+        classes = []
+        for class_rows, kk, dd, sign, coef in self._classes:
+            pick = np.flatnonzero(np.isin(rows, class_rows))
+            if not pick.size:
+                continue
+            sub = coef[np.searchsorted(class_rows, rows[pick])]
+            keep = np.flatnonzero(np.any(sub, axis=0))
+            classes.append((pick, kk[keep], dd[keep], sign[keep], sub[:, keep]))
+        return _ModeStore(classes, len(rows))
 
-    def _class_values(self, lo, hi):
-        """(rows, values of those modes) for each class, at the points lo:hi."""
-        width = hi - lo + (lo - hi) % 4
-        powers = tuple(t[:, lo:lo + width] for t in self._powers)
-        for rows, kk, dd, sign, coef in self._classes:
-            mono = np.empty((len(kk), width), dtype=complex)
-            mono.real, mono.imag = _monomials(powers, kk, dd, sign[:, None])
-            flat = mono.view(np.float64)
-            vals = coef[:, :_INNER] @ flat[:_INNER]
-            for k in range(_INNER, len(kk), _INNER):
-                vals += coef[:, k:k + _INNER] @ flat[k:k + _INNER]
-            yield rows, vals.view(complex)[:, :hi - lo]
+    def mass(self):
+        """Coefficient mass, the sum of |coefficient|, of every row."""
+        out = np.empty(self.size)
+        for rows, _, _, _, coef in self._classes:
+            out[rows] = np.abs(coef).sum(axis=1)
+        return out
 
-    def blocks(self):
-        """(first point index, values of every mode at a block of points)."""
-        for lo, hi in self._spans():
-            out = np.empty((len(self.modes), hi - lo), dtype=complex)
-            for rows, vals in self._class_values(lo, hi):
-                out[rows] = vals
+    def blocks(self, zs):
+        """(first point index, values of every row at a block of the points zs)."""
+        powers = _power_table(np.concatenate([zs, np.zeros((-len(zs)) % 4)]),
+                              self._degree)
+        for lo in range(0, len(zs), _POINT_BLOCK):
+            hi = min(lo + _POINT_BLOCK, len(zs))
+            width = hi - lo + (lo - hi) % 4
+            block = tuple(t[:, lo:lo + width] for t in powers)
+            out = np.empty((self.size, hi - lo), dtype=complex)
+            for rows, kk, dd, sign, coef in self._classes:
+                mono = np.empty((len(kk), width), dtype=complex)
+                mono.real, mono.imag = _monomials(block, kk, dd, sign[:, None])
+                flat = mono.view(np.float64)
+                vals = coef[:, :_INNER] @ flat[:_INNER]
+                for k in range(_INNER, len(kk), _INNER):
+                    vals += coef[:, k:k + _INNER] @ flat[k:k + _INNER]
+                out[rows] = vals.view(complex)[:, :hi - lo]
             yield lo, out
 
-    def values(self):
-        """Every mode at every point, (modes, points); for small point sets."""
-        out = np.empty((len(self.modes), len(self.zs)), dtype=complex)
-        for lo, vals in self.blocks():
+    def values(self, zs):
+        """Every row at every point of the 1-d array zs, (rows, points)."""
+        out = np.empty((self.size, len(zs)), dtype=complex)
+        for lo, vals in self.blocks(zs):
             out[:, lo:lo + vals.shape[1]] = vals
         return out
 
-    def sup_argmax(self):
-        """Per mode, the largest |value| over the points and its first index."""
-        sup = np.full(len(self.modes), -np.inf)
-        arg = np.zeros(len(self.modes), dtype=np.intp)
-        for lo, hi in self._spans():
-            for rows, vals in self._class_values(lo, hi):
-                mag = np.abs(vals)
-                k = np.argmax(mag, axis=1)
-                top = mag[np.arange(len(rows)), k]
-                better = top > sup[rows]
-                sup[rows[better]] = top[better]
-                arg[rows[better]] = lo + k[better]
+    def sup_argmax(self, zs):
+        """Per row, the largest |value| over the points zs and its first index."""
+        sup = np.full(self.size, -np.inf)
+        arg = np.zeros(self.size, dtype=np.intp)
+        for lo, vals in self.blocks(zs):
+            mag = np.abs(vals)
+            k = np.argmax(mag, axis=1)
+            top = mag[np.arange(self.size), k]
+            better = top > sup
+            sup[better] = top[better]
+            arg[better] = lo + k[better]
         return sup, arg
 
     def at(self, rows, zs):
-        """Mode rows[k] at the points zs[k] for each k; zs is (len(rows), s).
+        """Row rows[k] at the points zs[k] for each k; zs is (len(rows), s).
 
         Terms are summed one monomial at a time in a fixed order, so a
         value does not depend on which other rows and points come along.
@@ -388,21 +388,16 @@ class _ModeTable:
         another order than the matrix product, so values agree with the
         block values to rounding.
         """
-        rows = np.asarray(rows, dtype=np.intp)
         zs = np.asarray(zs, dtype=complex)
         out = np.empty(zs.shape, dtype=complex)
-        for c, (_, kk, dd, sign, coef) in enumerate(self._classes):
-            pick = np.flatnonzero(self._class_of[rows] == c)
-            if not pick.size:
-                continue
-            sel = coef[self._slot[rows[pick]]]
+        for pick, kk, dd, sign, coef in self.select(rows)._classes:
             z = zs[pick]
             powers = _power_table(z, self._degree)
             acc_re = np.zeros(z.shape)
             acc_im = np.zeros(z.shape)
             for m in range(len(kk)):
                 mono_re, mono_im = _monomials(powers, kk[m], dd[m], sign[m])
-                weight = sel[:, m, None]
+                weight = coef[:, m, None]
                 acc_re += weight * mono_re
                 acc_im += weight * mono_im
             out.real[pick] = acc_re
@@ -492,24 +487,24 @@ def _newton_polish(value, x0, y0, h=1e-4):
     return best
 
 
-def _abs_on_triangle(table):
-    """value(idx, xs, ys) for _newton_polish: |mode idx[k] of the table|
+def _abs_on_triangle(store):
+    """value(idx, xs, ys) for _newton_polish: |row idx[k] of the store|
     at the images of the plane points (xs[k], ys[k])."""
 
     def value(idx, xs, ys):
         pts = [TrianglePoint(x, y) for x, y in
                zip(xs.ravel().tolist(), ys.ravel().tolist())]
         zs = np.array([d.Z for d in triangles_to_deltoid(pts)], dtype=complex)
-        vals = table.at(idx, zs.reshape(xs.shape))
+        vals = store.at(idx, zs.reshape(xs.shape))
         return np.hypot(vals.real, vals.imag)
 
     return value
 
 
-def _lattice_table(modes, grid_m):
-    """The closed-triangle lattice of side grid_m and a mode table on its images."""
+def _lattice(grid_m):
+    """The closed-triangle lattice of side grid_m and its images in the deltoid."""
     tri = _closed_triangle_lattice(grid_m)
-    return tri, _ModeTable(modes, [d.Z for d in triangles_to_deltoid(tri)])
+    return tri, np.array([d.Z for d in triangles_to_deltoid(tri)], dtype=complex)
 
 
 def supnorm_bound_check(lam, max_degree, grid_m=80):
@@ -528,13 +523,15 @@ def supnorm_bound_check(lam, max_degree, grid_m=80):
         raise ValueError("stated for lam >= 1")
     trunc = HeatKernelTruncation(lam, max_degree)
     live = [(ep, cond) for ep, cond in zip(trunc.modes, trunc._cond) if ep.mu != 0]
-    solved = [ep for ep, _ in live if ep.p >= ep.q]
-    tri, table = _lattice_table(solved, grid_m)
-    _, arg = table.sup_argmax()
+    solved = [a for a, ep in enumerate(trunc.modes) if ep.mu != 0 and ep.p >= ep.q]
+    store = trunc._store.select(solved)
+    tri, zs = _lattice(grid_m)
+    _, arg = store.sup_argmax(zs)
     starts = [tri[k] for k in arg.tolist()]
-    polished = _newton_polish(_abs_on_triangle(table), [p.x for p in starts],
+    polished = _newton_polish(_abs_on_triangle(store), [p.x for p in starts],
                               [p.y for p in starts])
-    sup_of = {(ep.p, ep.q): sup for ep, sup in zip(solved, polished)}
+    sup_of = {(trunc.modes[a].p, trunc.modes[a].q): sup
+              for a, sup in zip(solved, polished)}
     half = float(lam.value) / 2.0
     mus, ratios, consts, noise = [], [], [], []
     for ep, cond in live:
@@ -571,9 +568,10 @@ def hk_bound_check(lam, max_k, grid_m=80, draws=5, seed=0):
     if float(lam.value) < 1:
         raise ValueError("stated for lam >= 1")
     trunc = HeatKernelTruncation(lam, max_k)
-    modes = [ep for ep in trunc.modes if ep.p + ep.q]
-    conds = [cond for ep, cond in zip(trunc.modes, trunc._cond) if ep.p + ep.q]
-    _, table = _lattice_table(modes, grid_m)
+    rows = [a for a, ep in enumerate(trunc.modes) if ep.p + ep.q]
+    modes = [trunc.modes[a] for a in rows]
+    conds = trunc._cond[rows]
+    _, zs = _lattice(grid_m)
     norms = np.array([math.sqrt(float(ep.norm2)) for ep in modes])
     rng = np.random.default_rng(seed)
     target = float(lam.value) + 0.5
@@ -591,7 +589,7 @@ def hk_bound_check(lam, max_k, grid_m=80, draws=5, seed=0):
     # basis member, the latter tying this to the per-mode check; einsum
     # sums without BLAS, so the bits do not depend on its thread count
     sups = [0.0] * len(ks)
-    for _, vals in table.blocks():
+    for _, vals in trunc._store.select(rows).blocks(zs):
         vals /= norms[:, None]
         for n, (level, cs) in enumerate(zip(levels, combos)):
             v = vals[level]
@@ -732,13 +730,14 @@ def kernel_bound_check(nu, lam, max_k, x_grid):
         nus = [float(v) for v in nu][:max_k]
         if len(nus) < max_k:
             nus = nus + [0.0] * (max_k - len(nus))
-    zs = np.array([complex(getattr(x, "Z", x)) for x in x_grid])
+    zs = np.array([complex(getattr(x, "Z", x)) for x in x_grid], dtype=complex)
     trunc = HeatKernelTruncation(lam, max_k)
     npts = len(zs)
-    modes = [ep for ep in trunc.modes
-             if ep.p + ep.q and nus[ep.p + ep.q - 1] != 0.0]
+    rows = [a for a, ep in enumerate(trunc.modes)
+            if ep.p + ep.q and nus[ep.p + ep.q - 1] != 0.0]
     kernel = np.zeros((npts, npts), dtype=complex)
-    for ep, vals in zip(modes, _ModeTable(modes, zs).values()):
+    for a, vals in zip(rows, trunc._store.select(rows).values(zs)):
+        ep = trunc.modes[a]
         vals /= math.sqrt(float(ep.norm2))
         kernel += nus[ep.p + ep.q - 1] ** 2 * np.outer(vals, vals.conj())
     sup_abs = float(np.abs(kernel).max()) if npts else 0.0

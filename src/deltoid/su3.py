@@ -21,6 +21,12 @@ from .operator import Lambda, gamma as deltoid_gamma, generator as deltoid_gener
 # diagonal scaling that gives the Cartan directions Casimir weight 2/3
 DIAG_WEIGHT = np.sqrt(2.0 / 3.0)
 
+# pass thresholds of the group-model checks: the Ricci constant is 3 to
+# within RICCI_TOL, and the pushforward and characteristic-polynomial
+# identity residuals stay below IDENTITY_TOL
+RICCI_TOL = 1e-10
+IDENTITY_TOL = 1e-9
+
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 _NVAR = 18
 _ZERO_EXP = (0,) * _NVAR

@@ -306,3 +306,18 @@ def test_eigenvalue_count_is_a_typed_error(monkeypatch):
                         lambda p, q, lam: dataclasses.replace(solve(p, q, lam), mu=Rat(1)))
     with pytest.raises(EigenvalueCountMismatch):
         hk_space(2, Lambda(4))
+
+
+def test_moment_cache_is_bounded(monkeypatch):
+    # solving at more lambdas than the cache holds keeps it at its bound,
+    # the lambdas used last, and every solve equals one on a fresh cache
+    monkeypatch.setattr(eigen, "_table_cache", type(eigen._table_cache)())
+    lams = [Lambda(Rat(k, 3)) for k in range(4, 4 + eigen._TABLE_CACHE_SIZE + 3)]
+    cached = [solve_eigenpoly(p, q, lam) for p, q in ((2, 1), (3, 2)) for lam in lams]
+    keys = [(lam.value.numerator, lam.value.denominator) for lam in lams]
+    assert list(eigen._table_cache) == keys[-eigen._TABLE_CACHE_SIZE:]
+    fresh = []
+    for ep in cached:
+        eigen._table_cache.clear()
+        fresh.append(solve_eigenpoly(ep.p, ep.q, ep.lam))
+    assert fresh == cached

@@ -15,10 +15,10 @@ from deltoid.spectral import (
     TruncationInsufficient,
     _abs_on_triangle,
     _in_closed_triangle,
-    _lattice_table,
-    _ModeTable,
+    _lattice,
     _newton_polish,
     heat_diag,
+    heat_diag_sups,
     hk_bound_check,
     kernel_bound_check,
     sobolev_reference_value,
@@ -50,11 +50,17 @@ def test_truncation_inventory(trunc4):
 
 
 def test_mode_values_match_polynomials(trunc4):
-    z = 0.31 - 0.12j
-    vals = trunc4.mode_values(z)
+    # a point, and an array of points, read from the truncation's store
+    zs = np.array([0.31 - 0.12j, -0.2 + 0.25j, 0.0j, 0.9 * CUSPS[1]])
+    one = trunc4.mode_values(zs[0])
+    many = trunc4.mode_values(zs)
+    assert one.shape == (len(trunc4),) and many.shape == (len(trunc4), len(zs))
     for idx in (0, 1, 5, 40, 200, len(trunc4) - 1):
-        direct = trunc4.modes[idx].poly.eval(z)
-        assert abs(vals[idx] - direct) <= 1e-9 * max(1.0, abs(direct))
+        direct = trunc4.modes[idx].poly.eval(zs[0])
+        assert abs(one[idx] - direct) <= 1e-9 * max(1.0, abs(direct))
+    assert np.max(np.abs(many[:, 0] - one)) <= 1e-9 * np.max(np.abs(one))
+    assert np.array_equal(trunc4.mode_weights(zs),
+                          (many.real**2 + many.imag**2) * trunc4._inv_norm2[:, None])
 
 
 def test_integrates_to_delta_exactly():
@@ -190,16 +196,16 @@ def test_supnorm_growth_lam4():
     assert math.isfinite(rep.constant) and rep.constant > 0
     with pytest.raises(ValueError):
         supnorm_bound_check(Lambda(Rat(1, 2)), 10)
-    # the noisiest mode is (30, 0): the table's value at its grid argmax,
+    # the noisiest mode is (30, 0): the store's value at its grid argmax,
     # and Horner's at the same point, stay within noise_fraction of the
     # exact value there
     noise = rep.details["noise_fraction"]
     assert 0.05 < noise < 0.5
     trunc = HeatKernelTruncation(Lambda(4), 30)
     a = next(a for a, ep in enumerate(trunc.modes) if (ep.p, ep.q) == (30, 0))
-    _, table = _lattice_table(trunc.modes, 80)
-    sup, arg = table.sup_argmax()
-    z = complex(table.zs[arg[a]])
+    _, zs = _lattice(80)
+    sup, arg = trunc._store.sup_argmax(zs)
+    z = complex(zs[arg[a]])
     poly = trunc.modes[a].poly
     exact = exact_abs(poly, z)
     for got in (sup[a], abs(poly.eval(z))):
@@ -208,40 +214,90 @@ def test_supnorm_growth_lam4():
 
 def test_mode_table_matches_horner():
     # |P| <= coefficient mass on the closed domain, and float rounding
-    # noise scales with that mass, so the tolerance is relative to it
+    # noise scales with that mass, so the tolerance is relative to it;
+    # the store's mirror rows (p < q) are checked against their own solves
     trunc = HeatKernelTruncation(Lambda(4), 12)
     zs = np.array(KERNEL_GRID)
-    table = _ModeTable(trunc.modes, zs)
-    vals = table.values()
-    single = table.at(np.repeat(np.arange(len(trunc)), len(zs)),
+    store = trunc._store
+    vals = store.values(zs)
+    single = store.at(np.repeat(np.arange(len(trunc)), len(zs)),
                       np.tile(zs, len(trunc)).reshape(-1, 1)).reshape(len(trunc), -1)
+    mass = store.mass()
     for a, ep in enumerate(trunc.modes):
         want = HornerProgram(ep.poly).eval(zs)
-        mass = sum(abs(c.real) + abs(c.imag) for _, _, c in ep.poly.complex_coeffs())
-        assert np.max(np.abs(vals[a] - want)) <= 1e-12 * mass
-        assert np.max(np.abs(single[a] - want)) <= 1e-12 * mass
+        assert mass[a] == pytest.approx(
+            sum(abs(c.real) + abs(c.imag) for _, _, c in ep.poly.complex_coeffs()))
+        assert np.max(np.abs(vals[a] - want)) <= 1e-12 * mass[a]
+        assert np.max(np.abs(single[a] - want)) <= 1e-12 * mass[a]
 
 
 def test_mode_table_streams_blocks():
     # more points than one block: sup and argmax over blocks equal those
     # over the assembled values, and no block is larger than the bound
     trunc = HeatKernelTruncation(Lambda(4), 6)
-    _, table = _lattice_table(trunc.modes, 40)
-    assert len(table.zs) > spectral._POINT_BLOCK
-    blocks = list(table.blocks())
+    _, zs = _lattice(40)
+    assert len(zs) > spectral._POINT_BLOCK
+    blocks = list(trunc._store.blocks(zs))
     assert all(v.shape[1] <= spectral._POINT_BLOCK for _, v in blocks)
-    vals = table.values()
-    sup, arg = table.sup_argmax()
+    vals = trunc._store.values(zs)
+    sup, arg = trunc._store.sup_argmax(zs)
     assert np.array_equal(sup, np.max(np.abs(vals), axis=1))
     assert np.array_equal(arg, np.argmax(np.abs(vals), axis=1))
 
 
+def test_mode_table_row_slices():
+    # a row slice keeps only the monomials of its rows and the degree
+    # they need, and its values are the store's rows to rounding
+    trunc = HeatKernelTruncation(Lambda(4), 9)
+    store = trunc._store
+    rows = [a for a, ep in enumerate(trunc.modes) if ep.p + ep.q in (2, 4) and ep.p >= ep.q]
+    sub = store.select(rows)
+    assert sub.size == len(rows) and sub._degree == 4
+    for _, kk, dd, _, coef in sub._classes:
+        assert np.all(2 * kk + dd <= 4) and np.all(np.any(coef, axis=0))
+    assert sum(c[4].shape[1] for c in sub._classes) == len(
+        {key for a in rows for key in trunc.modes[a].poly.num})
+    zs = np.array(KERNEL_GRID)
+    full = store.values(zs)[rows]
+    assert np.max(np.abs(sub.values(zs) - full)) <= 1e-14 * np.max(np.abs(full))
+    assert np.array_equal(sub.at([1, 0], zs[:2, None]), store.at(rows[1::-1], zs[:2, None]))
+
+
 def test_mode_table_rejects_complex_coefficients():
-    ep = HeatKernelTruncation(Lambda(4), 2).modes[1]
+    trunc = HeatKernelTruncation(Lambda(4), 2)
+    ep = trunc.modes[1]
     bad = EigenPolynomial(p=ep.p, q=ep.q, lam=ep.lam, mu=ep.mu, norm2=ep.norm2,
                           poly=ep.poly + BivarPoly.const(CRat(0, 1)))
+    trunc.modes = trunc.modes[:1] + (bad,) + trunc.modes[2:]
     with pytest.raises(ValueError):
-        _ModeTable([bad], [0.1j])
+        trunc.mode_values(0.1j)
+
+
+def test_complex_coeffs_runs_once_per_solved_mode(monkeypatch):
+    # the float store is built on first float use, from one complex_coeffs()
+    # pass over the modes with p >= q; mirrors swap their partner's terms
+    seen = []
+    original = BivarPoly.complex_coeffs
+
+    def counted(poly):
+        seen.append(id(poly))
+        return original(poly)
+
+    monkeypatch.setattr(BivarPoly, "complex_coeffs", counted)
+    trunc = HeatKernelTruncation(Lambda(4), 10)
+    assert trunc.integrates_to_delta() and seen == []
+    solved = {id(ep.poly) for ep in trunc.modes if ep.p >= ep.q}
+    heat_diag_sups(trunc, [0.1, 0.2], [0j, 0.9 * CUSPS[0]])
+    trunc.mode_weights(0.1j)
+    trunc.evaluation_noise(0.1)
+    ultracontractivity_fit(Lambda(4), (0.5, 1.0), trunc)
+    assert sorted(seen) == sorted(solved)
+    for check in (lambda: supnorm_bound_check(Lambda(4), 8, grid_m=10),
+                  lambda: hk_bound_check(Lambda(4), 8, grid_m=10),
+                  lambda: kernel_bound_check([1.0, 0.5], Lambda(4), 8, KERNEL_GRID)):
+        seen.clear()
+        check()
+        assert len(seen) == len(set(seen)) == 25  # (p, q), p >= q, p + q <= 8
 
 
 def _scalar_newton_polish(value_xy, x0, y0, h=1e-4):
@@ -276,10 +332,11 @@ def _scalar_newton_polish(value_xy, x0, y0, h=1e-4):
 
 def test_batched_polish_equals_scalar_loop():
     trunc = HeatKernelTruncation(Lambda(4), 14)
-    tri, table = _lattice_table(trunc.modes[1:], 30)
-    _, arg = table.sup_argmax()
+    tri, zs = _lattice(30)
+    store = trunc._store.select(range(1, len(trunc)))
+    _, arg = store.sup_argmax(zs)
     starts = [tri[k] for k in arg]
-    value = _abs_on_triangle(table)
+    value = _abs_on_triangle(store)
     batched = _newton_polish(value, [p.x for p in starts], [p.y for p in starts])
     scalar = [
         _scalar_newton_polish(
@@ -290,7 +347,7 @@ def test_batched_polish_equals_scalar_loop():
     ]
     assert batched == scalar
     # the Newton step moved some sups off the lattice and kept others
-    lattice = np.abs(table.values()).max(axis=1)
+    lattice = np.abs(store.values(zs)).max(axis=1)
     assert any(b > s for b, s in zip(batched, lattice))
 
 

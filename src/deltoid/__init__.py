@@ -62,6 +62,7 @@ from .cdcheck import (
     triangle_b,
 )
 from .su3 import (
+    DegreeOverflow,
     EntryPoly,
     LieBasis,
     NonConstantRicci,
@@ -132,6 +133,7 @@ __all__ = [
     "scan_inf_b",
     "tensor_residual",
     "triangle_b",
+    "DegreeOverflow",
     "EntryPoly",
     "LieBasis",
     "NonConstantRicci",

@@ -126,9 +126,8 @@ def _c05_moments_and_haar():
         if m11 != 1 / (2 * lam.value + 1):
             return False, f"m11 mismatch at lam = {lam.value}"
     n = 100000
-    vals = np.array(
-        [abs(np.trace(u.matrix) / 3.0) ** 2 for u in haar_sample(17, n)]
-    )
+    stack = np.stack([u.matrix for u in haar_sample(17, n)])
+    vals = np.abs(np.trace(stack, axis1=1, axis2=2) / 3.0) ** 2
     mean = float(vals.mean())
     se = float(vals.std(ddof=1)) / math.sqrt(n)
     dev = abs(mean - 1.0 / 9.0)

@@ -4,14 +4,16 @@ Every subcommand echoes its configuration into the emitted report, so a
 report is reproducible from its own header plus the package version.
 JSON output is canonicalized (sorted keys, fixed indentation); CSV gets
 a header row.  Exit codes: 0 on pass, 1 on a verification failure, 2 on
-usage errors.  The only environment variable honored is DELTOID_THREADS
-and it is merely recorded; modules decide their own parallelism.
+usage errors.  The package reads no environment variable.
+
+SCHEMA_VERSION names the report layout and the random streams behind
+it: version 2 draws Haar samples from one generator per seed (see
+su3.haar_sample) and drops the threads field of the config echo.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -19,7 +21,7 @@ from . import __version__
 from .exact import Rat, as_rat
 from .operator import Lambda
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def rat_arg(text):
@@ -68,9 +70,6 @@ class RunConfig:
     out: str = None
     format: str = "json"
     extra: dict = field(default_factory=dict)
-    threads: str = field(
-        default_factory=lambda: os.environ.get("DELTOID_THREADS", "")
-    )
 
 
 def _report(config, result):

@@ -54,7 +54,7 @@ def test_eigen_contract_example(capsys):
     recs = {(r["i"], r["j"]): r for r in res["coefficients"]}
     assert recs[(1, 1)]["re_num"] == 1 and recs[(1, 1)]["re_den"] == 1
     assert recs[(0, 0)]["re_num"] == -1 and recs[(0, 0)]["re_den"] == 9
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == 2
     assert rep["config"]["command"] == "eigen"
 
 
@@ -124,7 +124,9 @@ def test_cd_factor_check(capsys):
 
 
 def test_su3_check(capsys):
-    code, rep = run_json(capsys, ["su3", "check", "--samples", "20"])
+    # at the default 100 samples: at 20 the report's normal-theory ci95
+    # misses 1/9 for about one seed in nine with a correct sampler
+    code, rep = run_json(capsys, ["su3", "check"])
     assert code == 0
     res = rep["result"]
     assert res["passed"] is True

@@ -8,6 +8,7 @@ from deltoid.exact import Z, ZBAR
 from deltoid.operator import Lambda, gamma as deltoid_gamma
 from deltoid.su3 import (
     DIAG_WEIGHT,
+    DegreeOverflow,
     EntryPoly,
     LieBasis,
     NonConstantRicci,
@@ -82,11 +83,13 @@ def test_haar_determinism_and_arg_check():
 
 
 def haar_per_draw(seed, n):
-    """Reference: one stream, QR, phase fix and determinant per draw."""
+    """Reference: one generator; per draw its next 18 normals (nine real
+    parts, then nine imaginary parts), one QR, phase fix and determinant."""
+    rng = np.random.default_rng(seed)
     out = []
-    for stream in np.random.SeedSequence(seed).spawn(n):
-        rng = np.random.default_rng(stream)
-        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    for _ in range(n):
+        x = rng.standard_normal(18)
+        g = x[:9].reshape(3, 3) + 1j * x[9:].reshape(3, 3)
         q, r = np.linalg.qr(g)
         diag = np.diagonal(r)
         q = q * (diag / np.abs(diag))
@@ -105,6 +108,9 @@ def test_haar_sample_matches_per_draw_loop(seed, n):
         assert not u.matrix.flags.writeable
     # a draw does not depend on how many are drawn with it
     assert np.array_equal(haar_sample(seed, 1)[0].matrix, us[0].matrix)
+    k = (n + 1) // 2
+    for u, v in zip(haar_sample(seed, k), us[:k]):
+        assert np.array_equal(u.matrix, v.matrix)
 
 
 def test_haar_trace_moments():
@@ -307,6 +313,8 @@ def test_pushforward_report():
     assert rep.max_gamma_residual < 1e-9
     assert rep.max_generator_residual < 1e-9
     assert rep.passed
+    with pytest.raises(ValueError):
+        pushforward_check([Z], [])
 
 
 def test_curvature_dimension_3_8():
@@ -340,3 +348,256 @@ def test_ricci_guard_raises_on_broken_frame(monkeypatch):
     monkeypatch.setattr(su3mod, "_STD", Broken())
     with pytest.raises(NonConstantRicci):
         ricci_constant()
+
+
+# ---------------------------------------------------------------------------
+# reference: the tuple-keyed entry algebra with term-by-term evaluation
+
+
+def _mat(u):
+    return u.matrix if isinstance(u, SpecialUnitary3) else np.asarray(u, dtype=complex)
+
+
+class TupleEntryPoly:
+    """Entry polynomial keyed by 18-long exponent tuples."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        clean = {}
+        if terms:
+            for e, c in terms.items():
+                c = complex(c)
+                if c != 0:
+                    clean[e] = c
+        self.terms = clean
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, 0j) + c
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+        res = TupleEntryPoly()
+        res.terms = out
+        return res
+
+    def __neg__(self):
+        return self.scale(-1.0)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, TupleEntryPoly):
+            return self.scale(other)
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                out[key] = out.get(key, 0j) + c1 * c2
+        return TupleEntryPoly(out)
+
+    def scale(self, s):
+        s = complex(s)
+        res = TupleEntryPoly()
+        res.terms = {e: c * s for e, c in self.terms.items()} if s != 0 else {}
+        return res
+
+    def diff(self, var):
+        out = {}
+        for e, c in self.terms.items():
+            p = e[var]
+            if p:
+                e2 = list(e)
+                e2[var] = p - 1
+                out[tuple(e2)] = c * p
+        res = TupleEntryPoly()
+        res.terms = out
+        return res
+
+    def conj(self):
+        out = {}
+        for e, c in self.terms.items():
+            out[e[9:] + e[:9]] = c.conjugate()
+        res = TupleEntryPoly()
+        res.terms = out
+        return res
+
+    def eval(self, u):
+        m = _mat(u)
+        vals = np.concatenate([m.ravel(), m.conj().ravel()])
+        total = 0j
+        for e, c in self.terms.items():
+            t = c
+            for v, p in enumerate(e):
+                if p:
+                    t *= vals[v] ** p
+            total += t
+        return total
+
+
+def tuple_var(v):
+    e = [0] * 18
+    e[v] = 1
+    return TupleEntryPoly({tuple(e): 1.0})
+
+
+def tuple_field_apply(x, f):
+    out = TupleEntryPoly()
+    for k in range(3):
+        for l in range(3):
+            df = f.diff(3 * k + l)
+            if df.terms:
+                vel = TupleEntryPoly()
+                for m in range(3):
+                    if x[m, l] != 0:
+                        vel = vel + tuple_var(3 * k + m).scale(x[m, l])
+                out = out + df * vel
+            dfb = f.diff(9 + 3 * k + l)
+            if dfb.terms:
+                vel = TupleEntryPoly()
+                for m in range(3):
+                    if x[m, l] != 0:
+                        vel = vel + tuple_var(9 + 3 * k + m).scale(np.conj(x[m, l]))
+                out = out + dfb * vel
+    return out
+
+
+def tuple_gamma_fields(f, g):
+    out = TupleEntryPoly()
+    for _, x in LieBasis():
+        out = out + tuple_field_apply(x, f) * tuple_field_apply(x, g)
+    return out
+
+
+def tuple_casimir_apply(f):
+    out = TupleEntryPoly()
+    for _, x in LieBasis():
+        out = out + tuple_field_apply(x, tuple_field_apply(x, f))
+    return out
+
+
+def tuple_curvature_dimension(trials, samples, seed, rho=3.0, n=8.0):
+    """The per-matrix loop: (pairs, min margin, trace at the first minimum)."""
+    rng = np.random.default_rng(seed)
+    us = haar_sample(seed + 1, samples)
+    worst = np.inf
+    worst_tr = None
+    pairs = 0
+    for _ in range(trials):
+        g = TupleEntryPoly()
+        for _ in range(3):
+            k, l = rng.integers(0, 3, 2)
+            co = complex(rng.standard_normal(), rng.standard_normal())
+            g = g + tuple_var(3 * int(k) + int(l)).scale(co)
+        k1, l1, k2, l2 = (int(t) for t in rng.integers(0, 3, 4))
+        g = g + tuple_var(3 * k1 + l1) * tuple_var(3 * k2 + l2)
+        f = g + g.conj()
+        gff = tuple_gamma_fields(f, f)
+        lf = tuple_casimir_apply(f)
+        g2 = tuple_casimir_apply(gff).scale(0.5) - tuple_gamma_fields(f, lf)
+        for u in us:
+            m = u.matrix
+            margin = (
+                g2.eval(m).real
+                - rho * gff.eval(m).real
+                - lf.eval(m).real ** 2 / n
+            )
+            pairs += 1
+            if margin < worst:
+                worst = margin
+                worst_tr = np.trace(m) / 3.0
+    return pairs, float(worst), worst_tr
+
+
+def _pack(e):
+    return sum(p << (8 * v) for v, p in enumerate(e))
+
+
+def _random_pair(rng, nterms, max_vars=3, max_exp=3):
+    """One random polynomial in both representations."""
+    terms = {}
+    for _ in range(nterms):
+        e = [0] * 18
+        for v in rng.choice(18, size=rng.integers(0, max_vars + 1), replace=False):
+            e[v] = int(rng.integers(1, max_exp + 1))
+        terms[tuple(e)] = complex(rng.standard_normal(), rng.standard_normal())
+    return (EntryPoly({_pack(e): c for e, c in terms.items()}),
+            TupleEntryPoly(terms))
+
+
+def _mass(p):
+    return sum(abs(c) for c in p.terms.values())
+
+
+def assert_same_poly(new, ref, rel=1e-13):
+    got = {tuple(k.to_bytes(18, "little")): c for k, c in new.terms.items()}
+    tol = rel * _mass(ref)
+    for e in set(got) | set(ref.terms):
+        assert abs(got.get(e, 0j) - ref.terms.get(e, 0j)) <= tol, e
+
+
+def test_packed_algebra_matches_tuple_reference():
+    rng = np.random.default_rng(61)
+    frame = LieBasis().matrices
+    for _ in range(12):
+        a, ra = _random_pair(rng, int(rng.integers(1, 12)))
+        b, rb = _random_pair(rng, int(rng.integers(1, 12)))
+        assert_same_poly(a * b, ra * rb)
+        assert_same_poly(a + b, ra + rb)
+        assert_same_poly(a.conj(), ra.conj())
+        for v in range(18):
+            assert_same_poly(a.diff(v), ra.diff(v))
+        for x in frame:
+            assert_same_poly(field_apply(x, a), tuple_field_apply(x, ra))
+        assert_same_poly(gamma_fields(a, b), tuple_gamma_fields(ra, rb))
+        assert_same_poly(casimir_apply(a), tuple_casimir_apply(ra))
+    # a field off the frame, with every entry nonzero
+    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    assert_same_poly(field_apply(x, a), tuple_field_apply(x, ra))
+
+
+def test_compiled_eval_matches_term_by_term():
+    rng = np.random.default_rng(62)
+    us = haar_sample(63, 50)
+    stack = np.stack([u.matrix for u in us])
+    for nterms, max_exp in [(1, 1), (8, 2), (40, 4), (200, 3)]:
+        p, ref = _random_pair(rng, nterms, max_vars=4, max_exp=max_exp)
+        got = p.eval(stack)
+        want = np.array([ref.eval(m) for m in stack])
+        assert got.shape == (50,)
+        assert np.abs(got - want).max() <= 1e-13 * _mass(ref)
+        # a matrix alone has the bits it has inside a stack
+        assert np.array_equal(np.array([p.eval(u) for u in us]), got)
+        assert np.array_equal(p.eval(us), got)
+    assert EntryPoly().eval(stack[0]) == 0
+    assert np.array_equal(entry_const(2.5).eval(stack), np.full(50, 2.5 + 0j))
+    with pytest.raises(ValueError):
+        entry_z(0, 0).eval(np.eye(2))
+
+
+@pytest.mark.parametrize("seed", [5, 123, 777])
+def test_curvature_dimension_matches_per_matrix_loop(seed):
+    rep = curvature_dimension_check(trials=8, samples=40, seed=seed)
+    pairs, margin, trace = tuple_curvature_dimension(8, 40, seed)
+    assert rep.pairs == pairs
+    assert abs(rep.min_margin - margin) <= 1e-12 * abs(margin)
+    assert rep.worst_trace == trace
+
+
+def test_degree_overflow_raises():
+    z = entry_z(2, 2)
+    p = z
+    for _ in range(254):
+        p = p * z
+    assert p.degree() == 255
+    assert p.terms == {255 << (8 * 8): 1.0}
+    with pytest.raises(DegreeOverflow):
+        p * z
+    with pytest.raises(DegreeOverflow):
+        p * (entry_const(1.0) + entry_zbar(0, 0))
+    # a constant factor adds no degree
+    assert (p * entry_const(2.0)).terms == {255 << (8 * 8): 2.0}

@@ -228,7 +228,9 @@ def _c09_group_model():
     for u in us[:25]:
         x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         res = charpoly_identity_check(u, complex(x), complex(y))
-        char_worst = max(char_worst, res.gamma_residual, res.generator_residual)
+        # np.max keeps a NaN residual, which max() may drop
+        char_worst = float(np.max([char_worst, res.gamma_residual,
+                                   res.generator_residual]))
     cd = curvature_dimension_check(trials=8, samples=40, seed=5, tol=1e-8)
     ok = (
         push.max_gamma_residual < IDENTITY_TOL

@@ -300,12 +300,10 @@ def factorization_check(a1, b1) -> FactorizationResult:
     )
 
 
-def factorization_sweep(values_a1=None, values_b1=None):
+def factorization_sweep():
     """The 5x5 rational grid sweep of factorization_check."""
-    if values_a1 is None:
-        values_a1 = [Rat(0), Rat(1, 12), Rat(1, 6), Rat(1, 4), Rat(1, 3)]
-    if values_b1 is None:
-        values_b1 = [Rat(0), Rat(3, 4), Rat(3, 2), Rat(9, 4), Rat(3)]
+    values_a1 = [Rat(0), Rat(1, 12), Rat(1, 6), Rat(1, 4), Rat(1, 3)]
+    values_b1 = [Rat(0), Rat(3, 4), Rat(3, 2), Rat(9, 4), Rat(3)]
     return [factorization_check(a, b) for a in values_a1 for b in values_b1]
 
 
@@ -634,8 +632,7 @@ class ProbeReport:
     ratio_checks: dict
 
 
-def divergence_probe(a: float, curve: str = "quad", c: float = 1.0,
-                     theta_seq=None) -> ProbeReport:
+def divergence_probe(a: float, curve: str = "quad", c: float = 1.0) -> ProbeReport:
     """b(a) along a curve into the corner, with asymptotic ratio checks.
 
     On phi = c theta^2 the quadratic form degenerates and b theta^2 tends
@@ -645,9 +642,8 @@ def divergence_probe(a: float, curve: str = "quad", c: float = 1.0,
     """
     if curve not in ("quad", "lin"):
         raise ValueError(f"unknown curve {curve!r}")
-    if theta_seq is None:
-        # stop near 4e-3: the b theta^2 rounding error grows like 1e-17/theta^6
-        theta_seq = [0.2 * 0.7 ** j for j in range(12)]
+    # stop near 4e-3: the b theta^2 rounding error grows like 1e-17/theta^6
+    theta_seq = [0.2 * 0.7 ** j for j in range(12)]
     bs = []
     bt2 = []
     for th in theta_seq:

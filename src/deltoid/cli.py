@@ -250,11 +250,14 @@ def _run_su3_check(args):
     for u in us[: min(25, len(us))]:
         x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         r = charpoly_identity_check(u, complex(x), complex(y))
-        char_worst = max(char_worst, r.gamma_residual, r.generator_residual)
+        # np.max keeps a NaN residual, which max() may drop
+        char_worst = float(np.max([char_worst, r.gamma_residual, r.generator_residual]))
     cd = curvature_dimension_check(seed=args.seed)
     traces = np.array([abs(np.trace(u.matrix) / 3.0) ** 2 for u in us])
     mean = float(traces.mean())
-    se = float(traces.std(ddof=1)) / math.sqrt(len(traces))
+    # Var |tr U/3|^2 = 1/81 exactly under Haar measure (E|tr U|^4 = 2); the
+    # sample deviation of this skewed statistic gives too narrow intervals
+    se = (1.0 / 9.0) / math.sqrt(len(traces))
     result = {
         "ricci": ricci,
         "ricci_residual": abs(ricci - 3.0),

@@ -7,9 +7,10 @@ modes, so that the values of many modes at a block of points are one
 real matrix product per class.  Every float evaluation of modes reads
 that store: the heat diagonal and the ultracontractivity slope fit on all
 of its rows, the sup-norm, H_k and multiplier-kernel checks on row
-slices.  Beside them sit the Sobolev series estimate and the fits, plain
-least squares on log-log data; every report records the window it was
-computed on.
+slices.  A sup-norm is the largest value on a lattice that holds the
+three cusps, where every mode with lam >= 1 peaks.  Beside them sit the
+Sobolev series estimate and the fits, plain least squares on log-log
+data; every report records the window it was computed on.
 """
 
 import math
@@ -188,7 +189,7 @@ def heat_diag_sups(trunc, ts, points):
     return rows
 
 
-def ultracontractivity_fit(lam, t_window, trunc=None, grid=None, nt=12):
+def ultracontractivity_fit(lam, t_window, trunc=None, grid=None):
     """Slope of log sup_x p_t(x, x) against log t over the window.
 
     The target is -2 lam / 2 = -lam, the heat dimension of the model.
@@ -200,6 +201,7 @@ def ultracontractivity_fit(lam, t_window, trunc=None, grid=None, nt=12):
     if not 0 < t_lo < t_hi:
         raise ValueError("bad window")
     pts = list(grid) if grid is not None else _sup_grid()
+    nt = 12
     ts = np.exp(np.linspace(math.log(t_lo), math.log(t_hi), nt))
     sups = [s for _, s in heat_diag_sups(trunc, ts, pts)]
     slope, intercept = np.polyfit(np.log(ts), np.log(sups), 1)
@@ -256,17 +258,6 @@ def _power_table(zs, n):
         r2[i] = r2[i - 1] * base
         re[i], im[i] = c_prod(re[i - 1], im[i - 1], zs.real, zs.imag)
     return r2, re, im
-
-
-def _monomials(powers, kk, dd, sign):
-    """(re, im) of Z^i Zbar^j = |z|^(2 min(i, j)) times z^(i - j) or conj(z)^(j - i).
-
-    kk = min(i, j), dd = |i - j| and sign = +-1, the sign of i - j; scalars
-    give one monomial, arrays (with sign shaped to broadcast) a stack.
-    """
-    r2, re, im = powers
-    g = r2[kk]
-    return g * re[dd], g * im[dd] * sign
 
 
 class _ModeStore:
@@ -347,11 +338,13 @@ class _ModeStore:
         for lo in range(0, len(zs), _POINT_BLOCK):
             hi = min(lo + _POINT_BLOCK, len(zs))
             width = hi - lo + (lo - hi) % 4
-            block = tuple(t[:, lo:lo + width] for t in powers)
+            r2, re, im = (t[:, lo:lo + width] for t in powers)
             out = np.empty((self.size, hi - lo), dtype=complex)
             for rows, kk, dd, sign, coef in self._classes:
+                # Z^i Zbar^j = |z|^(2 min(i, j)) times z^(i - j) or conj(z)^(j - i)
                 mono = np.empty((len(kk), width), dtype=complex)
-                mono.real, mono.imag = _monomials(block, kk, dd, sign[:, None])
+                mono.real = r2[kk] * re[dd]
+                mono.imag = r2[kk] * im[dd] * sign[:, None]
                 flat = mono.view(np.float64)
                 vals = coef[:, :_INNER] @ flat[:_INNER]
                 for k in range(_INNER, len(kk), _INNER):
@@ -379,132 +372,28 @@ class _ModeStore:
             arg[better] = lo + k[better]
         return sup, arg
 
-    def at(self, rows, zs):
-        """Row rows[k] at the points zs[k] for each k; zs is (len(rows), s).
-
-        Terms are summed one monomial at a time in a fixed order, so a
-        value does not depend on which other rows and points come along.
-        The monomials have the same bits as in blocks(); the sum runs in
-        another order than the matrix product, so values agree with the
-        block values to rounding.
-        """
-        zs = np.asarray(zs, dtype=complex)
-        out = np.empty(zs.shape, dtype=complex)
-        for pick, kk, dd, sign, coef in self.select(rows)._classes:
-            z = zs[pick]
-            powers = _power_table(z, self._degree)
-            acc_re = np.zeros(z.shape)
-            acc_im = np.zeros(z.shape)
-            for m in range(len(kk)):
-                mono_re, mono_im = _monomials(powers, kk[m], dd[m], sign[m])
-                weight = coef[:, m, None]
-                acc_re += weight * mono_re
-                acc_im += weight * mono_im
-            out.real[pick] = acc_re
-            out.imag[pick] = acc_im
-        return out
-
 
 # ---------------------------------------------------------------------------
 # sup norms on the closed domain
 
 
-def _closed_triangle_lattice(m):
-    """Barycentric lattice over the closed fundamental triangle."""
-    pts = []
-    for i in range(m + 1):
-        for j in range(m + 1 - i):
-            k = m - i - j
-            x = (i * V0[0] + j * V1[0] + k * V2[0]) / m
-            y = (i * V0[1] + j * V1[1] + k * V2[1]) / m
-            pts.append(TrianglePoint(x, y))
-    return pts
-
-
-def _in_closed_triangle(x, y, tol=1e-9):
-    # barycentric coordinates w.r.t. V0, V1, V2
-    d = (V1[1] - V2[1]) * (V0[0] - V2[0]) + (V2[0] - V1[0]) * (V0[1] - V2[1])
-    b0 = ((V1[1] - V2[1]) * (x - V2[0]) + (V2[0] - V1[0]) * (y - V2[1])) / d
-    b1 = ((V2[1] - V0[1]) * (x - V2[0]) + (V0[0] - V2[0]) * (y - V2[1])) / d
-    b2 = 1.0 - b0 - b1
-    return min(b0, b1, b2) >= -tol
-
-
-def _newton_step(f, x0, y0, h):
-    """Newton step from the stencil values f toward a local maximum.
-
-    f holds the values at (x0, y0), (x0 +- h, y0), (x0, y0 +- h) and
-    (x0 +- h, y0 +- h), in the order of _newton_polish.  Returns the
-    step's end point, or None where the start value stands: not a clean
-    interior maximum, or a step that leaves the closed triangle.
-    """
-    f0, fxp, fxm, fyp, fym, fpp, fpm, fmp, fmm = f
-    gx = (fxp - fxm) / (2 * h)
-    gy = (fyp - fym) / (2 * h)
-    hxx = (fxp - 2 * f0 + fxm) / h**2
-    hyy = (fyp - 2 * f0 + fym) / h**2
-    hxy = (fpp - fpm - fmp + fmm) / (4 * h**2)
-    det = hxx * hyy - hxy**2
-    if det <= 0 or hxx >= 0:
-        return None
-    dx = -(hyy * gx - hxy * gy) / det
-    dy = -(hxx * gy - hxy * gx) / det
-    step = math.hypot(dx, dy)
-    if step > 0.5:
-        dx, dy = dx * 0.5 / step, dy * 0.5 / step
-    x1, y1 = x0 + dx, y0 + dy
-    if not _in_closed_triangle(x1, y1):
-        return None
-    return x1, y1
-
-
-def _newton_polish(value, x0, y0, h=1e-4):
-    """One Newton step per start point on a local maximum, clipped to the domain.
-
-    value(idx, xs, ys) gives function idx[k] at the plane points
-    (xs[k], ys[k]), for (n, s) arrays xs, ys.  Start k belongs to
-    function k.  Two calls serve every start: one for the 9-point
-    stencils, one for the step ends.  Returns max(start value, step end
-    value) per start, the start value where no step is taken.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    xs = np.stack([x0, x0 + h, x0 - h, x0, x0, x0 + h, x0 + h, x0 - h, x0 - h], axis=1)
-    ys = np.stack([y0, y0, y0, y0 + h, y0 - h, y0 + h, y0 - h, y0 + h, y0 - h], axis=1)
-    stencils = value(np.arange(len(x0)), xs, ys).tolist()
-    best = [f[0] for f in stencils]
-    moved, ends = [], []
-    for k, (f, x, y) in enumerate(zip(stencils, x0.tolist(), y0.tolist())):
-        end = _newton_step(f, x, y, h)
-        if end is not None:
-            moved.append(k)
-            ends.append(end)
-    if moved:
-        x1 = np.array([[x] for x, _ in ends])
-        y1 = np.array([[y] for _, y in ends])
-        for k, f1 in zip(moved, value(np.array(moved), x1, y1)[:, 0].tolist()):
-            best[k] = max(best[k], f1)
-    return best
-
-
-def _abs_on_triangle(store):
-    """value(idx, xs, ys) for _newton_polish: |row idx[k] of the store|
-    at the images of the plane points (xs[k], ys[k])."""
-
-    def value(idx, xs, ys):
-        pts = [TrianglePoint(x, y) for x, y in
-               zip(xs.ravel().tolist(), ys.ravel().tolist())]
-        zs = np.array([d.Z for d in triangles_to_deltoid(pts)], dtype=complex)
-        vals = store.at(idx, zs.reshape(xs.shape))
-        return np.hypot(vals.real, vals.imag)
-
-    return value
-
-
 def _lattice(grid_m):
-    """The closed-triangle lattice of side grid_m and its images in the deltoid."""
-    tri = _closed_triangle_lattice(grid_m)
-    return tri, np.array([d.Z for d in triangles_to_deltoid(tri)], dtype=complex)
+    """The barycentric lattice of side grid_m over the closed fundamental
+    triangle, mapped into the deltoid.
+
+    The three vertices of the triangle map to the three cusps.  For
+    lam >= 1 every eigenpolynomial takes its sup-norm there: it is a
+    nonnegative combination of the lam = 1 orbit sums (Koornwinder 1974,
+    class IV; Beerends 1991), each of which peaks at the cusps.
+    """
+    pts = []
+    for i in range(grid_m + 1):
+        for j in range(grid_m + 1 - i):
+            k = grid_m - i - j
+            x = (i * V0[0] + j * V1[0] + k * V2[0]) / grid_m
+            y = (i * V0[1] + j * V1[1] + k * V2[1]) / grid_m
+            pts.append(TrianglePoint(x, y))
+    return np.array([d.Z for d in triangles_to_deltoid(pts)], dtype=complex)
 
 
 def supnorm_bound_check(lam, max_degree, grid_m=80):
@@ -513,10 +402,9 @@ def supnorm_bound_check(lam, max_degree, grid_m=80):
     Reports the largest ||P||_inf / (||P||_2 mu^(lam/2)) over all modes
     with mu > 0 and the least-squares growth exponent of the ratio
     ||P||_inf / ||P||_2 in mu, which the spectral bound caps at lam/2.
-    Each sup is the largest |P| on the lattice, polished by one Newton
-    step from its lattice argmax.  P_{q,p} is conj(P_{p,q}) on the
-    domain, so only p >= q is evaluated and a mirror takes its partner's
-    sup.
+    Each sup is the largest |P| on the lattice, which holds the cusps
+    where the sup-norm sits.  P_{q,p} is conj(P_{p,q}) on the domain, so
+    only p >= q is evaluated and a mirror takes its partner's sup.
     """
     lam = lam if isinstance(lam, Lambda) else Lambda(lam)
     if float(lam.value) < 1:
@@ -524,14 +412,9 @@ def supnorm_bound_check(lam, max_degree, grid_m=80):
     trunc = HeatKernelTruncation(lam, max_degree)
     live = [(ep, cond) for ep, cond in zip(trunc.modes, trunc._cond) if ep.mu != 0]
     solved = [a for a, ep in enumerate(trunc.modes) if ep.mu != 0 and ep.p >= ep.q]
-    store = trunc._store.select(solved)
-    tri, zs = _lattice(grid_m)
-    _, arg = store.sup_argmax(zs)
-    starts = [tri[k] for k in arg.tolist()]
-    polished = _newton_polish(_abs_on_triangle(store), [p.x for p in starts],
-                              [p.y for p in starts])
+    sups, _ = trunc._store.select(solved).sup_argmax(_lattice(grid_m))
     sup_of = {(trunc.modes[a].p, trunc.modes[a].q): sup
-              for a, sup in zip(solved, polished)}
+              for a, sup in zip(solved, sups.tolist())}
     half = float(lam.value) / 2.0
     mus, ratios, consts, noise = [], [], [], []
     for ep, cond in live:
@@ -558,11 +441,12 @@ def supnorm_bound_check(lam, max_degree, grid_m=80):
     )
 
 
-def hk_bound_check(lam, max_k, grid_m=80, draws=5, seed=0):
+def hk_bound_check(lam, max_k, grid_m=80, seed=0):
     """Sup-norm of random unit combinations in each degree space H_k.
 
-    Checks growth against k^(lam + 1/2); the basis is orthogonal with
-    exact norms, so unit combinations cost one normalization.
+    Checks growth against k^(lam + 1/2) on five random unit combinations
+    per degree; the basis is orthogonal with exact norms, so unit
+    combinations cost one normalization.
     """
     lam = lam if isinstance(lam, Lambda) else Lambda(lam)
     if float(lam.value) < 1:
@@ -571,9 +455,10 @@ def hk_bound_check(lam, max_k, grid_m=80, draws=5, seed=0):
     rows = [a for a, ep in enumerate(trunc.modes) if ep.p + ep.q]
     modes = [trunc.modes[a] for a in rows]
     conds = trunc._cond[rows]
-    _, zs = _lattice(grid_m)
+    zs = _lattice(grid_m)
     norms = np.array([math.sqrt(float(ep.norm2)) for ep in modes])
     rng = np.random.default_rng(seed)
+    draws = 5
     target = float(lam.value) + 0.5
     ks = list(range(1, max_k + 1))
     levels, combos = [], []
@@ -620,8 +505,9 @@ def hk_bound_check(lam, max_k, grid_m=80, draws=5, seed=0):
 # series-side estimates
 
 
-def sobolev_series_check(p, a, t_grid=None, dps=30):
-    """Stability of t^(p+1/2) sum_k k^(2p) exp(-2 a t k^2) on a dyadic grid.
+def sobolev_series_check(p, a, dps=30):
+    """Stability of t^(p+1/2) sum_k k^(2p) exp(-2 a t k^2) on the dyadic
+    grid t = 1, 1/2, ..., 2^-13.
 
     The series tracks the integral of x^(2p) exp(-2 a t x^2), which is
     Gamma(p+1/2)/2 * (2at)^(-(2p+1)/2) in closed form, so the scaling
@@ -635,8 +521,7 @@ def sobolev_series_check(p, a, t_grid=None, dps=30):
 
     if a <= 0 or p <= 0:
         raise ValueError("need a > 0 and p > 0")
-    if t_grid is None:
-        t_grid = [2.0**-j for j in range(14)]
+    t_grid = [2.0**-j for j in range(14)]
     normalized = []
     halfpower = []
     with mp.workdps(dps):

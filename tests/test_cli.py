@@ -124,13 +124,14 @@ def test_cd_factor_check(capsys):
 
 
 def test_su3_check(capsys):
-    # at the default 100 samples: at 20 the report's normal-theory ci95
-    # misses 1/9 for about one seed in nine with a correct sampler
     code, rep = run_json(capsys, ["su3", "check"])
     assert code == 0
     res = rep["result"]
     assert res["passed"] is True
     assert res["commutator_entries"] == 36
+    # the standard error is the exact Haar sigma of |tr U/3|^2, 1/9, over
+    # the square root of the sample count
+    assert res["trace_moment"]["stderr"] == (1 / 9) / 10
     lo, hi = res["trace_moment"]["ci95"]
     assert lo < 1 / 9 < hi
 

@@ -13,10 +13,7 @@ from deltoid.spectral import (
     HeatKernelTruncation,
     KernelReport,
     TruncationInsufficient,
-    _abs_on_triangle,
-    _in_closed_triangle,
     _lattice,
-    _newton_polish,
     heat_diag,
     heat_diag_sups,
     hk_bound_check,
@@ -203,13 +200,31 @@ def test_supnorm_growth_lam4():
     assert 0.05 < noise < 0.5
     trunc = HeatKernelTruncation(Lambda(4), 30)
     a = next(a for a, ep in enumerate(trunc.modes) if (ep.p, ep.q) == (30, 0))
-    _, zs = _lattice(80)
+    zs = _lattice(80)
     sup, arg = trunc._store.sup_argmax(zs)
     z = complex(zs[arg[a]])
     poly = trunc.modes[a].poly
     exact = exact_abs(poly, z)
     for got in (sup[a], abs(poly.eval(z))):
         assert abs(got - exact) <= noise * exact
+
+
+@pytest.mark.parametrize("lam", [Lambda(4), Lambda(Rat(7, 2)), Lambda(Rat(9, 5))])
+def test_lattice_sup_sits_on_a_cusp(lam):
+    # for lam >= 1 every mode peaks at the cusps, which are lattice
+    # points, so the lattice maximum is the sup-norm: |P(1)| exactly,
+    # up to the rounding of a float evaluation
+    trunc = HeatKernelTruncation(lam, 20)
+    zs = _lattice(40)
+    cusps = {k for k, z in enumerate(zs) if min(abs(z - c) for c in CUSPS) < 1e-12}
+    assert len(cusps) == 3
+    sup, arg = trunc._store.sup_argmax(zs)
+    mass = trunc._store.mass()
+    for a, ep in enumerate(trunc.modes):
+        assert arg[a] in cusps, (ep.p, ep.q)
+        at_one = Fraction(sum(cr for cr, _ in ep.poly.num.values()), ep.poly.den)
+        assert not any(ci for _, ci in ep.poly.num.values())
+        assert abs(sup[a] - abs(float(at_one))) <= spectral._EPS * mass[a]
 
 
 def test_mode_table_matches_horner():
@@ -220,22 +235,19 @@ def test_mode_table_matches_horner():
     zs = np.array(KERNEL_GRID)
     store = trunc._store
     vals = store.values(zs)
-    single = store.at(np.repeat(np.arange(len(trunc)), len(zs)),
-                      np.tile(zs, len(trunc)).reshape(-1, 1)).reshape(len(trunc), -1)
     mass = store.mass()
     for a, ep in enumerate(trunc.modes):
         want = HornerProgram(ep.poly).eval(zs)
         assert mass[a] == pytest.approx(
             sum(abs(c.real) + abs(c.imag) for _, _, c in ep.poly.complex_coeffs()))
         assert np.max(np.abs(vals[a] - want)) <= 1e-12 * mass[a]
-        assert np.max(np.abs(single[a] - want)) <= 1e-12 * mass[a]
 
 
 def test_mode_table_streams_blocks():
     # more points than one block: sup and argmax over blocks equal those
     # over the assembled values, and no block is larger than the bound
     trunc = HeatKernelTruncation(Lambda(4), 6)
-    _, zs = _lattice(40)
+    zs = _lattice(40)
     assert len(zs) > spectral._POINT_BLOCK
     blocks = list(trunc._store.blocks(zs))
     assert all(v.shape[1] <= spectral._POINT_BLOCK for _, v in blocks)
@@ -260,7 +272,6 @@ def test_mode_table_row_slices():
     zs = np.array(KERNEL_GRID)
     full = store.values(zs)[rows]
     assert np.max(np.abs(sub.values(zs) - full)) <= 1e-14 * np.max(np.abs(full))
-    assert np.array_equal(sub.at([1, 0], zs[:2, None]), store.at(rows[1::-1], zs[:2, None]))
 
 
 def test_mode_table_rejects_complex_coefficients():
@@ -298,57 +309,6 @@ def test_complex_coeffs_runs_once_per_solved_mode(monkeypatch):
         seen.clear()
         check()
         assert len(seen) == len(set(seen)) == 25  # (p, q), p >= q, p + q <= 8
-
-
-def _scalar_newton_polish(value_xy, x0, y0, h=1e-4):
-    """The per-point Newton polish, one evaluation at a time."""
-    f0 = value_xy(x0, y0)
-    fxp = value_xy(x0 + h, y0)
-    fxm = value_xy(x0 - h, y0)
-    fyp = value_xy(x0, y0 + h)
-    fym = value_xy(x0, y0 - h)
-    gx = (fxp - fxm) / (2 * h)
-    gy = (fyp - fym) / (2 * h)
-    hxx = (fxp - 2 * f0 + fxm) / h**2
-    hyy = (fyp - 2 * f0 + fym) / h**2
-    fpp = value_xy(x0 + h, y0 + h)
-    fpm = value_xy(x0 + h, y0 - h)
-    fmp = value_xy(x0 - h, y0 + h)
-    fmm = value_xy(x0 - h, y0 - h)
-    hxy = (fpp - fpm - fmp + fmm) / (4 * h**2)
-    det = hxx * hyy - hxy**2
-    if det <= 0 or hxx >= 0:
-        return f0
-    dx = -(hyy * gx - hxy * gy) / det
-    dy = -(hxx * gy - hxy * gx) / det
-    step = math.hypot(dx, dy)
-    if step > 0.5:
-        dx, dy = dx * 0.5 / step, dy * 0.5 / step
-    x1, y1 = x0 + dx, y0 + dy
-    if not _in_closed_triangle(x1, y1):
-        return f0
-    return max(f0, value_xy(x1, y1))
-
-
-def test_batched_polish_equals_scalar_loop():
-    trunc = HeatKernelTruncation(Lambda(4), 14)
-    tri, zs = _lattice(30)
-    store = trunc._store.select(range(1, len(trunc)))
-    _, arg = store.sup_argmax(zs)
-    starts = [tri[k] for k in arg]
-    value = _abs_on_triangle(store)
-    batched = _newton_polish(value, [p.x for p in starts], [p.y for p in starts])
-    scalar = [
-        _scalar_newton_polish(
-            lambda x, y, a=a: float(value(np.array([a]), np.array([[x]]),
-                                          np.array([[y]]))[0, 0]),
-            p.x, p.y)
-        for a, p in enumerate(starts)
-    ]
-    assert batched == scalar
-    # the Newton step moved some sups off the lattice and kept others
-    lattice = np.abs(store.values(zs)).max(axis=1)
-    assert any(b > s for b, s in zip(batched, lattice))
 
 
 def test_supnorm_anchors_for_z_itself():

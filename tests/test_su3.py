@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from deltoid.su3 import (
     EntryPoly,
     LieBasis,
     NonConstantRicci,
+    CharpolyResiduals,
     SpecialUnitary3,
     casimir_apply,
     charpoly_identity_check,
@@ -315,6 +317,43 @@ def test_pushforward_report():
     assert rep.passed
     with pytest.raises(ValueError):
         pushforward_check([Z], [])
+
+
+def test_identity_checks_fail_on_nan():
+    # Python's max(0.0, nan) is 0.0: a running maximum built with max()
+    # would report a NaN residual as zero and pass
+    stack = np.stack([u.matrix for u in haar_sample(43, 6)])
+    stack[3, 1, 2] = np.nan
+    rep = pushforward_check([Z, Z * ZBAR], stack)
+    assert math.isnan(rep.max_gamma_residual)
+    assert math.isnan(rep.max_generator_residual)
+    assert not rep.passed
+    assert not CharpolyResiduals(1e-13, math.nan).passed
+    assert not CharpolyResiduals(math.nan, 1e-13).passed
+    assert CharpolyResiduals(1e-13, 1e-13).passed
+
+
+def test_charpoly_loops_keep_nan(monkeypatch):
+    # one NaN residual among the 25 sampled charpoly checks fails c09
+    # and `su3 check`
+    from deltoid import acceptance, su3
+    from deltoid.cli import main
+
+    original = su3.charpoly_identity_check
+    calls = []
+
+    def one_nan(u, x, y):
+        calls.append(None)
+        res = original(u, x, y)
+        if len(calls) == 2:
+            res.generator_residual = math.nan
+        return res
+
+    monkeypatch.setattr(su3, "charpoly_identity_check", one_nan)
+    passed, summary = acceptance._c09_group_model()
+    assert not passed and "charpoly nan" in summary
+    calls.clear()
+    assert main(["su3", "check", "--samples", "5", "--out", os.devnull]) == 1
 
 
 def test_curvature_dimension_3_8():

@@ -207,12 +207,12 @@ def _c09_group_model():
     from .su3 import (
         IDENTITY_TOL,
         RICCI_TOL,
-        charpoly_identity_check,
         commutator_table,
         curvature_dimension_check,
         haar_sample,
         pushforward_check,
         ricci_constant,
+        worst_charpoly_residual,
     )
 
     ricci = ricci_constant()
@@ -223,14 +223,7 @@ def _c09_group_model():
         return False, f"commutator table has {len(table)} entries"
     us = haar_sample(23, 100)
     push = pushforward_check([Z, ZBAR, Z * ZBAR, Z**2], us)
-    char_worst = 0.0
-    rng = np.random.default_rng(29)
-    for u in us[:25]:
-        x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        res = charpoly_identity_check(u, complex(x), complex(y))
-        # np.max keeps a NaN residual, which max() may drop
-        char_worst = float(np.max([char_worst, res.gamma_residual,
-                                   res.generator_residual]))
+    char_worst = worst_charpoly_residual(us, 29)
     cd = curvature_dimension_check(trials=8, samples=40, seed=5, tol=1e-8)
     ok = (
         push.max_gamma_residual < IDENTITY_TOL

@@ -236,22 +236,16 @@ def _run_cd_factor_check(args):
 def _run_su3_check(args):
     import numpy as np
 
-    from .su3 import (IDENTITY_TOL, RICCI_TOL, charpoly_identity_check,
-                      commutator_table, curvature_dimension_check, haar_sample,
-                      pushforward_check, ricci_constant)
+    from .su3 import (IDENTITY_TOL, RICCI_TOL, commutator_table,
+                      curvature_dimension_check, haar_sample, pushforward_check,
+                      ricci_constant, worst_charpoly_residual)
     from .exact import Z, ZBAR
 
     ricci = ricci_constant()
     table = commutator_table()
     us = haar_sample(args.seed, args.samples)
     push = pushforward_check([Z, ZBAR, Z * ZBAR], us)
-    rng = np.random.default_rng(args.seed + 1)
-    char_worst = 0.0
-    for u in us[: min(25, len(us))]:
-        x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        r = charpoly_identity_check(u, complex(x), complex(y))
-        # np.max keeps a NaN residual, which max() may drop
-        char_worst = float(np.max([char_worst, r.gamma_residual, r.generator_residual]))
+    char_worst = worst_charpoly_residual(us, args.seed + 1)
     cd = curvature_dimension_check(seed=args.seed)
     traces = np.array([abs(np.trace(u.matrix) / 3.0) ** 2 for u in us])
     mean = float(traces.mean())

@@ -137,6 +137,27 @@ def triangles_to_deltoid(points) -> list:
     return out
 
 
+def plane_to_deltoid(x, y):
+    """The map on arrays: Z at each plane point (x[k], y[k]), as complex.
+
+    It repeats triangle_to_deltoid's arithmetic: z_k is cos + i sin of
+    E_k.(x, y), which is what cmath.exp gives on the imaginary axis, and
+    the real and imaginary parts are summed and divided by 3 apart.  So
+    where numpy's cos and sin round as the C library's do (they did on
+    x86-64 with numpy 2.4.6), each element has that map's bits.  Raises
+    the same ArithmeticError for the first image that leaves the closed
+    domain.
+    """
+    angles = [ex * x + ey * y for ex, ey in E]
+    zs = np.empty(np.shape(x), dtype=complex)
+    zs.real = (np.cos(angles[0]) + np.cos(angles[1]) + np.cos(angles[2])) / 3.0
+    zs.imag = (np.sin(angles[0]) + np.sin(angles[1]) + np.sin(angles[2])) / 3.0
+    bad = np.flatnonzero(_P.eval(zs).real < _CLOSED_TOL)
+    if bad.size:
+        raise _left_domain(DeltoidPoint(complex(zs[bad[0]])))
+    return zs
+
+
 def pushforward_gamma(point: TrianglePoint):
     """(g11, g12, g22) of the mapped Euclidean gradient form at a point.
 

@@ -1,19 +1,22 @@
 """Heat-kernel truncations and the spectral-bound experiments.
 
 A truncation keeps every eigenpolynomial up to a fixed total degree with
-exact rational eigenvalue and norm.  Its float side is one mode store,
-built on first float use: a real coefficient matrix per residue class of
-modes, so that the values of many modes at a block of points are one
-real matrix product per class.  Every float evaluation of modes reads
-that store: the heat diagonal and the ultracontractivity slope fit on all
-of its rows, the sup-norm, H_k and multiplier-kernel checks on row
-slices.  A sup-norm is the largest value on a lattice that holds the
-three cusps, where every mode with lam >= 1 peaks.  Beside them sit the
-Sobolev series estimate and the fits, plain least squares on log-log
-data; every report records the window it was computed on.
+exact rational eigenvalue and norm.  It is a prefix of the one live
+spectrum of its lam: the exact modes in truncation order, grown in place
+by degree, with one float mode store built on first float use.  The
+store is a real coefficient matrix per residue class of modes, so that
+the values of many modes at a block of points are one real matrix
+product per class.  Every float evaluation of modes reads that store:
+the heat diagonal and the ultracontractivity slope fit on all of its
+rows, the sup-norm, H_k and multiplier-kernel checks on row slices.  A
+sup-norm is the largest value on a lattice that holds the three cusps,
+where every mode with lam >= 1 peaks.  Beside them sit the Sobolev
+series estimate and the fits, plain least squares on log-log data; every
+report records the window it was computed on.
 """
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,7 +24,7 @@ import numpy as np
 
 from .eigen import _degree_basis
 from .exact import c_prod
-from .geometry import DeltoidPoint, TrianglePoint, V0, V1, V2, triangles_to_deltoid
+from .geometry import V0, V1, V2, DeltoidPoint, plane_to_deltoid
 from .operator import Lambda
 
 
@@ -52,15 +55,81 @@ class FitReport:
     details: dict = field(default_factory=dict)
 
 
+class _Spectrum:
+    """The exact modes of one lam in truncation order, with one float store.
+
+    It grows in place by degree; the modes of degree <= N are always its
+    first (N + 1)(N + 2)/2.  Per mode it keeps mu and 1 / squared norm as
+    floats.  The float side is built on first float use: the store of all
+    its modes, dropped when the spectrum grows, and each mode's
+    coefficient mass, computed once.
+    """
+
+    def __init__(self, lam):
+        self.lam = lam
+        self.degree = -1
+        self.modes = ()
+        self.mu = self.inv_norm2 = self._mass = np.empty(0)
+        self._store = None
+
+    def grow(self, degree):
+        if degree <= self.degree:
+            return
+        new = [ep for total in range(self.degree + 1, degree + 1)
+               for ep in _degree_basis(total, self.lam)]
+        self.modes += tuple(new)
+        self.mu = np.append(self.mu, [float(ep.mu) for ep in new])
+        self.inv_norm2 = np.append(self.inv_norm2, [1.0 / float(ep.norm2) for ep in new])
+        self.degree = degree
+        self._store = None
+
+    def mass(self, n):
+        """Coefficient mass, the sum of |coefficient|, of the first n modes.
+
+        It is taken from the exact numerators and correctly rounded, so it
+        does not depend on how a store lays out its columns.
+        """
+        have = len(self._mass)
+        if have < n:
+            self._mass = np.append(self._mass, [
+                sum(abs(re) for re, _ in ep.poly.num.values()) / ep.poly.den
+                for ep in self.modes[have:n]])
+        return self._mass[:n]
+
+    @property
+    def store(self):
+        if self._store is None:
+            self._store = _ModeStore.of_modes(self.modes)
+        return self._store
+
+
+# the live spectrum of each lam, keyed by lam's (numerator, denominator);
+# a spectrum stays here only while some truncation holds it
+_spectra = weakref.WeakValueDictionary()
+
+
+def _spectrum(lam, degree):
+    """The live spectrum of lam, grown to at least degree."""
+    key = (lam.value.numerator, lam.value.denominator)
+    spec = _spectra.get(key)
+    if spec is None:
+        spec = _spectra[key] = _Spectrum(lam)
+    spec.grow(degree)
+    return spec
+
+
 class HeatKernelTruncation:
     """All eigenmodes of total degree <= max_degree, exact, with one float store.
 
-    The exact side (mu, squared norm as rationals, the polynomials
-    themselves) lives in `modes`.  Every float value of a mode is read
-    from one `_ModeStore`, built on first float use, so a truncation used
-    only exactly never builds it.  The tail of a truncation is estimated
-    by exp(-(3/4) N^2 t), the lower bound on how fast the first dropped
-    level can decay.
+    A truncation is a prefix view of the live spectrum of its lam, so
+    truncations of one lam alive at once share one spectrum and one
+    store: a truncation no deeper than one already alive solves nothing,
+    and its store is the deeper store's first rows.  The exact side (mu,
+    squared norm as rationals, the polynomials themselves) lives in
+    `modes`.  Every float value of a mode is read from the store, built
+    on first float use, so a truncation used only exactly never builds
+    it.  The tail of a truncation is estimated by exp(-(3/4) N^2 t), the
+    lower bound on how fast the first dropped level can decay.
     """
 
     def __init__(self, lam, max_degree=40):
@@ -69,19 +138,18 @@ class HeatKernelTruncation:
             raise ValueError("max_degree must be positive")
         self.lam = lam
         self.max_degree = max_degree
-        modes = []
-        for total in range(max_degree + 1):
-            modes.extend(_degree_basis(total, lam))
-        self.modes = tuple(modes)
-        self._mu = np.array([float(ep.mu) for ep in modes])
-        self._inv_norm2 = np.array([1.0 / float(ep.norm2) for ep in modes])
+        self._spectrum = spec = _spectrum(lam, max_degree)
+        n = (max_degree + 1) * (max_degree + 2) // 2
+        self.modes = spec.modes[:n]
+        self._mu = spec.mu[:n]
+        self._inv_norm2 = spec.inv_norm2[:n]
 
     def __len__(self):
         return len(self.modes)
 
     @cached_property
-    def _store(self):
-        return _ModeStore.of_modes(self.modes)
+    def _mass(self):
+        return self._spectrum.mass(len(self))
 
     @cached_property
     def _cond(self):
@@ -89,7 +157,14 @@ class HeatKernelTruncation:
         # evaluation: absolute rounding noise on P(z) for |z| <= 1 is
         # about eps times the coefficient sum, so once this ratio nears
         # 1/eps the normalized mode value is pure noise
-        return self._store.mass() * np.sqrt(self._inv_norm2)
+        return self._mass * np.sqrt(self._inv_norm2)
+
+    @cached_property
+    def _store(self):
+        # select keeps the nonzero columns in the same order, so the first
+        # rows of a deeper store give the same bits as a store of its own
+        store = self._spectrum.store
+        return store if store.size == len(self) else store.select(range(len(self)))
 
     def evaluation_noise(self, t):
         """Rounding-noise estimate for a heat_diag value at time t.
@@ -269,7 +344,7 @@ class _ModeStore:
     monomials in ascending (i, j).  Its values at a block of points are
     that matrix times the block's monomials, read as float64 pairs: one
     real matrix product per class and block, one block held at a time.
-    A truncation holds the store of all its modes; select() cuts rows.
+    A spectrum holds the store of all its modes; select() cuts rows.
     """
 
     def __init__(self, classes, size):
@@ -323,13 +398,6 @@ class _ModeStore:
             keep = np.flatnonzero(np.any(sub, axis=0))
             classes.append((pick, kk[keep], dd[keep], sign[keep], sub[:, keep]))
         return _ModeStore(classes, len(rows))
-
-    def mass(self):
-        """Coefficient mass, the sum of |coefficient|, of every row."""
-        out = np.empty(self.size)
-        for rows, _, _, _, coef in self._classes:
-            out[rows] = np.abs(coef).sum(axis=1)
-        return out
 
     def blocks(self, zs):
         """(first point index, values of every row at a block of the points zs)."""
@@ -386,14 +454,13 @@ def _lattice(grid_m):
     nonnegative combination of the lam = 1 orbit sums (Koornwinder 1974,
     class IV; Beerends 1991), each of which peaks at the cusps.
     """
-    pts = []
-    for i in range(grid_m + 1):
-        for j in range(grid_m + 1 - i):
-            k = grid_m - i - j
-            x = (i * V0[0] + j * V1[0] + k * V2[0]) / grid_m
-            y = (i * V0[1] + j * V1[1] + k * V2[1]) / grid_m
-            pts.append(TrianglePoint(x, y))
-    return np.array([d.Z for d in triangles_to_deltoid(pts)], dtype=complex)
+    # (i, j) row by row, i from 0 to grid_m and j from 0 to grid_m - i
+    i, c = np.triu_indices(grid_m + 1)
+    j = c - i
+    k = grid_m - i - j
+    x = (i * V0[0] + j * V1[0] + k * V2[0]) / grid_m
+    y = (i * V0[1] + j * V1[1] + k * V2[1]) / grid_m
+    return plane_to_deltoid(x, y)
 
 
 def supnorm_bound_check(lam, max_degree, grid_m=80):

@@ -619,6 +619,22 @@ def charpoly_identity_check(u, x, y):
     )
 
 
+def worst_charpoly_residual(us, seed):
+    """Largest charpoly residual over the first 25 matrices of us.
+
+    Each matrix gets its own x and y, complex normals drawn in matrix
+    order from np.random.default_rng(seed).  A NaN residual is kept.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for u in us[:25]:
+        x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        res = charpoly_identity_check(u, complex(x), complex(y))
+        # np.max keeps a NaN residual, which max() may drop
+        worst = float(np.max([worst, res.gamma_residual, res.generator_residual]))
+    return worst
+
+
 def _compose_with_trace(f):
     """Lift a deltoid polynomial f(Z, Zbar) through Z = tr(U)/3."""
     zt = normalized_trace()

@@ -1,12 +1,14 @@
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from deltoid import spectral
+from deltoid import eigen, spectral
 from deltoid.eigen import EigenPolynomial, eigenvalue, inner_product, moments
 from deltoid.exact import BivarPoly, CRat, HornerProgram, Rat
+from deltoid.geometry import V0, V1, V2, TrianglePoint, triangle_to_deltoid
 from deltoid.operator import Lambda
 from deltoid.spectral import (
     FitReport,
@@ -219,7 +221,7 @@ def test_lattice_sup_sits_on_a_cusp(lam):
     cusps = {k for k, z in enumerate(zs) if min(abs(z - c) for c in CUSPS) < 1e-12}
     assert len(cusps) == 3
     sup, arg = trunc._store.sup_argmax(zs)
-    mass = trunc._store.mass()
+    mass = trunc._mass
     for a, ep in enumerate(trunc.modes):
         assert arg[a] in cusps, (ep.p, ep.q)
         at_one = Fraction(sum(cr for cr, _ in ep.poly.num.values()), ep.poly.den)
@@ -235,7 +237,7 @@ def test_mode_table_matches_horner():
     zs = np.array(KERNEL_GRID)
     store = trunc._store
     vals = store.values(zs)
-    mass = store.mass()
+    mass = trunc._mass
     for a, ep in enumerate(trunc.modes):
         want = HornerProgram(ep.poly).eval(zs)
         assert mass[a] == pytest.approx(
@@ -279,14 +281,16 @@ def test_mode_table_rejects_complex_coefficients():
     ep = trunc.modes[1]
     bad = EigenPolynomial(p=ep.p, q=ep.q, lam=ep.lam, mu=ep.mu, norm2=ep.norm2,
                           poly=ep.poly + BivarPoly.const(CRat(0, 1)))
-    trunc.modes = trunc.modes[:1] + (bad,) + trunc.modes[2:]
     with pytest.raises(ValueError):
-        trunc.mode_values(0.1j)
+        spectral._ModeStore.of_modes(trunc.modes[:1] + (bad,) + trunc.modes[2:])
 
 
 def test_complex_coeffs_runs_once_per_solved_mode(monkeypatch):
     # the float store is built on first float use, from one complex_coeffs()
-    # pass over the modes with p >= q; mirrors swap their partner's terms
+    # pass over the modes with p >= q; mirrors swap their partner's terms.
+    # No other test holds lam = 11/3, so each truncation here solves and
+    # builds its own spectrum and store
+    lam = Lambda(Rat(11, 3))
     seen = []
     original = BivarPoly.complex_coeffs
 
@@ -295,20 +299,115 @@ def test_complex_coeffs_runs_once_per_solved_mode(monkeypatch):
         return original(poly)
 
     monkeypatch.setattr(BivarPoly, "complex_coeffs", counted)
-    trunc = HeatKernelTruncation(Lambda(4), 10)
+    trunc = HeatKernelTruncation(lam, 10)
     assert trunc.integrates_to_delta() and seen == []
     solved = {id(ep.poly) for ep in trunc.modes if ep.p >= ep.q}
     heat_diag_sups(trunc, [0.1, 0.2], [0j, 0.9 * CUSPS[0]])
     trunc.mode_weights(0.1j)
     trunc.evaluation_noise(0.1)
-    ultracontractivity_fit(Lambda(4), (0.5, 1.0), trunc)
+    ultracontractivity_fit(lam, (0.5, 1.0), trunc)
     assert sorted(seen) == sorted(solved)
-    for check in (lambda: supnorm_bound_check(Lambda(4), 8, grid_m=10),
-                  lambda: hk_bound_check(Lambda(4), 8, grid_m=10),
-                  lambda: kernel_bound_check([1.0, 0.5], Lambda(4), 8, KERNEL_GRID)):
+    del trunc
+    for check in (lambda: supnorm_bound_check(lam, 8, grid_m=10),
+                  lambda: hk_bound_check(lam, 8, grid_m=10),
+                  lambda: kernel_bound_check([1.0, 0.5], lam, 8, KERNEL_GRID)):
         seen.clear()
         check()
         assert len(seen) == len(set(seen)) == 25  # (p, q), p >= q, p + q <= 8
+
+
+def _bits(report):
+    """Every field of a check report, floats by repr, which round-trips."""
+    if isinstance(report, KernelReport):
+        return repr([getattr(report, k) for k in KernelReport.__slots__])
+    return repr((report.window, report.exponent, report.residual, report.constant,
+                 report.target, sorted(report.details.items())))
+
+
+def test_live_truncation_leaves_check_reports_unchanged(monkeypatch):
+    # a check beside a deeper live truncation reads rows of that truncation's
+    # store; its report has the bits of a check that solved on its own
+    monkeypatch.setattr(spectral, "_spectra", weakref.WeakValueDictionary())
+    lam = Lambda(4)
+
+    def reports():
+        return [_bits(r) for r in (
+            supnorm_bound_check(lam, 12),
+            hk_bound_check(lam, 8),
+            kernel_bound_check(lambda k: math.exp(-float(k)), lam, 6, KERNEL_GRID))]
+
+    alone = reports()
+    assert not spectral._spectra
+    deep = HeatKernelTruncation(lam, 20)
+    assert reports() == alone
+    assert spectral._spectra[4, 1] is deep._spectrum
+    assert deep._spectrum.degree == 20 and deep._spectrum._store is not None
+
+
+def test_checks_beside_a_deeper_truncation_solve_nothing(trunc4, monkeypatch):
+    assert spectral._spectra[4, 1] is trunc4._spectrum
+    calls = []
+    original = eigen.solve_eigenpoly
+
+    def counted(p, q, lam):
+        calls.append((p, q))
+        return original(p, q, lam)
+
+    monkeypatch.setattr(eigen, "solve_eigenpoly", counted)
+    lam = Lambda(4)
+    assert len(HeatKernelTruncation(lam, 30)) == 496
+    supnorm_bound_check(lam, 30, grid_m=10)
+    hk_bound_check(lam, 20, grid_m=10)
+    kernel_bound_check([1.0, 0.5], lam, 12, KERNEL_GRID)
+    assert calls == []
+    HeatKernelTruncation(Lambda(Rat(13, 5)), 2)
+    assert len(calls) == 4  # (p, q), p >= q, p + q <= 2
+
+
+def test_spectrum_lives_only_while_a_truncation_holds_it():
+    key = (13, 4)
+    assert key not in spectral._spectra
+    shallow = HeatKernelTruncation(Lambda(Rat(13, 4)), 3)
+    deep = HeatKernelTruncation(Lambda(Rat(13, 4)), 6)
+    assert spectral._spectra[key] is shallow._spectrum is deep._spectrum
+    deep.mode_values(0.1j)
+    shallow.mode_values(0.1j)
+    del deep
+    assert spectral._spectra[key].degree == 6
+    del shallow
+    assert key not in spectral._spectra
+
+
+def test_growing_the_spectrum_keeps_a_truncation_bits(monkeypatch):
+    monkeypatch.setattr(spectral, "_spectra", weakref.WeakValueDictionary())
+    zs = np.array(KERNEL_GRID)
+    small = HeatKernelTruncation(Lambda(4), 10)
+    modes = small.modes
+    vals = small.mode_values(zs)
+    big = HeatKernelTruncation(Lambda(4), 20)
+    assert big._spectrum is small._spectrum and small._spectrum.degree == 20
+    assert small.modes is modes and big.modes[:len(small)] == modes
+    assert all(a is b for a, b in zip(big.modes, modes))
+    # the old truncation, and a new one cut from the grown spectrum's store
+    again = HeatKernelTruncation(Lambda(4), 10)
+    assert again._store is not small._store
+    for trunc in (small, again):
+        got = trunc.mode_values(zs)
+        assert got.tobytes() == vals.tobytes()
+        assert trunc._mass.tobytes() == small._mass.tobytes()
+        assert trunc._cond.tobytes() == small._cond.tobytes()
+
+
+@pytest.mark.parametrize("m", [20, 80])
+def test_lattice_is_the_point_map(m):
+    zs = []
+    for i in range(m + 1):
+        for j in range(m + 1 - i):
+            k = m - i - j
+            x = (i * V0[0] + j * V1[0] + k * V2[0]) / m
+            y = (i * V0[1] + j * V1[1] + k * V2[1]) / m
+            zs.append(triangle_to_deltoid(TrianglePoint(x, y)).Z)
+    assert _lattice(m).tobytes() == np.array(zs, dtype=complex).tobytes()
 
 
 def test_supnorm_anchors_for_z_itself():

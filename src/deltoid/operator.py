@@ -15,18 +15,30 @@ For polynomial f, g the chain rule gives
     L(f)    = -lam Z fZ - lam Zbar fZb
               + fZZ G(Z,Z) + 2 fZZb G(Z,Zbar) + fZbZb G(Zbar,Zbar)
 
-with subscripts denoting partials.  No other formula for G or L appears
-anywhere in the package; identities about the boundary polynomial, the
-Hessian of its logarithm, and curvature tensors are all stated as exact
-polynomial identities (denominators cleared by powers of the boundary
-polynomial, divided back out with exact division).
+with subscripts denoting partials.  The kernels apply it term by term on
+the integer numerators.  A pair of monomials Z^i1 Zbar^j1, Z^i2 Zbar^j2
+contributes its coefficient product times i1 i2, i1 j2 + j1 i2 and j1 j2
+to the three G entries at base exponent (i1 + i2, j1 + j2); one monomial
+Z^i Zbar^j of f contributes -lam (i + j) to L f at its own exponent and
+i (i - 1), 2 i j and j (j - 1) to the entries at (i, j).  Each entry map is
+then spread once over the terms of G11, G12 and G22, read as data from
+those polynomials, and the result is normalised once.
+
+The G entries stay as polynomials here: nothing in this module knows the
+eigenvalue mu(i, j) that the back-substitution stencil of eigen.py gets by
+collapsing them.  So the exact residual L P + mu P = 0 compares two
+separate derivations of the operator.  Identities about the boundary
+polynomial, the Hessian of its logarithm, and curvature tensors are all
+stated as exact polynomial identities (denominators cleared by powers of
+the boundary polynomial, divided back out with exact division).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .exact import BivarPoly, CRat, Rat, as_rat, c_prod, Z, ZBAR
+from .exact import BivarPoly, CRat, Rat, _make, as_rat, c_prod, Z, ZBAR
 
 
 @dataclass(frozen=True)
@@ -111,23 +123,105 @@ class HermitianTensorField:
         )
 
 
+# the G entries over their common denominator, as data for the kernels:
+# per entry, its terms ((di, dj), re, im) with the exponent shift of its
+# chain-rule slot (Z^-2, Z^-1 Zbar^-1, Zbar^-2) folded into (di, dj)
+_G_DEN = lcm(G11.den, G12.den, G22.den)
+_G_SPREAD = tuple(
+    tuple(((gi + si, gj + sj), re * (_G_DEN // e.den), im * (_G_DEN // e.den))
+          for (gi, gj), (re, im) in e.num.items())
+    for e, (si, sj) in ((G11, (-2, 0)), (G12, (-1, -1)), (G22, (0, -2)))
+)
+
+
+def _spread(out: dict, entries) -> None:
+    """Add each entry map, times the terms of its G entry, into out."""
+    get = out.get
+    for m, g_terms in zip(entries, _G_SPREAD):
+        for (bi, bj), (vr, vi) in m.items():
+            if not (vr or vi):
+                continue
+            for (di, dj), gr, gi in g_terms:
+                key = (bi + di, bj + dj)
+                re = vr * gr - vi * gi
+                im = vr * gi + vi * gr
+                s = get(key)
+                if s is not None:
+                    re += s[0]
+                    im += s[1]
+                    if not (re or im):
+                        del out[key]
+                        continue
+                out[key] = (re, im)
+
+
+def _pair_into(entries, i1: int, j1: int, a: int, b: int, terms) -> None:
+    # the term (a + b i) Z^i1 Zbar^j1 paired with each of terms: the
+    # product, times its three chain-rule weights, at the base exponent
+    m11, m12, m22 = entries
+    for (i2, j2), (c, d) in terms:
+        re = a * c - b * d
+        im = a * d + b * c
+        key = (i1 + i2, j1 + j2)
+        w = i1 * i2
+        if w:
+            s = m11.get(key)
+            m11[key] = (re * w, im * w) if s is None else (s[0] + re * w, s[1] + im * w)
+        w = i1 * j2 + j1 * i2
+        if w:
+            s = m12.get(key)
+            m12[key] = (re * w, im * w) if s is None else (s[0] + re * w, s[1] + im * w)
+        w = j1 * j2
+        if w:
+            s = m22.get(key)
+            m22[key] = (re * w, im * w) if s is None else (s[0] + re * w, s[1] + im * w)
+
+
 def gamma(f: BivarPoly, g: BivarPoly) -> BivarPoly:
-    fz, fw = f.partial("Z"), f.partial("Zbar")
-    gz, gw = g.partial("Z"), g.partial("Zbar")
-    return fz * gz * G11 + (fz * gw + fw * gz) * G12 + fw * gw * G22
+    entries = ({}, {}, {})
+    ft = list(f.num.items())
+    if f is g:
+        # G is symmetric: each unordered pair once, off the diagonal twice
+        for n, ((i1, j1), (a, b)) in enumerate(ft):
+            _pair_into(entries, i1, j1, a, b, ft[n:n + 1])
+            _pair_into(entries, i1, j1, a + a, b + b, ft[n + 1:])
+    else:
+        gt = list(g.num.items())
+        for (i1, j1), (a, b) in ft:
+            _pair_into(entries, i1, j1, a, b, gt)
+    out = {}
+    _spread(out, entries)
+    return _make(out, f.den * g.den * _G_DEN)
 
 
 def generator(f: BivarPoly, lam) -> BivarPoly:
     lv = _lam(lam)
-    fz, fw = f.partial("Z"), f.partial("Zbar")
-    fzz = fz.partial("Z")
-    fzw = fz.partial("Zbar")
-    fww = fw.partial("Zbar")
-    drift = (Z * fz + ZBAR * fw).scale(CRat(-lv))
-    return drift + fzz * G11 + fzw.scale(2) * G12 + fww * G22
+    ln, ld = int(lv.numerator), int(lv.denominator)
+    drift = -ln * _G_DEN
+    out = {}
+    m11, m12, m22 = {}, {}, {}
+    for (i, j), (re, im) in f.num.items():
+        w = drift * (i + j)
+        if w:
+            out[(i, j)] = (re * w, im * w)
+        re *= ld
+        im *= ld
+        w = i * (i - 1)
+        if w:
+            m11[(i, j)] = (re * w, im * w)
+        w = 2 * i * j
+        if w:
+            m12[(i, j)] = (re * w, im * w)
+        w = j * (j - 1)
+        if w:
+            m22[(i, j)] = (re * w, im * w)
+    _spread(out, (m11, m12, m22))
+    return _make(out, f.den * ld * _G_DEN)
 
 
 def gamma2(f: BivarPoly, g: BivarPoly, lam) -> BivarPoly:
+    if f is g:
+        return generator(gamma(f, f), lam).scale(_HALF) - gamma(f, generator(f, lam))
     t = generator(gamma(f, g), lam) - gamma(f, generator(g, lam)) - gamma(g, generator(f, lam))
     return t.scale(_HALF)
 

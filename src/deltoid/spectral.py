@@ -55,6 +55,16 @@ class FitReport:
     details: dict = field(default_factory=dict)
 
 
+def growth_cap(rep: FitReport) -> float:
+    """The largest growth exponent a sup-norm or H_k fit may pass with."""
+    return rep.target + GROWTH_SLACK
+
+
+def growth_passed(rep: FitReport) -> bool:
+    """Whether a sup-norm or H_k growth fit stays within its cap."""
+    return rep.exponent <= growth_cap(rep)
+
+
 class _Spectrum:
     """The exact modes of one lam in truncation order, with one float store.
 

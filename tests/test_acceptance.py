@@ -16,3 +16,11 @@ def test_criterion(number, name, capsys):
         print()
         print(res.line())
     assert res.passed, f"criterion {number} {name}: {res.summary}"
+
+
+def test_eigen_system_summary_counts_each_check_once():
+    # residuals: three lam, every (p, q) with p + q <= 20, 231 each;
+    # products: the 91 modes of degree <= 12 give 91 * 90 / 2 = 4095
+    # distinct pairs per lam
+    res = run_criterion(4)
+    assert res.summary == f"{3 * 231} exact eigen residuals, {3 * 4095} zero products"

@@ -3,8 +3,9 @@
 The reference is a plain dict {(i, j): (re, im)} of fractions.Fraction
 pairs with schoolbook arithmetic.  It uses fractions.Fraction directly,
 whatever rational backend deltoid picked, so every check below compares
-the integer-numerator BivarPoly and the fraction-free eigen solver with
-an independent Fraction computation.
+the integer-numerator BivarPoly, the term-by-term carre du champ kernels
+and the fraction-free eigen solver with an independent Fraction
+computation.
 """
 
 import math
@@ -16,7 +17,7 @@ import pytest
 
 from deltoid.eigen import solve_eigenpoly
 from deltoid.exact import BivarPoly, CRat, Rat
-from deltoid.operator import Lambda
+from deltoid.operator import Lambda, boundary_poly, gamma, gamma2, generator
 
 
 # -- the reference ------------------------------------------------------
@@ -242,6 +243,122 @@ def test_terms_view_and_coeff_agree_with_reference():
             assert (F(view[k].re), F(view[k].im)) == (re, im)
         with pytest.raises(TypeError):
             view[(9, 9)] = CRat(1)
+
+
+# -- the carre du champ operator -------------------------------------------
+#
+# Gamma, L and Gamma_2 restated by composition: partials, products with
+# the G entries, sums.  The G entries are written from the five generating
+# relations, not read from the package.
+
+
+def real(x):
+    return (F(x), F(0))
+
+
+REF_Z = {(1, 0): real(1)}
+REF_ZBAR = {(0, 1): real(1)}
+REF_G11 = {(0, 1): real(1), (2, 0): real(-1)}            # G(Z, Z) = Zbar - Z^2
+REF_G22 = {(1, 0): real(1), (0, 2): real(-1)}            # G(Zbar, Zbar) = Z - Zbar^2
+REF_G12 = {(0, 0): real(F(1, 2)), (1, 1): real(F(-1, 2))}  # G(Z, Zbar) = (1 - Z Zbar)/2
+
+
+def ref_gamma(a, b):
+    az, aw = ref_partial(a, "Z"), ref_partial(a, "Zbar")
+    bz, bw = ref_partial(b, "Z"), ref_partial(b, "Zbar")
+    out = ref_mul(ref_mul(az, bz), REF_G11)
+    out = ref_add(out, ref_mul(ref_add(ref_mul(az, bw), ref_mul(aw, bz)), REF_G12))
+    return ref_add(out, ref_mul(ref_mul(aw, bw), REF_G22))
+
+
+def ref_generator(a, lam):
+    # L(Z) = -lam Z and L(Zbar) = -lam Zbar give the drift
+    az, aw = ref_partial(a, "Z"), ref_partial(a, "Zbar")
+    drift = ref_scale(ref_add(ref_mul(REF_Z, az), ref_mul(REF_ZBAR, aw)), real(-lam))
+    out = ref_add(drift, ref_mul(ref_partial(az, "Z"), REF_G11))
+    out = ref_add(out, ref_scale(ref_mul(ref_partial(az, "Zbar"), REF_G12), real(2)))
+    return ref_add(out, ref_mul(ref_partial(aw, "Zbar"), REF_G22))
+
+
+def ref_gamma2(a, b, lam):
+    t = ref_generator(ref_gamma(a, b), lam)
+    t = ref_add(t, ref_gamma(a, ref_generator(b, lam)), -1)
+    t = ref_add(t, ref_gamma(b, ref_generator(a, lam)), -1)
+    return ref_scale(t, real(F(1, 2)))
+
+
+def lam_of(lam):
+    return Lambda(Rat(lam.numerator, lam.denominator))
+
+
+def assert_operator_matches(a, b, lam):
+    """Gamma(a, b), L a and Gamma_2(a, b) against the reference, canonical."""
+    pa, pb, pl = to_poly(a), to_poly(b), lam_of(lam)
+    for got, want in (
+        (gamma(pa, pb), ref_gamma(a, b)),
+        (generator(pa, pl), ref_generator(a, lam)),
+        (gamma2(pa, pb, pl), ref_gamma2(a, b, lam)),
+    ):
+        assert_canonical(got)
+        assert ref_of(got) == want
+
+
+def test_operator_matches_reference_on_forms():
+    # complex coefficients, and numerators near 10^40 in every fifth form
+    lams = (F(4), F(1), F(7, 2), F(9, 5), F(1, 2))
+    for n, (a, b, _) in enumerate(forms(108, count=25)):
+        assert_operator_matches(a, b, lams[n % len(lams)])
+
+
+@pytest.mark.parametrize("lam", [F(4), F(1), F(7, 2), F(9, 5), F(1, 2)])
+def test_operator_matches_reference_on_eigenpolynomials(lam):
+    pl = lam_of(lam)
+    polys = [ref_of(solve_eigenpoly(p, t - p, pl).poly)
+             for t in range(13) for p in range(t + 1)]
+    for a in polys:
+        assert ref_of(generator(to_poly(a), pl)) == ref_generator(a, lam)
+    # Gamma and Gamma_2 on pairs that reach degree 12 without running the
+    # Fraction reference on all 91^2 of them
+    for k in range(1, len(polys), 15):
+        assert_operator_matches(polys[k], polys[-1 - k], lam)
+
+
+def test_operator_matches_reference_on_boundary_powers():
+    # P and P^2 are the inputs of the Hessian of log P
+    P = ref_of(boundary_poly())
+    P2 = ref_mul(P, P)
+    for a, b in ((P, P), (P, P2), (P2, REF_Z), (REF_ZBAR, P)):
+        assert_operator_matches(a, b, F(4))
+    # G(Z, P) = -3 Z P in the reference too
+    assert ref_gamma(REF_Z, P) == ref_scale(ref_mul(REF_Z, P), real(-3))
+
+
+def test_operator_on_zero_and_constants():
+    rng = random.Random(109)
+    f = rand_ref(rng)
+    for c in ({}, {(0, 0): real(F(3, 7))}, {(0, 0): (F(0), F(-2, 5))}):
+        assert_operator_matches(c, f, F(7, 2))
+        assert_operator_matches(f, c, F(9, 5))
+        assert_operator_matches(c, c, F(1))
+        pc = to_poly(c)
+        for got in (gamma(pc, to_poly(f)), generator(pc, Lambda(4)), gamma2(pc, pc, Lambda(4))):
+            assert got.is_zero() and got.den == 1
+
+
+def test_same_object_paths_match_distinct_objects():
+    # gamma and gamma2 take a shortcut when both arguments are one object;
+    # an equal but distinct second argument takes the general path
+    lams = (F(4), F(1, 2), F(9, 5))
+    for n, (a, _, _) in enumerate(forms(110, count=20)):
+        lam = lams[n % len(lams)]
+        f, g = to_poly(a), to_poly(a)
+        assert f is not g and f == g
+        same, general = gamma(f, f), gamma(f, g)
+        assert_canonical(same)
+        assert same == general and ref_of(same) == ref_gamma(a, a)
+        same, general = gamma2(f, f, lam_of(lam)), gamma2(f, g, lam_of(lam))
+        assert_canonical(same)
+        assert same == general and ref_of(same) == ref_gamma2(a, a, lam)
 
 
 # -- float conversion -----------------------------------------------------

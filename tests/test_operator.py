@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from deltoid import operator
 from deltoid.exact import BivarPoly, CRat, Rat, Z, ZBAR
 from deltoid.operator import (
     GammaMatrix,
@@ -203,6 +204,30 @@ def test_gamma2_basics():
     g = rand_poly(rng, imag=True)
     assert gamma2(f, g, lam) == gamma2(g, f, lam)
     assert gamma2(ONE, f, lam).is_zero()
+
+
+def test_gamma2_nested_call_counts(monkeypatch):
+    # gamma2 reaches gamma and generator through the module, so a wrapper
+    # on either sees every nested call: Gamma(f, Lf) once when both
+    # arguments are one object, both cross terms otherwise
+    calls = {"gamma": 0, "generator": 0}
+    for name in calls:
+        original = getattr(operator, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(operator, name, counted)
+    rng = random.Random(10)
+    f = rand_poly(rng, imag=True)
+    g = rand_poly(rng, imag=True)
+    lam = Lambda(Rat(7, 2))
+    operator.gamma2(f, f, lam)
+    assert calls == {"gamma": 2, "generator": 2}
+    calls.update(gamma=0, generator=0)
+    operator.gamma2(f, g, lam)
+    assert calls == {"gamma": 3, "generator": 3}
 
 
 def test_gamma2_closed_form_ZZ():

@@ -11,11 +11,14 @@ from deltoid.exact import BivarPoly, CRat, HornerProgram, Rat
 from deltoid.geometry import V0, V1, V2, TrianglePoint, triangle_to_deltoid
 from deltoid.operator import Lambda
 from deltoid.spectral import (
+    GROWTH_SLACK,
     FitReport,
     HeatKernelTruncation,
     KernelReport,
     TruncationInsufficient,
     _lattice,
+    growth_cap,
+    growth_passed,
     heat_diag,
     heat_diag_sups,
     hk_bound_check,
@@ -185,6 +188,16 @@ def exact_abs(poly, z):
         re += cr * pr - ci * pi
         im += cr * pi + ci * pr
     return math.sqrt((re * re + im * im) / poly.den**2)
+
+
+def test_growth_rule_is_inclusive_at_the_cap():
+    rep = FitReport(window=(10, 30), exponent=2.0 + GROWTH_SLACK, residual=0.0,
+                    target=2.0)
+    assert growth_cap(rep) == 2.0 + GROWTH_SLACK
+    assert growth_passed(rep)
+    above = FitReport(window=(10, 30), exponent=math.nextafter(growth_cap(rep), 3.0),
+                      residual=0.0, target=2.0)
+    assert not growth_passed(above)
 
 
 def test_supnorm_growth_lam4():

@@ -85,7 +85,7 @@ def _c03_hessian_reduction():
 
 
 def _c04_eigen_system():
-    from .eigen import eigenvalue, inner_product, moments, solve_eigenpoly
+    from .eigen import eigenvalue, moments, solve_eigenpoly
 
     lams = [Lambda(4), Lambda(1), Lambda(Rat(7, 2))]
     checked = 0
@@ -100,21 +100,40 @@ def _c04_eigen_system():
                 if not res.is_zero():
                     return False, f"residual nonzero at {(p, q, lam)}"
                 checked += 1
-    pairs = 0
+    pairs = norms = 0
     for lam in lams:
-        table = moments(lam, 24)
-        polys = [
-            solve_eigenpoly(p, t - p, lam)
-            for t in range(13)
-            for p in range(t + 1)
-        ]
-        for i in range(len(polys)):
-            for j in range(i + 1, len(polys)):
-                ip = inner_product(polys[i].poly, polys[j].poly, table)
-                if ip != 0:
-                    return False, f"inner product nonzero for pair {(i, j)}"
-                pairs += 1
-    return True, f"{checked} exact eigen residuals, {pairs} zero products"
+        mnum, mden = moments(lam, 24).integers()
+        eps = [solve_eigenpoly(p, t - p, lam) for t in range(13) for p in range(t + 1)]
+        # <f, g> = sum over g's terms (k, l) of conj(g_kl) u_f(l, k), with
+        # the moment vector u_f(l, k) = sum_ij f_ij m(i + l, j + k) formed
+        # once per mode; each product is an integer over f.den g.den mden
+        monos = [(i, t - i) for t in range(13) for i in range(t + 1)]
+        for a, ep in enumerate(eps):
+            u = {}
+            for l, k in monos:
+                ur = ui = 0
+                for (i, j), (fr, fi) in ep.poly.num.items():
+                    m = mnum.get((i + l, j + k))
+                    if m:
+                        ur += fr * m
+                        ui += fi * m
+                u[(l, k)] = (ur, ui)
+            for b in range(a, len(eps)):
+                re = im = 0
+                for (k, l), (gr, gi) in eps[b].poly.num.items():
+                    ur, ui = u[(l, k)]
+                    re += gr * ur + gi * ui
+                    im += gr * ui - gi * ur
+                if b == a:
+                    if im or Rat(re, ep.poly.den ** 2 * mden) != ep.norm2:
+                        return False, f"<P, P> != norm2 at {(ep.p, ep.q, lam)}"
+                    norms += 1
+                elif re or im:
+                    return False, f"inner product nonzero for pair {(a, b)}"
+                else:
+                    pairs += 1
+    return True, (f"{checked} exact eigen residuals, {pairs} zero products, "
+                  f"{norms} exact norms")
 
 
 def _c05_moments_and_haar():

@@ -29,7 +29,8 @@ import numpy as np
 from .exact import BivarPoly, CRat, Rat, Z, ZBAR, as_rat
 from .geometry import (
     DeltoidPoint,
-    interior_lattice,
+    _bary_xy,
+    plane_to_deltoid,
     sample_interior,
     triangles_to_deltoid,
     w_density,
@@ -150,8 +151,11 @@ def _below(a, b) -> bool:
 
 
 def _points_array(points):
-    zs = np.fromiter((d.Z if isinstance(d, DeltoidPoint) else complex(d) for d in points),
-                     dtype=complex)
+    if isinstance(points, np.ndarray):
+        zs = np.asarray(points, dtype=complex).ravel()
+    else:
+        zs = np.fromiter((d.Z if isinstance(d, DeltoidPoint) else complex(d)
+                          for d in points), dtype=complex)
     if not zs.size:
         raise ValueError("no points to check")
     return zs
@@ -181,8 +185,21 @@ def psd_check(t: HermitianTensorField, points, tol: float = 1e-12) -> PsdReport:
 
 
 def deltoid_grid(m: int):
-    """Mapped barycentric grid; includes the medians, hence the cusp rays."""
-    return triangles_to_deltoid(interior_lattice(m))
+    """Z on the mapped barycentric grid, a 1-d complex array.
+
+    The points of interior_lattice(m), in its order: (i, j, k) with
+    i + j + k = m, all >= 1, i then j ascending.  It includes the
+    medians, hence the cusp rays.  The plane coordinates are
+    _bary_to_plane's arithmetic on arrays, so each Z has the bits of
+    triangle_to_deltoid at that lattice point (see plane_to_deltoid).
+    """
+    if m < 3:
+        raise ValueError("need m >= 3")
+    r, c = np.triu_indices(m - 2)
+    i = r + 1
+    j = c - r + 1
+    k = m - i - j
+    return plane_to_deltoid(*_bary_xy(i / m, j / m, k / m))
 
 
 # exact univariate helpers, coefficient lists lowest power first

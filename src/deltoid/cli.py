@@ -311,8 +311,12 @@ def _run_heat_trace(args):
 def _run_bounds_supnorm(args):
     from .spectral import growth_passed, supnorm_bound_check
 
-    rep = supnorm_bound_check(Lambda(args.lam), args.max_degree,
-                              grid_m=args.grid_m)
+    try:
+        rep = supnorm_bound_check(Lambda(args.lam), args.max_degree,
+                                  grid_m=args.grid_m)
+    except ValueError as exc:
+        print(f"bounds supnorm: {exc}", file=sys.stderr)
+        return 1
     config = RunConfig(command="bounds supnorm", lam=_rat_str(args.lam),
                        degree=args.max_degree, grid=args.grid_m, out=args.out)
     result = {
@@ -330,7 +334,11 @@ def _run_bounds_supnorm(args):
 def _run_bounds_hk(args):
     from .spectral import growth_passed, hk_bound_check
 
-    rep = hk_bound_check(Lambda(args.lam), args.max_k, seed=args.seed)
+    try:
+        rep = hk_bound_check(Lambda(args.lam), args.max_k, seed=args.seed)
+    except ValueError as exc:
+        print(f"bounds hk: {exc}", file=sys.stderr)
+        return 1
     config = RunConfig(command="bounds hk", lam=_rat_str(args.lam),
                        degree=args.max_k, seed=args.seed, out=args.out)
     result = {

@@ -8,10 +8,18 @@ three lower-degree monomials:
                     + i j    Z^(i-1) Zbar^(j-1)
                     + j(j-1) Z^(i+1) Zbar^(j-2)
 
-with mu_{i,j} = (lam-1)(i+j) + i^2 + ij + j^2.  Everything here follows
-from that one display: the eigen solver back-substitutes it, the moment
-recursion integrates it against the invariant measure, and inner products
-expand into moments.
+with mu_{i,j} = (lam-1)(i+j) + i^2 + ij + j^2.  The eigen solver
+back-substitutes that display, and the moment recursion integrates it
+against the invariant measure; `moments`, `inner_product` and the heat
+truncation's `integrates_to_delta` read the moments.
+
+The squared norms do not.  The eigenpolynomials are the A2
+Heckman-Opdam (Jack-type) polynomials of multiplicity k = (lam - 1)/3,
+and their norms have a closed product formula (Macdonald, Symmetric
+Functions and Hall Polynomials, 2nd ed., VI.10; Heckman and Opdam
+1987), which `_norm2` evaluates in integers.  The moments therefore
+give an independent cross-check: <P, P> = norm2 from a moment table is
+asserted in the tests, in acceptance and in the spectrum benchmark.
 
 Each lowering move drops i^2+ij+j^2 by at least 3 while dropping total
 degree by at most 2, so mu strictly decreases along moves for every
@@ -21,7 +29,6 @@ believed unreachable; it stays as a defensive check on the divide.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from math import gcd
 
@@ -132,25 +139,34 @@ def moments(lam, max_degree: int) -> MomentTable:
     return MomentTable(lam if isinstance(lam, Lambda) else Lambda(lam), max_degree)
 
 
-# moment tables are expensive only through their largest degree, so keep
-# one growable table per lambda for the solver's internal needs, for the
-# _TABLE_CACHE_SIZE lambdas used last; a table's entries do not depend on
-# how it was grown, so an evicted lambda only costs a rebuild
-_TABLE_CACHE_SIZE = 8
-_table_cache: OrderedDict = OrderedDict()
+def _norm2(p: int, q: int, a: int, b: int) -> "Rat":
+    """||P_{p,q}||^2 at lam = a/b, from the closed A2 norm formula.
 
+    With K = a - b and B = 3b (so k = K/B), the partition (p+q, q, 0)
+    gives
 
-def _cached_table(lam: Lambda, degree: int) -> MomentTable:
-    key = (lam.value.numerator, lam.value.denominator)
-    tab = _table_cache.pop(key, None)
-    if tab is None:
-        tab = MomentTable(lam, degree)
-    else:
-        tab.extend_to(degree)
-    _table_cache[key] = tab
-    if len(_table_cache) > _TABLE_CACHE_SIZE:
-        _table_cache.popitem(last=False)
-    return tab
+        9^-(p+q) prod over (s, d) in {(1, p), (1, q), (2, p+q)} of
+            prod_{t<d} (K(s+1) + Bt)/(Ks + Bt) * (K(s-1) + B(1+t))/(Ks + B(1+t)),
+
+    where the first factor at t = 0 is read as (s+1)/s: that is its
+    value for K != 0 and the right limit at lam = 1, where K = 0.  For
+    t >= 1 every factor is positive because K > -b, so the norm is
+    positive for every lam > 0.  One Rat is formed from the integer
+    products at the end.
+    """
+    K, B = a - b, 3 * b
+    num, den = 1, 9 ** (p + q)
+    for s, d in ((1, p), (1, q), (2, p + q)):
+        for t in range(d):
+            if t:
+                num *= K * (s + 1) + B * t
+                den *= K * s + B * t
+            else:
+                num *= s + 1
+                den *= s
+            num *= K * (s - 1) + B * (1 + t)
+            den *= K * s + B * (1 + t)
+    return Rat(num, den)
 
 
 def solve_eigenpoly(p: int, q: int, lam) -> EigenPolynomial:
@@ -209,15 +225,8 @@ def solve_eigenpoly(p: int, q: int, lam) -> EigenPolynomial:
                 if w:
                     incoming[tgt] = incoming.get(tgt, 0) + w * c
     poly = _make({k: (n * (den // d), 0) for k, (n, d) in coeffs.items()}, den)
-    mnum, mden = _cached_table(lam, 2 * (p + q)).integers()
-    # <P, P> reduces to <P, leading monomial>: the tail of P expands in
-    # eigenpolynomials of strictly smaller mu, all orthogonal to P
-    acc = 0
-    for (i, j), (re, _) in poly.num.items():
-        m = mnum.get((i + q, j + p))
-        if m:
-            acc += re * m
-    norm2 = Rat(acc, poly.den * mden)
+    norm2 = _norm2(p, q, a, b)
+    # positive by the formula for lam > 0; kept as a defensive check
     if norm2 <= 0:
         raise NonpositiveNorm(f"nonpositive norm for P_{p},{q}")
     mu = Rat(target, b)

@@ -181,11 +181,14 @@ def period_lattice():
     )
 
 
+def _bary_xy(b0, b1, b2):
+    """Plane (x, y) of barycentric weights; floats or numpy arrays."""
+    return (b0 * V0[0] + b1 * V1[0] + b2 * V2[0],
+            b0 * V0[1] + b1 * V1[1] + b2 * V2[1])
+
+
 def _bary_to_plane(b0, b1, b2) -> TrianglePoint:
-    return TrianglePoint(
-        b0 * V0[0] + b1 * V1[0] + b2 * V2[0],
-        b0 * V0[1] + b1 * V1[1] + b2 * V2[1],
-    )
+    return TrianglePoint(*_bary_xy(b0, b1, b2))
 
 
 def _square_to_triangle(u: float, v: float) -> TrianglePoint:

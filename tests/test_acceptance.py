@@ -21,6 +21,7 @@ def test_criterion(number, name, capsys):
 def test_eigen_system_summary_counts_each_check_once():
     # residuals: three lam, every (p, q) with p + q <= 20, 231 each;
     # products: the 91 modes of degree <= 12 give 91 * 90 / 2 = 4095
-    # distinct pairs per lam
+    # distinct pairs per lam; norms: <P, P> = norm2 for those 91 modes
     res = run_criterion(4)
-    assert res.summary == f"{3 * 231} exact eigen residuals, {3 * 4095} zero products"
+    assert res.summary == (f"{3 * 231} exact eigen residuals, {3 * 4095} zero products, "
+                           f"{3 * 91} exact norms")

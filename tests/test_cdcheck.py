@@ -26,7 +26,7 @@ from deltoid.cdcheck import (
     triangle_b,
 )
 from deltoid.exact import BivarPoly, CRat, Rat, Z, ZBAR
-from deltoid.geometry import sample_interior, triangle_to_deltoid
+from deltoid.geometry import interior_lattice, sample_interior, triangle_to_deltoid
 from deltoid.operator import Lambda, boundary_poly, gamma, gamma2, generator
 
 
@@ -142,14 +142,32 @@ def psd_check_per_point(t, points, tol=1e-12):
 def test_psd_check_matches_per_point_loop(b1):
     t = tensor_residual(Rat(1, 6), b1)
     grid = deltoid_grid(40)
-    points = grid + [0.975 + 0j, -0.2 + 0.1j]
+    points = list(grid) + [0.975 + 0j, -0.2 + 0.1j]
     rep = psd_check(t, points)
     assert rep == psd_check_per_point(t, points)
     assert type(rep.worst_point) is complex and type(rep.min_margin2) is float
     # one point at a time through psd_margins, too
-    m1, m2 = t.psd_margins(np.array([d.Z for d in grid]))
+    m1, m2 = t.psd_margins(grid)
     for k in (0, 7, len(grid) - 1):
-        assert (m1[k], m2[k]) == t.psd_margins(grid[k].Z)
+        assert (m1[k], m2[k]) == t.psd_margins(complex(grid[k]))
+
+
+@pytest.mark.parametrize("m", [3, 40, 200])
+def test_deltoid_grid_is_the_point_map(m):
+    # the array grid has the bits of the per-point map, in lattice order
+    want = [triangle_to_deltoid(p).Z for p in interior_lattice(m)]
+    grid = deltoid_grid(m)
+    assert grid.dtype == complex and grid.shape == (len(want),)
+    assert grid.tobytes() == np.array(want, dtype=complex).tobytes()
+    # an array of points reports what the same points as a list report
+    t = tensor_residual(Rat(1, 6), Rat(113, 50))
+    assert psd_check(t, grid) == psd_check(t, want)
+
+
+@pytest.mark.parametrize("m", [2, 0, -1])
+def test_deltoid_grid_needs_m_at_least_3(m):
+    with pytest.raises(ValueError):
+        deltoid_grid(m)
 
 
 def test_psd_check_counts_nonfinite_margins_as_failures():

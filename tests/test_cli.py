@@ -167,6 +167,19 @@ def test_bounds_subcommands(capsys):
     assert code == 0 and rep["result"]["passed"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "supnorm", "--lambda", "1/2"],
+    ["bounds", "hk", "--lambda", "1/2", "--max-k", "12"],
+])
+def test_bounds_below_lambda_one_fail_with_one_line(capsys, argv):
+    # the growth bounds are stated for lam >= 1; below it the command
+    # says so on stderr and exits nonzero, with no report and no traceback
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"{' '.join(argv[:2])}: stated for lam >= 1\n"
+
+
 @pytest.mark.parametrize("sizes", [
     ["bounds", "supnorm", "--lambda", "4", "--max-degree", "12", "--grid-m", "30"],
     ["bounds", "supnorm", "--lambda", "4"],

@@ -285,15 +285,8 @@ def test_equal_mu_pair_still_orthogonal():
 
 
 def test_nonpositive_norm_is_a_typed_error(monkeypatch):
-    # with every moment's sign flipped each squared norm comes out negative
-    table = MomentTable(Lambda(4), 4)
-
-    class Flipped:
-        def integers(self):
-            num, den = table.integers()
-            return {k: -v for k, v in num.items()}, den
-
-    monkeypatch.setattr(eigen, "_cached_table", lambda lam, degree: Flipped())
+    # a norm helper that returns a negative squared norm must be rejected
+    monkeypatch.setattr(eigen, "_norm2", lambda p, q, a, b: Rat(-1, 9))
     with pytest.raises(NonpositiveNorm):
         solve_eigenpoly(1, 1, Lambda(4))
 
@@ -308,16 +301,20 @@ def test_eigenvalue_count_is_a_typed_error(monkeypatch):
         hk_space(2, Lambda(4))
 
 
-def test_moment_cache_is_bounded(monkeypatch):
-    # solving at more lambdas than the cache holds keeps it at its bound,
-    # the lambdas used last, and every solve equals one on a fresh cache
-    monkeypatch.setattr(eigen, "_table_cache", type(eigen._table_cache)())
-    lams = [Lambda(Rat(k, 3)) for k in range(4, 4 + eigen._TABLE_CACHE_SIZE + 3)]
-    cached = [solve_eigenpoly(p, q, lam) for p, q in ((2, 1), (3, 2)) for lam in lams]
-    keys = [(lam.value.numerator, lam.value.denominator) for lam in lams]
-    assert list(eigen._table_cache) == keys[-eigen._TABLE_CACHE_SIZE:]
-    fresh = []
-    for ep in cached:
-        eigen._table_cache.clear()
-        fresh.append(solve_eigenpoly(ep.p, ep.q, ep.lam))
-    assert fresh == cached
+def test_solver_and_truncation_build_no_moment_table(monkeypatch):
+    # norms come from the closed formula: neither a solve nor a fresh
+    # truncation tabulates moments.  No other test holds lam = 11/3, so
+    # the truncation solves every one of its modes here
+    from deltoid import spectral
+
+    def refuse(self, max_degree):
+        raise AssertionError("a moment table was built")
+
+    monkeypatch.setattr(MomentTable, "extend_to", refuse)
+    lam = Lambda(Rat(11, 3))
+    assert (11, 3) not in spectral._spectra
+    trunc = HeatKernelTruncation(lam, 20)
+    assert len(trunc) == 231
+    ep = solve_eigenpoly(7, 4, lam)
+    assert ep.norm2 == trunc.modes[66 + 4].norm2 > 0  # degree 11, p = 7
+

@@ -513,7 +513,8 @@ def ref_records(coeffs):
     ]
 
 
-@pytest.mark.parametrize("lam", [F(4), F(1), F(7, 2), F(9, 5)])
+@pytest.mark.parametrize("lam", [F(4), F(1), F(7, 2), F(9, 5), F(1, 2), F(1, 10),
+                                 F(100)])
 def test_solve_eigenpoly_matches_fraction_backsubstitution(lam):
     table = ref_moments(lam, 24)
     lam_rat = Lambda(Rat(lam.numerator, lam.denominator))

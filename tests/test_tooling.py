@@ -1,22 +1,34 @@
-"""The benchmark's span targets must name attributes the package has.
+"""The benchmark's definition must keep working against the package.
 
 perfbench/spans.py wraps package functions by dotted name for its traced
-run; a rename in the package would make that run fail.  The file is
-loaded read-only, by path, and nothing is wrapped.
+run; a rename in the package would make that run fail.  The workloads in
+perfbench/workloads.py hold the package's answers to the paper's values;
+a program change that misses one of them should fail here, before any
+benchmark runs.  Both files are loaded read-only, by path, and nothing
+is wrapped.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+import deltoid
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _spans():
+    return _load("spans")
 
 
 def test_every_span_target_resolves():
@@ -27,3 +39,13 @@ def test_every_span_target_resolves():
         for part in target.attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), target
+
+
+@pytest.mark.parametrize("workload", ["Spectrum", "Calculus", "Measure"])
+def test_workloads_pass_once(workload):
+    # one pass at seed 0 misses no check
+    workloads = _load("workloads")
+    tally = workloads.Tally()
+    getattr(workloads, workload)(deltoid, 0).run(tally)
+    assert tally.total > 0
+    assert tally.missed == []

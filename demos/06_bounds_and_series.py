@@ -15,7 +15,7 @@ from deltoid import (
     sobolev_series_check,
     supnorm_bound_check,
 )
-from deltoid.spectral import _sup_grid
+from deltoid.spectral import _kernel_check_grid
 
 print("= per-mode sup-norm growth, lambda = 4 =")
 rep = supnorm_bound_check(Lambda(4), 30)
@@ -39,7 +39,7 @@ print(f"(with the operator-norm exponent (p+1)/2 instead, the same data"
 
 print()
 print("= multiplier kernels =")
-grid = _sup_grid()
+grid = _kernel_check_grid()
 ke = kernel_bound_check(lambda k: math.exp(-k), Lambda(4), 12, grid)
 print(f"nu = e^-k : kernel sup {ke.sup_abs:.3f} <= series {ke.series_value:.1f}")
 kd = kernel_bound_check([1.0], Lambda(4), 12, grid)

@@ -263,10 +263,8 @@ def _c10_heat_slopes():
     rep4 = ultracontractivity_fit(
         Lambda(4), (0.02, 0.2), HeatKernelTruncation(Lambda(4), 40)
     )
-    # degree capped at 25 for lam = 1: double precision cannot evaluate
-    # deeper modes near the cusps (see spectral.evaluation_noise)
     rep1 = ultracontractivity_fit(
-        Lambda(1), (0.02, 0.2), HeatKernelTruncation(Lambda(1), 25)
+        Lambda(1), (0.02, 0.2), HeatKernelTruncation(Lambda(1), 40)
     )
     ok = -4.5 <= rep4.exponent <= -3.5 and -1.3 <= rep1.exponent <= -0.8
     return ok, f"slopes {rep4.exponent:.3f} (target -4), {rep1.exponent:.3f} (target -1)"

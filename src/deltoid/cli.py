@@ -285,16 +285,19 @@ def _run_su3_check(args):
 
 def _run_heat_trace(args):
     from .spectral import (HeatKernelTruncation, TruncationInsufficient,
-                           _sup_grid, heat_diag_sups)
+                           heat_cusp_sups)
     import numpy as np
 
-    trunc = HeatKernelTruncation(Lambda(args.lam), args.degree)
     ts = np.exp(np.linspace(math.log(args.t_min), math.log(args.t_max),
                             args.nt))
     try:
-        rows = heat_diag_sups(trunc, ts, _sup_grid())
+        trunc = HeatKernelTruncation(Lambda(args.lam), args.degree)
+        rows = heat_cusp_sups(trunc, ts)
     except TruncationInsufficient as exc:
         print(f"truncation too shallow: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"heat trace: {exc}", file=sys.stderr)
         return 1
     if args.format == "csv" or args.csv:
         _emit_csv(("t", "sup_heat_diag"), rows, args.csv or args.out)
@@ -312,13 +315,12 @@ def _run_bounds_supnorm(args):
     from .spectral import growth_passed, supnorm_bound_check
 
     try:
-        rep = supnorm_bound_check(Lambda(args.lam), args.max_degree,
-                                  grid_m=args.grid_m)
+        rep = supnorm_bound_check(Lambda(args.lam), args.max_degree)
     except ValueError as exc:
         print(f"bounds supnorm: {exc}", file=sys.stderr)
         return 1
     config = RunConfig(command="bounds supnorm", lam=_rat_str(args.lam),
-                       degree=args.max_degree, grid=args.grid_m, out=args.out)
+                       degree=args.max_degree, out=args.out)
     result = {
         "exponent": rep.exponent,
         "target": rep.target,
@@ -377,10 +379,10 @@ _NU_CHOICES = {
 
 
 def _run_kernel_check(args):
-    from .spectral import _sup_grid, kernel_bound_check
+    from .spectral import _kernel_check_grid, kernel_bound_check
 
     rep = kernel_bound_check(_NU_CHOICES[args.nu], Lambda(args.lam),
-                             args.max_k, _sup_grid())
+                             args.max_k, _kernel_check_grid())
     config = RunConfig(command="kernel check", lam=_rat_str(args.lam),
                        degree=args.max_k, out=args.out,
                        extra={"nu": args.nu})
@@ -503,7 +505,6 @@ def build_parser():
     p = boundss.add_parser("supnorm", help="per-mode sup-norm growth")
     p.add_argument("--lambda", dest="lam", type=positive_rat_arg, required=True)
     p.add_argument("--max-degree", type=int, default=30)
-    p.add_argument("--grid-m", type=int, default=80)
     add_out(p)
     p.set_defaults(fn=_run_bounds_supnorm)
     p = boundss.add_parser("hk", help="degree-space combination growth")

@@ -170,6 +170,7 @@ def test_bounds_subcommands(capsys):
 @pytest.mark.parametrize("argv", [
     ["bounds", "supnorm", "--lambda", "1/2"],
     ["bounds", "hk", "--lambda", "1/2", "--max-k", "12"],
+    ["heat", "trace", "--lambda", "1/2"],
 ])
 def test_bounds_below_lambda_one_fail_with_one_line(capsys, argv):
     # the growth bounds are stated for lam >= 1; below it the command
@@ -181,15 +182,17 @@ def test_bounds_below_lambda_one_fail_with_one_line(capsys, argv):
 
 
 @pytest.mark.parametrize("sizes", [
-    ["bounds", "supnorm", "--lambda", "4", "--max-degree", "12", "--grid-m", "30"],
+    ["bounds", "hk", "--lambda", "4"],
+    ["kernel", "check", "--lambda", "4"],
     ["bounds", "supnorm", "--lambda", "4"],
     ["heat", "trace", "--lambda", "4", "--degree", "40", "--format", "json"],
 ])
 def test_bounds_supnorm_bytes_do_not_depend_on_blas_threads(sizes):
-    # the mode store's matrix products run in BLAS; one and two threads
-    # must give the same report bytes, also at the default sizes, whose
-    # products are large enough for BLAS to split them between threads,
-    # and for the heat diagonal, which evaluates every mode of (4, 40)
+    # the mode store's matrix products, which the H_k and kernel checks
+    # read, run in BLAS; one and two threads must give the same report
+    # bytes at the default sizes, whose products are large enough for
+    # BLAS to split them between threads.  The sup-norm and heat-trace
+    # reports, summed from exact cusp weights, must hold the same bytes
     src = os.path.dirname(os.path.dirname(deltoid.__file__))
     argv = [sys.executable, "-m", "deltoid.cli"] + sizes
     reports = []

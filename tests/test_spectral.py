@@ -1,6 +1,5 @@
 import math
 import weakref
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,8 +18,8 @@ from deltoid.spectral import (
     _lattice,
     growth_cap,
     growth_passed,
+    heat_cusp_sups,
     heat_diag,
-    heat_diag_sups,
     hk_bound_check,
     kernel_bound_check,
     sobolev_reference_value,
@@ -39,8 +38,6 @@ def trunc4():
 
 @pytest.fixture(scope="module")
 def trunc1():
-    # degree capped where double-precision evaluation is still clean;
-    # see evaluation_noise for what goes wrong at 40
     return HeatKernelTruncation(Lambda(1), 25)
 
 
@@ -139,13 +136,28 @@ def test_ultracontractivity_slope_lam4(trunc4):
     assert -4.5 <= rep.exponent <= -3.5
     assert rep.target == -4.0
     assert rep.constant > 0
-    assert rep.details["noise_fraction"] < 0.05
 
 
 def test_ultracontractivity_slope_lam1(trunc1):
     rep = ultracontractivity_fit(Lambda(1), (0.02, 0.2), trunc1)
     assert -1.3 <= rep.exponent <= -0.8
-    assert rep.details["noise_fraction"] < 1e-6
+
+
+def test_ultracontractivity_slope_lam1_at_degree_40():
+    # the sups are exact cusp values, so a deep truncation fits the heat
+    # dimension as well as a shallow one
+    deep = HeatKernelTruncation(Lambda(1), 40)
+    rep = ultracontractivity_fit(Lambda(1), (0.02, 0.2), deep)
+    assert abs(rep.exponent + 1.0) < 1e-6
+
+
+def test_heat_cusp_sups_are_the_diagonal_at_a_cusp():
+    trunc = HeatKernelTruncation(Lambda(4), 20)
+    for t, sup in heat_cusp_sups(trunc, [0.05, 0.2, 1.0]):
+        for c in CUSPS:
+            assert abs(sup - heat_diag(c, t, trunc)) <= 1e-9 * sup
+    with pytest.raises(ValueError, match="stated for lam >= 1"):
+        heat_cusp_sups(HeatKernelTruncation(Lambda(Rat(1, 2)), 2), [0.1])
 
 
 def test_ultracontractivity_flat_at_large_t(trunc4):
@@ -156,38 +168,12 @@ def test_ultracontractivity_flat_at_large_t(trunc4):
 
 
 def test_ultracontractivity_insufficient_truncation():
-    # at the origin the partial sum is O(1), so a five-level truncation
-    # cannot clear the 1% tail rule at small t; cusp-dominated grids
-    # can, their partials being orders of magnitude larger
-    shallow = HeatKernelTruncation(Lambda(4), 5)
+    # at lam = 1 the cusp weights are the orbit sizes, at most 6, so the
+    # ten modes of degree <= 3 sum to far less than 100 times the tail
+    # estimate exp(-0.135) at t = 0.02
+    shallow = HeatKernelTruncation(Lambda(1), 3)
     with pytest.raises(TruncationInsufficient):
-        ultracontractivity_fit(Lambda(4), (0.02, 0.2), shallow, grid=[0j])
-
-
-def test_evaluation_noise_cliff():
-    # the conditioning diagnostic that forces the lam=1 degree cap:
-    # at 25 the small-t diagonal is clean, at 40 it is pure noise
-    lam = Lambda(1)
-    lo = HeatKernelTruncation(lam, 25).evaluation_noise(0.02)
-    hi = HeatKernelTruncation(lam, 40).evaluation_noise(0.02)
-    assert lo < 1e-6
-    assert hi > 1e3
-    tr = HeatKernelTruncation(lam, 30)
-    assert tr.evaluation_noise(0.5) < tr.evaluation_noise(0.05)
-
-
-def exact_abs(poly, z):
-    """|poly(z, conj z)| from exact rational arithmetic at the float point z."""
-    x, y = Fraction(z.real), Fraction(z.imag)
-    re = im = Fraction(0)
-    for (i, j), (cr, ci) in poly.num.items():
-        # z^i conj(z)^j = |z|^(2 min(i, j)) z^(i - j) or conj(z)^(j - i)
-        pr, pi = (x * x + y * y) ** min(i, j), Fraction(0)
-        for _ in range(abs(i - j)):
-            pr, pi = pr * x - pi * (y if i > j else -y), pr * (y if i > j else -y) + pi * x
-        re += cr * pr - ci * pi
-        im += cr * pi + ci * pr
-    return math.sqrt((re * re + im * im) / poly.den**2)
+        ultracontractivity_fit(Lambda(1), (0.02, 0.2), shallow)
 
 
 def test_growth_rule_is_inclusive_at_the_cap():
@@ -208,68 +194,63 @@ def test_supnorm_growth_lam4():
     assert math.isfinite(rep.constant) and rep.constant > 0
     with pytest.raises(ValueError):
         supnorm_bound_check(Lambda(Rat(1, 2)), 10)
-    # the noisiest mode is (30, 0): the store's value at its grid argmax,
-    # and Horner's at the same point, stay within noise_fraction of the
-    # exact value there
-    noise = rep.details["noise_fraction"]
-    assert 0.05 < noise < 0.5
+
+
+def test_cusp_weights_are_squared_weyl_dimensions():
+    # at lam = 4 the modes are the SU(3) characters, and P(1) is the
+    # dimension (p + 1)(q + 1)(p + q + 2)/2 of a unit-norm character
     trunc = HeatKernelTruncation(Lambda(4), 30)
-    a = next(a for a, ep in enumerate(trunc.modes) if (ep.p, ep.q) == (30, 0))
-    zs = _lattice(80)
-    sup, arg = trunc._store.sup_argmax(zs)
-    z = complex(zs[arg[a]])
-    poly = trunc.modes[a].poly
-    exact = exact_abs(poly, z)
-    for got in (sup[a], abs(poly.eval(z))):
-        assert abs(got - exact) <= noise * exact
+    assert len(trunc.cusp_weights) == len(trunc) == 496
+    for ep, w in zip(trunc.modes, trunc.cusp_weights.tolist()):
+        assert w == ((ep.p + 1) * (ep.q + 1) * (ep.p + ep.q + 2) // 2) ** 2, (ep.p, ep.q)
+
+
+def _mass(ep):
+    """The coefficient mass of a mode, the sum of |coefficient|: |P| is at
+    most that on the closed domain, and float rounding noise scales with it."""
+    return sum(abs(c.real) + abs(c.imag) for _, _, c in ep.poly.complex_coeffs())
 
 
 @pytest.mark.parametrize("lam", [Lambda(4), Lambda(Rat(7, 2)), Lambda(Rat(9, 5))])
 def test_lattice_sup_sits_on_a_cusp(lam):
     # for lam >= 1 every mode peaks at the cusps, which are lattice
-    # points, so the lattice maximum is the sup-norm: |P(1)| exactly,
-    # up to the rounding of a float evaluation
+    # points, so the lattice maximum is the sup-norm: sqrt(w) ||P|| from
+    # the exact cusp weight, up to the rounding of a float evaluation
     trunc = HeatKernelTruncation(lam, 20)
     zs = _lattice(40)
     cusps = {k for k, z in enumerate(zs) if min(abs(z - c) for c in CUSPS) < 1e-12}
     assert len(cusps) == 3
-    sup, arg = trunc._store.sup_argmax(zs)
-    mass = trunc._mass
-    for a, ep in enumerate(trunc.modes):
-        assert arg[a] in cusps, (ep.p, ep.q)
-        at_one = Fraction(sum(cr for cr, _ in ep.poly.num.values()), ep.poly.den)
+    mag = np.abs(trunc._store.values(zs))
+    for a, (ep, w) in enumerate(zip(trunc.modes, trunc.cusp_weights.tolist())):
+        assert np.argmax(mag[a]) in cusps, (ep.p, ep.q)
         assert not any(ci for _, ci in ep.poly.num.values())
-        assert abs(sup[a] - abs(float(at_one))) <= spectral._EPS * mass[a]
+        exact = math.sqrt(w * float(ep.norm2))
+        assert abs(mag[a].max() - exact) <= np.finfo(float).eps * _mass(ep)
 
 
 def test_mode_table_matches_horner():
-    # |P| <= coefficient mass on the closed domain, and float rounding
-    # noise scales with that mass, so the tolerance is relative to it;
-    # the store's mirror rows (p < q) are checked against their own solves
+    # the tolerance is relative to the coefficient mass; the store's
+    # mirror rows (p < q) are checked against their own solves
     trunc = HeatKernelTruncation(Lambda(4), 12)
     zs = np.array(KERNEL_GRID)
     store = trunc._store
     vals = store.values(zs)
-    mass = trunc._mass
     for a, ep in enumerate(trunc.modes):
         want = HornerProgram(ep.poly).eval(zs)
-        assert mass[a] == pytest.approx(
-            sum(abs(c.real) + abs(c.imag) for _, _, c in ep.poly.complex_coeffs()))
-        assert np.max(np.abs(vals[a] - want)) <= 1e-12 * mass[a]
+        assert np.max(np.abs(vals[a] - want)) <= 1e-12 * _mass(ep)
 
 
 def test_mode_table_streams_blocks():
-    # more points than one block: sup and argmax over blocks equal those
-    # over the assembled values, and no block is larger than the bound
+    # more points than one block: the blocks, side by side, are the
+    # assembled values, and no block is larger than the bound
     trunc = HeatKernelTruncation(Lambda(4), 6)
     zs = _lattice(40)
     assert len(zs) > spectral._POINT_BLOCK
     blocks = list(trunc._store.blocks(zs))
+    assert [lo for lo, _ in blocks] == list(range(0, len(zs), spectral._POINT_BLOCK))
     assert all(v.shape[1] <= spectral._POINT_BLOCK for _, v in blocks)
     vals = trunc._store.values(zs)
-    sup, arg = trunc._store.sup_argmax(zs)
-    assert np.array_equal(sup, np.max(np.abs(vals), axis=1))
-    assert np.array_equal(arg, np.argmax(np.abs(vals), axis=1))
+    assert np.array_equal(np.concatenate([v for _, v in blocks], axis=1), vals)
 
 
 def test_mode_table_row_slices():
@@ -301,8 +282,9 @@ def test_mode_table_rejects_complex_coefficients():
 def test_complex_coeffs_runs_once_per_solved_mode(monkeypatch):
     # the float store is built on first float use, from one complex_coeffs()
     # pass over the modes with p >= q; mirrors swap their partner's terms.
-    # No other test holds lam = 11/3, so each truncation here solves and
-    # builds its own spectrum and store
+    # The sup-norm check and the heat fit read exact cusp weights and
+    # build no store.  No other test holds lam = 11/3, so each truncation
+    # here solves and builds its own spectrum and store
     lam = Lambda(Rat(11, 3))
     seen = []
     original = BivarPoly.complex_coeffs
@@ -314,15 +296,15 @@ def test_complex_coeffs_runs_once_per_solved_mode(monkeypatch):
     monkeypatch.setattr(BivarPoly, "complex_coeffs", counted)
     trunc = HeatKernelTruncation(lam, 10)
     assert trunc.integrates_to_delta() and seen == []
-    solved = {id(ep.poly) for ep in trunc.modes if ep.p >= ep.q}
-    heat_diag_sups(trunc, [0.1, 0.2], [0j, 0.9 * CUSPS[0]])
-    trunc.mode_weights(0.1j)
-    trunc.evaluation_noise(0.1)
     ultracontractivity_fit(lam, (0.5, 1.0), trunc)
+    supnorm_bound_check(lam, 8)
+    assert seen == [] and trunc._spectrum._store is None
+    solved = {id(ep.poly) for ep in trunc.modes if ep.p >= ep.q}
+    heat_diag(0.9 * CUSPS[0], 0.1, trunc)
+    trunc.mode_weights(0.1j)
     assert sorted(seen) == sorted(solved)
     del trunc
-    for check in (lambda: supnorm_bound_check(lam, 8, grid_m=10),
-                  lambda: hk_bound_check(lam, 8, grid_m=10),
+    for check in (lambda: hk_bound_check(lam, 8),
                   lambda: kernel_bound_check([1.0, 0.5], lam, 8, KERNEL_GRID)):
         seen.clear()
         check()
@@ -369,8 +351,8 @@ def test_checks_beside_a_deeper_truncation_solve_nothing(trunc4, monkeypatch):
     monkeypatch.setattr(eigen, "solve_eigenpoly", counted)
     lam = Lambda(4)
     assert len(HeatKernelTruncation(lam, 30)) == 496
-    supnorm_bound_check(lam, 30, grid_m=10)
-    hk_bound_check(lam, 20, grid_m=10)
+    supnorm_bound_check(lam, 30)
+    hk_bound_check(lam, 20)
     kernel_bound_check([1.0, 0.5], lam, 12, KERNEL_GRID)
     assert calls == []
     HeatKernelTruncation(Lambda(Rat(13, 5)), 2)
@@ -386,9 +368,21 @@ def test_spectrum_lives_only_while_a_truncation_holds_it():
     deep.mode_values(0.1j)
     shallow.mode_values(0.1j)
     del deep
-    assert spectral._spectra[key].degree == 6
+    assert spectral._spectra[key].degree == 3
     del shallow
     assert key not in spectral._spectra
+
+
+def test_spectrum_trims_back_when_its_deepest_truncation_is_freed(trunc1):
+    spec = trunc1._spectrum
+    deep = HeatKernelTruncation(Lambda(1), 40)
+    assert deep._spectrum is spec and spec.degree == 40
+    weights = deep.cusp_weights
+    deep.mode_values(0.1j)
+    del deep
+    assert spec.degree == 25 and spec._store is None
+    assert spec.modes == trunc1.modes
+    assert spec.cusp_weights.tobytes() == weights[:len(trunc1)].tobytes()
 
 
 def test_growing_the_spectrum_keeps_a_truncation_bits(monkeypatch):
@@ -397,6 +391,7 @@ def test_growing_the_spectrum_keeps_a_truncation_bits(monkeypatch):
     small = HeatKernelTruncation(Lambda(4), 10)
     modes = small.modes
     vals = small.mode_values(zs)
+    weights = small.cusp_weights
     big = HeatKernelTruncation(Lambda(4), 20)
     assert big._spectrum is small._spectrum and small._spectrum.degree == 20
     assert small.modes is modes and big.modes[:len(small)] == modes
@@ -407,8 +402,7 @@ def test_growing_the_spectrum_keeps_a_truncation_bits(monkeypatch):
     for trunc in (small, again):
         got = trunc.mode_values(zs)
         assert got.tobytes() == vals.tobytes()
-        assert trunc._mass.tobytes() == small._mass.tobytes()
-        assert trunc._cond.tobytes() == small._cond.tobytes()
+        assert trunc.cusp_weights.tobytes() == weights.tobytes()
 
 
 @pytest.mark.parametrize("m", [20, 80])
@@ -437,8 +431,6 @@ def test_hk_combination_growth_lam4():
     assert rep.exponent <= 4.6
     assert rep.target == 4.5
     assert rep.constant < 10.0
-    # degree 20 is far from the rounding floor
-    assert 0.0 < rep.details["noise_fraction"] < 1e-6
     again = hk_bound_check(Lambda(4), 20, seed=0)
     assert again.exponent == rep.exponent
 

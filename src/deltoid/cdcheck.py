@@ -32,7 +32,6 @@ from .geometry import (
     _bary_xy,
     plane_to_deltoid,
     sample_interior,
-    triangles_to_deltoid,
     w_density,
     TrianglePoint,
 )
@@ -40,9 +39,7 @@ from .operator import (
     GammaMatrix,
     HermitianTensorField,
     Lambda,
-    gamma,
-    gamma2,
-    generator,
+    _gamma2_parts,
     outer_logP,
 )
 
@@ -761,10 +758,10 @@ def gamma2_sample_check(lam, rho, n, trials: int = 100, points: int = 100,
         BivarPoly({(1, 0): CRat(Rat(0), Rat(1)), (0, 1): CRat(Rat(0), Rat(-1))}),
         Z * ZBAR,
     ]
-    pool = [d.Z for d in triangles_to_deltoid(
-        sample_interior(points, "low-discrepancy", seed + 1))]
-    det_zs = _points_array(det_points + pool)
-    pool_zs = _points_array(pool)
+    plane = sample_interior(points, "low-discrepancy", seed + 1)
+    pool_zs = plane_to_deltoid(np.array([q.x for q in plane]),
+                               np.array([q.y for q in plane]))
+    det_zs = np.concatenate([np.array(det_points, dtype=complex), pool_zs])
 
     funcs = list(det_funcs)
     for _ in range(trials):
@@ -776,9 +773,7 @@ def gamma2_sample_check(lam, rho, n, trials: int = 100, points: int = 100,
     violations = 0
     pairs = 0
     for idx, f in enumerate(funcs):
-        g2 = gamma2(f, f, lam)
-        g1 = gamma(f, f)
-        lf = generator(f, lam)
+        g2, g1, lf = _gamma2_parts(f, lam)
         zs = det_zs if idx < len(det_funcs) else pool_zs
         lf_re = lf.eval(zs).real
         # Python's float ** 2 calls the C library's pow, which can round

@@ -245,6 +245,15 @@ def heat_diag(x, t, trunc):
     return _tail_checked(trunc, t, s)[1]
 
 
+def require_lam_geq_one(lam):
+    """Raise ValueError unless lam >= 1, where every mode peaks at the cusps.
+
+    The sup-norm, H_k and heat-diagonal bounds are stated there only.
+    """
+    if float(lam.value) < 1:
+        raise ValueError("stated for lam >= 1")
+
+
 def heat_cusp_sups(trunc, ts):
     """(t, sup over the closed domain of the truncated heat diagonal) for
     each t in ts.
@@ -254,8 +263,7 @@ def heat_cusp_sups(trunc, ts):
     exp(-mu t), in math.fsum.  Raises TruncationInsufficient at the first
     t whose tail estimate is more than 1% of the sup.
     """
-    if float(trunc.lam.value) < 1:
-        raise ValueError("stated for lam >= 1")
+    require_lam_geq_one(trunc.lam)
     w = trunc.cusp_weights
     return [_tail_checked(trunc, t, math.fsum(np.exp(-trunc._mu * t) * w))
             for t in map(float, ts)]
@@ -445,8 +453,7 @@ def supnorm_bound_check(lam, max_degree):
     of the mode's exact cusp weight.
     """
     lam = lam if isinstance(lam, Lambda) else Lambda(lam)
-    if float(lam.value) < 1:
-        raise ValueError("stated for lam >= 1")
+    require_lam_geq_one(lam)
     trunc = HeatKernelTruncation(lam, max_degree)
     half = float(lam.value) / 2.0
     mus, ratios, consts = [], [], []
@@ -480,8 +487,7 @@ def hk_bound_check(lam, max_k, seed=0):
     at a cusp, so each sup is the largest value on the grid-80 lattice.
     """
     lam = lam if isinstance(lam, Lambda) else Lambda(lam)
-    if float(lam.value) < 1:
-        raise ValueError("stated for lam >= 1")
+    require_lam_geq_one(lam)
     trunc = HeatKernelTruncation(lam, max_k)
     rows = [a for a, ep in enumerate(trunc.modes) if ep.p + ep.q]
     modes = [trunc.modes[a] for a in rows]
@@ -570,30 +576,29 @@ def sobolev_series_check(p, a, dps=30):
 
 
 def _sobolev_sum(mp, p, a, t):
+    # exp(-2 a t k^2) as a running product: e_k = e_(k-1) g_k with
+    # g_k = g_(k-1) q^2 and q = exp(-2 a t), since k^2 - (k-1)^2 = 2k - 1
+    q = mp.exp(-2 * mp.mpf(a) * t)
+    q2 = q * q
+    two_p = 2 * p
+    whole = float(two_p).is_integer()
+    tiny = mp.mpf(10) ** (-30)
     s = mp.mpf(0)
+    g = e = q
     k = 1
     # sum well past the peak k ~ sqrt(p/(2 a t)), then until negligible
     while True:
-        term = mp.power(k, 2 * p) * mp.exp(-2 * a * t * k * k)
+        kp = mp.mpf(k) ** int(two_p) if whole else mp.power(k, two_p)
+        term = kp * e
         s += term
-        if k * k * 2 * a * t > 2 * p and term < s * mp.mpf(10) ** (-30):
+        if k * k * 2 * a * t > 2 * p and term < s * tiny:
             break
         k += 1
         if k > 10**7:
             raise ArithmeticError("series summation did not settle")
+        g *= q2
+        e *= g
     return s
-
-
-def sobolev_reference_value(p, a, t):
-    """Float direct sum of the same series, for cross-checking precision."""
-    s = 0.0
-    k = 1
-    while True:
-        term = k ** (2.0 * p) * math.exp(-2.0 * a * t * k * k)
-        s += term
-        if 2 * a * t * k * k > 2 * p and term < s * 1e-18:
-            return s
-        k += 1
 
 
 # ---------------------------------------------------------------------------

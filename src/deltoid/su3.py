@@ -3,15 +3,20 @@
 The group carries nine left-invariant fields: the real antisymmetric
 family R, the imaginary symmetric family S, and the diagonal family Dh
 scaled so the diagonal directions enter the Casimir sum with weight 2/3.
-Everything here is built from that frame: the carre du champ as a sum
-over fields, the Casimir generator by nesting them, Ricci by commutator
-outer products, and the pushforward along Z = tr(U)/3 that lands exactly
-on the deltoid operator at lambda = 4.
+Everything here is built from that frame.  Two fixed tables, summed
+over the fields once on first use, hold L z_v for each of the 18
+variables and the carre du champ Gamma(z_v, z_w) of each ordered pair;
+the Casimir generator and Gamma of any entry polynomial are then one
+chain-rule pass over its terms.  Ricci comes from commutator outer
+products, and the pushforward along Z = tr(U)/3 lands exactly on the
+deltoid operator at lambda = 4.
 
 Polynomials in matrix entries are kept symbolic (complex coefficients on
 18 variables, nine entries and nine conjugates) so that second-order
 quantities are assembled without finite differencing.
 """
+
+import functools
 
 import numpy as np
 
@@ -323,7 +328,11 @@ class EntryPoly:
         for t, row in enumerate(factors):
             idx[:len(row), t] = row
         top = max((max(_exponents(e)) for e in self.terms), default=0)
-        return idx, np.array(list(self.terms.values()), dtype=complex), top
+        coef = np.array(list(self.terms.values()), dtype=complex)
+        # a compiled program may be cached and shared: keep it read-only
+        idx.setflags(write=False)
+        coef.setflags(write=False)
+        return idx, coef, top
 
     def eval(self, u):
         """Value at one matrix, or an array of values at an (n, 3, 3) stack.
@@ -338,35 +347,40 @@ class EntryPoly:
         bits do not depend on the BLAS thread count, and a matrix
         evaluates to the same bits alone as inside a stack.
         """
-        m = _matrices(u)
-        flat = m.reshape(-1, 9)
-        idx, coef, top = self._compile()
-        out = np.empty(len(flat), dtype=complex)
-        rows = max(1, _EVAL_CELLS // (idx.size or 1))
-        for lo in range(0, len(flat), rows):
-            block = flat[lo:lo + rows]
-            b = len(block)
-            vr = np.concatenate([block.real, block.real], axis=1)
-            vi = np.concatenate([block.imag, -block.imag], axis=1)
-            tr = np.empty((b, top + 1, _NVAR))
-            ti = np.empty((b, top + 1, _NVAR))
-            tr[:, 0], ti[:, 0] = 1.0, 0.0
-            for p in range(1, top + 1):
-                tr[:, p], ti[:, p] = c_prod(tr[:, p - 1], ti[:, p - 1], vr, vi)
-            tr, ti = tr.reshape(b, -1), ti.reshape(b, -1)
-            pr, pi = tr[:, idx[0]], ti[:, idx[0]]
-            for row in idx[1:]:
-                pr, pi = c_prod(pr, pi, tr[:, row], ti[:, row])
-            pr, pi = c_prod(pr, pi, coef.real, coef.imag)
-            out.real[lo:lo + b] = np.ascontiguousarray(pr).sum(axis=1)
-            out.imag[lo:lo + b] = np.ascontiguousarray(pi).sum(axis=1)
-        return complex(out[0]) if m.ndim == 2 else out
+        return _eval_compiled(self._compile(), u)
 
     def is_zero(self, tol=0.0):
         return all(abs(c) <= tol for c in self.terms.values())
 
     def __repr__(self):
         return f"EntryPoly({len(self.terms)} terms)"
+
+
+def _eval_compiled(program, u):
+    """EntryPoly.eval from the polynomial's _compile() output."""
+    idx, coef, top = program
+    m = _matrices(u)
+    flat = m.reshape(-1, 9)
+    out = np.empty(len(flat), dtype=complex)
+    rows = max(1, _EVAL_CELLS // (idx.size or 1))
+    for lo in range(0, len(flat), rows):
+        block = flat[lo:lo + rows]
+        b = len(block)
+        vr = np.concatenate([block.real, block.real], axis=1)
+        vi = np.concatenate([block.imag, -block.imag], axis=1)
+        tr = np.empty((b, top + 1, _NVAR))
+        ti = np.empty((b, top + 1, _NVAR))
+        tr[:, 0], ti[:, 0] = 1.0, 0.0
+        for p in range(1, top + 1):
+            tr[:, p], ti[:, p] = c_prod(tr[:, p - 1], ti[:, p - 1], vr, vi)
+        tr, ti = tr.reshape(b, -1), ti.reshape(b, -1)
+        pr, pi = tr[:, idx[0]], ti[:, idx[0]]
+        for row in idx[1:]:
+            pr, pi = c_prod(pr, pi, tr[:, row], ti[:, row])
+        pr, pi = c_prod(pr, pi, coef.real, coef.imag)
+        out.real[lo:lo + b] = np.ascontiguousarray(pr).sum(axis=1)
+        out.imag[lo:lo + b] = np.ascontiguousarray(pi).sum(axis=1)
+    return complex(out[0]) if m.ndim == 2 else out
 
 
 def entry_const(c):
@@ -430,6 +444,55 @@ def _derive(moves, f):
 _FRAME_MOVES = tuple(_field_moves(x) for x in _STD.matrices)
 
 
+@functools.cache
+def _frame_tables():
+    """L z_v for each variable v and Gamma(z_v, z_w) for each ordered pair.
+
+    Both are summed over the frame from _FRAME_MOVES: X z_v is a linear
+    form, L z_v = sum_X X(X z_v) and Gamma(z_v, z_w) = sum_X X(z_v) X(z_w).
+    Returns (lz, gam): lz[v] and gam[v][w] are tuples of (monomial key,
+    coefficient).  Built on first use and never changed.
+    """
+    lz = [{} for _ in range(_NVAR)]
+    gam = [[{} for _ in range(_NVAR)] for _ in range(_NVAR)]
+    for moves in _FRAME_MOVES:
+        # X z_v = sum of a z_w over the moves (w - v, a) of v, as
+        # (w, key of z_w, a) triples
+        first = []
+        for v in range(_NVAR):
+            keys = [(_unit_key(v) + s, a) for s, a in moves[v]]
+            first.append([((k.bit_length() - 1) // _BITS, k, a) for k, a in keys])
+        for v, dv in enumerate(first):
+            if not dv:
+                continue
+            row = lz[v]
+            for w, _, a in dv:
+                for _, k, b in first[w]:
+                    row[k] = row.get(k, 0j) + a * b
+            for w, dw in enumerate(first):
+                cell = gam[v][w]
+                for _, k1, a in dv:
+                    for _, k2, b in dw:
+                        k = k1 + k2
+                        cell[k] = cell.get(k, 0j) + a * b
+
+    def pairs(d):
+        return tuple((k, c) for k, c in d.items() if c != 0)
+
+    return (tuple(pairs(d) for d in lz),
+            tuple(tuple(pairs(d) for d in row) for row in gam))
+
+
+def _partials(f):
+    # (v, key of z^(e - v), c e_v) for each term c z^e and each v it holds
+    out = []
+    for e, c in f.terms.items():
+        for v, p in enumerate(_exponents(e)):
+            if p:
+                out.append((v, e - _unit_key(v), c * p))
+    return out
+
+
 def field_apply(x, f):
     """Derivation of f along the left-invariant field of the matrix x.
 
@@ -441,39 +504,73 @@ def field_apply(x, f):
 
 
 def gamma_fields(f, g):
-    """Carre du champ as the frame sum of products of first derivatives."""
-    out = EntryPoly()
-    for moves in _FRAME_MOVES:
-        out = out + _derive(moves, f) * _derive(moves, g)
-    return out
+    """Carre du champ from the frame table.
+
+    Gamma(f, g) = sum over term pairs of c1 c2 sum_(v, w) e1_v e2_w
+    z^(e1 - v + e2 - w) Gamma(z_v, z_w).  Raises DegreeOverflow where
+    deg f + deg g passes 255, since a packed key would then carry.
+    """
+    if f.terms and g.terms and f.degree() + g.degree() > _MAX_EXP:
+        raise DegreeOverflow(
+            f"Gamma of degrees {f.degree()} and {g.degree()} passes {_MAX_EXP}")
+    gam = _frame_tables()[1]
+    fp = _partials(f)
+    gp = fp if g is f else _partials(g)
+    out = {}
+    get = out.get
+    for v, b1, c1 in fp:
+        row = gam[v]
+        for w, b2, c2 in gp:
+            base = b1 + b2
+            cc = c1 * c2
+            for k, a in row[w]:
+                k += base
+                out[k] = get(k, 0j) + cc * a
+    return EntryPoly(out)
 
 
 def casimir_apply(f):
-    """The group generator: nest each frame field twice and sum."""
-    out = EntryPoly()
-    for moves in _FRAME_MOVES:
-        out = out + _derive(moves, _derive(moves, f))
-    return out
+    """The group generator L = sum_X X^2 from the frame tables.
+
+    Each term c z^e contributes c [sum_v e_v z^(e - v) L z_v
+    + sum_(v, w) e_v (e_w - delta_vw) z^(e - v - w) Gamma(z_v, z_w)].
+    """
+    lz, gam = _frame_tables()
+    out = {}
+    get = out.get
+    for e, c in f.terms.items():
+        exps = _exponents(e)
+        support = [(v, p, _unit_key(v)) for v, p in enumerate(exps) if p]
+        for v, p, uv in support:
+            cp = c * p
+            base = e - uv
+            for k, a in lz[v]:
+                k += base
+                out[k] = get(k, 0j) + cp * a
+            row = gam[v]
+            for w, q, uw in support:
+                if w == v:
+                    q -= 1
+                    if not q:
+                        continue
+                cq = cp * q
+                b2 = base - uw
+                for k, a in row[w]:
+                    k += b2
+                    out[k] = get(k, 0j) + cq * a
+    return EntryPoly(out)
+
+
+def _gamma2_parts(f):
+    # (Gamma_2(f, f), Gamma(f, f), L f), each built once
+    gff = gamma_fields(f, f)
+    lf = casimir_apply(f)
+    return casimir_apply(gff).scale(0.5) - gamma_fields(f, lf), gff, lf
 
 
 def gamma2_fields(f):
     """Second iterated form (1/2)(L Gamma(f,f) - 2 Gamma(f, Lf))."""
-    gff = gamma_fields(f, f)
-    return casimir_apply(gff).scale(0.5) - gamma_fields(f, casimir_apply(f))
-
-
-def vectorfield_gamma_oracle(f, g, u):
-    """Gamma(f, g) at u, summed field by field.
-
-    Kept as a pointwise sum of first-derivative products rather than an
-    expansion of the product polynomial, so it is an independent check
-    on the entrywise closed forms.
-    """
-    m = _mat_of(u)
-    total = 0j
-    for moves in _FRAME_MOVES:
-        total += _derive(moves, f).eval(m) * _derive(moves, g).eval(m)
-    return total
+    return _gamma2_parts(f)[0]
 
 
 def entry_gamma(k, l, r, q, u, kind):
@@ -562,6 +659,8 @@ def ricci_constant():
 
 
 class CharpolyResiduals:
+    """The two residuals of one matrix (floats) or of a stack (arrays)."""
+
     __slots__ = ("gamma_residual", "generator_residual")
 
     def __init__(self, gamma_residual, generator_residual):
@@ -570,28 +669,32 @@ class CharpolyResiduals:
 
     @property
     def passed(self):
-        return (self.gamma_residual < IDENTITY_TOL
-                and self.generator_residual < IDENTITY_TOL)
+        """Every residual below IDENTITY_TOL; a NaN fails."""
+        return bool(np.all(self.gamma_residual < IDENTITY_TOL)
+                    and np.all(self.generator_residual < IDENTITY_TOL))
 
 
-def _coefficient_function(x):
-    # det(x I - U) = x^3 - 3 Z x^2 + 3 Zbar x - 1 as a function of U
-    zt = normalized_trace()
-    return entry_const(x**3 - 1.0) + zt.scale(-3.0 * x**2) + zt.conj().scale(3.0 * x)
+@functools.cache
+def _charpoly_parts():
+    """Gamma and L of the trace pair, built and compiled once.
 
-
-def charpoly_identity_check(u, x, y):
-    """Spectral identities for the characteristic polynomial at scalars x, y.
-
-    Left sides go through the vector-field frame on the coefficient
-    functions; right sides are the closed forms, which carry an overall
-    2/d tied to the entrywise normalization L z_pq = -2(d^2 - 1)/d z_pq,
-    here with d = 3.  Coincident x = y is served by the
-    divided-difference limit.
+    The coefficient function f_x = det(x I - U) = (x^3 - 1) + a_x zt
+    + b_x conj(zt), with zt = tr(U)/3, a_x = -3 x^2 and b_x = 3 x, is
+    linear in (zt, conj(zt)), so Gamma(f_x, f_y) and L f_x are fixed
+    combinations of Gamma(zt, zt), Gamma(zt, conj zt),
+    Gamma(conj zt, conj zt), L zt and L conj(zt), in that order.
     """
-    m = _mat_of(u)
-    zv = np.trace(m) / 3.0
-    zb = np.conj(zv)
+    zt = normalized_trace()
+    zb = zt.conj()
+    return tuple(q._compile() for q in (
+        gamma_fields(zt, zt), gamma_fields(zt, zb), gamma_fields(zb, zb),
+        casimir_apply(zt), casimir_apply(zb)))
+
+
+def _charpoly_residual_pair(zv, x, y, gzz, gzb, gbb, lz, lb):
+    # one matrix: the left sides from the trace-pair values, the right
+    # sides from the closed forms, in CPython complex arithmetic
+    zb = zv.conjugate()
 
     def p(t):
         return t**3 - 3.0 * zv * t**2 + 3.0 * zb * t - 1.0
@@ -602,37 +705,63 @@ def charpoly_identity_check(u, x, y):
     def ddp(t):
         return 6.0 * t - 6.0 * zv
 
-    fx = _coefficient_function(x)
-    fy = _coefficient_function(y)
-    left_gamma = vectorfield_gamma_oracle(fx, fy, m)
+    ax, bx = -3.0 * x**2, 3.0 * x
+    ay, by = -3.0 * y**2, 3.0 * y
+    left_gamma = ax * ay * gzz + (ax * by + bx * ay) * gzb + bx * by * gbb
     if abs(x - y) > 1e-8:
         bracket = dp(x) * dp(y) + 3 * (dp(x) * p(y) - dp(y) * p(x)) / (x - y)
     else:
         bracket = dp(x) * dp(y) + 3 * (p(x) * ddp(x) - dp(x) ** 2)
     right_gamma = (2.0 / 3) * x * y * bracket
 
-    left_l = casimir_apply(fx).eval(m)
+    left_l = ax * lz + bx * lb
     right_l = (2.0 / 3) * ((1.0 - 3**2) * x * dp(x) + (1.0 + 3) * x**2 * ddp(x))
+    return abs(left_gamma - right_gamma), abs(left_l - right_l)
 
-    return CharpolyResiduals(
-        abs(left_gamma - right_gamma), abs(left_l - right_l)
-    )
+
+def charpoly_identity_check(u, x, y):
+    """Spectral identities for the characteristic polynomial at scalars x, y.
+
+    Left sides go through the frame operators on the coefficient
+    functions; right sides are the closed forms, which carry an overall
+    2/d tied to the entrywise normalization L z_pq = -2(d^2 - 1)/d z_pq,
+    here with d = 3.  Coincident x = y is served by the
+    divided-difference limit.
+
+    u is one matrix, with scalars x and y, giving float residuals; or an
+    (n, 3, 3) stack, with x and y of length n, giving arrays of n
+    residuals, each with the bits of its own one-matrix call.
+    """
+    m = _matrices(u)
+    stack = m.reshape(-1, 3, 3)
+    xs = np.ravel(np.asarray(x, dtype=complex)).tolist()
+    ys = np.ravel(np.asarray(y, dtype=complex)).tolist()
+    if not len(xs) == len(ys) == len(stack):
+        raise ValueError("need one x and one y per matrix")
+    parts = [_eval_compiled(q, stack).tolist() for q in _charpoly_parts()]
+    zvs = (np.trace(stack, axis1=1, axis2=2) / 3.0).tolist()
+    res = [_charpoly_residual_pair(*row) for row in zip(zvs, xs, ys, *parts)]
+    if m.ndim == 2:
+        return CharpolyResiduals(*res[0])
+    gamma_res, generator_res = np.array(res, dtype=float).reshape(-1, 2).T
+    return CharpolyResiduals(gamma_res, generator_res)
 
 
 def worst_charpoly_residual(us, seed):
     """Largest charpoly residual over the first 25 matrices of us.
 
     Each matrix gets its own x and y, complex normals drawn in matrix
-    order from np.random.default_rng(seed).  A NaN residual is kept.
+    order from np.random.default_rng(seed): the real parts of x and y,
+    then their imaginary parts.  One call checks all 25; a NaN residual
+    is kept.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for u in us[:25]:
-        x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        res = charpoly_identity_check(u, complex(x), complex(y))
-        # np.max keeps a NaN residual, which max() may drop
-        worst = float(np.max([worst, res.gamma_residual, res.generator_residual]))
-    return worst
+    stack = _matrices(list(us[:25]))
+    normals = np.random.default_rng(seed).standard_normal((len(stack), 2, 2))
+    xy = normals[:, 0] + 1j * normals[:, 1]
+    res = charpoly_identity_check(stack, xy[:, 0], xy[:, 1])
+    # np.max keeps a NaN residual, which max() may drop
+    return float(np.max(np.concatenate(
+        [[0.0], res.gamma_residual, res.generator_residual])))
 
 
 def _compose_with_trace(f):
@@ -718,10 +847,10 @@ def curvature_dimension_check(trials=8, samples=40, seed=5, tol=1e-8):
     """Sample the CD(3, 8) margin over random entry polynomials.
 
     Test functions are g + conj(g) with g a random complex linear part
-    plus one quadratic entry monomial; Gamma_2 (gamma2_fields), Gamma,
-    and L are built symbolically through the frame, so the only floating
-    error left is coefficient arithmetic.  Each is evaluated on the
-    whole sample stack in one call.
+    plus one quadratic entry monomial; Gamma_2, Gamma and L are built
+    symbolically through the frame tables, Gamma(f, f) and L f once per
+    trial, so the only floating error left is coefficient arithmetic.
+    Each is evaluated on the whole sample stack in one call.
     """
     rng = np.random.default_rng(seed)
     stack = _matrices(haar_sample(seed + 1, samples))
@@ -735,10 +864,11 @@ def curvature_dimension_check(trials=8, samples=40, seed=5, tol=1e-8):
         k1, l1, k2, l2 = (int(t) for t in rng.integers(0, 3, 4))
         g = g + entry_z(k1, l1) * entry_z(k2, l2)
         f = g + g.conj()
+        g2, gff, lf = _gamma2_parts(f)
         margins[trial] = (
-            gamma2_fields(f).eval(stack).real
-            - 3.0 * gamma_fields(f, f).eval(stack).real
-            - casimir_apply(f).eval(stack).real ** 2 / 8.0
+            g2.eval(stack).real
+            - 3.0 * gff.eval(stack).real
+            - lf.eval(stack).real ** 2 / 8.0
         )
     # the first minimum in trial-then-sample order; NaN counts as lowest
     worst = int(np.argmin(margins))

@@ -26,7 +26,8 @@ from deltoid.cdcheck import (
     triangle_b,
 )
 from deltoid.exact import BivarPoly, CRat, Rat, Z, ZBAR
-from deltoid.geometry import interior_lattice, sample_interior, triangle_to_deltoid
+from deltoid.geometry import (interior_lattice, plane_to_deltoid, sample_interior,
+                              triangle_to_deltoid)
 from deltoid.operator import Lambda, boundary_poly, gamma, gamma2, generator
 
 
@@ -162,6 +163,17 @@ def test_deltoid_grid_is_the_point_map(m):
     # an array of points reports what the same points as a list report
     t = tensor_residual(Rat(1, 6), Rat(113, 50))
     assert psd_check(t, grid) == psd_check(t, want)
+
+
+@pytest.mark.parametrize("points, seed", [(40, 4), (100, 3), (100, 6)])
+def test_gamma2_pool_is_the_point_map(points, seed):
+    # gamma2_sample_check maps its plane pool as one array; each point
+    # keeps the bits of its own triangle_to_deltoid image
+    plane = sample_interior(points, "low-discrepancy", seed)
+    want = np.array([triangle_to_deltoid(p).Z for p in plane], dtype=complex)
+    got = plane_to_deltoid(np.array([p.x for p in plane]),
+                           np.array([p.y for p in plane]))
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m", [2, 0, -1])

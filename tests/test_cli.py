@@ -181,6 +181,20 @@ def test_bounds_below_lambda_one_fail_with_one_line(capsys, argv):
     assert err == f"{' '.join(argv[:2])}: stated for lam >= 1\n"
 
 
+def test_heat_trace_refuses_lambda_below_one_before_building(capsys, monkeypatch):
+    # the refusal needs no truncation: building one fails this test
+    from deltoid import spectral
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a truncation for lambda < 1")
+
+    monkeypatch.setattr(spectral, "HeatKernelTruncation", no_build)
+    code = main(["heat", "trace", "--lambda", "1/2"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "heat trace: stated for lam >= 1\n"
+
+
 @pytest.mark.parametrize("sizes", [
     ["bounds", "hk", "--lambda", "4"],
     ["kernel", "check", "--lambda", "4"],

@@ -22,11 +22,11 @@ from deltoid.spectral import (
     heat_diag,
     hk_bound_check,
     kernel_bound_check,
-    sobolev_reference_value,
     sobolev_series_check,
     supnorm_bound_check,
     ultracontractivity_fit,
 )
+from oracles import sobolev_reference_value, sobolev_term_sum
 
 CUSPS = [complex(np.exp(2j * np.pi * k / 3)) for k in range(3)]
 
@@ -463,6 +463,24 @@ def test_sobolev_series_scopes_its_precision(monkeypatch):
         sobolev_series_check(4.5, 0.75, dps=45)
     assert seen == [45]
     assert mp.mp.dps == before
+
+
+@pytest.mark.parametrize("p, a", [(4.5, 0.75), (1.3, 0.4)])
+def test_sobolev_running_product_matches_term_sum(p, a):
+    # the running product of exp(-2 a t k^2) against one mp.exp per term,
+    # over the dyadic grid of sobolev_series_check, at an integer and a
+    # non-integer 2p
+    import mpmath as mp
+
+    ts = [2.0**-j for j in range(14)]
+    with mp.workdps(30):
+        got = [spectral._sobolev_sum(mp, p, a, t) for t in ts]
+        want = [sobolev_term_sum(mp, p, a, t) for t in ts]
+        for g, w in zip(got, want):
+            assert abs(g - w) <= mp.mpf("1e-25") * w
+        normalized = [float(mp.power(t, p + 0.5) * w) for t, w in zip(ts, want)]
+    if p == 4.5:
+        assert list(sobolev_series_check(p, a).details["normalized"]) == normalized
 
 
 def test_sobolev_series_reference_and_monotonicity():

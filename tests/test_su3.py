@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from deltoid import su3
 from deltoid.eigen import MomentTable
 from deltoid.exact import Z, ZBAR
 from deltoid.operator import Lambda, gamma as deltoid_gamma
@@ -30,8 +31,8 @@ from deltoid.su3 import (
     normalized_trace,
     pushforward_check,
     ricci_constant,
-    vectorfield_gamma_oracle,
 )
+from oracles import coefficient_function, vectorfield_gamma_oracle
 
 A = DIAG_WEIGHT
 
@@ -291,6 +292,120 @@ def test_charpoly_degenerate_spectrum():
     assert r.passed
 
 
+def test_charpoly_stack_matches_per_matrix_calls():
+    us = haar_sample(33, 12)
+    stack = np.stack([u.matrix for u in us])
+    rng = np.random.default_rng(34)
+    xs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    ys = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    ys[3] = xs[3]  # the coincident branch inside a stack
+    rep = charpoly_identity_check(stack, xs, ys)
+    assert rep.gamma_residual.shape == rep.generator_residual.shape == (12,)
+    for k, u in enumerate(us):
+        one = charpoly_identity_check(u, complex(xs[k]), complex(ys[k]))
+        assert isinstance(one.gamma_residual, float)
+        assert one.gamma_residual == rep.gamma_residual[k]
+        assert one.generator_residual == rep.generator_residual[k]
+    assert rep.passed
+    rep.generator_residual[7] = math.nan
+    assert not rep.passed
+    with pytest.raises(ValueError):
+        charpoly_identity_check(stack, xs[:5], ys[:5])
+
+
+def test_worst_charpoly_residual_matches_per_matrix_loop():
+    # one stacked call draws x and y as the per-matrix loop drew them
+    us = haar_sample(35, 30)
+    rng = np.random.default_rng(29)
+    worst = 0.0
+    for u in us[:25]:
+        x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        res = charpoly_identity_check(u, complex(x), complex(y))
+        worst = max(worst, res.gamma_residual, res.generator_residual)
+    assert su3.worst_charpoly_residual(us, 29) == worst
+
+
+def test_charpoly_left_sides_match_field_by_field_oracle():
+    # the five trace-pair polynomials, combined as the check combines
+    # them, against the coefficient functions summed field by field
+    gzz, gzb, gbb, lz, lb = su3._charpoly_parts()
+    for seed, (x, y) in zip((36, 37, 38, 39),
+                            ((2.0, 3.0j), (0.3 - 1.1j, -0.7 + 0.2j), (1.7, 1.7), (-1.0, 0.5j))):
+        u = haar_sample(seed, 1)[0]
+        fx, fy = coefficient_function(x), coefficient_function(y)
+        ax, bx, ay, by = -3.0 * x**2, 3.0 * x, -3.0 * y**2, 3.0 * y
+        v = [su3._eval_compiled(q, u) for q in (gzz, gzb, gbb, lz, lb)]
+        left_gamma = ax * ay * v[0] + (ax * by + bx * ay) * v[1] + bx * by * v[2]
+        want = vectorfield_gamma_oracle(fx, fy, u)
+        assert abs(left_gamma - want) <= 1e-13 * abs(want)
+        left_l = ax * v[3] + bx * v[4]
+        want_l = sum(su3._derive(moves, su3._derive(moves, fx)).eval(u)
+                     for moves in su3._FRAME_MOVES)
+        assert abs(left_l - want_l) <= 1e-13 * abs(want_l)
+
+
+def test_frame_table_matches_entry_closed_forms():
+    # every ordered pair of the Gamma table, built from the frame moves,
+    # against the closed forms of entry_gamma (and their conjugates)
+    us = haar_sample(40, 3)
+    lz, _ = su3._frame_tables()
+    for v in range(18):
+        assert lz[v] == ((1 << (8 * v), lz[v][0][1]),)
+        assert abs(lz[v][0][1] + 16.0 / 3.0) < 1e-14
+    for u in us:
+        m = u.matrix
+        for v in range(18):
+            for w in range(18):
+                fv = entry_z(*divmod(v % 9, 3)) if v < 9 else entry_zbar(*divmod(v % 9, 3))
+                fw = entry_z(*divmod(w % 9, 3)) if w < 9 else entry_zbar(*divmod(w % 9, 3))
+                got = gamma_fields(fv, fw).eval(m)
+                (k, l), (r, q) = divmod(v % 9, 3), divmod(w % 9, 3)
+                if v < 9 and w < 9:
+                    want = entry_gamma(k, l, r, q, m, "zz")
+                elif v >= 9 and w >= 9:
+                    want = np.conj(entry_gamma(k, l, r, q, m, "zz"))
+                elif v < 9:
+                    want = entry_gamma(k, l, r, q, m, "zzbar")
+                else:
+                    want = entry_gamma(r, q, k, l, m, "zzbar")
+                assert abs(got - want) < 1e-13, (v, w)
+
+
+def test_gamma_fields_degree_limit():
+    # a packed key holds exponents to 255; Gamma(f, g) has degree up to
+    # deg f + deg g, so a pair past that raises rather than carry
+    z, zb = entry_z(0, 0), entry_zbar(1, 1)
+    f = entry_const(1.0)
+    for _ in range(200):
+        f = f * z
+    g = entry_const(1.0)
+    for _ in range(55):
+        g = g * zb
+    assert f.degree() + g.degree() == 255
+    assert gamma_fields(f, g).degree() == 255
+    with pytest.raises(DegreeOverflow):
+        gamma_fields(f, g * zb)
+    with pytest.raises(DegreeOverflow):
+        gamma_fields(f * z, g)
+
+
+def test_import_builds_no_frame_table():
+    # the frame tables are built on first use, never at import
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(su3.__file__))
+    code = ("import deltoid, deltoid.su3 as s; "
+            "print(s._frame_tables.cache_info().currsize, "
+            "s._charpoly_parts.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0"]
+
+
 def test_pushforward_named_examples():
     us = haar_sample(41, 30)
     lam = Lambda(4)
@@ -335,7 +450,7 @@ def test_identity_checks_fail_on_nan():
 
 def test_charpoly_loops_keep_nan(monkeypatch):
     # one NaN residual among the 25 sampled charpoly checks fails c09
-    # and `su3 check`
+    # and `su3 check`; the 25 are checked in one stacked call
     from deltoid import acceptance, su3
     from deltoid.cli import main
 
@@ -343,17 +458,18 @@ def test_charpoly_loops_keep_nan(monkeypatch):
     calls = []
 
     def one_nan(u, x, y):
-        calls.append(None)
+        calls.append(len(x))
         res = original(u, x, y)
-        if len(calls) == 2:
-            res.generator_residual = math.nan
+        res.generator_residual[1] = math.nan
         return res
 
     monkeypatch.setattr(su3, "charpoly_identity_check", one_nan)
     passed, summary = acceptance._c09_group_model()
     assert not passed and "charpoly nan" in summary
+    assert calls == [25]
     calls.clear()
     assert main(["su3", "check", "--samples", "5", "--out", os.devnull]) == 1
+    assert calls == [5]
 
 
 def test_curvature_dimension_3_8():

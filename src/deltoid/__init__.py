@@ -28,12 +28,11 @@ from .operator import (
 from .eigen import (
     EigenPolynomial,
     EigenvalueCollision,
-    EigenvalueCountMismatch,
     MomentRangeExceeded,
     MomentTable,
     NonpositiveNorm,
+    RecurrenceBreakdown,
     eigenvalue,
-    hk_space,
     inner_product,
     moments,
     solve_eigenpoly,
@@ -105,12 +104,11 @@ __all__ = [
     "generator",
     "EigenPolynomial",
     "EigenvalueCollision",
-    "EigenvalueCountMismatch",
     "MomentRangeExceeded",
     "MomentTable",
     "NonpositiveNorm",
+    "RecurrenceBreakdown",
     "eigenvalue",
-    "hk_space",
     "inner_product",
     "moments",
     "solve_eigenpoly",

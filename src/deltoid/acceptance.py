@@ -44,7 +44,7 @@ class CriterionResult:
 
 
 def _c01_density_discriminant():
-    from .geometry import sample_interior, triangles_to_deltoid, w_density
+    from .geometry import plane_to_deltoid, sample_interior, w_density
 
     # re-derive the 108 symbolically: the discriminant of the monic
     # cubic with coefficient functions (-3Z, 3Zbar, -1) must equal
@@ -64,7 +64,7 @@ def _c01_density_discriminant():
     # relative comparison, so the denominator is clamped at 1
     pts = sample_interior(1000, "low-discrepancy", seed=3)
     w = np.array([w_density(pt) for pt in pts])
-    zs = np.array([d.Z for d in triangles_to_deltoid(pts)])
+    zs = plane_to_deltoid(np.array([pt.x for pt in pts]), np.array([pt.y for pt in pts]))
     ref = 108.0 * boundary_poly().eval(zs).real
     worst = float(np.max(np.abs(w - ref) / np.maximum(np.abs(ref), 1.0)))
     ok = symbolic_ok and worst < 1e-10
@@ -85,25 +85,34 @@ def _c03_hessian_reduction():
 
 
 def _c04_eigen_system():
-    from .eigen import eigenvalue, moments, solve_eigenpoly
+    from .eigen import eigenvalue, moments
+    from .spectral import HeatKernelTruncation
 
+    # the modes the spectral criteria read; each one is the unique monic
+    # eigenpolynomial: L P = -mu P exactly, mu from the closed formula,
+    # and Z^p Zbar^q the only term of top degree, with coefficient 1
     lams = [Lambda(4), Lambda(1), Lambda(Rat(7, 2))]
+    order = [(p, t - p) for t in range(21) for p in range(t, -1, -1)]
+    spectra = [HeatKernelTruncation(lam, 20).modes for lam in lams]
     checked = 0
-    for lam in lams:
-        for total in range(21):
-            for p in range(total + 1):
-                q = total - p
-                ep = solve_eigenpoly(p, q, lam)
-                if ep.mu != eigenvalue(p, q, lam):
-                    return False, f"eigenvalue formula off at {(p, q, lam)}"
-                res = generator(ep.poly, lam) + ep.poly.scale(ep.mu)
-                if not res.is_zero():
-                    return False, f"residual nonzero at {(p, q, lam)}"
-                checked += 1
+    for lam, modes in zip(lams, spectra):
+        if [(ep.p, ep.q) for ep in modes] != order:
+            return False, f"modes out of order at lam = {lam.value}"
+        for ep in modes:
+            p, q = ep.p, ep.q
+            if ep.mu != eigenvalue(p, q, lam):
+                return False, f"eigenvalue formula off at {(p, q, lam)}"
+            top = [k for k in ep.poly.num if sum(k) >= p + q]
+            if top != [(p, q)] or ep.poly.coeff(p, q) != 1:
+                return False, f"not monic in Z^p Zbar^q at {(p, q, lam)}"
+            res = generator(ep.poly, lam) + ep.poly.scale(ep.mu)
+            if not res.is_zero():
+                return False, f"residual nonzero at {(p, q, lam)}"
+            checked += 1
     pairs = norms = 0
-    for lam in lams:
+    for lam, modes in zip(lams, spectra):
         mnum, mden = moments(lam, 24).integers()
-        eps = [solve_eigenpoly(p, t - p, lam) for t in range(13) for p in range(t + 1)]
+        eps = modes[:91]  # total degree <= 12
         # <f, g> = sum over g's terms (k, l) of conj(g_kl) u_f(l, k), with
         # the moment vector u_f(l, k) = sum_ij f_ij m(i + l, j + k) formed
         # once per mode; each product is an integer over f.den g.den mden
@@ -138,14 +147,14 @@ def _c04_eigen_system():
 
 def _c05_moments_and_haar():
     from .eigen import moments
-    from .su3 import haar_sample
+    from .su3 import _haar_matrices
 
     for lam in (Lambda(4), Lambda(1), Lambda(Rat(7, 2)), Lambda(Rat(9, 5))):
         m11 = moments(lam, 2).get(1, 1)
         if m11 != 1 / (2 * lam.value + 1):
             return False, f"m11 mismatch at lam = {lam.value}"
     n = 100000
-    stack = np.stack([u.matrix for u in haar_sample(17, n)])
+    stack = _haar_matrices(17, n)
     vals = np.abs(np.trace(stack, axis1=1, axis2=2) / 3.0) ** 2
     mean = float(vals.mean())
     se = float(vals.std(ddof=1)) / math.sqrt(n)

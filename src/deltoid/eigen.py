@@ -1,4 +1,4 @@
-"""Eigenpolynomials, exact moments, inner products, and degree spaces.
+"""Eigenpolynomials, exact moments and inner products.
 
 The generator maps the monomial Z^i Zbar^j to -mu_{i,j} times itself plus
 three lower-degree monomials:
@@ -8,10 +8,14 @@ three lower-degree monomials:
                     + i j    Z^(i-1) Zbar^(j-1)
                     + j(j-1) Z^(i+1) Zbar^(j-2)
 
-with mu_{i,j} = (lam-1)(i+j) + i^2 + ij + j^2.  The eigen solver
-back-substitutes that display, and the moment recursion integrates it
-against the invariant measure; `moments`, `inner_product` and the heat
-truncation's `integrates_to_delta` read the moments.
+with mu_{i,j} = (lam-1)(i+j) + i^2 + ij + j^2.  One mode is solved by
+back-substituting that display (`solve_eigenpoly`, the single-mode API
+and the reference for the builder).  A spectrum is built a degree at a
+time by the A2 Pieri recurrence for multiplication by Z
+(`_pieri_modes`), with no back-substitution.  The moment recursion
+integrates the display against the invariant measure; `moments`,
+`inner_product` and the heat truncation's `integrates_to_delta` read the
+moments.
 
 The squared norms do not.  The eigenpolynomials are the A2
 Heckman-Opdam (Jack-type) polynomials of multiplicity k = (lam - 1)/3,
@@ -30,7 +34,8 @@ believed unreachable; it stays as a defensive check on the divide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import count, groupby, islice
+from math import gcd, lcm
 
 from .exact import BivarPoly, CRat, Rat, _make
 from .operator import Lambda, _lam
@@ -40,16 +45,16 @@ class EigenvalueCollision(Exception):
     """Raised if back-substitution would divide by a zero eigenvalue gap."""
 
 
+class RecurrenceBreakdown(Exception):
+    """Raised if a Pieri coefficient a(p) would divide by zero."""
+
+
 class MomentRangeExceeded(Exception):
     """Moment lookup outside the table's computed degree range."""
 
 
 class NonpositiveNorm(Exception):
     """An eigenpolynomial's exact squared norm came out <= 0."""
-
-
-class EigenvalueCountMismatch(Exception):
-    """A degree space H_k has other than k // 2 + 1 distinct eigenvalues."""
 
 
 def eigenvalue(p: int, q: int, lam) -> "Rat":
@@ -169,6 +174,14 @@ def _norm2(p: int, q: int, a: int, b: int) -> "Rat":
     return Rat(num, den)
 
 
+def _positive_norm2(p: int, q: int, a: int, b: int) -> "Rat":
+    norm2 = _norm2(p, q, a, b)
+    # positive by the formula for lam > 0; kept as a defensive check
+    if norm2 <= 0:
+        raise NonpositiveNorm(f"nonpositive norm for P_{p},{q}")
+    return norm2
+
+
 def solve_eigenpoly(p: int, q: int, lam) -> EigenPolynomial:
     """Unique eigenpolynomial with monic leading monomial Z^p Zbar^q.
 
@@ -225,40 +238,131 @@ def solve_eigenpoly(p: int, q: int, lam) -> EigenPolynomial:
                 if w:
                     incoming[tgt] = incoming.get(tgt, 0) + w * c
     poly = _make({k: (n * (den // d), 0) for k, (n, d) in coeffs.items()}, den)
-    norm2 = _norm2(p, q, a, b)
-    # positive by the formula for lam > 0; kept as a defensive check
-    if norm2 <= 0:
-        raise NonpositiveNorm(f"nonpositive norm for P_{p},{q}")
+    norm2 = _positive_norm2(p, q, a, b)
     mu = Rat(target, b)
     return EigenPolynomial(p=p, q=q, lam=lam, poly=poly, mu=mu, norm2=norm2)
 
 
-def _mirror(ep: EigenPolynomial) -> EigenPolynomial:
-    """P_{q,p} from P_{p,q}: the same coefficients with i and j swapped.
+def _layout(d: int, r: int) -> list:
+    """The monomials (i, j) of degree <= d with i - j = r mod 3, in the
+    solver's order: degree descending, then the power of Z descending."""
+    return [(i, e - i) for e in range(d, -1, -1) for i in range(e - (r - e) % 3, -1, -3)]
 
-    L and the moments are symmetric under Z <-> Zbar and the coefficients
-    are real, so mu and the squared norm carry over.  The swapped terms
-    are laid out in the solver's storage order (degree descending, then
-    the power of Z descending), so the result equals a direct solve
-    down to the order of `num`.
+
+def _z_shift(keys: list) -> list:
+    """Positions that lay Z times a vector one degree lower out on keys.
+
+    Z maps the layout one degree lower, class r - 1, onto the entries of
+    keys with i >= 1 in order; so each such entry takes the next position,
+    and each entry with i = 0 the position of a zero appended to the
+    vector.
     """
-    swapped = sorted(ep.poly.num.items(),
-                     key=lambda kv: (-kv[0][0] - kv[0][1], -kv[0][1]))
-    poly = _make({(j, i): c for (i, j), c in swapped}, ep.poly.den)
-    return EigenPolynomial(p=ep.q, q=ep.p, lam=ep.lam, poly=poly, mu=ep.mu,
-                           norm2=ep.norm2)
+    at = count()
+    return [next(at) if i else -1 for i, _ in keys]
 
 
-def _degree_basis(k: int, lam: Lambda) -> tuple:
-    """The eigenpolynomials of total degree k, p from k down to 0.
+def _block_reversal(keys: list) -> list:
+    """Positions that reverse each degree block of a vector laid out on keys."""
+    idx = []
+    for _, block in groupby(keys, key=sum):
+        n = len(list(block))
+        idx += range(len(idx) + n - 1, len(idx) - 1, -1)
+    return idx
 
-    Only p >= q is solved; each P_{q,p} with q > p mirrors its partner.
+
+def _pieri_a(p: int, lv: "Rat") -> "Rat":
+    """a(p) of the recurrence at lam = lv, for p >= 1.
+
+    a(p) = 4p(3p + 2 lam - 5) / ((2 lam + 6p - 8)(2 lam + 6p - 2)).  At
+    p = 1 the factor 2 lam - 2 of both sides cancels, leaving
+    a(1) = 2 / (lam + 2): the formula reads 0/0 at lam = 1, where a = 2/3,
+    and both factors are negative below it.  For p >= 2 both denominator
+    factors are positive for every lam > 0.
     """
-    basis = {}
-    for p in range(k, -1, -1):
-        q = k - p
-        basis[p] = solve_eigenpoly(p, q, lam) if p >= q else _mirror(basis[q])
-    return tuple(basis.values())
+    if p == 1:
+        return 2 / (lv + 2)
+    den = (2 * lv + 6 * p - 8) * (2 * lv + 6 * p - 2)
+    if not den:
+        raise RecurrenceBreakdown(f"a({p}) divides by zero at lambda = {lv}")
+    return 4 * p * (3 * p + 2 * lv - 5) / den
+
+
+def _pieri_modes(lam: Lambda, held: tuple, degree: int) -> list:
+    """The eigenpolynomials of each total degree above held's through degree.
+
+    held is a spectrum's modes in truncation order (each degree complete,
+    p descending within it), possibly empty; only its two top degrees are
+    read.  The new modes come back in the same order.  Each P_{p,q} with
+    p >= q comes from the A2 Pieri recurrence (Macdonald, VI (6.24))
+
+        Z P_{p-1,q} = P_{p,q} + a(p-1) P_{p-2,q+1} + b(p-1,q) P_{p-1,q-1}
+
+    with b(p, q) = ||P_{p,q}||^2 / ||P_{p,q-1}||^2 from the closed norms.
+    A mode is an integer vector over one den, laid out over the monomials
+    of its class of degree <= p + q in the solver's order (`_layout`).
+    The two lower modes are then suffixes of the new vector, Z times
+    P_{p-1,q} is a gather that puts a zero where i = 0, and P_{q,p} is
+    its partner's vector with each degree block reversed.  The vectors
+    live only for the build; `num` keeps the nonzero entries in order,
+    exactly as a solve lays them out.
+    """
+    a, b = int(lam.value.numerator), int(lam.value.denominator)
+    top = held[-1].q if held else -1
+    # (p, q) -> (vector, den, norm2) for the two degrees below the one built
+    window = {}
+    for ep in held[(top - 1) * top // 2:]:
+        get = ep.poly.num.get
+        keys = _layout(ep.p + ep.q, (ep.p - ep.q) % 3)
+        window[ep.p, ep.q] = ([get(k, (0,))[0] for k in keys], ep.poly.den, ep.norm2)
+    out = []
+    for d in range(top + 1, degree + 1):
+        keys = [_layout(d, r) for r in range(3)]
+        shifts = [_z_shift(k) for k in keys]
+        flips = [_block_reversal(k) for k in keys]
+        row = {}
+        for p in range(d, (d - 1) // 2, -1):
+            q = d - p
+            norm2 = _positive_norm2(p, q, a, b)
+            if not d:
+                row[p, q] = ([1], 1, norm2)
+                continue
+            v, den, n2 = window[p - 1, q]
+            vec = list(map((v + [0]).__getitem__, shifts[(p - q) % 3]))  # Z P_{p-1,q}
+            # vec / den - sum of c w over the lower modes, over one den
+            lower = []
+            if p >= 2:
+                w, dw, _ = window[p - 2, q + 1]
+                lower.append((_pieri_a(p - 1, lam.value) / dw, w))
+            if q:
+                w, dw, nw = window[p - 1, q - 1]
+                lower.append((n2 / nw / dw, w))
+            new_den = lcm(den, *(int(c.denominator) for c, _ in lower))
+            f = new_den // den
+            if f != 1:
+                vec = [f * x for x in vec]
+            for c, w in lower:
+                c = int(c.numerator) * (new_den // int(c.denominator))
+                o = len(vec) - len(w)
+                vec[o:] = [x - c * y for x, y in zip(islice(vec, o, None), w)]
+            g = gcd(new_den, *vec)
+            if g != 1:
+                vec = [x // g for x in vec]
+            row[p, q] = (vec, new_den // g, norm2)
+        for p in range((d - 1) // 2, -1, -1):
+            v, den, norm2 = row[d - p, p]
+            row[p, d - p] = (list(map(v.__getitem__, flips[(d - 2 * p) % 3])), den, norm2)
+        for p in range(d, -1, -1):
+            q = d - p
+            v, den, norm2 = row[p, q]
+            # the content is already out, so the polynomial is formed as is
+            poly = BivarPoly.__new__(BivarPoly)
+            poly.num = {k: (x, 0) for k, x in zip(keys[(p - q) % 3], v) if x}
+            poly.den = den
+            mu = Rat((a - b) * d + b * (p * p + p * q + q * q), b)
+            out.append(EigenPolynomial(p=p, q=q, lam=lam, poly=poly, mu=mu, norm2=norm2))
+        window = {k: e for k, e in window.items() if sum(k) == d - 1}
+        window.update(row)
+    return out
 
 
 def inner_product(f: BivarPoly, g: BivarPoly, table: MomentTable) -> CRat:
@@ -284,50 +388,3 @@ def inner_product(f: BivarPoly, g: BivarPoly, table: MomentTable) -> CRat:
                 im += (fi * gr - fr * gi) * m
     den = f.den * g.den * mden
     return CRat(Rat(re, den), Rat(im, den))
-
-
-@dataclass(frozen=True)
-class HkSpace:
-    k: int
-    basis: tuple          # EigenPolynomial, p from k down to 0
-    sym: tuple            # BivarPoly, (P_pq + P_qp)/2 for p >= q
-    antisym: tuple        # BivarPoly, (P_pq - P_qp)/(2i) for p > q
-    distinct_eigenvalues: tuple
-
-    @property
-    def r_k(self) -> int:
-        return len(self.distinct_eigenvalues)
-
-
-def hk_space(k: int, lam) -> HkSpace:
-    """All eigenpolynomials of total degree k plus their real forms."""
-    if k < 0:
-        raise ValueError("need k >= 0")
-    lam = lam if isinstance(lam, Lambda) else Lambda(lam)
-    basis = _degree_basis(k, lam)
-    half = CRat(Rat(1, 2))
-    neg_half_i = CRat(Rat(0), -Rat(1, 2))
-    sym = []
-    antisym = []
-    for ep in basis:
-        p, q = ep.p, ep.q
-        if p < q:
-            continue
-        partner = next(e.poly for e in basis if e.p == q and e.q == p)
-        sym.append((ep.poly + partner).scale(half))
-        if p > q:
-            antisym.append((ep.poly - partner).scale(neg_half_i))
-    mus = sorted({(int(e.mu.numerator), int(e.mu.denominator)) for e in basis})
-    distinct = tuple(Rat(n, d) for n, d in mus)
-    expected = k // 2 + 1 if k else 1
-    if len(distinct) != expected:
-        raise EigenvalueCountMismatch(
-            f"H_{k} has {len(distinct)} distinct eigenvalues, expected {expected}"
-        )
-    return HkSpace(
-        k=k,
-        basis=basis,
-        sym=tuple(sym),
-        antisym=tuple(antisym),
-        distinct_eigenvalues=distinct,
-    )

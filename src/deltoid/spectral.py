@@ -2,11 +2,13 @@
 
 A truncation keeps every eigenpolynomial up to a fixed total degree with
 exact rational eigenvalue and norm.  It is a prefix of the one live
-spectrum of its lam, grown in place by degree and trimmed back when its
-deepest truncation is freed.  For lam >= 1 every mode is a nonnegative
-combination of the lam = 1 orbit sums (Koornwinder 1974, class IV; Knop
-& Sahi 1997), so |P| <= P(1), its coefficient sum: the sup-norm check
-and the sup of the heat diagonal read exact cusp weights P(1)^2/||P||^2.
+spectrum of its lam, grown in place by degree with the A2 Pieri
+recurrence (`eigen._pieri_modes`; no mode is solved on its own) and
+trimmed back when its deepest truncation is freed.  For lam >= 1 every
+mode is a nonnegative combination of the lam = 1 orbit sums (Koornwinder
+1974, class IV; Knop & Sahi 1997), so |P| <= P(1), its coefficient sum:
+the sup-norm check and the sup of the heat diagonal read exact cusp
+weights P(1)^2/||P||^2.
 Other float values of modes, for the heat diagonal at a point and the
 H_k and multiplier-kernel checks, are read from one float mode store
 per spectrum, a real coefficient matrix per residue class of modes.
@@ -23,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .eigen import _degree_basis
+from .eigen import _pieri_modes
 from .exact import Rat, c_prod
 from .geometry import V0, V1, V2, DeltoidPoint, plane_to_deltoid
 from .operator import Lambda
@@ -65,7 +67,8 @@ def growth_passed(rep: FitReport) -> bool:
 class _Spectrum:
     """The exact modes of one lam in truncation order, with one float store.
 
-    It grows in place by degree, and trims back to the deepest truncation
+    It grows in place by degree, each new degree built by the recurrence
+    from the two below it, and trims back to the deepest truncation
     still alive; the modes of degree <= N are always its first
     (N + 1)(N + 2)/2.  Per mode it keeps mu and 1 / squared norm as
     floats.  The cusp weights and the store are built on first use.
@@ -82,8 +85,7 @@ class _Spectrum:
     def grow(self, degree):
         if degree <= self.degree:
             return
-        new = [ep for total in range(self.degree + 1, degree + 1)
-               for ep in _degree_basis(total, self.lam)]
+        new = _pieri_modes(self.lam, self.modes, degree)
         self.modes += tuple(new)
         self.mu = np.append(self.mu, [float(ep.mu) for ep in new])
         self.inv_norm2 = np.append(self.inv_norm2, [1.0 / float(ep.norm2) for ep in new])
@@ -141,7 +143,7 @@ class HeatKernelTruncation:
 
     A truncation is a prefix view of the live spectrum of its lam, so
     truncations of one lam alive at once share one spectrum and one
-    store: a truncation no deeper than one already alive solves nothing,
+    store: a truncation no deeper than one already alive builds nothing,
     and its store is the deeper store's first rows.  The exact side (mu,
     squared norm as rationals, the polynomials themselves) lives in
     `modes`, and the exact cusp weights in `cusp_weights`.  Every other
@@ -357,7 +359,7 @@ class _ModeStore:
         """The store of a truncation's modes, rows in the order of modes.
 
         complex_coeffs() runs once per mode with p >= q; P_{q,p} takes
-        its partner's terms with i and j swapped, as eigen._mirror does.
+        its partner's terms with i and j swapped, as the builder mirrors it.
         """
         terms = {(ep.p, ep.q): ep.poly.complex_coeffs() for ep in modes if ep.p >= ep.q}
         terms.update({(q, p): [(j, i, c) for i, j, c in t]

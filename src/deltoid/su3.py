@@ -89,13 +89,9 @@ class SpecialUnitary3:
         self.matrix = m
 
     @classmethod
-    def _checked_stack(cls, stack):
-        """One element per matrix of an (n, 3, 3) stack, validated at once.
-
-        The elements hold read-only views into the stack.
-        """
-        _check_special_unitary(stack)
-        stack.setflags(write=False)
+    def _views(cls, stack):
+        """One element per matrix of a validated, read-only (n, 3, 3)
+        stack, each holding a view into it."""
         out = []
         for m in stack:
             u = cls.__new__(cls)
@@ -149,36 +145,44 @@ _HAAR_BLOCK = 1024
 def haar_sample(seed, n):
     """Draw n Haar-distributed SU(3) elements, deterministic per seed.
 
+    One element per draw of _haar_matrices(seed, n), each a read-only
+    view into that stack; haar_sample(seed, k) is a prefix of
+    haar_sample(seed, n) for k <= n.
+    """
+    return SpecialUnitary3._views(_haar_matrices(seed, n))
+
+
+def _haar_matrices(seed, n):
+    """The n draws of haar_sample(seed, n) as one validated, read-only
+    (n, 3, 3) stack.
+
     One generator, np.random.default_rng(seed), gives each draw 18
     standard normals in draw order: nine real parts, then nine imaginary
-    parts, row-major.  Draw i thus depends only on (seed, i), and
-    haar_sample(seed, k) is a prefix of haar_sample(seed, n) for k <= n.
-    This is the stream of report schema 2; schema 1 spawned one
-    SeedSequence child stream per draw.
+    parts, row-major.  Draw i thus depends only on (seed, i).  This is
+    the stream of report schema 2; schema 1 spawned one SeedSequence
+    child stream per draw.
 
     Orthonormalize a complex Gaussian matrix, fix the QR phase ambiguity
     with the signs of the triangular diagonal (Mezzadri 2007), then
     divide by a cube root of the determinant.  Each block of up to
     _HAAR_BLOCK draws takes its normals in one call and runs its linear
-    algebra on one (k, 3, 3) stack; every matrix comes out bit for bit
-    as it would from its own QR.
+    algebra and its SU(3) check on one (k, 3, 3) stack; every matrix
+    comes out bit for bit as it would from its own QR.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    out = []
+    out = np.empty((n, 3, 3), dtype=complex)
     for lo in range(0, n, _HAAR_BLOCK):
         normals = rng.standard_normal((min(_HAAR_BLOCK, n - lo), 2, 3, 3))
-        out += _haar_stack(normals)
+        q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        q *= (diag / np.abs(diag))[:, None, :]
+        q /= (np.linalg.det(q) ** (1.0 / 3.0))[:, None, None]
+        _check_special_unitary(q)
+        out[lo:lo + len(q)] = q
+    out.setflags(write=False)
     return out
-
-
-def _haar_stack(normals):
-    q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    q *= (diag / np.abs(diag))[:, None, :]
-    q /= (np.linalg.det(q) ** (1.0 / 3.0))[:, None, None]
-    return SpecialUnitary3._checked_stack(q)
 
 
 def _mat_of(u):
@@ -853,7 +857,7 @@ def curvature_dimension_check(trials=8, samples=40, seed=5, tol=1e-8):
     Each is evaluated on the whole sample stack in one call.
     """
     rng = np.random.default_rng(seed)
-    stack = _matrices(haar_sample(seed + 1, samples))
+    stack = _haar_matrices(seed + 1, samples)
     margins = np.empty((trials, samples))
     for trial in range(trials):
         g = EntryPoly()

@@ -5,7 +5,11 @@ can hold the two against each other.
 """
 
 import math
+from dataclasses import dataclass
 
+from deltoid import eigen
+from deltoid.exact import CRat, Rat
+from deltoid.operator import Lambda
 from deltoid.su3 import _FRAME_MOVES, _derive, _mat_of, entry_const, normalized_trace
 
 
@@ -57,3 +61,53 @@ def sobolev_reference_value(p, a, t):
         if 2 * a * t * k * k > 2 * p and term < s * 1e-18:
             return s
         k += 1
+
+
+class EigenvalueCountMismatch(Exception):
+    """A degree space H_k has other than k // 2 + 1 distinct eigenvalues."""
+
+
+@dataclass(frozen=True)
+class HkSpace:
+    k: int
+    basis: tuple          # EigenPolynomial, p from k down to 0
+    sym: tuple            # BivarPoly, (P_pq + P_qp)/2 for p >= q
+    antisym: tuple        # BivarPoly, (P_pq - P_qp)/(2i) for p > q
+    distinct_eigenvalues: tuple
+
+    @property
+    def r_k(self) -> int:
+        return len(self.distinct_eigenvalues)
+
+
+def hk_space(k, lam):
+    """All eigenpolynomials of total degree k, each one solved by
+    back-substitution, plus their real forms.
+
+    The solves go through the module attribute eigen.solve_eigenpoly, so
+    a test can swap the solver out.
+    """
+    if k < 0:
+        raise ValueError("need k >= 0")
+    lam = lam if isinstance(lam, Lambda) else Lambda(lam)
+    basis = tuple(eigen.solve_eigenpoly(p, k - p, lam) for p in range(k, -1, -1))
+    half = CRat(Rat(1, 2))
+    neg_half_i = CRat(Rat(0), -Rat(1, 2))
+    sym = []
+    antisym = []
+    for ep in basis:
+        if ep.p < ep.q:
+            continue
+        partner = basis[k - ep.q]  # P_{q,p}; basis[i] has p = k - i
+        sym.append((ep.poly + partner.poly).scale(half))
+        if ep.p > ep.q:
+            antisym.append((ep.poly - partner.poly).scale(neg_half_i))
+    mus = sorted({(int(e.mu.numerator), int(e.mu.denominator)) for e in basis})
+    distinct = tuple(Rat(n, d) for n, d in mus)
+    expected = k // 2 + 1 if k else 1
+    if len(distinct) != expected:
+        raise EigenvalueCountMismatch(
+            f"H_{k} has {len(distinct)} distinct eigenvalues, expected {expected}"
+        )
+    return HkSpace(k=k, basis=basis, sym=tuple(sym), antisym=tuple(antisym),
+                   distinct_eigenvalues=distinct)

@@ -1,8 +1,10 @@
 """One test per headline criterion, each printing its own verdict line."""
 
+import numpy as np
 import pytest
 
 from deltoid.acceptance import CRITERIA, run_criterion
+from deltoid.geometry import plane_to_deltoid, sample_interior, triangle_to_deltoid
 
 _IDS = [name for _, name, _ in CRITERIA]
 
@@ -25,3 +27,12 @@ def test_eigen_system_summary_counts_each_check_once():
     res = run_criterion(4)
     assert res.summary == (f"{3 * 231} exact eigen residuals, {3 * 4095} zero products, "
                            f"{3 * 91} exact norms")
+
+
+def test_density_points_are_the_point_map():
+    # c01 maps its 1,000 points as one array; each keeps the bits of its
+    # own triangle_to_deltoid image
+    pts = sample_interior(1000, "low-discrepancy", seed=3)
+    want = np.array([triangle_to_deltoid(p).Z for p in pts], dtype=complex)
+    got = plane_to_deltoid(np.array([p.x for p in pts]), np.array([p.y for p in pts]))
+    assert got.tobytes() == want.tobytes()

@@ -3,21 +3,21 @@ import random
 
 import pytest
 
-from deltoid import eigen
+from deltoid import eigen, spectral
 from deltoid.exact import BivarPoly, Rat, Z, ZBAR
 from deltoid.spectral import HeatKernelTruncation
 from deltoid.eigen import (
-    EigenvalueCountMismatch,
     MomentRangeExceeded,
     MomentTable,
     NonpositiveNorm,
+    RecurrenceBreakdown,
     eigenvalue,
-    hk_space,
     inner_product,
     moments,
     solve_eigenpoly,
 )
 from deltoid.operator import Lambda, generator
+from oracles import EigenvalueCountMismatch, hk_space
 
 ONE = BivarPoly.const(Rat(1))
 
@@ -289,6 +289,8 @@ def test_nonpositive_norm_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(eigen, "_norm2", lambda p, q, a, b: Rat(-1, 9))
     with pytest.raises(NonpositiveNorm):
         solve_eigenpoly(1, 1, Lambda(4))
+    with pytest.raises(NonpositiveNorm):
+        eigen._pieri_modes(Lambda(4), (), 2)
 
 
 def test_eigenvalue_count_is_a_typed_error(monkeypatch):
@@ -318,3 +320,91 @@ def test_solver_and_truncation_build_no_moment_table(monkeypatch):
     ep = solve_eigenpoly(7, 4, lam)
     assert ep.norm2 == trunc.modes[66 + 4].norm2 > 0  # degree 11, p = 7
 
+
+
+def _exact(modes):
+    return [(e.p, e.q, e.mu, e.norm2, e.poly.den, list(e.poly.num.items())) for e in modes]
+
+
+@pytest.mark.parametrize("lv, degree", [
+    (Rat(4), 40), (Rat(1), 25), (Rat(7, 2), 30), (Rat(1, 2), 20), (Rat(9, 5), 24),
+    (Rat(11, 3), 20), (Rat(2), 24), (Rat(1, 3), 16), (Rat(1, 10), 14), (Rat(100), 14)])
+def test_pieri_builder_equals_solver(lv, degree):
+    # every mode, mirrors included, down to the order of its terms
+    lam = Lambda(lv)
+    built = eigen._pieri_modes(lam, (), degree)
+    order = [(p, d - p) for d in range(degree + 1) for p in range(d, -1, -1)]
+    assert _exact(built) == _exact(solve_eigenpoly(p, q, lam) for p, q in order)
+
+
+def _recurrence_residual(p, q, lam, a):
+    # Z P_{p,q} - P_{p+1,q} - a P_{p-1,q+1} - b(p,q) P_{p,q-1}, from solves
+    def poly(i, j):
+        return solve_eigenpoly(i, j, lam).poly
+
+    rest = Z * poly(p, q) - poly(p + 1, q) - poly(p - 1, q + 1).scale(a)
+    if q:
+        b = solve_eigenpoly(p, q, lam).norm2 / solve_eigenpoly(p, q - 1, lam).norm2
+        rest = rest - poly(p, q - 1).scale(b)
+    return rest
+
+
+@pytest.mark.parametrize("lv", [Rat(1, 10), Rat(1, 3), Rat(1, 2), Rat(1), Rat(9, 5),
+                                Rat(4), Rat(100)])
+def test_pieri_a_is_the_recurrence_coefficient(lv):
+    lam = Lambda(lv)
+    for p in range(1, 6):
+        a = eigen._pieri_a(p, lv)
+        num = 4 * p * (3 * p + 2 * lv - 5)
+        den = (2 * lv + 6 * p - 8) * (2 * lv + 6 * p - 2)
+        if p > 1:
+            assert a == num / den
+        elif lv != 1:
+            # 2 lam - 2 divides both sides (0/0 at lam = 1, tested below);
+            # below lam = 1 both sides are negative and a stays positive
+            assert a == num / den == 2 / (lv + 2)
+            assert (num < 0 and den < 0) == (lv < 1)
+        for q in range(4):
+            assert _recurrence_residual(p, q, lam, a).is_zero(), (p, q)
+
+
+def test_pieri_a_limit_at_lambda_one():
+    assert eigen._pieri_a(1, Rat(1)) == Rat(2, 3)
+    assert _recurrence_residual(1, 0, Lambda(1), Rat(2, 3)).is_zero()
+    assert not _recurrence_residual(1, 0, Lambda(1), Rat(1, 2)).is_zero()
+
+
+def test_pieri_a_zero_denominator_is_a_typed_error():
+    # not reachable for lam > 0; lam = -2 zeroes 2 lam + 6p - 8 at p = 2
+    with pytest.raises(RecurrenceBreakdown):
+        eigen._pieri_a(2, Rat(-2))
+
+
+def test_growing_in_steps_equals_a_fresh_build():
+    lam = Lambda(Rat(7, 2))
+    spec = spectral._Spectrum(lam)
+    for degree in (0, 1, 20, 40):
+        spec.grow(degree)
+    assert _exact(spec.modes) == _exact(eigen._pieri_modes(lam, (), 40))
+
+
+def test_trimmed_spectrum_regrows_to_a_fresh_build():
+    lam = Lambda(Rat(17, 6))  # no other test holds this lam
+    assert (17, 6) not in spectral._spectra
+    shallow = HeatKernelTruncation(lam, 20)
+    deep = HeatKernelTruncation(lam, 40)
+    del deep
+    assert shallow._spectrum.degree == 20
+    again = HeatKernelTruncation(lam, 40)
+    assert again._spectrum is shallow._spectrum
+    assert _exact(again.modes) == _exact(eigen._pieri_modes(lam, (), 40))
+
+
+def test_fresh_truncation_solves_nothing(monkeypatch):
+    def refuse(p, q, lam):
+        raise AssertionError("a spectrum called the single-mode solver")
+
+    monkeypatch.setattr(eigen, "solve_eigenpoly", refuse)
+    lam = Lambda(Rat(19, 7))  # no other test holds this lam
+    assert (19, 7) not in spectral._spectra
+    assert len(HeatKernelTruncation(lam, 12)) == 91

@@ -15,7 +15,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from deltoid.eigen import solve_eigenpoly
+from deltoid.eigen import _pieri_modes, solve_eigenpoly
 from deltoid.exact import BivarPoly, CRat, Rat
 from deltoid.operator import Lambda, boundary_poly, gamma, gamma2, generator
 
@@ -516,15 +516,17 @@ def ref_records(coeffs):
 @pytest.mark.parametrize("lam", [F(4), F(1), F(7, 2), F(9, 5), F(1, 2), F(1, 10),
                                  F(100)])
 def test_solve_eigenpoly_matches_fraction_backsubstitution(lam):
+    # the single-mode solver and the spectrum builder alike
     table = ref_moments(lam, 24)
     lam_rat = Lambda(Rat(lam.numerator, lam.denominator))
+    built = {(ep.p, ep.q): ep for ep in _pieri_modes(lam_rat, (), 12)}
     for total in range(13):
         for p in range(total + 1):
             q = total - p
             want = ref_eigenpoly(p, q, lam)
-            ep = solve_eigenpoly(p, q, lam_rat)
-            assert_canonical(ep.poly)
-            assert ep.poly.to_records() == ref_records(want)
-            assert F(ep.mu) == (lam - 1) * total + p * p + p * q + q * q
             norm2 = sum(c * table.get((i + q, j + p), F(0)) for (i, j), c in want.items())
-            assert F(ep.norm2) == norm2
+            for ep in (solve_eigenpoly(p, q, lam_rat), built[p, q]):
+                assert_canonical(ep.poly)
+                assert ep.poly.to_records() == ref_records(want)
+                assert F(ep.mu) == (lam - 1) * total + p * p + p * q + q * q
+                assert F(ep.norm2) == norm2

@@ -340,15 +340,17 @@ def test_live_truncation_leaves_check_reports_unchanged(monkeypatch):
 
 
 def test_checks_beside_a_deeper_truncation_solve_nothing(trunc4, monkeypatch):
+    # the builder forms each mode with p >= q once, with one closed norm;
+    # a mirror P_{q,p} shares its partner's
     assert spectral._spectra[4, 1] is trunc4._spectrum
     calls = []
-    original = eigen.solve_eigenpoly
+    original = eigen._norm2
 
-    def counted(p, q, lam):
+    def counted(p, q, a, b):
         calls.append((p, q))
-        return original(p, q, lam)
+        return original(p, q, a, b)
 
-    monkeypatch.setattr(eigen, "solve_eigenpoly", counted)
+    monkeypatch.setattr(eigen, "_norm2", counted)
     lam = Lambda(4)
     assert len(HeatKernelTruncation(lam, 30)) == 496
     supnorm_bound_check(lam, 30)

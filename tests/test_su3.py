@@ -116,6 +116,26 @@ def test_haar_sample_matches_per_draw_loop(seed, n):
         assert np.array_equal(u.matrix, v.matrix)
 
 
+@pytest.mark.parametrize("seed, n", [(0, 1), (17, 2100)])
+def test_haar_stack_is_the_sample(seed, n):
+    # the stack c05 and the curvature check read holds the bits of the
+    # list's matrices, which are read-only views into it
+    stack = su3._haar_matrices(seed, n)
+    assert stack.shape == (n, 3, 3) and not stack.flags.writeable
+    us = haar_sample(seed, n)
+    assert np.stack([u.matrix for u in us]).tobytes() == stack.tobytes()
+    assert all(u.matrix.base is not None for u in us)
+    with pytest.raises(ValueError):
+        su3._haar_matrices(seed, 0)
+
+
+def test_haar_stack_is_validated(monkeypatch):
+    # a draw that leaves SU(3) is refused before the stack is returned
+    monkeypatch.setattr(np.linalg, "det", lambda m: 2.0 * np.ones(m.shape[:-2]))
+    with pytest.raises(ValueError):
+        su3._haar_matrices(3, 10)
+
+
 def test_haar_trace_moments():
     us = haar_sample(0, 4000)
     tr = np.array([np.trace(u.matrix) for u in us])

@@ -9,12 +9,9 @@ from deltoid import (
     LieBasis,
     Z,
     ZBAR,
-    charpoly_identity_check,
     commutator_table,
-    curvature_dimension_check,
+    group_model_check,
     haar_sample,
-    pushforward_check,
-    ricci_constant,
 )
 
 print("= frame structure =")
@@ -23,28 +20,21 @@ cas = sum(x @ x for _, x in basis)
 print("fields:", ", ".join(basis.names))
 print("Casimir sum of squares = -16/3 I:",
       np.abs(cas + (16 / 3) * np.eye(3)).max() < 1e-13)
-print("Ricci proportionality constant:", ricci_constant())
 
-table = commutator_table()
-nonzero = sum(1 for c, nm in table.values() if nm is not None)
-print(f"commutator table: {len(table)} pairs, {nonzero} nonvanishing")
+us = haar_sample(11, 60)
+rep = group_model_check(us, [Z, ZBAR, Z * ZBAR, Z**2], 5, 7)
+print("Ricci proportionality constant:", rep.ricci)
+nonzero = sum(1 for c, nm in commutator_table().values() if nm is not None)
+print(f"commutator table: {rep.commutator_entries} pairs, {nonzero} nonvanishing")
 
 print()
 print("= pushforward through the normalized trace =")
-us = haar_sample(11, 60)
-rep = pushforward_check([Z, ZBAR, Z * ZBAR, Z**2], us)
-print(f"{rep.count} comparisons: gamma residual {rep.max_gamma_residual:.2e},"
-      f" generator residual {rep.max_generator_residual:.2e}")
+print(f"{rep.push.count} comparisons: gamma residual {rep.push.max_gamma_residual:.2e},"
+      f" generator residual {rep.push.max_generator_residual:.2e}")
 
 print()
 print("= characteristic-polynomial identities =")
-rng = np.random.default_rng(5)
-worst = 0.0
-for u in us[:20]:
-    x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    r = charpoly_identity_check(u, complex(x), complex(y))
-    worst = max(worst, r.gamma_residual, r.generator_residual)
-print(f"worst residual over 20 samples: {worst:.2e}")
+print(f"worst residual over 25 samples: {rep.charpoly_residual:.2e}")
 
 print()
 print("= Haar sanity: moments of the normalized trace =")
@@ -56,6 +46,6 @@ print(f"E (tr/3)^3    = {np.mean(tr ** 3).real:.5f}   (target 1/27 = {1/27:.5f})
 
 print()
 print("= curvature of the group model =")
-cd = curvature_dimension_check(trials=6, samples=30, seed=7)
-print(f"CD(3, 8) sampling: {cd.pairs} pairs, min margin {cd.min_margin:.3f},"
-      f" passed {cd.passed}")
+print(f"CD(3, 8) sampling: {rep.cd.pairs} pairs, min margin {rep.cd.min_margin:.3f},"
+      f" passed {rep.cd.passed}")
+print("every group-model claim holds:", rep.passed)

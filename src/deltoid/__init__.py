@@ -40,7 +40,6 @@ from .eigen import (
 from .geometry import (
     DeltoidPoint,
     TrianglePoint,
-    boundary_points,
     sample_interior,
     triangle_to_deltoid,
     w_density,
@@ -69,6 +68,7 @@ from .su3 import (
     charpoly_identity_check,
     commutator_table,
     curvature_dimension_check,
+    group_model_check,
     haar_sample,
     normalized_trace,
     pushforward_check,
@@ -114,7 +114,6 @@ __all__ = [
     "solve_eigenpoly",
     "DeltoidPoint",
     "TrianglePoint",
-    "boundary_points",
     "sample_interior",
     "triangle_to_deltoid",
     "w_density",
@@ -139,6 +138,7 @@ __all__ = [
     "charpoly_identity_check",
     "commutator_table",
     "curvature_dimension_check",
+    "group_model_check",
     "haar_sample",
     "normalized_trace",
     "pushforward_check",

@@ -32,8 +32,6 @@ from .geometry import (
     _bary_xy,
     plane_to_deltoid,
     sample_interior,
-    w_density,
-    TrianglePoint,
 )
 from .operator import (
     GammaMatrix,
@@ -56,48 +54,6 @@ class IdentityMismatch(Exception):
 
 class DegenerateDenominator(ArithmeticError):
     """Scan point too close to the boundary lines, N below tolerance."""
-
-
-@dataclass(frozen=True)
-class CDParams:
-    """One curvature-dimension datum in both bookkeeping forms.
-
-    (rho, n) is the inequality for the operator at this lam; (a1, b1) are
-    the log P tensor weights.  rho = (lam-1) b1 / 3 and n - 2 =
-    (lam-1)/(3 a1) tie them together; (1/6, 9/4) <-> (3(lam-1)/4, 2 lam).
-    """
-
-    lam: object
-    rho: object
-    n: object
-    a1: object
-    b1: object
-
-    @staticmethod
-    def from_logp(lam, a1, b1) -> "CDParams":
-        lv = Lambda(lam).value
-        a1 = as_rat(a1)
-        b1 = as_rat(b1)
-        if lv <= 1:
-            raise ValueError("conversion needs lam > 1")
-        if a1 == 0:
-            raise ValueError("a1 = 0 has no finite dimension")
-        rho = (lv - 1) * b1 / 3
-        n = 2 + (lv - 1) / (3 * a1)
-        return CDParams(lam=lv, rho=rho, n=n, a1=a1, b1=b1)
-
-    @staticmethod
-    def from_cd(lam, rho, n) -> "CDParams":
-        lv = Lambda(lam).value
-        rho = as_rat(rho)
-        n = as_rat(n)
-        if lv <= 1:
-            raise ValueError("conversion needs lam > 1")
-        if n <= 2:
-            raise ValueError("need n > 2")
-        b1 = 3 * rho / (lv - 1)
-        a1 = (lv - 1) / (3 * (n - 2))
-        return CDParams(lam=lv, rho=rho, n=n, a1=a1, b1=b1)
 
 
 # ---------------------------------------------------------------- route 1
@@ -184,8 +140,8 @@ def psd_check(t: HermitianTensorField, points, tol: float = 1e-12) -> PsdReport:
 def deltoid_grid(m: int):
     """Z on the mapped barycentric grid, a 1-d complex array.
 
-    The points of interior_lattice(m), in its order: (i, j, k) with
-    i + j + k = m, all >= 1, i then j ascending.  It includes the
+    The strictly interior barycentric lattice, in this order: (i, j, k)
+    with i + j + k = m, all >= 1, i then j ascending.  It includes the
     medians, hence the cusp rays.  The plane coordinates are
     _bary_to_plane's arithmetic on arrays, so each Z has the bits of
     triangle_to_deltoid at that lattice point (see plane_to_deltoid).
@@ -458,86 +414,6 @@ def triangle_b(a: float, theta: float, phi: float, cross_check: bool = True,
         N=nv,
         b_of_a=_b_from_parts(a1v, b1v, c1v, nv),
     )
-
-
-def fd_oracle_b(a: float, theta: float, phi: float, h: float = 3e-4) -> float:
-    """Finite-difference eigenvalue oracle, independent of the closed forms.
-
-    Works in the Euclidean plane coordinates x = theta/3,
-    y = (theta + 2 phi)/sqrt(3), where sigma = (1/2) log W; valid away
-    from the boundary lines (the derivatives of sigma blow up there).
-    """
-    x0 = theta / 3.0
-    y0 = (theta + 2.0 * phi) / ROOT3
-
-    def sig(x, y):
-        return 0.5 * math.log(w_density(TrianglePoint(x, y)))
-
-    s0 = sig(x0, y0)
-    sxx = (sig(x0 + h, y0) - 2 * s0 + sig(x0 - h, y0)) / (h * h)
-    syy = (sig(x0, y0 + h) - 2 * s0 + sig(x0, y0 - h)) / (h * h)
-    sxy = (
-        sig(x0 + h, y0 + h)
-        - sig(x0 + h, y0 - h)
-        - sig(x0 - h, y0 + h)
-        + sig(x0 - h, y0 - h)
-    ) / (4 * h * h)
-    gx = (sig(x0 + h, y0) - sig(x0 - h, y0)) / (2 * h)
-    gy = (sig(x0, y0 + h) - sig(x0, y0 - h)) / (2 * h)
-    t11 = -sxx - a * gx * gx
-    t12 = -sxy - a * gx * gy
-    t22 = -syy - a * gy * gy
-    return 0.5 * ((t11 + t22) - math.hypot(t11 - t22, 2 * t12))
-
-
-def b_one_third_forms(theta: float, phi: float):
-    """The four closed forms of b(1/3) at one scan point.
-
-    Returns (trig, zu, xw, t) values; they agree to ~1e-11 at interior
-    points, which the representation-agreement tests pin down.
-    """
-    sp = triangle_b(1.0 / 3.0, theta, phi, cross_check=False)
-    b_trig = sp.b_of_a
-
-    z = cmath.exp(1j * theta)
-    u = cmath.exp(1j * phi)
-    P = (
-        (u * u - 4 * u + 1) * (1 + u ** 6 * z ** 4)
-        - 4 * z * u * (u + 1) * (u * u - 3 * u + 1) * (1 + z * z * u ** 3)
-        + u * u * z * z * (u ** 4 + 8 * u ** 3 - 30 * u * u + 8 * u + 1)
-    )
-    f1 = z * z * u ** 4 - z * u ** 3 - z * u * u + u * u - u + 1
-    f2 = z * z * u * u - z * z * u ** 3 + z * z * u ** 4 - z * u - z * u * u + 1
-    f3 = z * z * u ** 4 + z * z * u ** 3 + z * u ** 3 - 6 * z * u * u + z * u + u + 1
-    Q = f1 * f2 * f3 * f3
-    D = (u - 1) ** 2 * (z * u * u - 1) ** 2 * (z * u - 1) ** 2
-    if abs(D) < N_TOL:
-        raise DegenerateDenominator(f"D = {D} at ({theta}, {phi})")
-    sq = cmath.sqrt(Q)
-    e1 = (P - sq) / (2 * D)
-    e2 = (P + sq) / (2 * D)
-    b_zu = min(e1.real, e2.real)
-
-    x = math.cos(phi / 2)
-    yv = math.cos(theta + 1.5 * phi)
-    w = yv - x
-    one_m_x2 = 1 - x * x
-    if abs(w) < 1e-13 or one_m_x2 < 1e-13:
-        raise DegenerateDenominator(f"xw form degenerate at ({theta}, {phi})")
-    num = 2 * one_m_x2 - x * w
-    rad = num * num - 3 * w * w * one_m_x2
-    b_xw = 0.25 * (num * num + 3 * w * w * one_m_x2 - num * math.sqrt(rad)) / (
-        one_m_x2 * w * w
-    )
-
-    t = num / (abs(w) * math.sqrt(one_m_x2))
-    b_t = b_one_third_of_t(t)
-    return b_trig, b_zu, b_xw, b_t
-
-
-def b_one_third_of_t(t: float) -> float:
-    """b(1/3) = (t^2 + 3 - t sqrt(t^2 - 3))/4 on t >= sqrt(3), inf 9/8."""
-    return 0.25 * (t * t + 3 - t * math.sqrt(max(t * t - 3, 0.0)))
 
 
 # scan domain in (theta, phi): the open triangle with these vertices

@@ -50,10 +50,6 @@ def pq_arg(text):
     return (p, q)
 
 
-def _rat_str(r):
-    return str(r)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Echo of the knobs a run was invoked with.
@@ -81,13 +77,16 @@ def _report(config, result):
     }
 
 
-def _emit_json(report, out):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+def _write(text, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(report, out):
+    _write(json.dumps(report, sort_keys=True, indent=2) + "\n", out)
 
 
 def _emit_csv(header, rows, out):
@@ -95,12 +94,7 @@ def _emit_csv(header, rows, out):
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
                               for v in row))
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", out)
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +106,15 @@ def _run_eigen(args):
 
     p, q = args.pq
     ep = solve_eigenpoly(p, q, Lambda(args.lam))
-    config = RunConfig(command="eigen", lam=_rat_str(args.lam), out=args.out,
+    config = RunConfig(command="eigen", lam=str(args.lam), out=args.out,
                        extra={"p": p, "q": q})
     result = {
         "p": p,
         "q": q,
-        "lambda": _rat_str(args.lam),
-        "mu": _rat_str(ep.mu),
+        "lambda": str(args.lam),
+        "mu": str(ep.mu),
         "coefficients": ep.poly.to_records(),
-        "norm2": _rat_str(ep.norm2),
+        "norm2": str(ep.norm2),
     }
     _emit_json(_report(config, result), args.out)
     return 0
@@ -133,10 +127,10 @@ def _run_moments(args):
     entries = {}
     for i in range(args.max_degree + 1):
         for j in range(args.max_degree + 1 - i):
-            entries[f"{i},{j}"] = _rat_str(table.get(i, j))
-    config = RunConfig(command="moments", lam=_rat_str(args.lam),
+            entries[f"{i},{j}"] = str(table.get(i, j))
+    config = RunConfig(command="moments", lam=str(args.lam),
                        degree=args.max_degree, out=args.out)
-    result = {"lambda": _rat_str(args.lam), "max_degree": args.max_degree,
+    result = {"lambda": str(args.lam), "max_degree": args.max_degree,
               "moments": entries}
     _emit_json(_report(config, result), args.out)
     return 0
@@ -149,9 +143,9 @@ def _run_cd_verify(args):
         Lambda(args.lam), float(args.rho), float(args.n),
         trials=args.trials, points=args.grid, seed=args.seed,
     )
-    config = RunConfig(command="cd verify", lam=_rat_str(args.lam),
+    config = RunConfig(command="cd verify", lam=str(args.lam),
                        seed=args.seed, grid=args.grid, out=args.out,
-                       extra={"rho": _rat_str(args.rho), "n": _rat_str(args.n),
+                       extra={"rho": str(args.rho), "n": str(args.n),
                               "trials": args.trials})
     result = {
         "pairs": rep.pairs,
@@ -179,7 +173,7 @@ def _run_cd_scan_b(args):
                 continue
         _emit_csv(("theta", "phi", "b"), rows, args.csv)
     config = RunConfig(command="cd scan-b", seed=0, grid=args.grid,
-                       out=args.out, extra={"a": _rat_str(args.a),
+                       out=args.out, extra={"a": str(args.a),
                                             "refine": args.refine,
                                             "csv": args.csv})
     result = {
@@ -198,8 +192,8 @@ def _run_cd_probe(args):
 
     rep = divergence_probe(float(args.a), args.curve, float(args.c))
     config = RunConfig(command="cd probe", out=args.out,
-                       extra={"a": _rat_str(args.a), "curve": args.curve,
-                              "c": _rat_str(args.c)})
+                       extra={"a": str(args.a), "curve": args.curve,
+                              "c": str(args.c)})
     result = {
         "thetas": list(rep.thetas),
         "b_values": list(rep.b_values),
@@ -216,17 +210,17 @@ def _run_cd_factor_check(args):
     from .cdcheck import IdentityMismatch, factorization_check
 
     config = RunConfig(command="cd factor-check", out=args.out,
-                       extra={"a1": _rat_str(args.a1), "b1": _rat_str(args.b1)})
+                       extra={"a1": str(args.a1), "b1": str(args.b1)})
     try:
         res = factorization_check(args.a1, args.b1)
     except IdentityMismatch as exc:
         print(f"factorization mismatch: {exc.args[0]}", file=sys.stderr)
         return 1
     result = {
-        "a1": _rat_str(res.a1),
-        "b1": _rat_str(res.b1),
-        "k_const": _rat_str(res.k_const),
-        "ray": [_rat_str(c) for c in res.ray],
+        "a1": str(res.a1),
+        "b1": str(res.b1),
+        "k_const": str(res.k_const),
+        "ray": [str(c) for c in res.ray],
         "reduced_form_checked": res.reduced_form_checked,
     }
     _emit_json(_report(config, result), args.out)
@@ -236,47 +230,31 @@ def _run_cd_factor_check(args):
 def _run_su3_check(args):
     import numpy as np
 
-    from .su3 import (IDENTITY_TOL, RICCI_TOL, commutator_table,
-                      curvature_dimension_check, haar_sample, pushforward_check,
-                      ricci_constant, worst_charpoly_residual)
     from .exact import Z, ZBAR
+    from .su3 import TRACE_MOMENT_SD, group_model_check, haar_sample
 
-    ricci = ricci_constant()
-    table = commutator_table()
     us = haar_sample(args.seed, args.samples)
-    push = pushforward_check([Z, ZBAR, Z * ZBAR], us)
-    char_worst = worst_charpoly_residual(us, args.seed + 1)
-    cd = curvature_dimension_check(seed=args.seed)
+    group = group_model_check(us, [Z, ZBAR, Z * ZBAR], args.seed + 1, args.seed)
     traces = np.array([abs(np.trace(u.matrix) / 3.0) ** 2 for u in us])
     mean = float(traces.mean())
-    # Var |tr U/3|^2 = 1/81 exactly under Haar measure (E|tr U|^4 = 2); the
-    # sample deviation of this skewed statistic gives too narrow intervals
-    se = (1.0 / 9.0) / math.sqrt(len(traces))
+    se = TRACE_MOMENT_SD / math.sqrt(len(traces))
+    passed = group.passed and abs(mean - 1.0 / 9.0) <= 3.0 * se
     result = {
-        "ricci": ricci,
-        "ricci_residual": abs(ricci - 3.0),
-        "commutator_entries": len(table),
-        "pushforward_gamma_residual": push.max_gamma_residual,
-        "pushforward_generator_residual": push.max_generator_residual,
-        "charpoly_residual": char_worst,
-        "cd_min_margin": cd.min_margin,
+        "ricci": group.ricci,
+        "ricci_residual": abs(group.ricci - 3.0),
+        "commutator_entries": group.commutator_entries,
+        "pushforward_gamma_residual": group.push.max_gamma_residual,
+        "pushforward_generator_residual": group.push.max_generator_residual,
+        "charpoly_residual": group.charpoly_residual,
+        "cd_min_margin": group.cd.min_margin,
         "trace_moment": {
             "mean": mean,
             "target": "1/9",
             "stderr": se,
             "ci95": [mean - 1.96 * se, mean + 1.96 * se],
         },
+        "passed": passed,
     }
-    passed = (
-        abs(ricci - 3.0) < RICCI_TOL
-        and len(table) == 36
-        and push.max_gamma_residual < IDENTITY_TOL
-        and push.max_generator_residual < IDENTITY_TOL
-        and char_worst < IDENTITY_TOL
-        and cd.passed
-        and abs(mean - 1.0 / 9.0) <= 3.0 * se
-    )
-    result["passed"] = passed
     config = RunConfig(command="su3 check", seed=args.seed, out=args.out,
                        extra={"samples": args.samples})
     _emit_json(_report(config, result), args.out)
@@ -305,7 +283,7 @@ def _run_heat_trace(args):
     if args.format == "csv" or args.csv:
         _emit_csv(("t", "sup_heat_diag"), rows, args.csv or args.out)
         return 0
-    config = RunConfig(command="heat trace", lam=_rat_str(args.lam),
+    config = RunConfig(command="heat trace", lam=str(args.lam),
                        degree=args.degree, out=args.out, format=args.format,
                        extra={"t_min": args.t_min, "t_max": args.t_max,
                               "nt": args.nt})
@@ -314,38 +292,22 @@ def _run_heat_trace(args):
     return 0
 
 
-def _run_bounds_supnorm(args):
-    from .spectral import growth_passed, supnorm_bound_check
+def _run_bounds(args):
+    from .spectral import growth_passed, hk_bound_check, supnorm_bound_check
 
+    command = f"bounds {args.bounds_command}"
     try:
-        rep = supnorm_bound_check(Lambda(args.lam), args.max_degree)
+        if args.bounds_command == "supnorm":
+            degree, seed = args.max_degree, 0
+            rep = supnorm_bound_check(Lambda(args.lam), degree)
+        else:
+            degree, seed = args.max_k, args.seed
+            rep = hk_bound_check(Lambda(args.lam), degree, seed=seed)
     except ValueError as exc:
-        print(f"bounds supnorm: {exc}", file=sys.stderr)
+        print(f"{command}: {exc}", file=sys.stderr)
         return 1
-    config = RunConfig(command="bounds supnorm", lam=_rat_str(args.lam),
-                       degree=args.max_degree, out=args.out)
-    result = {
-        "exponent": rep.exponent,
-        "target": rep.target,
-        "constant": rep.constant,
-        "residual": rep.residual,
-        "window": list(rep.window),
-        "passed": growth_passed(rep),
-    }
-    _emit_json(_report(config, result), args.out)
-    return 0 if result["passed"] else 1
-
-
-def _run_bounds_hk(args):
-    from .spectral import growth_passed, hk_bound_check
-
-    try:
-        rep = hk_bound_check(Lambda(args.lam), args.max_k, seed=args.seed)
-    except ValueError as exc:
-        print(f"bounds hk: {exc}", file=sys.stderr)
-        return 1
-    config = RunConfig(command="bounds hk", lam=_rat_str(args.lam),
-                       degree=args.max_k, seed=args.seed, out=args.out)
+    config = RunConfig(command=command, lam=str(args.lam), degree=degree,
+                       seed=seed, out=args.out)
     result = {
         "exponent": rep.exponent,
         "target": rep.target,
@@ -359,16 +321,16 @@ def _run_bounds_hk(args):
 
 
 def _run_sobolev_series(args):
-    from .spectral import SOBOLEV_RATIO_CAP, sobolev_series_check
+    from .spectral import sobolev_passed, sobolev_series_check
 
     rep = sobolev_series_check(float(args.p), float(args.a))
     config = RunConfig(command="sobolev series", out=args.out,
-                       extra={"p": _rat_str(args.p), "a": _rat_str(args.a)})
+                       extra={"p": str(args.p), "a": str(args.a)})
     result = {
         "exponent": rep.exponent,
         "max_min_ratio": rep.residual,
         "plateau_constant": rep.constant,
-        "passed": rep.residual < SOBOLEV_RATIO_CAP,
+        "passed": sobolev_passed(rep),
     }
     _emit_json(_report(config, result), args.out)
     return 0 if result["passed"] else 1
@@ -386,7 +348,7 @@ def _run_kernel_check(args):
 
     rep = kernel_bound_check(_NU_CHOICES[args.nu], Lambda(args.lam),
                              args.max_k, _kernel_check_grid())
-    config = RunConfig(command="kernel check", lam=_rat_str(args.lam),
+    config = RunConfig(command="kernel check", lam=str(args.lam),
                        degree=args.max_k, out=args.out,
                        extra={"nu": args.nu})
     result = {
@@ -395,7 +357,7 @@ def _run_kernel_check(args):
         "ratio": rep.ratio if math.isfinite(rep.ratio) else None,
         "diag_sup": rep.diag_sup,
         "grid_size": rep.grid_size,
-        "passed": rep.sup_abs <= rep.series_value,
+        "passed": rep.passed,
     }
     _emit_json(_report(config, result), args.out)
     return 0 if result["passed"] else 1
@@ -509,13 +471,13 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", type=positive_rat_arg, required=True)
     p.add_argument("--max-degree", type=int, default=30)
     add_out(p)
-    p.set_defaults(fn=_run_bounds_supnorm)
+    p.set_defaults(fn=_run_bounds)
     p = boundss.add_parser("hk", help="degree-space combination growth")
     p.add_argument("--lambda", dest="lam", type=positive_rat_arg, required=True)
     p.add_argument("--max-k", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     add_out(p)
-    p.set_defaults(fn=_run_bounds_hk)
+    p.set_defaults(fn=_run_bounds)
 
     sob = sub.add_parser("sobolev", help="series-side estimates")
     sobs = sob.add_subparsers(dest="sobolev_command", required=True)

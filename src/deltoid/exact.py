@@ -494,15 +494,6 @@ class BivarPoly:
             )
         return out
 
-    @staticmethod
-    def from_records(records) -> "BivarPoly":
-        terms = {}
-        for r in records:
-            terms[(r["i"], r["j"])] = CRat(
-                Rat(r["re_num"], r["re_den"]), Rat(r["im_num"], r["im_den"])
-            )
-        return BivarPoly(terms)
-
     def __repr__(self):
         if not self.num:
             return "BivarPoly(0)"

@@ -15,7 +15,6 @@ two pictures.
 """
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 
@@ -55,9 +54,6 @@ class TrianglePoint:
         z1, z2, z3 = zk(self)
         m = min(abs(z1 - z2), abs(z2 - z3), abs(z3 - z1))
         return m * m > tol
-
-    def translate(self, v) -> "TrianglePoint":
-        return TrianglePoint(self.x + v[0], self.y + v[1])
 
 
 @dataclass(frozen=True)
@@ -107,34 +103,16 @@ def w_density(point: TrianglePoint) -> float:
 _CLOSED_TOL = -1e-10
 
 
-def _image(point: TrianglePoint) -> DeltoidPoint:
-    z1, z2, z3 = zk(point)
-    return DeltoidPoint((z1 + z2 + z3) / 3.0)
-
-
 def _left_domain(d: DeltoidPoint) -> ArithmeticError:
     return ArithmeticError(f"image left the closed domain: {d}")
 
 
 def triangle_to_deltoid(point: TrianglePoint) -> DeltoidPoint:
-    d = _image(point)
+    z1, z2, z3 = zk(point)
+    d = DeltoidPoint((z1 + z2 + z3) / 3.0)
     if d.membership_residual() < _CLOSED_TOL:
         raise _left_domain(d)
     return d
-
-
-def triangles_to_deltoid(points) -> list:
-    """triangle_to_deltoid over a sequence, membership checked in one array.
-
-    Raises the same ArithmeticError for the first point whose image
-    leaves the closed domain.
-    """
-    out = [_image(p) for p in points]
-    zs = np.array([d.Z for d in out], dtype=complex)
-    bad = np.flatnonzero(_P.eval(zs).real < _CLOSED_TOL)
-    if bad.size:
-        raise _left_domain(out[bad[0]])
-    return out
 
 
 def plane_to_deltoid(x, y):
@@ -156,29 +134,6 @@ def plane_to_deltoid(x, y):
     if bad.size:
         raise _left_domain(DeltoidPoint(complex(zs[bad[0]])))
     return zs
-
-
-def pushforward_gamma(point: TrianglePoint):
-    """(g11, g12, g22) of the mapped Euclidean gradient form at a point.
-
-    Exact derivatives of the map: dZ/dx = (i/3) sum E_k1 z_k and likewise
-    in y.  g11 = Zx^2 + Zy^2, g12 = |Zx|^2 + |Zy|^2, g22 = conj(g11);
-    these must agree with the polynomial carre du champ entries at Z.
-    """
-    z = zk(point)
-    zx = 1j / 3.0 * sum(E[k][0] * z[k] for k in range(3))
-    zy = 1j / 3.0 * sum(E[k][1] * z[k] for k in range(3))
-    g11 = zx * zx + zy * zy
-    g12 = (zx * zx.conjugate() + zy * zy.conjugate()).real
-    return g11, g12, g11.conjugate()
-
-
-def period_lattice():
-    """Generators of the exact translation lattice of (z1, z2, z3)."""
-    return (
-        (2.0 * math.pi, 2.0 * math.pi / ROOT3),
-        (2.0 * math.pi, -2.0 * math.pi / ROOT3),
-    )
 
 
 def _bary_xy(b0, b1, b2):
@@ -250,50 +205,3 @@ def sample_interior(n: int, mode: str = "low-discrepancy", seed: int = 0):
                 raise ArithmeticError("could not pull sample off the boundary")
         out.append(p)
     return out
-
-
-def interior_lattice(m: int):
-    """Strictly interior barycentric lattice (i+j+k = m, all >= 1).
-
-    Contains the median lines, which map onto the cusp rays; scans that
-    need to see near-cusp behaviour should use this rather than a square
-    grid.
-    """
-    if m < 3:
-        raise ValueError("need m >= 3")
-    pts = []
-    for i in range(1, m - 1):
-        for j in range(1, m - i):
-            k = m - i - j
-            if k < 1:
-                continue
-            pts.append(_bary_to_plane(i / m, j / m, k / m))
-    return pts
-
-
-def boundary_points(n: int):
-    """n points per edge, strictly between vertices."""
-    out = []
-    for a, b in ((V0, V1), (V1, V2), (V2, V0)):
-        for i in range(1, n + 1):
-            t = i / (n + 1)
-            out.append(TrianglePoint(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
-    return out
-
-
-def write_csv(points, path):
-    """Emit x, y, ReZ, ImZ, W rows for a list of TrianglePoint."""
-    points = list(points)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "ReZ", "ImZ", "W"])
-        for p, d in zip(points, triangles_to_deltoid(points)):
-            w.writerow(
-                [
-                    repr(p.x),
-                    repr(p.y),
-                    repr(d.Z.real),
-                    repr(d.Z.imag),
-                    repr(w_density(p)),
-                ]
-            )

@@ -52,10 +52,6 @@ class Lambda:
         if self.value <= 0:
             raise ValueError("lambda must be > 0")
 
-    @property
-    def is_geq_one(self) -> bool:
-        return self.value >= 1
-
 
 def _lam(lam) -> "Rat":
     if isinstance(lam, Lambda):

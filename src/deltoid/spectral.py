@@ -13,8 +13,9 @@ Other float values of modes, for the heat diagonal at a point and the
 H_k and multiplier-kernel checks, are read from one float mode store
 per spectrum, a real coefficient matrix per residue class of modes.
 Beside them sit the Sobolev series estimate and the fits, plain least
-squares on log-log data; every report records the window it was
-computed on.
+squares on log-log data.  Every report is a frozen dataclass; a fit
+records the window it was computed on, and each verdict is stated once,
+next to its check (growth_passed, sobolev_passed, KernelReport.passed).
 """
 
 import math
@@ -62,6 +63,11 @@ def growth_cap(rep: FitReport) -> float:
 def growth_passed(rep: FitReport) -> bool:
     """Whether a sup-norm or H_k growth fit stays within its cap."""
     return rep.exponent <= growth_cap(rep)
+
+
+def sobolev_passed(rep: FitReport) -> bool:
+    """Whether the normalized Sobolev series' max/min stays below its cap."""
+    return rep.residual < SOBOLEV_RATIO_CAP
 
 
 class _Spectrum:
@@ -607,15 +613,15 @@ def _sobolev_sum(mp, p, a, t):
 # multiplier kernels
 
 
+@dataclass(frozen=True, eq=False)
 class KernelReport:
-    __slots__ = ("sup_abs", "series_value", "max_k", "grid_size", "diag_sup")
+    """The kernel sup on grid_size points against the weight series to max_k."""
 
-    def __init__(self, sup_abs, series_value, max_k, grid_size, diag_sup):
-        self.sup_abs = sup_abs
-        self.series_value = series_value
-        self.max_k = max_k
-        self.grid_size = grid_size
-        self.diag_sup = diag_sup
+    sup_abs: float
+    series_value: float
+    max_k: int
+    grid_size: int
+    diag_sup: float
 
     @property
     def ratio(self):
@@ -623,11 +629,10 @@ class KernelReport:
             return math.inf if self.sup_abs > 0 else 0.0
         return self.sup_abs / self.series_value
 
-    def __repr__(self):
-        return (
-            f"KernelReport(sup={self.sup_abs:.6g}, series={self.series_value:.6g}, "
-            f"ratio={self.ratio:.3g})"
-        )
+    @property
+    def passed(self):
+        """The kernel sup stays at or below the weight series."""
+        return self.sup_abs <= self.series_value
 
 
 # the x-grid of `deltoid kernel check`: the origin, a rough interior net

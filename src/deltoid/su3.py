@@ -9,7 +9,9 @@ variables and the carre du champ Gamma(z_v, z_w) of each ordered pair;
 the Casimir generator and Gamma of any entry polynomial are then one
 chain-rule pass over its terms.  Ricci comes from commutator outer
 products, and the pushforward along Z = tr(U)/3 lands exactly on the
-deltoid operator at lambda = 4.
+deltoid operator at lambda = 4.  group_model_check gathers these claims
+into one frozen report, whose passed is the one place RICCI_TOL and
+IDENTITY_TOL are applied together.
 
 Polynomials in matrix entries are kept symbolic (complex coefficients on
 18 variables, nine entries and nine conjugates) so that second-order
@@ -17,6 +19,7 @@ quantities are assembled without finite differencing.
 """
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +34,11 @@ DIAG_WEIGHT = np.sqrt(2.0 / 3.0)
 # identity residuals stay below IDENTITY_TOL
 RICCI_TOL = 1e-10
 IDENTITY_TOL = 1e-9
+
+# the Haar standard deviation of |tr U / 3|^2: its variance is 1/81
+# exactly (E|tr U|^4 = 2), and the sample deviation of this skewed
+# statistic gives too narrow intervals
+TRACE_MOMENT_SD = 1.0 / 9.0
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 _NVAR = 18
@@ -577,23 +585,6 @@ def gamma2_fields(f):
     return _gamma2_parts(f)[0]
 
 
-def entry_gamma(k, l, r, q, u, kind):
-    """Closed-form carre du champ of two coordinate functions at u.
-
-    kind "zz" pairs two plain entries, "zzbar" pairs an entry with a
-    conjugate.  Indices 0-based.  On SU(d), d = 3:
-    Gamma(z_kl, z_rq) = -2 z_kq z_rl + (2/d) z_kl z_rq and
-    Gamma(z_kl, zbar_rq) = 2 (delta_kr delta_lq - (1/d) z_kl zbar_rq).
-    """
-    m = _mat_of(u)
-    if kind == "zz":
-        return -2.0 * m[k, q] * m[r, l] + (2.0 / 3) * m[k, l] * m[r, q]
-    if kind == "zzbar":
-        delta = 1.0 if (k == r and l == q) else 0.0
-        return 2.0 * (delta - (1.0 / 3) * m[k, l] * np.conj(m[r, q]))
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # curvature
 
@@ -662,14 +653,12 @@ def ricci_constant():
 # spectral identities and the deltoid pushforward
 
 
+@dataclass(frozen=True, eq=False)
 class CharpolyResiduals:
     """The two residuals of one matrix (floats) or of a stack (arrays)."""
 
-    __slots__ = ("gamma_residual", "generator_residual")
-
-    def __init__(self, gamma_residual, generator_residual):
-        self.gamma_residual = gamma_residual
-        self.generator_residual = generator_residual
+    gamma_residual: object
+    generator_residual: object
 
     @property
     def passed(self):
@@ -783,25 +772,19 @@ def _compose_with_trace(f):
     return out
 
 
+@dataclass(frozen=True, eq=False)
 class PushforwardReport:
-    __slots__ = ("count", "max_gamma_residual", "max_generator_residual")
+    """Residual maxima of the lambda = 4 pushforward over count comparisons."""
 
-    def __init__(self, count, max_gamma_residual, max_generator_residual):
-        self.count = count
-        self.max_gamma_residual = max_gamma_residual
-        self.max_generator_residual = max_generator_residual
+    count: int
+    max_gamma_residual: float
+    max_generator_residual: float
 
     @property
     def passed(self):
+        """Both maxima below IDENTITY_TOL; a NaN fails."""
         return (self.max_gamma_residual < IDENTITY_TOL
                 and self.max_generator_residual < IDENTITY_TOL)
-
-    def __repr__(self):
-        return (
-            f"PushforwardReport(count={self.count}, "
-            f"gamma={self.max_gamma_residual:.3e}, "
-            f"generator={self.max_generator_residual:.3e})"
-        )
 
 
 def pushforward_check(lam4_grid, u_samples):
@@ -833,14 +816,14 @@ def pushforward_check(lam4_grid, u_samples):
     return PushforwardReport(len(lam4_grid) * len(stack), worst_g, worst_l)
 
 
+@dataclass(frozen=True, eq=False)
 class Su3CurvatureReport:
-    __slots__ = ("pairs", "min_margin", "worst_trace", "tol")
+    """The lowest CD(3, 8) margin over pairs, and tr U / 3 where it falls."""
 
-    def __init__(self, pairs, min_margin, worst_trace, tol):
-        self.pairs = pairs
-        self.min_margin = min_margin
-        self.worst_trace = worst_trace
-        self.tol = tol
+    pairs: int
+    min_margin: float
+    worst_trace: complex
+    tol: float
 
     @property
     def passed(self):
@@ -878,3 +861,36 @@ def curvature_dimension_check(trials=8, samples=40, seed=5, tol=1e-8):
     worst = int(np.argmin(margins))
     worst_tr = np.trace(stack[worst % samples]) / 3.0
     return Su3CurvatureReport(margins.size, float(margins.flat[worst]), worst_tr, tol)
+
+
+@dataclass(frozen=True, eq=False)
+class GroupModelReport:
+    """Every group-side claim on one sample, with its measured values."""
+
+    ricci: float
+    commutator_entries: int
+    push: PushforwardReport
+    charpoly_residual: float
+    cd: Su3CurvatureReport
+
+    @property
+    def passed(self):
+        """Every claim holds; each comparison is false on a NaN, so a NaN fails."""
+        return (abs(self.ricci - 3.0) < RICCI_TOL
+                and self.commutator_entries == 36
+                and self.push.passed
+                and self.charpoly_residual < IDENTITY_TOL
+                and self.cd.passed)
+
+
+def group_model_check(us, polys, charpoly_seed, cd_seed):
+    """Every group-model claim at once: polys pushed forward over the
+    samples us, the charpoly residual of worst_charpoly_residual(us,
+    charpoly_seed) and curvature_dimension_check(seed=cd_seed)."""
+    return GroupModelReport(
+        ricci=ricci_constant(),
+        commutator_entries=len(commutator_table()),
+        push=pushforward_check(polys, us),
+        charpoly_residual=worst_charpoly_residual(us, charpoly_seed),
+        cd=curvature_dimension_check(seed=cd_seed),
+    )

@@ -4,13 +4,21 @@ Each one computes a quantity the package computes another way, so a test
 can hold the two against each other.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from deltoid import eigen
-from deltoid.exact import CRat, Rat
+from deltoid.cdcheck import N_TOL, DegenerateDenominator, triangle_b
+from deltoid.exact import BivarPoly, CRat, Rat, as_rat
+from deltoid.geometry import (E, V0, V1, V2, TrianglePoint, _bary_to_plane, w_density,
+                              zk)
 from deltoid.operator import Lambda
 from deltoid.su3 import _FRAME_MOVES, _derive, _mat_of, entry_const, normalized_trace
+
+ROOT3 = math.sqrt(3.0)
 
 
 def vectorfield_gamma_oracle(f, g, u):
@@ -111,3 +119,196 @@ def hk_space(k, lam):
         )
     return HkSpace(k=k, basis=basis, sym=tuple(sym), antisym=tuple(antisym),
                    distinct_eigenvalues=distinct)
+
+
+def entry_gamma(k, l, r, q, u, kind):
+    """Closed-form carre du champ of two coordinate functions at u.
+
+    kind "zz" pairs two plain entries, "zzbar" pairs an entry with a
+    conjugate.  Indices 0-based.  On SU(d), d = 3:
+    Gamma(z_kl, z_rq) = -2 z_kq z_rl + (2/d) z_kl z_rq and
+    Gamma(z_kl, zbar_rq) = 2 (delta_kr delta_lq - (1/d) z_kl zbar_rq).
+    """
+    m = _mat_of(u)
+    if kind == "zz":
+        return -2.0 * m[k, q] * m[r, l] + (2.0 / 3) * m[k, l] * m[r, q]
+    if kind == "zzbar":
+        delta = 1.0 if (k == r and l == q) else 0.0
+        return 2.0 * (delta - (1.0 / 3) * m[k, l] * np.conj(m[r, q]))
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def pushforward_gamma(point: TrianglePoint):
+    """(g11, g12, g22) of the mapped Euclidean gradient form at a point.
+
+    Exact derivatives of the map: dZ/dx = (i/3) sum E_k1 z_k and likewise
+    in y.  g11 = Zx^2 + Zy^2, g12 = |Zx|^2 + |Zy|^2, g22 = conj(g11);
+    these must agree with the polynomial carre du champ entries at Z.
+    """
+    z = zk(point)
+    zx = 1j / 3.0 * sum(E[k][0] * z[k] for k in range(3))
+    zy = 1j / 3.0 * sum(E[k][1] * z[k] for k in range(3))
+    g11 = zx * zx + zy * zy
+    g12 = (zx * zx.conjugate() + zy * zy.conjugate()).real
+    return g11, g12, g11.conjugate()
+
+
+def interior_lattice(m: int):
+    """Strictly interior barycentric lattice (i+j+k = m, all >= 1), one
+    TrianglePoint at a time: the reference for cdcheck.deltoid_grid.
+
+    Contains the median lines, which map onto the cusp rays.
+    """
+    if m < 3:
+        raise ValueError("need m >= 3")
+    pts = []
+    for i in range(1, m - 1):
+        for j in range(1, m - i):
+            k = m - i - j
+            if k < 1:
+                continue
+            pts.append(_bary_to_plane(i / m, j / m, k / m))
+    return pts
+
+
+def boundary_points(n: int):
+    """n points per edge, strictly between vertices."""
+    out = []
+    for a, b in ((V0, V1), (V1, V2), (V2, V0)):
+        for i in range(1, n + 1):
+            t = i / (n + 1)
+            out.append(TrianglePoint(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+    return out
+
+
+@dataclass(frozen=True)
+class CDParams:
+    """One curvature-dimension datum in both bookkeeping forms.
+
+    (rho, n) is the inequality for the operator at this lam; (a1, b1) are
+    the log P tensor weights.  rho = (lam-1) b1 / 3 and n - 2 =
+    (lam-1)/(3 a1) tie them together; (1/6, 9/4) <-> (3(lam-1)/4, 2 lam).
+    """
+
+    lam: object
+    rho: object
+    n: object
+    a1: object
+    b1: object
+
+    @staticmethod
+    def from_logp(lam, a1, b1) -> "CDParams":
+        lv = Lambda(lam).value
+        a1 = as_rat(a1)
+        b1 = as_rat(b1)
+        if lv <= 1:
+            raise ValueError("conversion needs lam > 1")
+        if a1 == 0:
+            raise ValueError("a1 = 0 has no finite dimension")
+        rho = (lv - 1) * b1 / 3
+        n = 2 + (lv - 1) / (3 * a1)
+        return CDParams(lam=lv, rho=rho, n=n, a1=a1, b1=b1)
+
+    @staticmethod
+    def from_cd(lam, rho, n) -> "CDParams":
+        lv = Lambda(lam).value
+        rho = as_rat(rho)
+        n = as_rat(n)
+        if lv <= 1:
+            raise ValueError("conversion needs lam > 1")
+        if n <= 2:
+            raise ValueError("need n > 2")
+        b1 = 3 * rho / (lv - 1)
+        a1 = (lv - 1) / (3 * (n - 2))
+        return CDParams(lam=lv, rho=rho, n=n, a1=a1, b1=b1)
+
+
+def fd_oracle_b(a: float, theta: float, phi: float, h: float = 3e-4) -> float:
+    """Finite-difference eigenvalue oracle, independent of the closed forms.
+
+    Works in the Euclidean plane coordinates x = theta/3,
+    y = (theta + 2 phi)/sqrt(3), where sigma = (1/2) log W; valid away
+    from the boundary lines (the derivatives of sigma blow up there).
+    """
+    x0 = theta / 3.0
+    y0 = (theta + 2.0 * phi) / ROOT3
+
+    def sig(x, y):
+        return 0.5 * math.log(w_density(TrianglePoint(x, y)))
+
+    s0 = sig(x0, y0)
+    sxx = (sig(x0 + h, y0) - 2 * s0 + sig(x0 - h, y0)) / (h * h)
+    syy = (sig(x0, y0 + h) - 2 * s0 + sig(x0, y0 - h)) / (h * h)
+    sxy = (
+        sig(x0 + h, y0 + h)
+        - sig(x0 + h, y0 - h)
+        - sig(x0 - h, y0 + h)
+        + sig(x0 - h, y0 - h)
+    ) / (4 * h * h)
+    gx = (sig(x0 + h, y0) - sig(x0 - h, y0)) / (2 * h)
+    gy = (sig(x0, y0 + h) - sig(x0, y0 - h)) / (2 * h)
+    t11 = -sxx - a * gx * gx
+    t12 = -sxy - a * gx * gy
+    t22 = -syy - a * gy * gy
+    return 0.5 * ((t11 + t22) - math.hypot(t11 - t22, 2 * t12))
+
+
+def b_one_third_forms(theta: float, phi: float):
+    """The four closed forms of b(1/3) at one scan point.
+
+    Returns (trig, zu, xw, t) values; they agree to ~1e-11 at interior
+    points, which the representation-agreement tests pin down.
+    """
+    sp = triangle_b(1.0 / 3.0, theta, phi, cross_check=False)
+    b_trig = sp.b_of_a
+
+    z = cmath.exp(1j * theta)
+    u = cmath.exp(1j * phi)
+    P = (
+        (u * u - 4 * u + 1) * (1 + u ** 6 * z ** 4)
+        - 4 * z * u * (u + 1) * (u * u - 3 * u + 1) * (1 + z * z * u ** 3)
+        + u * u * z * z * (u ** 4 + 8 * u ** 3 - 30 * u * u + 8 * u + 1)
+    )
+    f1 = z * z * u ** 4 - z * u ** 3 - z * u * u + u * u - u + 1
+    f2 = z * z * u * u - z * z * u ** 3 + z * z * u ** 4 - z * u - z * u * u + 1
+    f3 = z * z * u ** 4 + z * z * u ** 3 + z * u ** 3 - 6 * z * u * u + z * u + u + 1
+    Q = f1 * f2 * f3 * f3
+    D = (u - 1) ** 2 * (z * u * u - 1) ** 2 * (z * u - 1) ** 2
+    if abs(D) < N_TOL:
+        raise DegenerateDenominator(f"D = {D} at ({theta}, {phi})")
+    sq = cmath.sqrt(Q)
+    e1 = (P - sq) / (2 * D)
+    e2 = (P + sq) / (2 * D)
+    b_zu = min(e1.real, e2.real)
+
+    x = math.cos(phi / 2)
+    yv = math.cos(theta + 1.5 * phi)
+    w = yv - x
+    one_m_x2 = 1 - x * x
+    if abs(w) < 1e-13 or one_m_x2 < 1e-13:
+        raise DegenerateDenominator(f"xw form degenerate at ({theta}, {phi})")
+    num = 2 * one_m_x2 - x * w
+    rad = num * num - 3 * w * w * one_m_x2
+    b_xw = 0.25 * (num * num + 3 * w * w * one_m_x2 - num * math.sqrt(rad)) / (
+        one_m_x2 * w * w
+    )
+
+    t = num / (abs(w) * math.sqrt(one_m_x2))
+    b_t = b_one_third_of_t(t)
+    return b_trig, b_zu, b_xw, b_t
+
+
+def b_one_third_of_t(t: float) -> float:
+    """b(1/3) = (t^2 + 3 - t sqrt(t^2 - 3))/4 on t >= sqrt(3), inf 9/8."""
+    return 0.25 * (t * t + 3 - t * math.sqrt(max(t * t - 3, 0.0)))
+
+
+def bivar_from_records(records):
+    """The BivarPoly of BivarPoly.to_records() output: the inverse of the
+    JSON coefficient records, one CRat per (i, j)."""
+    terms = {}
+    for r in records:
+        terms[(r["i"], r["j"])] = CRat(
+            Rat(r["re_num"], r["re_den"]), Rat(r["im_num"], r["im_den"])
+        )
+    return BivarPoly(terms)

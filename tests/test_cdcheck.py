@@ -6,18 +6,14 @@ import numpy as np
 import pytest
 
 from deltoid.cdcheck import (
-    CDParams,
     DegenerateDenominator,
     Gamma2Report,
     PsdReport,
     _random_real_poly,
-    b_one_third_forms,
-    b_one_third_of_t,
     deltoid_grid,
     divergence_probe,
     factorization_check,
     factorization_sweep,
-    fd_oracle_b,
     gamma2_sample_check,
     psd_check,
     ray_nonneg_on_unit,
@@ -26,9 +22,10 @@ from deltoid.cdcheck import (
     triangle_b,
 )
 from deltoid.exact import BivarPoly, CRat, Rat, Z, ZBAR
-from deltoid.geometry import (interior_lattice, plane_to_deltoid, sample_interior,
-                              triangle_to_deltoid)
+from deltoid.geometry import plane_to_deltoid, sample_interior, triangle_to_deltoid
 from deltoid.operator import Lambda, boundary_poly, gamma, gamma2, generator
+from oracles import (CDParams, b_one_third_forms, b_one_third_of_t, fd_oracle_b,
+                     interior_lattice)
 
 
 def scan_points(n, seed=0, margin=0.4):

@@ -67,14 +67,30 @@ def test_moments_normalization(capsys):
     assert rep["result"]["moments"]["0,0"] == "1"
 
 
-def test_report_determinism(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["eigen", "--lambda", "4", "--pq", "2,1"],
+    ["moments", "--lambda", "7/2", "--max-degree", "4"],
+    ["cd", "verify", "--lambda", "4", "--rho", "9/4", "--n", "8",
+     "--grid", "20", "--trials", "10"],
+    ["cd", "scan-b", "--a", "1/3", "--grid", "30", "--refine"],
+    ["cd", "probe", "--a", "2/5", "--curve", "quad", "--c", "1"],
+    ["cd", "factor-check", "--a1", "1/6", "--b1", "9/4"],
+    ["su3", "check", "--samples", "15", "--seed", "4"],
+    ["heat", "trace", "--lambda", "4", "--degree", "20", "--nt", "5",
+     "--format", "json"],
+    ["bounds", "supnorm", "--lambda", "4", "--max-degree", "12"],
+    ["bounds", "hk", "--lambda", "4", "--max-k", "8"],
+    ["sobolev", "series"],
+    ["kernel", "check", "--lambda", "4", "--max-k", "8"],
+], ids=lambda argv: "-".join(a for a in argv[:2] if not a.startswith("-")))
+def test_report_determinism(tmp_path, argv):
+    # the same config run twice writes the same bytes
     out = tmp_path / "rep.json"
-    argv = ["su3", "check", "--samples", "15", "--seed", "4",
-            "--out", str(out)]
-    assert main(argv) == 0
-    first = out.read_bytes()
-    assert main(argv) == 0
-    assert out.read_bytes() == first
+    reports = []
+    for _ in range(2):
+        assert main(argv + ["--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_cd_verify_small(capsys):
@@ -240,6 +256,7 @@ def test_kernel_check_exit_codes(capsys):
                  "--nu", "delta1"]
     )
     assert code == 1  # projector kernel tops its own weight series
+    assert rep["result"]["passed"] is False
 
 
 def test_accept_delegates(monkeypatch, capsys, tmp_path):

@@ -1,8 +1,8 @@
 import cmath
-import csv
 import math
 import random
 
+import numpy as np
 import pytest
 
 from deltoid import geometry
@@ -13,18 +13,14 @@ from deltoid.geometry import (
     V0,
     V1,
     V2,
-    boundary_points,
-    interior_lattice,
-    period_lattice,
-    pushforward_gamma,
+    plane_to_deltoid,
     sample_interior,
     triangle_to_deltoid,
-    triangles_to_deltoid,
     w_density,
-    write_csv,
     zk,
 )
 from deltoid.operator import GammaMatrix
+from oracles import boundary_points, interior_lattice, pushforward_gamma
 
 
 def rand_points(n, seed=0):
@@ -55,11 +51,13 @@ def test_zk_unit_product():
 
 
 def test_period_lattice():
-    v1, v2 = period_lattice()
+    # generators of the exact translation lattice of (z1, z2, z3)
+    v1 = (2.0 * math.pi, 2.0 * math.pi / math.sqrt(3.0))
+    v2 = (2.0 * math.pi, -2.0 * math.pi / math.sqrt(3.0))
     for p in rand_points(20, seed=2):
         base = zk(p)
         for v in (v1, v2, (v1[0] + v2[0], v1[1] + v2[1])):
-            shifted = zk(p.translate(v))
+            shifted = zk(TrianglePoint(p.x + v[0], p.y + v[1]))
             for a, b in zip(base, shifted):
                 assert abs(a - b) < 1e-9
 
@@ -121,13 +119,16 @@ def test_boundary_maps_to_curve():
 
 def test_batch_map_matches_point_map(monkeypatch):
     pts = rand_points(30, seed=8) + boundary_points(5) + interior_lattice(12)
-    assert triangles_to_deltoid(pts) == [triangle_to_deltoid(p) for p in pts]
+    x = np.array([p.x for p in pts])
+    y = np.array([p.y for p in pts])
+    want = np.array([triangle_to_deltoid(p).Z for p in pts], dtype=complex)
+    assert plane_to_deltoid(x, y).tobytes() == want.tobytes()
     # with the tolerance above every residual, both reject the first point alike
     monkeypatch.setattr(geometry, "_CLOSED_TOL", 10.0)
     with pytest.raises(ArithmeticError) as one:
         triangle_to_deltoid(pts[0])
     with pytest.raises(ArithmeticError) as many:
-        triangles_to_deltoid(pts)
+        plane_to_deltoid(x, y)
     assert str(many.value) == str(one.value)
 
 
@@ -182,21 +183,6 @@ def test_interior_lattice():
     # medians present: some points map onto the real-axis cusp ray
     on_ray = [p for p in pts if abs(triangle_to_deltoid(p).Z.imag) < 1e-9]
     assert len(on_ray) >= 3
-
-
-def test_csv_roundtrip(tmp_path):
-    pts = sample_interior(16, mode="grid")
-    path = tmp_path / "pts.csv"
-    write_csv(pts, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x", "y", "ReZ", "ImZ", "W"]
-    assert len(rows) == 17
-    x, y, rez, imz, w = (float(v) for v in rows[1])
-    p = pts[0]
-    assert x == p.x and y == p.y
-    assert abs(complex(rez, imz) - triangle_to_deltoid(p).Z) < 1e-15
-    assert w == w_density(p)
 
 
 def test_deltoid_point_interior_flags():

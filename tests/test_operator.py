@@ -122,8 +122,6 @@ def test_lambda_validation():
         Lambda(0)
     with pytest.raises(ValueError):
         Lambda("-1/2")
-    assert Lambda(4).is_geq_one
-    assert not Lambda("1/2").is_geq_one
 
 
 def test_boundary_poly_closed_form():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 
@@ -11,6 +12,7 @@ from deltoid.geometry import V0, V1, V2, TrianglePoint, triangle_to_deltoid
 from deltoid.operator import Lambda
 from deltoid.spectral import (
     GROWTH_SLACK,
+    SOBOLEV_RATIO_CAP,
     FitReport,
     HeatKernelTruncation,
     KernelReport,
@@ -22,6 +24,7 @@ from deltoid.spectral import (
     heat_diag,
     hk_bound_check,
     kernel_bound_check,
+    sobolev_passed,
     sobolev_series_check,
     supnorm_bound_check,
     ultracontractivity_fit,
@@ -186,6 +189,14 @@ def test_growth_rule_is_inclusive_at_the_cap():
     assert not growth_passed(above)
 
 
+def test_sobolev_rule_is_strict_at_the_cap():
+    below = FitReport(window=(1, 2), exponent=5.0,
+                      residual=math.nextafter(SOBOLEV_RATIO_CAP, 0.0))
+    assert sobolev_passed(below)
+    for residual in (SOBOLEV_RATIO_CAP, math.nan):
+        assert not sobolev_passed(dataclasses.replace(below, residual=residual))
+
+
 def test_supnorm_growth_lam4():
     rep = supnorm_bound_check(Lambda(4), 30)
     assert rep.exponent <= 2.1
@@ -314,7 +325,7 @@ def test_complex_coeffs_runs_once_per_solved_mode(monkeypatch):
 def _bits(report):
     """Every field of a check report, floats by repr, which round-trips."""
     if isinstance(report, KernelReport):
-        return repr([getattr(report, k) for k in KernelReport.__slots__])
+        return repr(dataclasses.astuple(report))
     return repr((report.window, report.exponent, report.residual, report.constant,
                  report.target, sorted(report.details.items())))
 
@@ -520,6 +531,13 @@ def test_kernel_single_level_projector():
         lambda k: 1.0 if k == 1 else 0.0, Lambda(4), 12, KERNEL_GRID
     )
     assert as_callable.sup_abs == pytest.approx(rep.sup_abs, abs=1e-12)
+
+
+def test_kernel_report_passes_at_equality():
+    at = KernelReport(sup_abs=2.5, series_value=2.5, max_k=3, grid_size=4, diag_sup=2.5)
+    assert at.passed
+    above = dataclasses.replace(at, sup_abs=math.nextafter(2.5, math.inf))
+    assert not above.passed
 
 
 def test_kernel_zero_multiplier():

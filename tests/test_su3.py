@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -21,7 +22,6 @@ from deltoid.su3 import (
     commutator_table,
     curvature_dimension_check,
     entry_const,
-    entry_gamma,
     entry_z,
     entry_zbar,
     field_apply,
@@ -32,7 +32,7 @@ from deltoid.su3 import (
     pushforward_check,
     ricci_constant,
 )
-from oracles import coefficient_function, vectorfield_gamma_oracle
+from oracles import coefficient_function, entry_gamma, vectorfield_gamma_oracle
 
 A = DIAG_WEIGHT
 
@@ -490,6 +490,61 @@ def test_charpoly_loops_keep_nan(monkeypatch):
     calls.clear()
     assert main(["su3", "check", "--samples", "5", "--out", os.devnull]) == 1
     assert calls == [5]
+
+
+def _group_report(**change):
+    # a passing group-model report, with the given fields replaced
+    good = su3.GroupModelReport(
+        ricci=3.0, commutator_entries=36, push=su3.PushforwardReport(1, 0.0, 0.0),
+        charpoly_residual=0.0, cd=su3.Su3CurvatureReport(1, 0.0, 0j, 1e-8))
+    return dataclasses.replace(good, **change)
+
+
+def test_group_model_report_gates():
+    assert _group_report().passed
+    for change in (
+        {"ricci": math.nan},
+        {"ricci": 3.0 + 2 * su3.RICCI_TOL},
+        {"commutator_entries": 35},
+        {"push": su3.PushforwardReport(1, math.nan, 0.0)},
+        {"push": su3.PushforwardReport(1, 0.0, su3.IDENTITY_TOL)},
+        {"charpoly_residual": math.nan},
+        {"charpoly_residual": su3.IDENTITY_TOL},
+        {"cd": su3.Su3CurvatureReport(1, math.nan, 0j, 1e-8)},
+    ):
+        assert not _group_report(**change).passed, change
+
+
+def test_nan_ricci_fails_every_group_verdict(monkeypatch):
+    # abs(nan - 3) > RICCI_TOL is False, so a gate written that way lets a
+    # NaN Ricci constant through; the strict gate of the report fails it
+    from deltoid import acceptance
+    from deltoid.cli import main
+
+    monkeypatch.setattr(su3, "ricci_constant", lambda: math.nan)
+    assert not su3.group_model_check(haar_sample(4, 5), [Z], 5, 4).passed
+    passed, summary = acceptance._c09_group_model()
+    assert not passed and summary.startswith("ricci nan")
+    assert main(["su3", "check", "--samples", "5", "--out", os.devnull]) == 1
+
+
+def test_c09_and_su3_check_read_one_verdict(monkeypatch):
+    # c09 and `su3 check` take their group verdict from group_model_check
+    # alone: a report that passes passes both, and one that fails fails both
+    from deltoid import acceptance
+    from deltoid.cli import main
+
+    calls = []
+    for report in (_group_report(), _group_report(commutator_entries=35)):
+        def fake(*args, report=report):
+            calls.append(args)
+            return report
+
+        monkeypatch.setattr(su3, "group_model_check", fake)
+        assert acceptance._c09_group_model()[0] is report.passed
+        code = main(["su3", "check", "--samples", "5", "--out", os.devnull])
+        assert code == (0 if report.passed else 1)
+    assert len(calls) == 4
 
 
 def test_curvature_dimension_3_8():

@@ -85,12 +85,13 @@ def _c03_hessian_reduction():
 
 
 def _c04_eigen_system():
-    from .eigen import eigenvalue, moments
+    from .eigen import eigenvalue, moments, value_at_one
     from .spectral import HeatKernelTruncation
 
     # the modes the spectral criteria read; each one is the unique monic
     # eigenpolynomial: L P = -mu P exactly, mu from the closed formula,
-    # and Z^p Zbar^q the only term of top degree, with coefficient 1
+    # and Z^p Zbar^q the only term of top degree, with coefficient 1; its
+    # coefficient sum is the closed P(1), which no builder reads
     lams = [Lambda(4), Lambda(1), Lambda(Rat(7, 2))]
     order = [(p, t - p) for t in range(21) for p in range(t, -1, -1)]
     spectra = [HeatKernelTruncation(lam, 20).modes for lam in lams]
@@ -108,6 +109,9 @@ def _c04_eigen_system():
             res = generator(ep.poly, lam) + ep.poly.scale(ep.mu)
             if not res.is_zero():
                 return False, f"residual nonzero at {(p, q, lam)}"
+            re, im = map(sum, zip(*ep.poly.num.values()))
+            if im or Rat(re, ep.poly.den) != value_at_one(p, q, lam):
+                return False, f"P(1) off its closed value at {(p, q, lam)}"
             checked += 1
     pairs = norms = 0
     for lam, modes in zip(lams, spectra):
@@ -141,8 +145,8 @@ def _c04_eigen_system():
                     return False, f"inner product nonzero for pair {(a, b)}"
                 else:
                     pairs += 1
-    return True, (f"{checked} exact eigen residuals, {pairs} zero products, "
-                  f"{norms} exact norms")
+    return True, (f"{checked} exact eigen residuals, {checked} closed P(1), "
+                  f"{pairs} zero products, {norms} exact norms")
 
 
 def _c05_moments_and_haar():
@@ -236,21 +240,19 @@ def _c09_group_model():
 
     rep = group_model_check(haar_sample(23, 100), [Z, ZBAR, Z * ZBAR, Z**2], 29, 5)
     return rep.passed, (
-        f"ricci {rep.ricci:.12f}; push {rep.push.max_gamma_residual:.1e}/"
+        f"ricci {rep.ricci:.12f}; commutators {rep.commutator_entries}; "
+        f"push {rep.push.max_gamma_residual:.1e}/"
         f"{rep.push.max_generator_residual:.1e}; charpoly {rep.charpoly_residual:.1e}; "
         f"cd margin {rep.cd.min_margin:.2e}"
     )
 
 
 def _c10_heat_slopes():
-    from .spectral import HeatKernelTruncation, ultracontractivity_fit
+    from .spectral import ultracontractivity_fit
 
-    rep4 = ultracontractivity_fit(
-        Lambda(4), (0.02, 0.2), HeatKernelTruncation(Lambda(4), 40)
-    )
-    rep1 = ultracontractivity_fit(
-        Lambda(1), (0.02, 0.2), HeatKernelTruncation(Lambda(1), 40)
-    )
+    # both fits read the closed cusp weights to degree 40
+    rep4 = ultracontractivity_fit(Lambda(4), (0.02, 0.2))
+    rep1 = ultracontractivity_fit(Lambda(1), (0.02, 0.2))
     ok = -4.5 <= rep4.exponent <= -3.5 and -1.3 <= rep1.exponent <= -0.8
     return ok, f"slopes {rep4.exponent:.3f} (target -4), {rep1.exponent:.3f} (target -1)"
 

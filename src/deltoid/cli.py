@@ -262,18 +262,13 @@ def _run_su3_check(args):
 
 
 def _run_heat_trace(args):
-    from .spectral import (HeatKernelTruncation, TruncationInsufficient,
-                           heat_cusp_sups, require_lam_geq_one)
+    from .spectral import TruncationInsufficient, heat_cusp_sups
     import numpy as np
 
     ts = np.exp(np.linspace(math.log(args.t_min), math.log(args.t_max),
                             args.nt))
     try:
-        lam = Lambda(args.lam)
-        # refuse before the costly truncation build
-        require_lam_geq_one(lam)
-        trunc = HeatKernelTruncation(lam, args.degree)
-        rows = heat_cusp_sups(trunc, ts)
+        rows = heat_cusp_sups(Lambda(args.lam), args.degree, ts)
     except TruncationInsufficient as exc:
         print(f"truncation too shallow: {exc}", file=sys.stderr)
         return 1

@@ -24,6 +24,8 @@ Functions and Hall Polynomials, 2nd ed., VI.10; Heckman and Opdam
 1987), which `_norm2` evaluates in integers.  The moments therefore
 give an independent cross-check: <P, P> = norm2 from a moment table is
 asserted in the tests, in acceptance and in the spectrum benchmark.
+P(1) and the cusp weight P(1)^2/||P||^2 are closed products of the
+same factors (`value_at_one`, `cusp_table`), read with no mode built.
 
 Each lowering move drops i^2+ij+j^2 by at least 3 while dropping total
 degree by at most 2, so mu strictly decreases along moves for every
@@ -144,34 +146,66 @@ def moments(lam, max_degree: int) -> MomentTable:
     return MomentTable(lam if isinstance(lam, Lambda) else Lambda(lam), max_degree)
 
 
-def _norm2(p: int, q: int, a: int, b: int) -> "Rat":
-    """||P_{p,q}||^2 at lam = a/b, from the closed A2 norm formula.
+def _scaled_mu(p: int, q: int, a: int, b: int) -> int:
+    """b mu_{p,q} at lam = a/b, an integer."""
+    return (a - b) * (p + q) + b * (p * p + p * q + q * q)
 
-    With K = a - b and B = 3b (so k = K/B), the partition (p+q, q, 0)
-    gives
 
-        9^-(p+q) prod over (s, d) in {(1, p), (1, q), (2, p+q)} of
-            prod_{t<d} (K(s+1) + Bt)/(Ks + Bt) * (K(s-1) + B(1+t))/(Ks + B(1+t)),
+def _factors(s: int, d: int, K: int, B: int):
+    """(alpha num, alpha den, beta num, beta den) for each t < d, with
+    alpha = (K(s+1) + Bt)/(Ks + Bt) and beta = (K(s-1) + B(1+t))/(Ks + B(1+t)).
+    alpha at t = 0 is read as (s+1)/s: its value for K != 0 and its limit
+    at lam = 1, where K = 0.  With K = a - b and B = 3b at lam = a/b > 0,
+    every factor is a positive integer."""
+    for t in range(d):
+        an, ad = (K * (s + 1) + B * t, K * s + B * t) if t else (s + 1, s)
+        yield an, ad, K * (s - 1) + B * (1 + t), K * s + B * (1 + t)
 
-    where the first factor at t = 0 is read as (s+1)/s: that is its
-    value for K != 0 and the right limit at lam = 1, where K = 0.  For
-    t >= 1 every factor is positive because K > -b, so the norm is
-    positive for every lam > 0.  One Rat is formed from the integer
-    products at the end.
-    """
-    K, B = a - b, 3 * b
-    num, den = 1, 9 ** (p + q)
+
+def _products(p: int, q: int, a: int, b: int) -> tuple:
+    """(prod alpha num, den, prod beta num, den) of P_{p,q} at lam = a/b,
+    over (s, d) in {(1, p), (1, q), (2, p+q)}, the partition (p+q, q, 0)."""
+    an = ad = bn = bd = 1
     for s, d in ((1, p), (1, q), (2, p + q)):
-        for t in range(d):
-            if t:
-                num *= K * (s + 1) + B * t
-                den *= K * s + B * t
-            else:
-                num *= s + 1
-                den *= s
-            num *= K * (s - 1) + B * (1 + t)
-            den *= K * s + B * (1 + t)
-    return Rat(num, den)
+        for x, y, u, v in _factors(s, d, a - b, 3 * b):
+            an, ad, bn, bd = an * x, ad * y, bn * u, bd * v
+    return an, ad, bn, bd
+
+
+def _norm2(p: int, q: int, a: int, b: int) -> "Rat":
+    """||P_{p,q}||^2 = 9^-(p+q) prod alpha beta at lam = a/b, the closed A2
+    norm, positive for every lam > 0."""
+    an, ad, bn, bd = _products(p, q, a, b)
+    return Rat(an * bn, 9 ** (p + q) * ad * bd)
+
+
+def value_at_one(p: int, q: int, lam) -> "Rat":
+    """P_{p,q}(1) = 3^-(p+q) prod alpha, the value at a cusp: the Jack
+    evaluation formula at 1^n (Macdonald, VI (10.20)) for the monic P."""
+    lv = _lam(lam)
+    an, ad, _, _ = _products(p, q, int(lv.numerator), int(lv.denominator))
+    return Rat(an, 3 ** (p + q) * ad)
+
+
+def cusp_table(lam, degree: int) -> tuple:
+    """(mu, w) as floats for every mode of total degree <= degree, in
+    truncation order, with w = P(1)^2/||P||^2 = prod alpha/beta, which is
+    F_1(p) F_1(q) F_2(p+q) for F_s(d) the product over t < d of s's
+    factors.  Each w is one integer ratio, rounded once as float(Rat) is."""
+    lv = _lam(lam)
+    a, b = int(lv.numerator), int(lv.denominator)
+    f = {1: [(1, 1)], 2: [(1, 1)]}  # F_s(d) as (num, den), d = 0 .. degree
+    for s, run in f.items():
+        for an, ad, bn, bd in _factors(s, degree, a - b, 3 * b):
+            n, m = run[-1]
+            run.append((n * an * bd, m * ad * bn))
+    mu, w = [], []
+    for d in range(degree + 1):
+        for p in range(d, -1, -1):
+            (n1, m1), (n2, m2), (n3, m3) = f[1][p], f[1][d - p], f[2][d]
+            mu.append(_scaled_mu(p, d - p, a, b) / b)
+            w.append(n1 * n2 * n3 / (m1 * m2 * m3))
+    return mu, w
 
 
 def _positive_norm2(p: int, q: int, a: int, b: int) -> "Rat":
@@ -197,7 +231,7 @@ def solve_eigenpoly(p: int, q: int, lam) -> EigenPolynomial:
     """
     lam = lam if isinstance(lam, Lambda) else Lambda(lam)
     a, b = int(lam.value.numerator), int(lam.value.denominator)
-    target = (a - b) * (p + q) + b * (p * p + p * q + q * q)
+    target = _scaled_mu(p, q, a, b)
     den = 1
     coeffs = {}  # key -> (numerator, den when it was resolved)
     incoming = {(p, q): 1}  # key -> pending numerator over den
@@ -213,7 +247,7 @@ def solve_eigenpoly(p: int, q: int, lam) -> EigenPolynomial:
                 c = 1
             else:
                 # c = n / (mu_key - mu_target) = b n / (den gap)
-                gap = (a - b) * deg + b * (i * i + i * j + j * j) - target
+                gap = _scaled_mu(i, j, a, b) - target
                 if not gap:
                     raise EigenvalueCollision(
                         f"mu({(i, j)}) = mu({(p, q)}) at lambda = {lam.value}"
@@ -358,8 +392,8 @@ def _pieri_modes(lam: Lambda, held: tuple, degree: int) -> list:
             poly = BivarPoly.__new__(BivarPoly)
             poly.num = {k: (x, 0) for k, x in zip(keys[(p - q) % 3], v) if x}
             poly.den = den
-            mu = Rat((a - b) * d + b * (p * p + p * q + q * q), b)
-            out.append(EigenPolynomial(p=p, q=q, lam=lam, poly=poly, mu=mu, norm2=norm2))
+            out.append(EigenPolynomial(p=p, q=q, lam=lam, poly=poly,
+                                       mu=Rat(_scaled_mu(p, q, a, b), b), norm2=norm2))
         window = {k: e for k, e in window.items() if sum(k) == d - 1}
         window.update(row)
     return out

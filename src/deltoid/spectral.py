@@ -6,9 +6,10 @@ spectrum of its lam, grown in place by degree with the A2 Pieri
 recurrence (`eigen._pieri_modes`; no mode is solved on its own) and
 trimmed back when its deepest truncation is freed.  For lam >= 1 every
 mode is a nonnegative combination of the lam = 1 orbit sums (Koornwinder
-1974, class IV; Knop & Sahi 1997), so |P| <= P(1), its coefficient sum:
-the sup-norm check and the sup of the heat diagonal read exact cusp
-weights P(1)^2/||P||^2.
+1974, class IV; Knop & Sahi 1997), so |P| <= P(1), its value at a cusp:
+the sup-norm check and the sup of the heat diagonal read the cusp
+weights P(1)^2/||P||^2 from their closed form (`eigen.cusp_table`) and
+build no mode.
 Other float values of modes, for the heat diagonal at a point and the
 H_k and multiplier-kernel checks, are read from one float mode store
 per spectrum, a real coefficient matrix per residue class of modes.
@@ -26,8 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .eigen import _pieri_modes
-from .exact import Rat, c_prod
+from .eigen import _pieri_modes, cusp_table
+from .exact import c_prod
 from .geometry import V0, V1, V2, DeltoidPoint, plane_to_deltoid
 from .operator import Lambda
 
@@ -77,7 +78,7 @@ class _Spectrum:
     from the two below it, and trims back to the deepest truncation
     still alive; the modes of degree <= N are always its first
     (N + 1)(N + 2)/2.  Per mode it keeps mu and 1 / squared norm as
-    floats.  The cusp weights and the store are built on first use.
+    floats.  The store is built on first use.
     """
 
     def __init__(self, lam):
@@ -85,7 +86,7 @@ class _Spectrum:
         self.degree = -1
         self.modes = ()
         self.mu = self.inv_norm2 = np.empty(0)
-        self._cusp = self._store = None
+        self._store = None
         self._held = Counter()
 
     def grow(self, degree):
@@ -96,7 +97,7 @@ class _Spectrum:
         self.mu = np.append(self.mu, [float(ep.mu) for ep in new])
         self.inv_norm2 = np.append(self.inv_norm2, [1.0 / float(ep.norm2) for ep in new])
         self.degree = degree
-        self._cusp = self._store = None
+        self._store = None
 
     def _release(self, degree):
         # Counter subtraction drops the degrees no truncation holds any more
@@ -106,18 +107,7 @@ class _Spectrum:
             n = (deepest + 1) * (deepest + 2) // 2
             self.degree, self.modes = deepest, self.modes[:n]
             self.mu, self.inv_norm2 = self.mu[:n], self.inv_norm2[:n]
-            self._cusp = None if self._cusp is None else self._cusp[:n]
             self._store = None
-
-    @property
-    def cusp_weights(self):
-        """P(1)^2 / ||P||^2 per mode, one rational rounded once; P(1) is
-        the sum of the real numerators over den."""
-        if self._cusp is None:
-            at_one = [sum(re for re, _ in ep.poly.num.values()) for ep in self.modes]
-            self._cusp = np.array([float(Rat(s * s, ep.poly.den**2) / ep.norm2)
-                                   for s, ep in zip(at_one, self.modes)])
-        return self._cusp
 
     @property
     def store(self):
@@ -152,17 +142,15 @@ class HeatKernelTruncation:
     store: a truncation no deeper than one already alive builds nothing,
     and its store is the deeper store's first rows.  The exact side (mu,
     squared norm as rationals, the polynomials themselves) lives in
-    `modes`, and the exact cusp weights in `cusp_weights`.  Every other
-    float value of a mode is read from the store, built on first use, so
-    a truncation used only exactly, or only at the cusp, never builds
-    it.  The tail of a truncation is estimated by exp(-(3/4) N^2 t), the
-    lower bound on how fast the first dropped level can decay.
+    `modes`.  Every float value of a mode at a point is read from the
+    store, built on first use, so a truncation used only exactly never
+    builds it.
+    The tail of a truncation at degree N is estimated by `_tail`.
     """
 
     def __init__(self, lam, max_degree=40):
         lam = lam if isinstance(lam, Lambda) else Lambda(lam)
-        if max_degree < 1:
-            raise ValueError("max_degree must be positive")
+        _require_positive_degree(max_degree)
         self.lam = lam
         self.max_degree = max_degree
         self._spectrum = spec = _spectrum(self)
@@ -173,11 +161,6 @@ class HeatKernelTruncation:
 
     def __len__(self):
         return len(self.modes)
-
-    @cached_property
-    def cusp_weights(self):
-        """P(1)^2 / ||P||^2 per mode: for lam >= 1, the sup of |P|^2 / ||P||^2."""
-        return self._spectrum.cusp_weights[:len(self)]
 
     @cached_property
     def _store(self):
@@ -199,7 +182,7 @@ class HeatKernelTruncation:
         return ((v.real**2 + v.imag**2).T * self._inv_norm2).T
 
     def tail_estimate(self, t):
-        return math.exp(-0.75 * self.max_degree**2 * t)
+        return _tail(self.max_degree, t)
 
     def integrates_to_delta(self):
         """Exact check that only the constant mode has nonzero mean.
@@ -226,9 +209,19 @@ class HeatKernelTruncation:
         return True
 
 
-def _tail_checked(trunc, t, s):
+def _require_positive_degree(max_degree):
+    if max_degree < 1:
+        raise ValueError("max_degree must be positive")
+
+
+def _tail(max_degree, t):
+    # how fast the first level a truncation at degree N drops can decay
+    return math.exp(-0.75 * max_degree**2 * t)
+
+
+def _tail_checked(max_degree, t, s):
     """(t, s) once the tail estimate at t is at most 1% of the value s."""
-    tail = trunc.tail_estimate(t)
+    tail = _tail(max_degree, t)
     if tail > 0.01 * s:
         raise TruncationInsufficient(f"tail {tail:.3e} at t = {t}")
     return t, s
@@ -250,7 +243,7 @@ def heat_diag(x, t, trunc):
     weights = trunc.mode_weights([z])
     # einsum, not BLAS: the bits do not depend on the thread count
     s = float(np.einsum("m,mx->x", np.exp(-trunc._mu * t), weights)[0])
-    return _tail_checked(trunc, t, s)[1]
+    return _tail_checked(trunc.max_degree, t, s)[1]
 
 
 def require_lam_geq_one(lam):
@@ -262,18 +255,26 @@ def require_lam_geq_one(lam):
         raise ValueError("stated for lam >= 1")
 
 
-def heat_cusp_sups(trunc, ts):
-    """(t, sup over the closed domain of the truncated heat diagonal) for
-    each t in ts.
+def _cusp_table(lam, max_degree):
+    """`eigen.cusp_table` for lam >= 1, where each cusp weight w is the
+    sup of |P|^2 / ||P||^2 over the closed domain."""
+    require_lam_geq_one(lam)
+    _require_positive_degree(max_degree)
+    return cusp_table(lam, max_degree)
+
+
+def heat_cusp_sups(lam, max_degree, ts):
+    """(t, sup over the closed domain of the heat diagonal truncated at
+    max_degree) for each t in ts.
 
     For lam >= 1 every weight |P|^2 / ||P||^2 peaks at the cusps, so the
-    sup is the diagonal at a cusp: the exact cusp weights summed against
+    sup is the diagonal at a cusp: the closed cusp weights summed against
     exp(-mu t), in math.fsum.  Raises TruncationInsufficient at the first
     t whose tail estimate is more than 1% of the sup.
     """
-    require_lam_geq_one(trunc.lam)
-    w = trunc.cusp_weights
-    return [_tail_checked(trunc, t, math.fsum(np.exp(-trunc._mu * t) * w))
+    lam = lam if isinstance(lam, Lambda) else Lambda(lam)
+    mu, w = map(np.array, _cusp_table(lam, max_degree))
+    return [_tail_checked(max_degree, t, math.fsum(np.exp(-mu * t) * w))
             for t in map(float, ts)]
 
 
@@ -281,18 +282,20 @@ def ultracontractivity_fit(lam, t_window, trunc=None):
     """Slope of log sup_x p_t(x, x) against log t over the window.
 
     The target is -2 lam / 2 = -lam, the heat dimension of the model.
-    Each sup is the exact-weight cusp value of heat_cusp_sups, so the fit
-    is stated for lam >= 1.
+    Each sup is the closed cusp value of heat_cusp_sups, so the fit is
+    stated for lam >= 1.  Only trunc's degree is read (40 without one);
+    a trunc of another lam is a ValueError.
     """
     lam = lam if isinstance(lam, Lambda) else Lambda(lam)
-    if trunc is None:
-        trunc = HeatKernelTruncation(lam, 40)
+    if trunc is not None and trunc.lam != lam:
+        raise ValueError(f"trunc is at lam = {trunc.lam.value}, not {lam.value}")
+    max_degree = 40 if trunc is None else trunc.max_degree
     t_lo, t_hi = t_window
     if not 0 < t_lo < t_hi:
         raise ValueError("bad window")
     nt = 12
     ts = np.exp(np.linspace(math.log(t_lo), math.log(t_hi), nt))
-    sups = [s for _, s in heat_cusp_sups(trunc, ts)]
+    sups = [s for _, s in heat_cusp_sups(lam, max_degree, ts)]
     slope, intercept = np.polyfit(np.log(ts), np.log(sups), 1)
     fitted = slope * np.log(ts) + intercept
     residual = float(np.max(np.abs(fitted - np.log(sups))))
@@ -302,7 +305,7 @@ def ultracontractivity_fit(lam, t_window, trunc=None):
         residual=residual,
         constant=float(np.exp(intercept)),
         target=-float(lam.value),
-        details={"nt": nt, "max_degree": trunc.max_degree},
+        details={"nt": nt, "max_degree": max_degree},
     )
 
 
@@ -458,17 +461,14 @@ def supnorm_bound_check(lam, max_degree):
     with mu > 0 and the least-squares growth exponent of the ratio
     ||P||_inf / ||P||_2 in mu, which the spectral bound caps at lam/2.
     For lam >= 1 the sup-norm is P(1), so each ratio is the square root
-    of the mode's exact cusp weight.
+    of the mode's closed cusp weight; no mode is built.
     """
     lam = lam if isinstance(lam, Lambda) else Lambda(lam)
-    require_lam_geq_one(lam)
-    trunc = HeatKernelTruncation(lam, max_degree)
     half = float(lam.value) / 2.0
     mus, ratios, consts = [], [], []
-    for ep, w in zip(trunc.modes, trunc.cusp_weights.tolist()):
-        if ep.mu == 0:
+    for mu, w in zip(*_cusp_table(lam, max_degree)):
+        if mu == 0:
             continue
-        mu = float(ep.mu)
         ratio = math.sqrt(w)
         mus.append(mu)
         ratios.append(ratio)

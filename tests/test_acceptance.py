@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from deltoid import eigen
 from deltoid.acceptance import CRITERIA, run_criterion
+from deltoid.exact import Rat
 from deltoid.geometry import plane_to_deltoid, sample_interior, triangle_to_deltoid
 
 _IDS = [name for _, name, _ in CRITERIA]
@@ -23,10 +25,25 @@ def test_criterion(number, name, capsys):
 def test_eigen_system_summary_counts_each_check_once():
     # residuals: three lam, every (p, q) with p + q <= 20, 231 each;
     # products: the 91 modes of degree <= 12 give 91 * 90 / 2 = 4095
-    # distinct pairs per lam; norms: <P, P> = norm2 for those 91 modes
+    # distinct pairs per lam; norms: <P, P> = norm2 for those 91 modes;
+    # P(1): every residual's mode against its closed value
     res = run_criterion(4)
-    assert res.summary == (f"{3 * 231} exact eigen residuals, {3 * 4095} zero products, "
-                           f"{3 * 91} exact norms")
+    assert res.summary == (f"{3 * 231} exact eigen residuals, {3 * 231} closed P(1), "
+                           f"{3 * 4095} zero products, {3 * 91} exact norms")
+
+
+def test_eigen_system_fails_on_one_wrong_closed_p_at_one(monkeypatch):
+    # the coefficient sum of each built mode must equal the closed P(1):
+    # one value off by 1/10^6 fails the criterion at that mode
+    closed = eigen.value_at_one
+
+    def off(p, q, lam):
+        return closed(p, q, lam) + (Rat(1, 10**6) if (p, q) == (7, 5) else 0)
+
+    monkeypatch.setattr(eigen, "value_at_one", off)
+    res = run_criterion(4)
+    assert not res.passed
+    assert res.summary.startswith("P(1) off its closed value at (7, 5, ")
 
 
 def test_density_points_are_the_point_map():

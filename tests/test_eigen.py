@@ -335,6 +335,23 @@ def test_pieri_builder_equals_solver(lv, degree):
     built = eigen._pieri_modes(lam, (), degree)
     order = [(p, d - p) for d in range(degree + 1) for p in range(d, -1, -1)]
     assert _exact(built) == _exact(solve_eigenpoly(p, q, lam) for p, q in order)
+    # the coefficient sum is the closed P(1), which neither side reads
+    assert all(Rat(sum(re for re, _ in e.poly.num.values()), e.poly.den)
+               == eigen.value_at_one(e.p, e.q, lam) for e in built)
+
+
+@pytest.mark.parametrize("lv, degree", [
+    (Rat(4), 40), (Rat(1), 30), (Rat(7, 2), 25), (Rat(9, 5), 30), (Rat(1, 2), 24),
+    (Rat(1, 3), 20), (Rat(100), 16)])
+def test_cusp_table_is_the_built_modes(lv, degree):
+    # mu and P(1)^2 / ||P||^2 of each built mode, with P(1) its coefficient
+    # sum, each one rational rounded once
+    lam = Lambda(lv)
+    built = eigen._pieri_modes(lam, (), degree)
+    mu, weights = eigen.cusp_table(lam, degree)
+    assert mu == [float(e.mu) for e in built]
+    assert weights == [float(Rat(sum(re for re, _ in e.poly.num.values()) ** 2,
+                                 e.poly.den ** 2) / e.norm2) for e in built]
 
 
 def _recurrence_residual(p, q, lam, a):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from deltoid import eigen, spectral
-from deltoid.eigen import EigenPolynomial, eigenvalue, inner_product, moments
+from deltoid.eigen import EigenPolynomial, cusp_table, eigenvalue, inner_product, moments
 from deltoid.exact import BivarPoly, CRat, HornerProgram, Rat
 from deltoid.geometry import V0, V1, V2, TrianglePoint, triangle_to_deltoid
 from deltoid.operator import Lambda
@@ -156,11 +156,13 @@ def test_ultracontractivity_slope_lam1_at_degree_40():
 
 def test_heat_cusp_sups_are_the_diagonal_at_a_cusp():
     trunc = HeatKernelTruncation(Lambda(4), 20)
-    for t, sup in heat_cusp_sups(trunc, [0.05, 0.2, 1.0]):
+    for t, sup in heat_cusp_sups(Lambda(4), 20, [0.05, 0.2, 1.0]):
         for c in CUSPS:
             assert abs(sup - heat_diag(c, t, trunc)) <= 1e-9 * sup
     with pytest.raises(ValueError, match="stated for lam >= 1"):
-        heat_cusp_sups(HeatKernelTruncation(Lambda(Rat(1, 2)), 2), [0.1])
+        heat_cusp_sups(Lambda(Rat(1, 2)), 2, [0.1])
+    with pytest.raises(ValueError, match="max_degree must be positive"):
+        heat_cusp_sups(Lambda(4), 0, [0.1])
 
 
 def test_ultracontractivity_flat_at_large_t(trunc4):
@@ -177,6 +179,31 @@ def test_ultracontractivity_insufficient_truncation():
     shallow = HeatKernelTruncation(Lambda(1), 3)
     with pytest.raises(TruncationInsufficient):
         ultracontractivity_fit(Lambda(1), (0.02, 0.2), shallow)
+
+
+def test_ultracontractivity_rejects_a_truncation_of_another_lam(trunc1):
+    # only the truncation's degree is read, so one of another lam would
+    # fit that lam's weights against this lam's target
+    with pytest.raises(ValueError, match="trunc is at lam = 1, not 4"):
+        ultracontractivity_fit(Lambda(4), (0.02, 0.2), trunc1)
+
+
+def test_cusp_sups_build_no_mode(monkeypatch, capsys):
+    # the heat trace, the sup-norm check and the heat fits read the closed
+    # cusp weights: a spectrum build would fail here
+    from deltoid.acceptance import run_criterion
+    from deltoid.cli import main
+
+    def refuse(*args):
+        raise AssertionError("a mode was built")
+
+    monkeypatch.setattr(spectral, "_pieri_modes", refuse)
+    assert main(["heat", "trace", "--lambda", "4"]) == 0
+    assert main(["bounds", "supnorm", "--lambda", "4"]) == 0
+    capsys.readouterr()
+    rep = ultracontractivity_fit(Lambda(1), (0.02, 0.2))
+    assert rep.details["max_degree"] == 40 and abs(rep.exponent + 1.0) < 1e-6
+    assert run_criterion(10).passed
 
 
 def test_growth_rule_is_inclusive_at_the_cap():
@@ -210,10 +237,12 @@ def test_supnorm_growth_lam4():
 def test_cusp_weights_are_squared_weyl_dimensions():
     # at lam = 4 the modes are the SU(3) characters, and P(1) is the
     # dimension (p + 1)(q + 1)(p + q + 2)/2 of a unit-norm character
-    trunc = HeatKernelTruncation(Lambda(4), 30)
-    assert len(trunc.cusp_weights) == len(trunc) == 496
-    for ep, w in zip(trunc.modes, trunc.cusp_weights.tolist()):
-        assert w == ((ep.p + 1) * (ep.q + 1) * (ep.p + ep.q + 2) // 2) ** 2, (ep.p, ep.q)
+    mu, weights = cusp_table(Lambda(4), 30)
+    order = [(p, d - p) for d in range(31) for p in range(d, -1, -1)]
+    assert len(mu) == len(weights) == len(order) == 496
+    for (p, q), m, w in zip(order, mu, weights):
+        assert m == float(eigenvalue(p, q, Lambda(4)))
+        assert w == ((p + 1) * (q + 1) * (p + q + 2) // 2) ** 2, (p, q)
 
 
 def _mass(ep):
@@ -232,7 +261,8 @@ def test_lattice_sup_sits_on_a_cusp(lam):
     cusps = {k for k, z in enumerate(zs) if min(abs(z - c) for c in CUSPS) < 1e-12}
     assert len(cusps) == 3
     mag = np.abs(trunc._store.values(zs))
-    for a, (ep, w) in enumerate(zip(trunc.modes, trunc.cusp_weights.tolist())):
+    _, weights = cusp_table(lam, 20)
+    for a, (ep, w) in enumerate(zip(trunc.modes, weights)):
         assert np.argmax(mag[a]) in cusps, (ep.p, ep.q)
         assert not any(ci for _, ci in ep.poly.num.values())
         exact = math.sqrt(w * float(ep.norm2))
@@ -390,12 +420,10 @@ def test_spectrum_trims_back_when_its_deepest_truncation_is_freed(trunc1):
     spec = trunc1._spectrum
     deep = HeatKernelTruncation(Lambda(1), 40)
     assert deep._spectrum is spec and spec.degree == 40
-    weights = deep.cusp_weights
     deep.mode_values(0.1j)
     del deep
     assert spec.degree == 25 and spec._store is None
     assert spec.modes == trunc1.modes
-    assert spec.cusp_weights.tobytes() == weights[:len(trunc1)].tobytes()
 
 
 def test_growing_the_spectrum_keeps_a_truncation_bits(monkeypatch):
@@ -404,7 +432,6 @@ def test_growing_the_spectrum_keeps_a_truncation_bits(monkeypatch):
     small = HeatKernelTruncation(Lambda(4), 10)
     modes = small.modes
     vals = small.mode_values(zs)
-    weights = small.cusp_weights
     big = HeatKernelTruncation(Lambda(4), 20)
     assert big._spectrum is small._spectrum and small._spectrum.degree == 20
     assert small.modes is modes and big.modes[:len(small)] == modes
@@ -415,7 +442,6 @@ def test_growing_the_spectrum_keeps_a_truncation_bits(monkeypatch):
     for trunc in (small, again):
         got = trunc.mode_values(zs)
         assert got.tobytes() == vals.tobytes()
-        assert trunc.cusp_weights.tobytes() == weights.tobytes()
 
 
 @pytest.mark.parametrize("m", [20, 80])

@@ -547,6 +547,17 @@ def test_c09_and_su3_check_read_one_verdict(monkeypatch):
     assert len(calls) == 4
 
 
+def test_c09_summary_names_the_commutator_count(monkeypatch):
+    # a report that fails only on the commutator table fails c09, and the
+    # summary shows the count that failed it
+    from deltoid import acceptance
+
+    report = _group_report(commutator_entries=35)
+    monkeypatch.setattr(su3, "group_model_check", lambda *args: report)
+    passed, summary = acceptance._c09_group_model()
+    assert not passed and "; commutators 35;" in summary
+
+
 def test_curvature_dimension_3_8():
     rep = curvature_dimension_check(trials=8, samples=40, seed=5)
     assert rep.pairs == 320

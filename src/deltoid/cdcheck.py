@@ -13,7 +13,8 @@ and against a finite-difference Hessian in the tests.  The a = 1/3
 infimum 9/8 is approached via a corner-refined scan.
 
 Route 3: direct sampling of Gamma_2(f, f) >= rho Gamma(f, f) + (Lf)^2 / n
-over random polynomial test functions and interior points.
+over random polynomial test functions and interior points, each margin
+summed from exact polynomials of monomial pairs.
 
 The three routes exercise deliberately disjoint code paths.
 """
@@ -22,6 +23,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -37,7 +39,9 @@ from .operator import (
     GammaMatrix,
     HermitianTensorField,
     Lambda,
-    _gamma2_parts,
+    gamma,
+    gamma2,
+    generator,
     outer_logP,
 )
 
@@ -610,6 +614,62 @@ def _random_real_poly(rng, deg=3):
     return p + p.conj_swap()
 
 
+def _monomial_pairs(funcs):
+    """{(key_a, key_b): position} over the pairs a <= b of the sorted
+    monomial keys (i, j) of funcs."""
+    keys = sorted({k for f in funcs for k in f.num})
+    pairs = [(ka, kb) for a, ka in enumerate(keys) for kb in keys[a:]]
+    return {pair: pos for pos, pair in enumerate(pairs)}
+
+
+def _pair_polys(pairs, lam, rho, n):
+    """Q_ab = Gamma_2(m_a, m_b) - rho Gamma(m_a, m_b) - (L m_a)(L m_b) / n
+    exactly, in the order of pairs, for the monomials m = Z^i Zbar^j;
+    rho and n are Rat."""
+    mono = {key: BivarPoly.monomial(*key) for pair in pairs for key in pair}
+    lm = {key: generator(m, lam) for key, m in mono.items()}
+    inv_n = 1 / n
+    return [gamma2(mono[a], mono[b], lam) - gamma(mono[a], mono[b]).scale(rho)
+            - (lm[a] * lm[b]).scale(inv_n) for a, b in pairs]
+
+
+def _pair_weights(f, pairs):
+    """{pair position: (re, im)}, the weight c_a c_b of f = sum_a c_a m_a
+    on Q_ab, doubled for a < b, as a Gaussian integer over f.den ** 2.
+
+    Gamma_2, Gamma and L are bilinear and symmetric, so f's margin
+    polynomial is the sum of its weights times the pair polynomials.
+    """
+    terms = sorted(f.num.items())
+    out = {}
+    for s, (ka, (ar, ai)) in enumerate(terms):
+        for kb, (br, bi) in terms[s:]:
+            twice = 1 if ka == kb else 2
+            out[pairs[ka, kb]] = (twice * (ar * br - ai * bi), twice * (ar * bi + ai * br))
+    return out
+
+
+def _gamma2_margins(funcs, lam, rho, n, zs):
+    """Margins Gamma_2(f,f) - rho Gamma(f,f) - (Lf)^2 / n, one row per f
+    and one column per point of zs.
+
+    Each pair polynomial Q_ab is built exactly and evaluated once; the
+    margins are the weights (rounded once each from their exact values)
+    summed against them with einsum, not BLAS, so the bits do not depend
+    on the thread count.  rho and n enter as the exact rationals of
+    their floats.
+    """
+    pairs = _monomial_pairs(funcs)
+    polys = _pair_polys(pairs, lam, as_rat(Fraction(rho)), as_rat(Fraction(n)))
+    q = np.array([p.eval(zs) for p in polys])
+    w = np.zeros((len(funcs), len(pairs)), dtype=complex)
+    for row, f in zip(w, funcs):
+        d2 = f.den * f.den
+        for k, (re, im) in _pair_weights(f, pairs).items():
+            row[k] = complex(re / d2, im / d2)
+    return np.einsum("fp,px->fx", w, q).real
+
+
 def gamma2_sample_check(lam, rho, n, trials: int = 100, points: int = 100,
                         seed: int = 0, tol: float = 1e-10) -> Gamma2Report:
     """Sampled margins of Gamma_2(f,f) - rho Gamma(f,f) - (Lf)^2 / n.
@@ -619,10 +679,13 @@ def gamma2_sample_check(lam, rho, n, trials: int = 100, points: int = 100,
     exactly there (Gamma vanishes at the cusps but L f does not).  A
     margin below -tol or not finite is a violation; the minimum ranks
     NaN lowest and keeps the first function and point that attain it.
+    rho and n must be finite (ValueError otherwise), and n > 0.
     """
     lam = lam if isinstance(lam, Lambda) else Lambda(lam)
     rho = float(rho)
     n = float(n)
+    if not (math.isfinite(rho) and math.isfinite(n)):
+        raise ValueError("need finite rho and n")
     if n <= 0:
         raise ValueError("need n > 0")
     rng = random.Random(seed)
@@ -637,11 +700,13 @@ def gamma2_sample_check(lam, rho, n, trials: int = 100, points: int = 100,
     plane = sample_interior(points, "low-discrepancy", seed + 1)
     pool_zs = plane_to_deltoid(np.array([q.x for q in plane]),
                                np.array([q.y for q in plane]))
+    # the pool is the suffix of det_zs, so one evaluation serves both
     det_zs = np.concatenate([np.array(det_points, dtype=complex), pool_zs])
 
     funcs = list(det_funcs)
     for _ in range(trials):
         funcs.append(_random_real_poly(rng))
+    margins = _gamma2_margins(funcs, lam, rho, n, det_zs)
 
     worst = math.inf
     worst_f = None
@@ -649,20 +714,15 @@ def gamma2_sample_check(lam, rho, n, trials: int = 100, points: int = 100,
     violations = 0
     pairs = 0
     for idx, f in enumerate(funcs):
-        g2, g1, lf = _gamma2_parts(f, lam)
-        zs = det_zs if idx < len(det_funcs) else pool_zs
-        lf_re = lf.eval(zs).real
-        # Python's float ** 2 calls the C library's pow, which can round
-        # differently from the x * x that numpy squares with
-        lf_sq = np.array([v**2 for v in lf_re.tolist()])
-        m = g2.eval(zs).real - rho * g1.eval(zs).real - lf_sq / n
+        skip = 0 if idx < len(det_funcs) else len(det_points)
+        m = margins[idx, skip:]
         pairs += m.size
         violations += int(np.count_nonzero(_failing(m, tol)))
         k = int(np.argmin(m))
         if _below(m[k], worst):
             worst = float(m[k])
             worst_f = repr(f)
-            worst_z = complex(zs[k])
+            worst_z = complex(det_zs[skip + k])
     return Gamma2Report(
         lam=lam.value,
         rho=rho,

@@ -215,16 +215,9 @@ def generator(f: BivarPoly, lam) -> BivarPoly:
     return _make(out, f.den * ld * _G_DEN)
 
 
-def _gamma2_parts(f: BivarPoly, lam) -> tuple:
-    """(Gamma_2(f, f), Gamma(f, f), L f), each derived once."""
-    gff = gamma(f, f)
-    lf = generator(f, lam)
-    return generator(gff, lam).scale(_HALF) - gamma(f, lf), gff, lf
-
-
 def gamma2(f: BivarPoly, g: BivarPoly, lam) -> BivarPoly:
     if f is g:
-        return _gamma2_parts(f, lam)[0]
+        return generator(gamma(f, f), lam).scale(_HALF) - gamma(f, generator(f, lam))
     t = generator(gamma(f, g), lam) - gamma(f, generator(g, lam)) - gamma(g, generator(f, lam))
     return t.scale(_HALF)
 

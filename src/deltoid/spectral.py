@@ -278,6 +278,21 @@ def heat_cusp_sups(lam, max_degree, ts):
             for t in map(float, ts)]
 
 
+def _loglog_fit(xs, ys):
+    """(slope, intercept, residual) of the least-squares line through
+    (log x, log y); residual is the largest distance of a log y from it.
+
+    A line through fewer than two distinct x says nothing about growth,
+    so it is a ValueError.
+    """
+    if np.unique(xs).size < 2:
+        raise ValueError("a growth fit needs at least two distinct abscissae")
+    lx, ly = np.log(xs), np.log(ys)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    residual = float(np.max(np.abs(slope * lx + intercept - ly)))
+    return float(slope), intercept, residual
+
+
 def ultracontractivity_fit(lam, t_window, trunc=None):
     """Slope of log sup_x p_t(x, x) against log t over the window.
 
@@ -296,12 +311,10 @@ def ultracontractivity_fit(lam, t_window, trunc=None):
     nt = 12
     ts = np.exp(np.linspace(math.log(t_lo), math.log(t_hi), nt))
     sups = [s for _, s in heat_cusp_sups(lam, max_degree, ts)]
-    slope, intercept = np.polyfit(np.log(ts), np.log(sups), 1)
-    fitted = slope * np.log(ts) + intercept
-    residual = float(np.max(np.abs(fitted - np.log(sups))))
+    slope, intercept, residual = _loglog_fit(ts, sups)
     return FitReport(
         window=(t_lo, t_hi),
-        exponent=float(slope),
+        exponent=slope,
         residual=residual,
         constant=float(np.exp(intercept)),
         target=-float(lam.value),
@@ -473,12 +486,10 @@ def supnorm_bound_check(lam, max_degree):
         mus.append(mu)
         ratios.append(ratio)
         consts.append(ratio / mu**half)
-    slope, intercept = np.polyfit(np.log(mus), np.log(ratios), 1)
-    fitted = slope * np.log(mus) + intercept
-    residual = float(np.max(np.abs(fitted - np.log(ratios))))
+    slope, _, residual = _loglog_fit(mus, ratios)
     return FitReport(
         window=(min(mus), max(mus)),
-        exponent=float(slope),
+        exponent=slope,
         residual=residual,
         constant=max(consts),
         target=half,
@@ -527,12 +538,10 @@ def hk_bound_check(lam, max_k, seed=0):
                       float(np.max(np.abs(v))))
             sups[n] = max(sups[n], top)
     consts = [best / k**target for k, best in zip(ks, sups)]
-    slope, intercept = np.polyfit(np.log(ks), np.log(sups), 1)
-    fitted = slope * np.log(ks) + intercept
-    residual = float(np.max(np.abs(fitted - np.log(sups))))
+    slope, _, residual = _loglog_fit(ks, sups)
     return FitReport(
         window=(1, max_k),
-        exponent=float(slope),
+        exponent=slope,
         residual=residual,
         constant=max(consts),
         target=target,
@@ -544,7 +553,7 @@ def hk_bound_check(lam, max_k, seed=0):
 # series-side estimates
 
 
-def sobolev_series_check(p, a, dps=30):
+def sobolev_series_check(p, a):
     """Stability of t^(p+1/2) sum_k k^(2p) exp(-2 a t k^2) on the dyadic
     grid t = 1, 1/2, ..., 2^-13.
 
@@ -556,18 +565,15 @@ def sobolev_series_check(p, a, dps=30):
     series), not of the series itself; values normalized that way are
     kept in details for reference but diverge like t^(-p/2).
     """
-    import mpmath as mp
-
     if a <= 0 or p <= 0:
         raise ValueError("need a > 0 and p > 0")
     t_grid = [2.0**-j for j in range(14)]
     normalized = []
     halfpower = []
-    with mp.workdps(dps):
-        for t in t_grid:
-            s = _sobolev_sum(mp, p, a, t)
-            normalized.append(float(mp.power(t, p + 0.5) * s))
-            halfpower.append(float(mp.power(t, (p + 1) / 2) * s))
+    for t in t_grid:
+        peak, scaled = _sobolev_sum(p, a, t)
+        normalized.append(math.exp((p + 0.5) * math.log(t) + peak) * scaled)
+        halfpower.append(math.exp((p + 1) / 2 * math.log(t) + peak) * scaled)
     ratio = max(normalized) / min(normalized)
     return FitReport(
         window=(min(t_grid), max(t_grid)),
@@ -583,30 +589,34 @@ def sobolev_series_check(p, a, dps=30):
     )
 
 
-def _sobolev_sum(mp, p, a, t):
-    # exp(-2 a t k^2) as a running product: e_k = e_(k-1) g_k with
-    # g_k = g_(k-1) q^2 and q = exp(-2 a t), since k^2 - (k-1)^2 = 2k - 1
-    q = mp.exp(-2 * mp.mpf(a) * t)
-    q2 = q * q
-    two_p = 2 * p
-    whole = float(two_p).is_integer()
-    tiny = mp.mpf(10) ** (-30)
-    s = mp.mpf(0)
-    g = e = q
-    k = 1
-    # sum well past the peak k ~ sqrt(p/(2 a t)), then until negligible
-    while True:
-        kp = mp.mpf(k) ** int(two_p) if whole else mp.power(k, two_p)
-        term = kp * e
-        s += term
-        if k * k * 2 * a * t > 2 * p and term < s * tiny:
-            break
-        k += 1
-        if k > 10**7:
-            raise ArithmeticError("series summation did not settle")
-        g *= q2
-        e *= g
-    return s
+# the terms of the Sobolev series past its cut are below exp(-_SOBOLEV_CUT)
+# times its peak; a cut past _SOBOLEV_TERMS terms is refused
+_SOBOLEV_CUT = 50.0
+_SOBOLEV_TERMS = 10**7
+
+
+def _sobolev_sum(p, a, t):
+    """(peak, scaled): sum_(k >= 1) k^(2p) exp(-2 a t k^2) is
+    exp(peak) * scaled, in floats.
+
+    Truncation: with c = 2 a t the log term g(k) = 2p log k - c k^2
+    peaks at k* = sqrt(p / c), and g(k* + d) <= g(k*) - c d^2 for d >= 0
+    (p = c k*^2 and log(1 + u) <= u), while the term at ceil(k*) is
+    at least exp(g(k*) - 2c).  So the terms past
+    K = k* + sqrt(_SOBOLEV_CUT / c + 2) sum to at most
+    (1 + 1 / (2 sqrt(50 c))) e^-50 of the series, below 1e-16 of it
+    whenever K is at most _SOBOLEV_TERMS; a larger K is refused before
+    any array is made.  The kept terms are summed in math.fsum, scaled
+    by the largest.
+    """
+    c = 2.0 * a * t
+    top = math.ceil(math.sqrt(p / c) + math.sqrt(_SOBOLEV_CUT / c + 2.0))
+    if top > _SOBOLEV_TERMS:
+        raise ArithmeticError("series summation did not settle")
+    k = np.arange(1, top + 1, dtype=float)
+    g = 2.0 * p * np.log(k) - c * k * k
+    peak = float(np.max(g))
+    return peak, math.fsum(np.exp(g - peak).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ can hold the two against each other.
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from deltoid.cdcheck import N_TOL, DegenerateDenominator, triangle_b
 from deltoid.exact import BivarPoly, CRat, Rat, as_rat
 from deltoid.geometry import (E, V0, V1, V2, TrianglePoint, _bary_to_plane, w_density,
                               zk)
-from deltoid.operator import Lambda
+from deltoid.operator import Lambda, gamma, gamma2, generator
 from deltoid.su3 import _FRAME_MOVES, _derive, _mat_of, entry_const, normalized_trace
 
 ROOT3 = math.sqrt(3.0)
@@ -42,12 +43,41 @@ def coefficient_function(x):
     return entry_const(x**3 - 1.0) + zt.scale(-3.0 * x**2) + zt.conj().scale(3.0 * x)
 
 
+def gamma2_margin_exact(f, lam, rho, n, zs):
+    """Gamma_2(f,f) - rho Gamma(f,f) - (Lf)^2 / n at each float point z.
+
+    The margin polynomial is built for f itself, with rho and n the
+    exact rationals of their floats, and evaluated in Fraction
+    arithmetic at the exact binary value of each z; only the result is
+    rounded, once.
+    """
+    lf = generator(f, lam)
+    m = (gamma2(f, f, lam) - gamma(f, f).scale(as_rat(Fraction(rho)))
+         - (lf * lf).scale(1 / as_rat(Fraction(n))))
+    top = max(max(key) for key in m.num)
+    out = []
+    for z in zs:
+        x, y = Fraction(z.real), Fraction(z.imag)
+        pows = [(Fraction(1), Fraction(0))]
+        for _ in range(top):
+            a, b = pows[-1]
+            pows.append((a * x - b * y, a * y + b * x))
+        total = Fraction(0)
+        for (i, j), (re, im) in m.num.items():
+            # Z^i Zbar^j is z^i conj(z)^j
+            (a, b), (c, d) = pows[i], pows[j]
+            pr, pi = a * c + b * d, b * c - a * d
+            total += re * pr - im * pi
+        out.append(float(total / m.den))
+    return out
+
+
 def sobolev_term_sum(mp, p, a, t):
     """sum_k k^(2p) exp(-2 a t k^2), one mp.power and one mp.exp per term.
 
-    The stopping rule is spectral._sobolev_sum's.  The exponent is formed
-    in mp arithmetic from the float inputs, as the running product there
-    forms it.
+    The sum stops past the peak k^2 = p / (2 a t) at the first term below
+    10^-30 of the partial sum.  The exponent is formed in mp arithmetic
+    from the float inputs.
     """
     s = mp.mpf(0)
     k = 1

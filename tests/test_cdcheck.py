@@ -9,6 +9,10 @@ from deltoid.cdcheck import (
     DegenerateDenominator,
     Gamma2Report,
     PsdReport,
+    _gamma2_margins,
+    _monomial_pairs,
+    _pair_polys,
+    _pair_weights,
     _random_real_poly,
     deltoid_grid,
     divergence_probe,
@@ -25,7 +29,7 @@ from deltoid.exact import BivarPoly, CRat, Rat, Z, ZBAR
 from deltoid.geometry import plane_to_deltoid, sample_interior, triangle_to_deltoid
 from deltoid.operator import Lambda, boundary_poly, gamma, gamma2, generator
 from oracles import (CDParams, b_one_third_forms, b_one_third_of_t, fd_oracle_b,
-                     interior_lattice)
+                     gamma2_margin_exact, interior_lattice)
 
 
 def scan_points(n, seed=0, margin=0.4):
@@ -351,23 +355,29 @@ def test_gamma2_n7_violated():
     assert abs(rep.worst_point) > 0.9
 
 
+def sweep(trials, points, seed):
+    """The functions of gamma2_sample_check, and its points: the four
+    fixed ones, then the pool, mapped one point at a time."""
+    rng = random.Random(seed)
+    funcs = [Z + ZBAR,
+             BivarPoly({(1, 0): CRat(Rat(0), Rat(1)), (0, 1): CRat(Rat(0), Rat(-1))}),
+             Z * ZBAR] + [_random_real_poly(rng) for _ in range(trials)]
+    det = [cmath.exp(2j * math.pi * k / 3) * (1 - 1e-3) for k in range(3)] + [0j]
+    pool = [triangle_to_deltoid(p).Z
+            for p in sample_interior(points, "low-discrepancy", seed + 1)]
+    return funcs, np.array(det + pool, dtype=complex)
+
+
 def gamma2_check_per_point(lam, rho, n, trials, points, seed, tol=1e-10):
     """Reference: gamma2_sample_check as one scalar evaluation per pair."""
     lam = Lambda(lam)
-    rng = random.Random(seed)
-    det_points = [cmath.exp(2j * math.pi * k / 3) * (1 - 1e-3) for k in range(3)] + [0j]
-    det_funcs = [
-        Z + ZBAR,
-        BivarPoly({(1, 0): CRat(Rat(0), Rat(1)), (0, 1): CRat(Rat(0), Rat(-1))}),
-        Z * ZBAR,
-    ]
-    pool = [triangle_to_deltoid(p).Z
-            for p in sample_interior(points, "low-discrepancy", seed + 1)]
-    funcs = det_funcs + [_random_real_poly(rng) for _ in range(trials)]
+    funcs, zs = sweep(trials, points, seed)
+    zs = zs.tolist()
     worst, worst_f, worst_z, violations, pairs = math.inf, None, None, 0, 0
     for idx, f in enumerate(funcs):
         g2, g1, lf = gamma2(f, f, lam), gamma(f, f), generator(f, lam)
-        for z in (det_points + pool if idx < len(det_funcs) else pool):
+        # the three fixed functions also meet the four fixed points
+        for z in (zs if idx < 3 else zs[4:]):
             m = g2.eval(z).real - rho * g1.eval(z).real - lf.eval(z).real ** 2 / n
             pairs += 1
             if m < worst:
@@ -379,19 +389,102 @@ def gamma2_check_per_point(lam, rho, n, trials, points, seed, tol=1e-10):
                         violations=violations, tol=tol)
 
 
+# the margins are summed from pair polynomials, not evaluated per function,
+# so min_margin may move in its last digits: a tenth of the check's tol,
+# relative above 1
+MARGIN_TOL = 1e-11
+
+
+def margin_close(got, ref):
+    return abs(got - ref) <= MARGIN_TOL * max(1.0, abs(ref))
+
+
 @pytest.mark.parametrize("n, seed", [(8.0, 3), (7.0, 4), (6.5, 5)])
 def test_gamma2_sample_check_matches_per_point_loop(n, seed):
     rep = gamma2_sample_check(4, 2.25, n, trials=10, points=40, seed=seed)
-    assert rep == gamma2_check_per_point(4, 2.25, n, trials=10, points=40, seed=seed)
+    ref = gamma2_check_per_point(4, 2.25, n, trials=10, points=40, seed=seed)
+    assert (rep.pairs, rep.violations, rep.worst_f, rep.worst_point) == (
+        ref.pairs, ref.violations, ref.worst_f, ref.worst_point)
+    assert (rep.lam, rep.rho, rep.n, rep.tol) == (ref.lam, ref.rho, ref.n, ref.tol)
+    assert margin_close(rep.min_margin, ref.min_margin)
     assert type(rep.worst_point) is complex and type(rep.min_margin) is float
 
 
-def test_gamma2_counts_nonfinite_margins_as_violations():
-    # a NaN rho makes every margin NaN
-    rep = gamma2_sample_check(4, math.nan, 8.0, trials=2, points=5, seed=1)
+@pytest.mark.parametrize("rho, n, seed", [(2.25, 8.0, 3), (2.25, 7.0, 4), (0.3, 6.5, 5)])
+def test_gamma2_margins_match_exact_margin_at_the_points(rho, n, seed):
+    # every margin, function by point, against the exact margin
+    # polynomial evaluated in Fractions at the same float points
+    funcs, zs = sweep(10, 24, seed)
+    got = _gamma2_margins(funcs, Lambda(4), rho, n, zs)
+    assert got.shape == (len(funcs), zs.size)
+    for f, row in zip(funcs, got):
+        want = gamma2_margin_exact(f, Lambda(4), rho, n, zs)
+        assert all(margin_close(g, w) for g, w in zip(row.tolist(), want))
+
+
+@pytest.mark.parametrize("lam, rho, n", [(4, Rat(9, 4), Rat(8)), (Rat(7, 2), Rat(1, 3), Rat(5, 2))])
+def test_pair_polys_sum_to_the_margin_polynomial(lam, rho, n):
+    # sum_ab w_ab Q_ab is Gamma_2(f,f) - rho Gamma(f,f) - (Lf)^2 / n
+    # exactly, for each random real form, with keys shared by several
+    rng = random.Random(11)
+    funcs = [_random_real_poly(rng) for _ in range(6)] + [_random_real_poly(rng, deg=4)]
+    pairs = _monomial_pairs(funcs)
+    nkeys = len({key for f in funcs for key in f.num})
+    assert list(pairs.values()) == list(range(nkeys * (nkeys + 1) // 2))
+    assert all(a <= b for a, b in pairs)
+    polys = _pair_polys(pairs, Lambda(lam), rho, n)
+    for f in funcs:
+        d2 = f.den * f.den
+        total = BivarPoly()
+        for k, (re, im) in _pair_weights(f, pairs).items():
+            total = total + polys[k].scale(CRat(Rat(re, d2), Rat(im, d2)))
+        lf = generator(f, lam)
+        want = gamma2(f, f, lam) - gamma(f, f).scale(rho) - (lf * lf).scale(1 / n)
+        assert not want.is_zero() and total == want
+
+
+@pytest.mark.parametrize("trials", [0, 5, 40])
+def test_gamma2_evaluates_each_monomial_pair_once(monkeypatch, trials):
+    # one call compiles and evaluates one HornerProgram per monomial pair
+    # (BivarPoly.eval, the exact.eval the benchmark traces), whatever the
+    # number of functions, each on all the points at once
+    funcs, zs = sweep(trials, 30, 2)
+    k = len({key for f in funcs for key in f.num})
+    calls = []
+    evaluate = BivarPoly.eval
+
+    def counted(self, z):
+        calls.append(z)
+        return evaluate(self, z)
+
+    monkeypatch.setattr(BivarPoly, "eval", counted)
+    gamma2_sample_check(4, 2.25, 8.0, trials=trials, points=30, seed=2)
+    assert len(calls) == k * (k + 1) // 2
+    assert all(z.tobytes() == zs.tobytes() for z in calls)
+
+
+def test_gamma2_counts_nonfinite_margins_as_violations(monkeypatch):
+    # NaN pool points make every margin there NaN; the four fixed points
+    # stay finite and pass
+    from deltoid import cdcheck
+
+    def nan_points(x, y):
+        return np.full(len(x), complex("nan"))
+
+    monkeypatch.setattr(cdcheck, "plane_to_deltoid", nan_points)
+    rep = gamma2_sample_check(4, 2.25, 8.0, trials=2, points=5, seed=1)
     assert rep.pairs == 3 * 9 + 2 * 5
-    assert rep.violations == rep.pairs and not rep.passed
+    assert rep.violations == 3 * 5 + 2 * 5 and not rep.passed
     assert math.isnan(rep.min_margin) and rep.worst_f == repr(Z + ZBAR)
+    assert math.isnan(rep.worst_point.real)
+
+
+@pytest.mark.parametrize("rho, n", [(math.nan, 8.0), (2.25, math.nan),
+                                    (math.inf, 8.0), (2.25, math.inf)])
+def test_gamma2_refuses_nonfinite_rho_and_n(rho, n):
+    # rho and n enter exact arithmetic, which has no NaN or infinity
+    with pytest.raises(ValueError, match="finite"):
+        gamma2_sample_check(4, rho, n, trials=2, points=5, seed=1)
 
 
 def test_route_agreement():

@@ -197,6 +197,20 @@ def test_bounds_below_lambda_one_fail_with_one_line(capsys, argv):
     assert err == f"{' '.join(argv[:2])}: stated for lam >= 1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "supnorm", "--lambda", "4", "--max-degree", "1"],
+    ["bounds", "hk", "--lambda", "4", "--max-k", "1"],
+])
+def test_bounds_refuse_a_fit_through_one_abscissa(capsys, argv):
+    # degree 1 has two modes at one mu, and max-k 1 one k: a line
+    # through one abscissa says nothing about growth, so the command
+    # refuses on one stderr line instead of reporting a verdict
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"{' '.join(argv[:2])}: a growth fit needs at least two distinct abscissae\n"
+
+
 def test_heat_trace_refuses_lambda_below_one_before_building(capsys, monkeypatch):
     # the refusal needs no truncation: building one fails this test
     from deltoid import spectral
@@ -216,13 +230,15 @@ def test_heat_trace_refuses_lambda_below_one_before_building(capsys, monkeypatch
     ["kernel", "check", "--lambda", "4"],
     ["bounds", "supnorm", "--lambda", "4"],
     ["heat", "trace", "--lambda", "4", "--degree", "40", "--format", "json"],
+    ["cd", "verify", "--lambda", "4", "--rho", "9/4", "--n", "8"],
 ])
 def test_bounds_supnorm_bytes_do_not_depend_on_blas_threads(sizes):
     # the mode store's matrix products, which the H_k and kernel checks
     # read, run in BLAS; one and two threads must give the same report
     # bytes at the default sizes, whose products are large enough for
     # BLAS to split them between threads.  The sup-norm and heat-trace
-    # reports, summed from exact cusp weights, must hold the same bytes
+    # reports, summed from exact cusp weights, and the cd verify report,
+    # whose margins einsum sums, must hold the same bytes
     src = os.path.dirname(os.path.dirname(deltoid.__file__))
     argv = [sys.executable, "-m", "deltoid.cli"] + sizes
     reports = []
@@ -235,6 +251,20 @@ def test_bounds_supnorm_bytes_do_not_depend_on_blas_threads(sizes):
         reports.append(done.stdout)
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["result"].get("passed", True) is True
+
+
+def test_sobolev_series_runs_without_mpmath():
+    # mpmath is the tests' oracle only: with its import blocked, the
+    # series command still runs and passes
+    src = os.path.dirname(os.path.dirname(deltoid.__file__))
+    code = ("import sys; sys.modules['mpmath'] = None; "
+            "from deltoid.cli import main; sys.exit(main(['sobolev', 'series']))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr.decode()
+    assert json.loads(done.stdout)["result"]["passed"] is True
 
 
 def test_sobolev_series_defaults(capsys):

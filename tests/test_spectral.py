@@ -487,39 +487,37 @@ def test_sobolev_series_stability():
     assert max(naive) / min(naive) > 1e6
 
 
-def test_sobolev_series_scopes_its_precision(monkeypatch):
+def test_sobolev_series_refuses_before_allocating(monkeypatch):
+    # a tiny a t would need some 10^9 terms: the sum refuses before it
+    # makes any array
+    def no_array(*args, **kwargs):
+        raise AssertionError("allocated the terms of a refused series")
+
+    monkeypatch.setattr(spectral.np, "arange", no_array)
+    with pytest.raises(ArithmeticError, match="did not settle"):
+        sobolev_series_check(4.5, 1e-16)
+
+
+# the float sum against the 30-digit one: each term's log, up to about
+# 60 in size here, is rounded to a few ulp of itself
+SOBOLEV_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("p, a", [(4.5, 0.75), (1.3, 0.4), (1, 1), (0.5, 2),
+                                  (7, 0.1), (2.5, 0.75)])
+def test_sobolev_float_sum_matches_term_sum(p, a):
+    # the float sum in log space against one mp.power and one mp.exp per
+    # term at 30 digits, over the dyadic grid of sobolev_series_check, at
+    # integer and non-integer 2p
     import mpmath as mp
 
-    before = mp.mp.dps
-    seen = []
-
-    def failing_sum(mp_, p, a, t):
-        seen.append(mp_.mp.dps)
-        raise ArithmeticError("series summation did not settle")
-
-    monkeypatch.setattr(spectral, "_sobolev_sum", failing_sum)
-    with pytest.raises(ArithmeticError):
-        sobolev_series_check(4.5, 0.75, dps=45)
-    assert seen == [45]
-    assert mp.mp.dps == before
-
-
-@pytest.mark.parametrize("p, a", [(4.5, 0.75), (1.3, 0.4)])
-def test_sobolev_running_product_matches_term_sum(p, a):
-    # the running product of exp(-2 a t k^2) against one mp.exp per term,
-    # over the dyadic grid of sobolev_series_check, at an integer and a
-    # non-integer 2p
-    import mpmath as mp
-
-    ts = [2.0**-j for j in range(14)]
+    rep = sobolev_series_check(p, a)
+    ts = rep.details["t"]
     with mp.workdps(30):
-        got = [spectral._sobolev_sum(mp, p, a, t) for t in ts]
-        want = [sobolev_term_sum(mp, p, a, t) for t in ts]
-        for g, w in zip(got, want):
-            assert abs(g - w) <= mp.mpf("1e-25") * w
-        normalized = [float(mp.power(t, p + 0.5) * w) for t, w in zip(ts, want)]
-    if p == 4.5:
-        assert list(sobolev_series_check(p, a).details["normalized"]) == normalized
+        sums = [sobolev_term_sum(mp, p, a, t) for t in ts]
+        for key, e in (("normalized", p + 0.5), ("operator_exponent_normalized", (p + 1) / 2)):
+            want = [mp.power(t, e) * s for t, s in zip(ts, sums)]
+            assert all(abs(g - w) <= SOBOLEV_RTOL * w for g, w in zip(rep.details[key], want))
 
 
 def test_sobolev_series_reference_and_monotonicity():

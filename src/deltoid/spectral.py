@@ -285,7 +285,7 @@ def _loglog_fit(xs, ys):
     A line through fewer than two distinct x says nothing about growth,
     so it is a ValueError.
     """
-    if np.unique(xs).size < 2:
+    if len(set(xs)) < 2:
         raise ValueError("a growth fit needs at least two distinct abscissae")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)

@@ -488,7 +488,7 @@ def test_sobolev_series_stability():
 
 
 def test_sobolev_series_refuses_before_allocating(monkeypatch):
-    # a tiny a t would need some 10^9 terms: the sum refuses before it
+    # a tiny a t would need some 6e8 terms: the sum refuses before it
     # makes any array
     def no_array(*args, **kwargs):
         raise AssertionError("allocated the terms of a refused series")

@@ -475,7 +475,11 @@ def scan_inf_b(a: float, grid: int = 80, refine_near_cusps: bool = True) -> Scan
     means feeding the trig forms rotated-chart arguments where, at
     a = 1/3, the 4*A1*B1 - C1^2 cancellation deepens and the quotient
     picks up ~1e-4 of noise, enough to dip below the true infimum.
+    A lattice of side grid < 3 has no interior point, so it is a
+    ValueError, as in deltoid_grid.
     """
+    if grid < 3:
+        raise ValueError("need grid >= 3")
     best = math.inf
     arg = None
     for th, ph in _scan_lattice(grid):
@@ -679,7 +683,7 @@ def gamma2_sample_check(lam, rho, n, trials: int = 100, points: int = 100,
     exactly there (Gamma vanishes at the cusps but L f does not).  A
     margin below -tol or not finite is a violation; the minimum ranks
     NaN lowest and keeps the first function and point that attain it.
-    rho and n must be finite (ValueError otherwise), and n > 0.
+    rho and n must be finite (ValueError otherwise), n > 0 and points >= 1.
     """
     lam = lam if isinstance(lam, Lambda) else Lambda(lam)
     rho = float(rho)
@@ -688,6 +692,8 @@ def gamma2_sample_check(lam, rho, n, trials: int = 100, points: int = 100,
         raise ValueError("need finite rho and n")
     if n <= 0:
         raise ValueError("need n > 0")
+    if points < 1:
+        raise ValueError("need points >= 1")
     rng = random.Random(seed)
 
     cusps = [cmath.exp(2j * math.pi * k / 3) * (1 - 1e-3) for k in range(3)]

@@ -3,8 +3,9 @@
 Every subcommand echoes its configuration into the emitted report, so a
 report is reproducible from its own header plus the package version.
 JSON output is canonicalized (sorted keys, fixed indentation); CSV gets
-a header row.  Exit codes: 0 on pass, 1 on a verification failure, 2 on
-usage errors.  The package reads no environment variable.
+a header row.  Exit codes: 0 on pass, 1 on a verification failure or a
+refused input (one stderr line, "<command>: <reason>"), 2 on usage
+errors.  The package reads no environment variable.
 
 SCHEMA_VERSION names the report layout and the random streams behind
 it: version 2 draws Haar samples from one generator per seed (see
@@ -262,18 +263,15 @@ def _run_su3_check(args):
 
 
 def _run_heat_trace(args):
-    from .spectral import TruncationInsufficient, heat_cusp_sups
+    from .spectral import TruncationInsufficient, heat_cusp_sups, require_heat_time
     import numpy as np
 
-    ts = np.exp(np.linspace(math.log(args.t_min), math.log(args.t_max),
-                            args.nt))
+    t_min, t_max = (require_heat_time(t) for t in (args.t_min, args.t_max))
+    ts = np.exp(np.linspace(math.log(t_min), math.log(t_max), args.nt))
     try:
         rows = heat_cusp_sups(Lambda(args.lam), args.degree, ts)
     except TruncationInsufficient as exc:
         print(f"truncation too shallow: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"heat trace: {exc}", file=sys.stderr)
         return 1
     if args.format == "csv" or args.csv:
         _emit_csv(("t", "sup_heat_diag"), rows, args.csv or args.out)
@@ -290,19 +288,14 @@ def _run_heat_trace(args):
 def _run_bounds(args):
     from .spectral import growth_passed, hk_bound_check, supnorm_bound_check
 
-    command = f"bounds {args.bounds_command}"
-    try:
-        if args.bounds_command == "supnorm":
-            degree, seed = args.max_degree, 0
-            rep = supnorm_bound_check(Lambda(args.lam), degree)
-        else:
-            degree, seed = args.max_k, args.seed
-            rep = hk_bound_check(Lambda(args.lam), degree, seed=seed)
-    except ValueError as exc:
-        print(f"{command}: {exc}", file=sys.stderr)
-        return 1
-    config = RunConfig(command=command, lam=str(args.lam), degree=degree,
-                       seed=seed, out=args.out)
+    if args.bounds_command == "supnorm":
+        degree, seed = args.max_degree, 0
+        rep = supnorm_bound_check(Lambda(args.lam), degree)
+    else:
+        degree, seed = args.max_k, args.seed
+        rep = hk_bound_check(Lambda(args.lam), degree, seed=seed)
+    config = RunConfig(command=f"bounds {args.bounds_command}", lam=str(args.lam),
+                       degree=degree, seed=seed, out=args.out)
     result = {
         "exponent": rep.exponent,
         "target": rep.target,
@@ -500,9 +493,17 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    """Run one subcommand; a ValueError from it, a refused input, is one
+    stderr line naming the command, and exit 1."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        # each group's subparser stores its subcommand in <group>_command
+        command = " ".join(filter(None, (args.command,
+                                         getattr(args, f"{args.command}_command", None))))
+        print(f"{command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

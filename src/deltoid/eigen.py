@@ -10,8 +10,8 @@ three lower-degree monomials:
 
 with mu_{i,j} = (lam-1)(i+j) + i^2 + ij + j^2.  One mode is solved by
 back-substituting that display (`solve_eigenpoly`, the single-mode API
-and the reference for the builder).  A spectrum is built a degree at a
-time by the A2 Pieri recurrence for multiplication by Z
+and the reference for the builder).  A truncation's modes are built a
+degree at a time by the A2 Pieri recurrence for multiplication by Z
 (`_pieri_modes`), with no back-substitution.  The moment recursion
 integrates the display against the invariant measure; `moments`,
 `inner_product` and the heat truncation's `integrates_to_delta` read the
@@ -321,12 +321,10 @@ def _pieri_a(p: int, lv: "Rat") -> "Rat":
     return 4 * p * (3 * p + 2 * lv - 5) / den
 
 
-def _pieri_modes(lam: Lambda, held: tuple, degree: int) -> list:
-    """The eigenpolynomials of each total degree above held's through degree.
+def _pieri_modes(lam: Lambda, degree: int) -> list:
+    """Every eigenpolynomial of total degree <= degree, in truncation order.
 
-    held is a spectrum's modes in truncation order (each degree complete,
-    p descending within it), possibly empty; only its two top degrees are
-    read.  The new modes come back in the same order.  Each P_{p,q} with
+    Each degree is complete, p descending within it.  Each P_{p,q} with
     p >= q comes from the A2 Pieri recurrence (Macdonald, VI (6.24))
 
         Z P_{p-1,q} = P_{p,q} + a(p-1) P_{p-2,q+1} + b(p-1,q) P_{p-1,q-1}
@@ -341,15 +339,10 @@ def _pieri_modes(lam: Lambda, held: tuple, degree: int) -> list:
     exactly as a solve lays them out.
     """
     a, b = int(lam.value.numerator), int(lam.value.denominator)
-    top = held[-1].q if held else -1
     # (p, q) -> (vector, den, norm2) for the two degrees below the one built
     window = {}
-    for ep in held[(top - 1) * top // 2:]:
-        get = ep.poly.num.get
-        keys = _layout(ep.p + ep.q, (ep.p - ep.q) % 3)
-        window[ep.p, ep.q] = ([get(k, (0,))[0] for k in keys], ep.poly.den, ep.norm2)
     out = []
-    for d in range(top + 1, degree + 1):
+    for d in range(degree + 1):
         keys = [_layout(d, r) for r in range(3)]
         shifts = [_z_shift(k) for k in keys]
         flips = [_block_reversal(k) for k in keys]

@@ -17,9 +17,16 @@ operation.
 Float conversion divides each numerator by den as Python ints.  Integer
 true division is correctly rounded, so a float coefficient is exactly
 the float nearest the rational value, the same as float(Fraction).
-Float evaluation has one implementation, HornerProgram: a polynomial
-compiled once into its Horner scheme, run on a point or on numpy arrays
-of points with the same bits either way.
+Float evaluation has three implementations, one per shape of work.
+HornerProgram, here, compiles one polynomial into its Horner scheme and
+runs it on a point or on numpy arrays of points with the same bits
+either way; every polynomial in Z and Zbar evaluated on its own (grid
+and sampled margins, the boundary polynomial, the deltoid side of the
+group checks) goes through it.  `spectral._ModeStore` evaluates many
+eigenmodes at many points at once, one real matrix product per residue
+class of modes and block of points, and rounds differently from Horner.
+`su3._eval_compiled` evaluates a polynomial in the entries of a 3x3
+matrix and their conjugates (an `EntryPoly`) on a stack of matrices.
 
 The rational type at the API boundary (`coeff`, `terms`, `scale`'s
 argument, inner products) is gmpy2.mpq when available and

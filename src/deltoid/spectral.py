@@ -1,18 +1,19 @@
 """Heat-kernel truncations and the spectral-bound experiments.
 
 A truncation keeps every eigenpolynomial up to a fixed total degree with
-exact rational eigenvalue and norm.  It is a prefix of the one live
-spectrum of its lam, grown in place by degree with the A2 Pieri
-recurrence (`eigen._pieri_modes`; no mode is solved on its own) and
-trimmed back when its deepest truncation is freed.  For lam >= 1 every
-mode is a nonnegative combination of the lam = 1 orbit sums (Koornwinder
-1974, class IV; Knop & Sahi 1997), so |P| <= P(1), its value at a cusp:
-the sup-norm check and the sup of the heat diagonal read the cusp
-weights P(1)^2/||P||^2 from their closed form (`eigen.cusp_table`) and
-build no mode.
+exact rational eigenvalue and norm, built by the A2 Pieri recurrence
+(`eigen._pieri_modes`; no mode is solved on its own).  One weak map
+holds the deepest live truncation of each lam, and a truncation no
+deeper than it takes its first modes instead of building; nothing else
+is shared.  For lam >= 1 every mode is a nonnegative combination of the
+lam = 1 orbit sums (Koornwinder 1974, class IV; Knop & Sahi 1997), so
+|P| <= P(1), its value at a cusp: the sup-norm check and the sup of the
+heat diagonal read the cusp weights P(1)^2/||P||^2 from their closed
+form (`eigen.cusp_table`) and build no mode.
 Other float values of modes, for the heat diagonal at a point and the
-H_k and multiplier-kernel checks, are read from one float mode store
-per spectrum, a real coefficient matrix per residue class of modes.
+H_k and multiplier-kernel checks, are read from a float mode store, a
+real coefficient matrix per residue class of modes: a truncation's own,
+or one the check builds of the degree levels it keeps.
 Beside them sit the Sobolev series estimate and the fits, plain least
 squares on log-log data.  Every report is a frozen dataclass; a fit
 records the window it was computed on, and each verdict is stated once,
@@ -21,7 +22,6 @@ next to its check (growth_passed, sobolev_passed, KernelReport.passed).
 
 import math
 import weakref
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -71,81 +71,22 @@ def sobolev_passed(rep: FitReport) -> bool:
     return rep.residual < SOBOLEV_RATIO_CAP
 
 
-class _Spectrum:
-    """The exact modes of one lam in truncation order, with one float store.
-
-    It grows in place by degree, each new degree built by the recurrence
-    from the two below it, and trims back to the deepest truncation
-    still alive; the modes of degree <= N are always its first
-    (N + 1)(N + 2)/2.  Per mode it keeps mu and 1 / squared norm as
-    floats.  The store is built on first use.
-    """
-
-    def __init__(self, lam):
-        self.lam = lam
-        self.degree = -1
-        self.modes = ()
-        self.mu = self.inv_norm2 = np.empty(0)
-        self._store = None
-        self._held = Counter()
-
-    def grow(self, degree):
-        if degree <= self.degree:
-            return
-        new = _pieri_modes(self.lam, self.modes, degree)
-        self.modes += tuple(new)
-        self.mu = np.append(self.mu, [float(ep.mu) for ep in new])
-        self.inv_norm2 = np.append(self.inv_norm2, [1.0 / float(ep.norm2) for ep in new])
-        self.degree = degree
-        self._store = None
-
-    def _release(self, degree):
-        # Counter subtraction drops the degrees no truncation holds any more
-        self._held -= Counter({degree: 1})
-        deepest = max(self._held, default=self.degree)
-        if deepest < self.degree:
-            n = (deepest + 1) * (deepest + 2) // 2
-            self.degree, self.modes = deepest, self.modes[:n]
-            self.mu, self.inv_norm2 = self.mu[:n], self.inv_norm2[:n]
-            self._store = None
-
-    @property
-    def store(self):
-        if self._store is None:
-            self._store = _ModeStore.of_modes(self.modes)
-        return self._store
-
-
-# the live spectrum of each lam, keyed by lam's (numerator, denominator);
-# a spectrum stays here only while some truncation holds it
-_spectra = weakref.WeakValueDictionary()
-
-
-def _spectrum(trunc):
-    """The live spectrum of trunc's lam, grown to trunc's degree and held
-    there while trunc lives."""
-    key = (trunc.lam.value.numerator, trunc.lam.value.denominator)
-    spec = _spectra.get(key)
-    if spec is None:
-        spec = _spectra[key] = _Spectrum(trunc.lam)
-    spec.grow(trunc.max_degree)
-    spec._held[trunc.max_degree] += 1
-    weakref.finalize(trunc, spec._release, trunc.max_degree)
-    return spec
+# the deepest live truncation of each lam, keyed by lam's (numerator,
+# denominator); an entry goes when its truncation is freed
+_deepest = weakref.WeakValueDictionary()
 
 
 class HeatKernelTruncation:
     """All eigenmodes of total degree <= max_degree, exact, with one float store.
 
-    A truncation is a prefix view of the live spectrum of its lam, so
-    truncations of one lam alive at once share one spectrum and one
-    store: a truncation no deeper than one already alive builds nothing,
-    and its store is the deeper store's first rows.  The exact side (mu,
-    squared norm as rationals, the polynomials themselves) lives in
-    `modes`.  Every float value of a mode at a point is read from the
-    store, built on first use, so a truncation used only exactly never
-    builds it.
-    The tail of a truncation at degree N is estimated by `_tail`.
+    The exact side (mu, squared norm as rationals, the polynomials
+    themselves) lives in `modes`, with mu and 1 / squared norm as floats
+    beside it.  A truncation no deeper than the deepest live one of its
+    lam takes that one's first (N + 1)(N + 2)/2 modes and builds none;
+    any other builds its modes and becomes the deepest.  Every float
+    value of a mode at a point is read from the truncation's own store,
+    built on first use, so a truncation used only exactly never builds
+    it.  The tail of a truncation at degree N is estimated by `_tail`.
     """
 
     def __init__(self, lam, max_degree=40):
@@ -153,21 +94,24 @@ class HeatKernelTruncation:
         _require_positive_degree(max_degree)
         self.lam = lam
         self.max_degree = max_degree
-        self._spectrum = spec = _spectrum(self)
-        n = (max_degree + 1) * (max_degree + 2) // 2
-        self.modes = spec.modes[:n]
-        self._mu = spec.mu[:n]
-        self._inv_norm2 = spec.inv_norm2[:n]
+        key = (lam.value.numerator, lam.value.denominator)
+        deep = _deepest.get(key)
+        if deep is not None and deep.max_degree >= max_degree:
+            n = (max_degree + 1) * (max_degree + 2) // 2
+            self.modes = deep.modes[:n]
+            self._mu, self._inv_norm2 = deep._mu[:n].copy(), deep._inv_norm2[:n].copy()
+        else:
+            self.modes = tuple(_pieri_modes(lam, max_degree))
+            self._mu = np.array([float(ep.mu) for ep in self.modes])
+            self._inv_norm2 = np.array([1.0 / float(ep.norm2) for ep in self.modes])
+            _deepest[key] = self
 
     def __len__(self):
         return len(self.modes)
 
     @cached_property
     def _store(self):
-        # select keeps the nonzero columns in the same order, so the first
-        # rows of a deeper store give the same bits as a store of its own
-        store = self._spectrum.store
-        return store if store.size == len(self) else store.select(range(len(self)))
+        return _ModeStore.of_modes(self.modes)
 
     def mode_values(self, z):
         """Values of every mode at the complex point z, or at each point of
@@ -227,6 +171,14 @@ def _tail_checked(max_degree, t, s):
     return t, s
 
 
+def require_heat_time(t):
+    """t as a float; a ValueError unless it is finite and positive."""
+    t = float(t)
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be finite and positive, not {t}")
+    return t
+
+
 def heat_diag(x, t, trunc):
     """Truncated diagonal heat kernel density at x.
 
@@ -234,12 +186,10 @@ def heat_diag(x, t, trunc):
     1% of the partial sum; get the tail on its own from
     trunc.tail_estimate(t).
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    t = require_heat_time(t)
     z = complex(getattr(x, "Z", x))
     if DeltoidPoint(z).membership_residual() < -1e-12:
         raise ValueError(f"{z} is outside the closed domain")
-    t = float(t)
     weights = trunc.mode_weights([z])
     # einsum, not BLAS: the bits do not depend on the thread count
     s = float(np.einsum("m,mx->x", np.exp(-trunc._mu * t), weights)[0])
@@ -270,12 +220,14 @@ def heat_cusp_sups(lam, max_degree, ts):
     For lam >= 1 every weight |P|^2 / ||P||^2 peaks at the cusps, so the
     sup is the diagonal at a cusp: the closed cusp weights summed against
     exp(-mu t), in math.fsum.  Raises TruncationInsufficient at the first
-    t whose tail estimate is more than 1% of the sup.
+    t whose tail estimate is more than 1% of the sup, and ValueError
+    before any sum if some t is not finite and positive.
     """
     lam = lam if isinstance(lam, Lambda) else Lambda(lam)
+    ts = [require_heat_time(t) for t in ts]
     mu, w = map(np.array, _cusp_table(lam, max_degree))
     return [_tail_checked(max_degree, t, math.fsum(np.exp(-mu * t) * w))
-            for t in map(float, ts)]
+            for t in ts]
 
 
 def _loglog_fit(xs, ys):
@@ -366,7 +318,6 @@ class _ModeStore:
     monomials in ascending (i, j).  Its values at a block of points are
     that matrix times the block's monomials, read as float64 pairs: one
     real matrix product per class and block, one block held at a time.
-    A spectrum holds the store of all its modes; select() cuts rows.
     """
 
     def __init__(self, classes, size):
@@ -378,19 +329,24 @@ class _ModeStore:
 
     @classmethod
     def of_modes(cls, modes):
-        """The store of a truncation's modes, rows in the order of modes.
+        """The store of modes, rows in their order; a class with no mode
+        is left out, so an empty list gives a store of no rows.
 
         complex_coeffs() runs once per mode with p >= q; P_{q,p} takes
-        its partner's terms with i and j swapped, as the builder mirrors it.
+        its partner's terms with i and j swapped, as the builder mirrors
+        it, so each mode's partner must be among modes, as it is in whole
+        degree levels.
         """
         terms = {(ep.p, ep.q): ep.poly.complex_coeffs() for ep in modes if ep.p >= ep.q}
         terms.update({(q, p): [(j, i, c) for i, j, c in t]
                       for (p, q), t in terms.items() if p > q})
         terms = [terms[ep.p, ep.q] for ep in modes]
-        base = max(ep.p + ep.q for ep in modes) + 1
+        base = max((ep.p + ep.q for ep in modes), default=0) + 1
         classes = []
         for r in range(3):
             rows = [a for a, ep in enumerate(modes) if (ep.p - ep.q) % 3 == r]
+            if not rows:
+                continue
             # every term of the class as (row, i, j, coefficient)
             row = np.repeat(np.arange(len(rows)), [len(terms[a]) for a in rows])
             i, j, c = (np.array(v) for v in zip(*(x for a in rows for x in terms[a])))
@@ -406,20 +362,6 @@ class _ModeStore:
             classes.append((np.array(rows, dtype=np.intp), np.minimum(i, j),
                             np.abs(i - j), np.where(i >= j, 1.0, -1.0), coef))
         return cls(classes, len(modes))
-
-    def select(self, rows):
-        """The store of the given rows, in that order, renumbered from 0,
-        without the columns that are zero on every one of them."""
-        rows = np.asarray(rows, dtype=np.intp)
-        classes = []
-        for class_rows, kk, dd, sign, coef in self._classes:
-            pick = np.flatnonzero(np.isin(rows, class_rows))
-            if not pick.size:
-                continue
-            sub = coef[np.searchsorted(class_rows, rows[pick])]
-            keep = np.flatnonzero(np.any(sub, axis=0))
-            classes.append((pick, kk[keep], dd[keep], sign[keep], sub[:, keep]))
-        return _ModeStore(classes, len(rows))
 
     def blocks(self, zs):
         """(first point index, values of every row at a block of the points zs)."""
@@ -507,9 +449,8 @@ def hk_bound_check(lam, max_k, seed=0):
     """
     lam = lam if isinstance(lam, Lambda) else Lambda(lam)
     require_lam_geq_one(lam)
-    trunc = HeatKernelTruncation(lam, max_k)
-    rows = [a for a, ep in enumerate(trunc.modes) if ep.p + ep.q]
-    modes = [trunc.modes[a] for a in rows]
+    # every mode but the constant one, the first
+    modes = HeatKernelTruncation(lam, max_k).modes[1:]
     zs = _lattice(80)
     norms = np.array([math.sqrt(float(ep.norm2)) for ep in modes])
     rng = np.random.default_rng(seed)
@@ -529,7 +470,7 @@ def hk_bound_check(lam, max_k, seed=0):
     # basis member, the latter tying this to the per-mode check; einsum
     # sums without BLAS, so the bits do not depend on its thread count
     sups = [0.0] * len(ks)
-    for _, vals in trunc._store.select(rows).blocks(zs):
+    for _, vals in _ModeStore.of_modes(modes).blocks(zs):
         vals /= norms[:, None]
         for n, (level, cs) in enumerate(zip(levels, combos)):
             v = vals[level]
@@ -674,13 +615,12 @@ def kernel_bound_check(nu, lam, max_k, x_grid):
         if len(nus) < max_k:
             nus = nus + [0.0] * (max_k - len(nus))
     zs = np.array([complex(getattr(x, "Z", x)) for x in x_grid], dtype=complex)
-    trunc = HeatKernelTruncation(lam, max_k)
     npts = len(zs)
-    rows = [a for a, ep in enumerate(trunc.modes)
-            if ep.p + ep.q and nus[ep.p + ep.q - 1] != 0.0]
+    # the levels k with nu_k != 0, whole, so each mirror's partner is kept
+    modes = [ep for ep in HeatKernelTruncation(lam, max_k).modes
+             if ep.p + ep.q and nus[ep.p + ep.q - 1] != 0.0]
     kernel = np.zeros((npts, npts), dtype=complex)
-    for a, vals in zip(rows, trunc._store.select(rows).values(zs)):
-        ep = trunc.modes[a]
+    for ep, vals in zip(modes, _ModeStore.of_modes(modes).values(zs)):
         vals /= math.sqrt(float(ep.norm2))
         kernel += nus[ep.p + ep.q - 1] ** 2 * np.outer(vals, vals.conj())
     sup_abs = float(np.abs(kernel).max()) if npts else 0.0

@@ -316,6 +316,14 @@ def test_scan_inf_b_zero():
     assert rep13.inf_estimate <= rep.inf_estimate + 1e-12
 
 
+@pytest.mark.parametrize("grid", [0, 2])
+def test_scan_inf_b_refuses_a_lattice_without_interior_points(grid):
+    # side 3 is the smallest lattice with an interior point, as in deltoid_grid
+    with pytest.raises(ValueError, match="need grid >= 3"):
+        scan_inf_b(1.0 / 3.0, grid=grid, refine_near_cusps=False)
+    assert len(scan_inf_b(1.0 / 3.0, grid=3, refine_near_cusps=False).trace) == 1
+
+
 def test_divergence_probe_quad():
     rep = divergence_probe(0.4, curve="quad", c=1.0)
     assert rep.limit_estimate < 0

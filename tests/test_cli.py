@@ -211,6 +211,25 @@ def test_bounds_refuse_a_fit_through_one_abscissa(capsys, argv):
     assert err == f"{' '.join(argv[:2])}: a growth fit needs at least two distinct abscissae\n"
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["heat", "trace", "--lambda", "4", "--t-min", "0"],
+     "t must be finite and positive, not 0.0"),
+    (["heat", "trace", "--lambda", "4", "--t-min", "nan"],
+     "t must be finite and positive, not nan"),
+    (["kernel", "check", "--lambda", "4", "--max-k", "0"], "max_degree must be positive"),
+    (["cd", "verify", "--lambda", "4", "--rho", "9/4", "--n", "8", "--grid", "0"],
+     "need points >= 1"),
+    (["cd", "scan-b", "--a", "1/3", "--grid", "2"], "need grid >= 3"),
+])
+def test_refused_inputs_fail_with_one_line(capsys, argv, reason):
+    # main() turns a runner's ValueError into "<command>: <reason>" on
+    # stderr and exit 1, with no report and no traceback
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"{' '.join(argv[:2])}: {reason}\n"
+
+
 def test_heat_trace_refuses_lambda_below_one_before_building(capsys, monkeypatch):
     # the refusal needs no truncation: building one fails this test
     from deltoid import spectral

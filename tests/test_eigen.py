@@ -290,7 +290,7 @@ def test_nonpositive_norm_is_a_typed_error(monkeypatch):
     with pytest.raises(NonpositiveNorm):
         solve_eigenpoly(1, 1, Lambda(4))
     with pytest.raises(NonpositiveNorm):
-        eigen._pieri_modes(Lambda(4), (), 2)
+        eigen._pieri_modes(Lambda(4), 2)
 
 
 def test_eigenvalue_count_is_a_typed_error(monkeypatch):
@@ -303,20 +303,30 @@ def test_eigenvalue_count_is_a_typed_error(monkeypatch):
         hk_space(2, Lambda(4))
 
 
-def test_solver_and_truncation_build_no_moment_table(monkeypatch):
-    # norms come from the closed formula: neither a solve nor a fresh
-    # truncation tabulates moments.  No other test holds lam = 11/3, so
-    # the truncation solves every one of its modes here
-    from deltoid import spectral
+@pytest.fixture
+def builds(monkeypatch):
+    """The degrees of the spectrum builds truncations run, in order."""
+    seen = []
+    original = spectral._pieri_modes
 
+    def counted(lam, degree):
+        seen.append(degree)
+        return original(lam, degree)
+
+    monkeypatch.setattr(spectral, "_pieri_modes", counted)
+    return seen
+
+
+def test_solver_and_truncation_build_no_moment_table(monkeypatch, builds):
+    # norms come from the closed formula: neither a solve nor a fresh
+    # truncation tabulates moments
     def refuse(self, max_degree):
         raise AssertionError("a moment table was built")
 
     monkeypatch.setattr(MomentTable, "extend_to", refuse)
     lam = Lambda(Rat(11, 3))
-    assert (11, 3) not in spectral._spectra
     trunc = HeatKernelTruncation(lam, 20)
-    assert len(trunc) == 231
+    assert len(trunc) == 231 and builds == [20]
     ep = solve_eigenpoly(7, 4, lam)
     assert ep.norm2 == trunc.modes[66 + 4].norm2 > 0  # degree 11, p = 7
 
@@ -332,7 +342,7 @@ def _exact(modes):
 def test_pieri_builder_equals_solver(lv, degree):
     # every mode, mirrors included, down to the order of its terms
     lam = Lambda(lv)
-    built = eigen._pieri_modes(lam, (), degree)
+    built = eigen._pieri_modes(lam, degree)
     order = [(p, d - p) for d in range(degree + 1) for p in range(d, -1, -1)]
     assert _exact(built) == _exact(solve_eigenpoly(p, q, lam) for p, q in order)
     # the coefficient sum is the closed P(1), which neither side reads
@@ -347,7 +357,7 @@ def test_cusp_table_is_the_built_modes(lv, degree):
     # mu and P(1)^2 / ||P||^2 of each built mode, with P(1) its coefficient
     # sum, each one rational rounded once
     lam = Lambda(lv)
-    built = eigen._pieri_modes(lam, (), degree)
+    built = eigen._pieri_modes(lam, degree)
     mu, weights = eigen.cusp_table(lam, degree)
     assert mu == [float(e.mu) for e in built]
     assert weights == [float(Rat(sum(re for re, _ in e.poly.num.values()) ** 2,
@@ -397,31 +407,33 @@ def test_pieri_a_zero_denominator_is_a_typed_error():
         eigen._pieri_a(2, Rat(-2))
 
 
-def test_growing_in_steps_equals_a_fresh_build():
+def test_growing_in_steps_equals_a_fresh_build(builds):
+    # each truncation deeper than the live ones builds afresh, and one no
+    # deeper takes the first modes of the deepest: all are a fresh build's
     lam = Lambda(Rat(7, 2))
-    spec = spectral._Spectrum(lam)
-    for degree in (0, 1, 20, 40):
-        spec.grow(degree)
-    assert _exact(spec.modes) == _exact(eigen._pieri_modes(lam, (), 40))
+    fresh = _exact(eigen._pieri_modes(lam, 40))
+    held = [HeatKernelTruncation(lam, degree) for degree in (1, 20, 40, 10)]
+    assert builds == [1, 20, 40]
+    for trunc in held:
+        assert _exact(trunc.modes) == fresh[:len(trunc)]
 
 
-def test_trimmed_spectrum_regrows_to_a_fresh_build():
-    lam = Lambda(Rat(17, 6))  # no other test holds this lam
-    assert (17, 6) not in spectral._spectra
+def test_trimmed_spectrum_regrows_to_a_fresh_build(builds):
+    # once the deepest truncation is freed, a deeper one builds again
+    lam = Lambda(Rat(17, 6))
     shallow = HeatKernelTruncation(lam, 20)
     deep = HeatKernelTruncation(lam, 40)
     del deep
-    assert shallow._spectrum.degree == 20
     again = HeatKernelTruncation(lam, 40)
-    assert again._spectrum is shallow._spectrum
-    assert _exact(again.modes) == _exact(eigen._pieri_modes(lam, (), 40))
+    assert builds == [20, 40, 40]
+    assert _exact(again.modes) == _exact(eigen._pieri_modes(lam, 40))
+    assert _exact(again.modes[:len(shallow)]) == _exact(shallow.modes)
 
 
-def test_fresh_truncation_solves_nothing(monkeypatch):
+def test_fresh_truncation_solves_nothing(monkeypatch, builds):
     def refuse(p, q, lam):
-        raise AssertionError("a spectrum called the single-mode solver")
+        raise AssertionError("a truncation called the single-mode solver")
 
     monkeypatch.setattr(eigen, "solve_eigenpoly", refuse)
-    lam = Lambda(Rat(19, 7))  # no other test holds this lam
-    assert (19, 7) not in spectral._spectra
-    assert len(HeatKernelTruncation(lam, 12)) == 91
+    assert len(HeatKernelTruncation(Lambda(Rat(19, 7)), 12)) == 91
+    assert builds == [12]

@@ -519,7 +519,7 @@ def test_solve_eigenpoly_matches_fraction_backsubstitution(lam):
     # the single-mode solver and the spectrum builder alike
     table = ref_moments(lam, 24)
     lam_rat = Lambda(Rat(lam.numerator, lam.denominator))
-    built = {(ep.p, ep.q): ep for ep in _pieri_modes(lam_rat, (), 12)}
+    built = {(ep.p, ep.q): ep for ep in _pieri_modes(lam_rat, 12)}
     for total in range(13):
         for p in range(total + 1):
             q = total - p

@@ -181,6 +181,16 @@ def test_ultracontractivity_insufficient_truncation():
         ultracontractivity_fit(Lambda(1), (0.02, 0.2), shallow)
 
 
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+def test_heat_times_must_be_finite_and_positive(trunc4, t):
+    # a negative t would sum exp(mu |t|), a NaN or infinite one NaN; both
+    # functions refuse it with one check, heat_cusp_sups before any sum
+    with pytest.raises(ValueError, match="t must be finite and positive"):
+        heat_cusp_sups(Lambda(4), 10, [0.1, t])
+    with pytest.raises(ValueError, match="t must be finite and positive"):
+        heat_diag(0j, t, trunc4)
+
+
 def test_ultracontractivity_rejects_a_truncation_of_another_lam(trunc1):
     # only the truncation's degree is read, so one of another lam would
     # fit that lam's weights against this lam's target
@@ -295,12 +305,13 @@ def test_mode_table_streams_blocks():
 
 
 def test_mode_table_row_slices():
-    # a row slice keeps only the monomials of its rows and the degree
-    # they need, and its values are the store's rows to rounding
+    # a store of some whole degree levels keeps only the monomials of its
+    # modes and the degree they need, and its values are the truncation
+    # store's rows to rounding
     trunc = HeatKernelTruncation(Lambda(4), 9)
     store = trunc._store
-    rows = [a for a, ep in enumerate(trunc.modes) if ep.p + ep.q in (2, 4) and ep.p >= ep.q]
-    sub = store.select(rows)
+    rows = [a for a, ep in enumerate(trunc.modes) if ep.p + ep.q in (2, 4)]
+    sub = spectral._ModeStore.of_modes([trunc.modes[a] for a in rows])
     assert sub.size == len(rows) and sub._degree == 4
     for _, kk, dd, _, coef in sub._classes:
         assert np.all(2 * kk + dd <= 4) and np.all(np.any(coef, axis=0))
@@ -309,6 +320,21 @@ def test_mode_table_row_slices():
     zs = np.array(KERNEL_GRID)
     full = store.values(zs)[rows]
     assert np.max(np.abs(sub.values(zs) - full)) <= 1e-14 * np.max(np.abs(full))
+
+
+def test_mode_store_of_no_modes_or_an_empty_class():
+    # degree 1 has no mode of class 0, and a kernel of zero weights keeps
+    # no mode at all: both stores evaluate, to no rows for what is missing
+    trunc = HeatKernelTruncation(Lambda(4), 1)
+    zs = np.array(KERNEL_GRID)
+    level = spectral._ModeStore.of_modes(trunc.modes[1:])
+    assert len(level._classes) == 2
+    assert np.array_equal(level.values(zs), trunc._store.values(zs)[1:])
+    empty = spectral._ModeStore.of_modes([])
+    assert empty.size == 0 and empty.values(zs).shape == (0, len(zs))
+    assert [v.shape for _, v in empty.blocks(zs)] == [(0, len(zs))]
+    rep = kernel_bound_check(lambda k: 0.0, Lambda(4), 3, KERNEL_GRID)
+    assert rep.sup_abs == rep.series_value == rep.diag_sup == 0.0 and rep.passed
 
 
 def test_mode_table_rejects_complex_coefficients():
@@ -324,8 +350,7 @@ def test_complex_coeffs_runs_once_per_solved_mode(monkeypatch):
     # the float store is built on first float use, from one complex_coeffs()
     # pass over the modes with p >= q; mirrors swap their partner's terms.
     # The sup-norm check and the heat fit read exact cusp weights and
-    # build no store.  No other test holds lam = 11/3, so each truncation
-    # here solves and builds its own spectrum and store
+    # build no store.  Each truncation and check builds its own store
     lam = Lambda(Rat(11, 3))
     seen = []
     original = BivarPoly.complex_coeffs
@@ -339,17 +364,18 @@ def test_complex_coeffs_runs_once_per_solved_mode(monkeypatch):
     assert trunc.integrates_to_delta() and seen == []
     ultracontractivity_fit(lam, (0.5, 1.0), trunc)
     supnorm_bound_check(lam, 8)
-    assert seen == [] and trunc._spectrum._store is None
+    assert seen == [] and "_store" not in vars(trunc)
     solved = {id(ep.poly) for ep in trunc.modes if ep.p >= ep.q}
     heat_diag(0.9 * CUSPS[0], 0.1, trunc)
     trunc.mode_weights(0.1j)
     assert sorted(seen) == sorted(solved)
-    del trunc
-    for check in (lambda: hk_bound_check(lam, 8),
-                  lambda: kernel_bound_check([1.0, 0.5], lam, 8, KERNEL_GRID)):
+    # beside trunc, each check builds a store of the levels it keeps, (p, q)
+    # with p >= q: H_k every level 1 to 8, the kernel levels 1 and 2 (nu != 0)
+    for check, count in ((lambda: hk_bound_check(lam, 8), 24),
+                         (lambda: kernel_bound_check([1.0, 0.5], lam, 8, KERNEL_GRID), 3)):
         seen.clear()
         check()
-        assert len(seen) == len(set(seen)) == 25  # (p, q), p >= q, p + q <= 8
+        assert len(seen) == len(set(seen)) == count
 
 
 def _bits(report):
@@ -360,10 +386,18 @@ def _bits(report):
                  report.target, sorted(report.details.items())))
 
 
-def test_live_truncation_leaves_check_reports_unchanged(monkeypatch):
-    # a check beside a deeper live truncation reads rows of that truncation's
-    # store; its report has the bits of a check that solved on its own
-    monkeypatch.setattr(spectral, "_spectra", weakref.WeakValueDictionary())
+@pytest.fixture
+def deepest(monkeypatch):
+    """An empty map of the deepest live truncation of each lam, for a test
+    that needs to know which truncations it holds."""
+    fresh = weakref.WeakValueDictionary()
+    monkeypatch.setattr(spectral, "_deepest", fresh)
+    return fresh
+
+
+def test_live_truncation_leaves_check_reports_unchanged(deepest):
+    # a check beside a deeper live truncation takes that truncation's first
+    # modes; its report has the bits of a check that built its own
     lam = Lambda(4)
 
     def reports():
@@ -373,17 +407,16 @@ def test_live_truncation_leaves_check_reports_unchanged(monkeypatch):
             kernel_bound_check(lambda k: math.exp(-float(k)), lam, 6, KERNEL_GRID))]
 
     alone = reports()
-    assert not spectral._spectra
+    assert not deepest
     deep = HeatKernelTruncation(lam, 20)
     assert reports() == alone
-    assert spectral._spectra[4, 1] is deep._spectrum
-    assert deep._spectrum.degree == 20 and deep._spectrum._store is not None
+    assert deepest[4, 1] is deep
 
 
 def test_checks_beside_a_deeper_truncation_solve_nothing(trunc4, monkeypatch):
     # the builder forms each mode with p >= q once, with one closed norm;
-    # a mirror P_{q,p} shares its partner's
-    assert spectral._spectra[4, 1] is trunc4._spectrum
+    # a mirror P_{q,p} shares its partner's.  While trunc4 lives, every
+    # truncation of lam = 4 no deeper than 40 takes its first modes
     calls = []
     original = eigen._norm2
 
@@ -398,50 +431,53 @@ def test_checks_beside_a_deeper_truncation_solve_nothing(trunc4, monkeypatch):
     hk_bound_check(lam, 20)
     kernel_bound_check([1.0, 0.5], lam, 12, KERNEL_GRID)
     assert calls == []
-    HeatKernelTruncation(Lambda(Rat(13, 5)), 2)
+    eigen._pieri_modes(lam, 2)
     assert len(calls) == 4  # (p, q), p >= q, p + q <= 2
 
 
-def test_spectrum_lives_only_while_a_truncation_holds_it():
+def test_spectrum_lives_only_while_a_truncation_holds_it(deepest):
+    # the map keeps a lam's deepest truncation only while it lives; a
+    # shallower one takes its first modes and is not entered
     key = (13, 4)
-    assert key not in spectral._spectra
-    shallow = HeatKernelTruncation(Lambda(Rat(13, 4)), 3)
     deep = HeatKernelTruncation(Lambda(Rat(13, 4)), 6)
-    assert spectral._spectra[key] is shallow._spectrum is deep._spectrum
-    deep.mode_values(0.1j)
-    shallow.mode_values(0.1j)
+    shallow = HeatKernelTruncation(Lambda(Rat(13, 4)), 3)
+    assert deepest[key] is deep
+    assert shallow.modes == deep.modes[:10]
+    assert all(a is b for a, b in zip(shallow.modes, deep.modes))
     del deep
-    assert spectral._spectra[key].degree == 3
-    del shallow
-    assert key not in spectral._spectra
+    assert key not in deepest
+    deeper = HeatKernelTruncation(Lambda(Rat(13, 4)), 4)
+    assert deepest[key] is deeper and deeper.modes[:10] == shallow.modes
 
 
 def test_spectrum_trims_back_when_its_deepest_truncation_is_freed(trunc1):
-    spec = trunc1._spectrum
+    # the modes a deeper truncation built above trunc1's degree go with it,
+    # while trunc1 lives on its own first modes
     deep = HeatKernelTruncation(Lambda(1), 40)
-    assert deep._spectrum is spec and spec.degree == 40
+    assert len(trunc1) == 351 and deep.modes[:351] == trunc1.modes
+    above = weakref.ref(deep.modes[351])
+    assert (above().p, above().q) == (26, 0)
     deep.mode_values(0.1j)
     del deep
-    assert spec.degree == 25 and spec._store is None
-    assert spec.modes == trunc1.modes
+    assert above() is None
+    assert len(trunc1.modes) == len(trunc1._mu) == len(trunc1._inv_norm2) == 351
 
 
-def test_growing_the_spectrum_keeps_a_truncation_bits(monkeypatch):
-    monkeypatch.setattr(spectral, "_spectra", weakref.WeakValueDictionary())
+def test_growing_the_spectrum_keeps_a_truncation_bits(deepest):
+    # a truncation cut from a deeper live one reads the mode_values bytes
+    # of a fresh build, and the deeper build leaves the older one's alone
     zs = np.array(KERNEL_GRID)
     small = HeatKernelTruncation(Lambda(4), 10)
     modes = small.modes
     vals = small.mode_values(zs)
     big = HeatKernelTruncation(Lambda(4), 20)
-    assert big._spectrum is small._spectrum and small._spectrum.degree == 20
-    assert small.modes is modes and big.modes[:len(small)] == modes
-    assert all(a is b for a, b in zip(big.modes, modes))
-    # the old truncation, and a new one cut from the grown spectrum's store
     again = HeatKernelTruncation(Lambda(4), 10)
-    assert again._store is not small._store
+    assert deepest[4, 1] is big and small.modes is modes
+    assert again.modes == modes and all(a is b for a, b in zip(again.modes, big.modes))
+    assert np.array_equal(again._mu, small._mu)
+    assert np.array_equal(again._inv_norm2, small._inv_norm2)
     for trunc in (small, again):
-        got = trunc.mode_values(zs)
-        assert got.tobytes() == vals.tobytes()
+        assert trunc.mode_values(zs).tobytes() == vals.tobytes()
 
 
 @pytest.mark.parametrize("m", [20, 80])

@@ -5,12 +5,11 @@ line summary with the decisive margins; run_all executes them in order.
 Tolerances are stated inline next to the check they govern so the
 numbers can be audited without chasing constants through the package;
 a verdict that the CLI reaches too is the check's own, read here as
-it is there (su3.GroupModelReport.passed, spectral.growth_passed and
-sobolev_passed, and the Haar trace-moment sd su3.TRACE_MOMENT_SD).
+it is there (su3.GroupModelReport.passed and TraceMomentReport.passed,
+spectral.growth_passed and sobolev_passed).
 No verdict reads the clock.
 """
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -85,7 +84,7 @@ def _c03_hessian_reduction():
 
 
 def _c04_eigen_system():
-    from .eigen import eigenvalue, moments, value_at_one
+    from .eigen import eigenvalue, moments, pairings, value_at_one
     from .spectral import HeatKernelTruncation
 
     # the modes the spectral criteria read; each one is the unique monic
@@ -94,9 +93,9 @@ def _c04_eigen_system():
     # coefficient sum is the closed P(1), which no builder reads
     lams = [Lambda(4), Lambda(1), Lambda(Rat(7, 2))]
     order = [(p, t - p) for t in range(21) for p in range(t, -1, -1)]
-    spectra = [HeatKernelTruncation(lam, 20).modes for lam in lams]
-    checked = 0
-    for lam, modes in zip(lams, spectra):
+    checked = pairs = norms = 0
+    for lam in lams:
+        modes = HeatKernelTruncation(lam, 20).modes
         if [(ep.p, ep.q) for ep in modes] != order:
             return False, f"modes out of order at lam = {lam.value}"
         for ep in modes:
@@ -113,58 +112,34 @@ def _c04_eigen_system():
             if im or Rat(re, ep.poly.den) != value_at_one(p, q, lam):
                 return False, f"P(1) off its closed value at {(p, q, lam)}"
             checked += 1
-    pairs = norms = 0
-    for lam, modes in zip(lams, spectra):
-        mnum, mden = moments(lam, 24).integers()
-        eps = modes[:91]  # total degree <= 12
-        # <f, g> = sum over g's terms (k, l) of conj(g_kl) u_f(l, k), with
-        # the moment vector u_f(l, k) = sum_ij f_ij m(i + l, j + k) formed
-        # once per mode; each product is an integer over f.den g.den mden
-        monos = [(i, t - i) for t in range(13) for i in range(t + 1)]
+        # degree <= 12: one moment vector per mode, paired with it and each later one
+        table = moments(lam, 24)
+        eps = modes[:91]
         for a, ep in enumerate(eps):
-            u = {}
-            for l, k in monos:
-                ur = ui = 0
-                for (i, j), (fr, fi) in ep.poly.num.items():
-                    m = mnum.get((i + l, j + k))
-                    if m:
-                        ur += fr * m
-                        ui += fi * m
-                u[(l, k)] = (ur, ui)
-            for b in range(a, len(eps)):
-                re = im = 0
-                for (k, l), (gr, gi) in eps[b].poly.num.items():
-                    ur, ui = u[(l, k)]
-                    re += gr * ur + gi * ui
-                    im += gr * ui - gi * ur
-                if b == a:
-                    if im or Rat(re, ep.poly.den ** 2 * mden) != ep.norm2:
-                        return False, f"<P, P> != norm2 at {(ep.p, ep.q, lam)}"
-                    norms += 1
-                elif re or im:
+            sums = pairings(ep.poly, [e.poly for e in eps[a:]], table)
+            re, im, den = sums[0]
+            if im or Rat(re, den) != ep.norm2:
+                return False, f"<P, P> != norm2 at {(ep.p, ep.q, lam)}"
+            norms += 1
+            for b, (re, im, _) in enumerate(sums[1:], a + 1):
+                if re or im:
                     return False, f"inner product nonzero for pair {(a, b)}"
-                else:
-                    pairs += 1
+                pairs += 1
     return True, (f"{checked} exact eigen residuals, {checked} closed P(1), "
                   f"{pairs} zero products, {norms} exact norms")
 
 
 def _c05_moments_and_haar():
     from .eigen import moments
-    from .su3 import TRACE_MOMENT_SD, _haar_matrices
+    from .su3 import trace_moment_check
 
     for lam in (Lambda(4), Lambda(1), Lambda(Rat(7, 2)), Lambda(Rat(9, 5))):
         m11 = moments(lam, 2).get(1, 1)
         if m11 != 1 / (2 * lam.value + 1):
             return False, f"m11 mismatch at lam = {lam.value}"
-    n = 100000
-    stack = _haar_matrices(17, n)
-    vals = np.abs(np.trace(stack, axis1=1, axis2=2) / 3.0) ** 2
-    mean = float(vals.mean())
-    se = TRACE_MOMENT_SD / math.sqrt(n)
-    dev = abs(mean - 1.0 / 9.0)
-    ok = dev <= 3.0 * se
-    return ok, f"m11 exact at 4 rationals; MC dev {dev:.2e} vs 3se {3 * se:.2e}"
+    rep = trace_moment_check(17, 100000)
+    dev = abs(rep.mean - 1.0 / 9.0)
+    return rep.passed, f"m11 exact at 4 rationals; MC dev {dev:.2e} vs 3se {3 * rep.stderr:.2e}"
 
 
 def _c06_factorization_threshold():

@@ -229,17 +229,12 @@ def _run_cd_factor_check(args):
 
 
 def _run_su3_check(args):
-    import numpy as np
-
     from .exact import Z, ZBAR
-    from .su3 import TRACE_MOMENT_SD, group_model_check, haar_sample
+    from .su3 import group_model_check, haar_sample, trace_moment_check
 
     us = haar_sample(args.seed, args.samples)
     group = group_model_check(us, [Z, ZBAR, Z * ZBAR], args.seed + 1, args.seed)
-    traces = np.array([abs(np.trace(u.matrix) / 3.0) ** 2 for u in us])
-    mean = float(traces.mean())
-    se = TRACE_MOMENT_SD / math.sqrt(len(traces))
-    passed = group.passed and abs(mean - 1.0 / 9.0) <= 3.0 * se
+    trace = trace_moment_check(args.seed, args.samples)
     result = {
         "ricci": group.ricci,
         "ricci_residual": abs(group.ricci - 3.0),
@@ -249,25 +244,23 @@ def _run_su3_check(args):
         "charpoly_residual": group.charpoly_residual,
         "cd_min_margin": group.cd.min_margin,
         "trace_moment": {
-            "mean": mean,
+            "mean": trace.mean,
             "target": "1/9",
-            "stderr": se,
-            "ci95": [mean - 1.96 * se, mean + 1.96 * se],
+            "stderr": trace.stderr,
+            "ci95": [trace.mean - 1.96 * trace.stderr, trace.mean + 1.96 * trace.stderr],
         },
-        "passed": passed,
+        "passed": group.passed and trace.passed,
     }
     config = RunConfig(command="su3 check", seed=args.seed, out=args.out,
                        extra={"samples": args.samples})
     _emit_json(_report(config, result), args.out)
-    return 0 if passed else 1
+    return 0 if result["passed"] else 1
 
 
 def _run_heat_trace(args):
-    from .spectral import TruncationInsufficient, heat_cusp_sups, require_heat_time
-    import numpy as np
+    from .spectral import TruncationInsufficient, heat_cusp_sups, heat_times
 
-    t_min, t_max = (require_heat_time(t) for t in (args.t_min, args.t_max))
-    ts = np.exp(np.linspace(math.log(t_min), math.log(t_max), args.nt))
+    ts = heat_times(args.t_min, args.t_max, args.nt)
     try:
         rows = heat_cusp_sups(Lambda(args.lam), args.degree, ts)
     except TruncationInsufficient as exc:

@@ -13,9 +13,9 @@ back-substituting that display (`solve_eigenpoly`, the single-mode API
 and the reference for the builder).  A truncation's modes are built a
 degree at a time by the A2 Pieri recurrence for multiplication by Z
 (`_pieri_modes`), with no back-substitution.  The moment recursion
-integrates the display against the invariant measure; `moments`,
-`inner_product` and the heat truncation's `integrates_to_delta` read the
-moments.
+integrates the display against the invariant measure; `pairings` alone
+reads the moments, for `inner_product`, the heat truncation's
+`integrates_to_delta` and acceptance's Gram block of the modes.
 
 The squared norms do not.  The eigenpolynomials are the A2
 Heckman-Opdam (Jack-type) polynomials of multiplicity k = (lam - 1)/3,
@@ -125,19 +125,14 @@ class MomentTable:
         return self._m.items()
 
     def integers(self) -> tuple:
-        """(num, den): every stored moment as num[(i, j)] / den, one den.
-
-        Built on first use after each extension and kept on the table.
-        """
+        """(num, den): moment (i, j) is num[i * (max_degree + 1) + j] / den,
+        one den for all and 0 for a zero moment; kept until extend_to."""
         if self._ints is None:
-            den = 1
-            for m in self._m.values():
-                d = int(m.denominator)
-                den = den * d // gcd(den, d)
-            num = {
-                k: int(m.numerator) * (den // int(m.denominator))
-                for k, m in self._m.items()
-            }
+            den = lcm(*(int(m.denominator) for m in self._m.values()))
+            s = self.max_degree + 1
+            num = [0] * (s * s)
+            for (i, j), m in self._m.items():
+                num[i * s + j] = int(m.numerator) * (den // int(m.denominator))
             self._ints = (num, den)
         return self._ints
 
@@ -392,26 +387,50 @@ def _pieri_modes(lam: Lambda, degree: int) -> list:
     return out
 
 
-def inner_product(f: BivarPoly, g: BivarPoly, table: MomentTable) -> CRat:
-    """Exact integral of f * conj(g) against the invariant measure.
+def pairings(f: BivarPoly, gs, table: MomentTable) -> list:
+    """[(re, im, den) per g in gs]: <f, g> = (re + i im) / den, the integral
+    of f conj(g) against the invariant measure; den is f.den g.den times
+    the moments' den.  A g term past the table's degree less deg f is
+    MomentRangeExceeded.
 
-    conj(g) contributes conj(g_kl) Zbar^k Z^l on the real locus, so the
-    expansion is sum over f_(i,j), g_(k,l) of f conj(g) m_(i+l, j+k),
-    summed as integers over f.den * g.den * (the moments' common den).
+    conj(g) contributes conj(g_kl) Zbar^k Z^l on the real locus, so <f, g>
+    sums conj(g_kl) u(l, k) over g's terms; each entry of f's moment vector
+    u(l, k) = sum of f_ij m(i + l, j + k) is formed once, from f's terms
+    with i - j = k - l mod 3 alone, as m(a, b) = 0 unless a = b mod 3.
     """
-    if f.degree() + g.degree() > table.max_degree:
-        raise MomentRangeExceeded(
-            f"degree {f.degree()}+{g.degree()} exceeds table degree {table.max_degree}"
-        )
     mnum, mden = table.integers()
-    get = mnum.get
-    right = [(l, k, gr, gi) for (k, l), (gr, gi) in g.num.items()]
-    re = im = 0
-    for (i, j), (fr, fi) in f.num.items():
-        for l, k, gr, gi in right:
-            m = get((i + l, j + k))
-            if m:
-                re += (fr * gr + fi * gi) * m
-                im += (fi * gr - fr * gi) * m
-    den = f.den * g.den * mden
+    s = table.max_degree + 1
+    room = table.max_degree - f.degree()
+    cls = [], [], []  # f's terms by i - j mod 3, as (table offset, re, im)
+    for (i, j), c in f.num.items():
+        cls[(i - j) % 3].append((i * s + j, *c))
+    u, sums = {}, []
+    for g in gs:
+        re = im = 0
+        for (k, l), (gr, gi) in g.num.items():
+            if k + l > room:
+                raise MomentRangeExceeded(f"degree {f.degree()}+{k + l} exceeds table "
+                                          f"degree {table.max_degree}")
+            terms = cls[(k - l) % 3]
+            if not terms:
+                continue
+            o = l * s + k
+            v = u.get(o)
+            if v is None:
+                ur = ui = 0
+                for a, fr, fi in terms:
+                    m = mnum[a + o]
+                    ur += fr * m
+                    ui += fi * m
+                v = u[o] = ur, ui
+            ur, ui = v
+            re += gr * ur + gi * ui
+            im += gr * ui - gi * ur
+        sums.append((re, im, f.den * g.den * mden))
+    return sums
+
+
+def inner_product(f: BivarPoly, g: BivarPoly, table: MomentTable) -> CRat:
+    """<f, g> of `pairings` as a Gaussian rational."""
+    (re, im, den), = pairings(f, (g,), table)
     return CRat(Rat(re, den), Rat(im, den))

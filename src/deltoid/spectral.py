@@ -27,8 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .eigen import _pieri_modes, cusp_table
-from .exact import c_prod
+from .eigen import _pieri_modes, cusp_table, moments, pairings
+from .exact import ONE, c_prod
 from .geometry import V0, V1, V2, DeltoidPoint, plane_to_deltoid
 from .operator import Lambda
 
@@ -131,26 +131,13 @@ class HeatKernelTruncation:
     def integrates_to_delta(self):
         """Exact check that only the constant mode has nonzero mean.
 
-        The mean of a mode is its coefficient sum against the moment
-        table; orthogonality to constants makes every nonconstant one
-        vanish identically, which is what keeps the truncated kernel a
-        probability density in the y-average.
-        """
-        from .eigen import moments
-
-        mnum, mden = moments(self.lam, self.max_degree).integers()
-        for ep in self.modes:
-            re = im = 0
-            for key, (cr, ci) in ep.poly.num.items():
-                m = mnum.get(key)
-                if m:
-                    re += cr * m
-                    im += ci * m
-            # the mean is (re + im i) / (den * mden)
-            one = ep.poly.den * mden if ep.p == ep.q == 0 else 0
-            if re != one or im:
-                return False
-        return True
+        The mean of a mode P is conj <1, P>, read with the moment vector of
+        1, the moments themselves.  Orthogonality to constants makes every
+        nonconstant mean vanish, which keeps the truncated kernel a
+        probability density in the y-average."""
+        sums = pairings(ONE, [ep.poly for ep in self.modes], moments(self.lam, self.max_degree))
+        return all(re == (den if ep.p == ep.q == 0 else 0) and not im
+                   for ep, (re, im, den) in zip(self.modes, sums))
 
 
 def _require_positive_degree(max_degree):
@@ -177,6 +164,17 @@ def require_heat_time(t):
     if not 0 < t < math.inf:
         raise ValueError(f"t must be finite and positive, not {t}")
     return t
+
+
+def heat_times(t_min, t_max, nt):
+    """nt times evenly spaced in log t from t_min to t_max; a ValueError
+    unless 0 < t_min < t_max, both finite, and nt >= 1."""
+    t_min, t_max = require_heat_time(t_min), require_heat_time(t_max)
+    if not t_min < t_max:
+        raise ValueError(f"need t_min < t_max, not {t_min} >= {t_max}")
+    if nt < 1:
+        raise ValueError(f"need nt >= 1, not {nt}")
+    return np.exp(np.linspace(math.log(t_min), math.log(t_max), nt))
 
 
 def heat_diag(x, t, trunc):
@@ -257,20 +255,16 @@ def ultracontractivity_fit(lam, t_window, trunc=None):
     if trunc is not None and trunc.lam != lam:
         raise ValueError(f"trunc is at lam = {trunc.lam.value}, not {lam.value}")
     max_degree = 40 if trunc is None else trunc.max_degree
-    t_lo, t_hi = t_window
-    if not 0 < t_lo < t_hi:
-        raise ValueError("bad window")
-    nt = 12
-    ts = np.exp(np.linspace(math.log(t_lo), math.log(t_hi), nt))
+    ts = heat_times(*t_window, 12)
     sups = [s for _, s in heat_cusp_sups(lam, max_degree, ts)]
     slope, intercept, residual = _loglog_fit(ts, sups)
     return FitReport(
-        window=(t_lo, t_hi),
+        window=tuple(t_window),
         exponent=slope,
         residual=residual,
         constant=float(np.exp(intercept)),
         target=-float(lam.value),
-        details={"nt": nt, "max_degree": max_degree},
+        details={"nt": len(ts), "max_degree": max_degree},
     )
 
 

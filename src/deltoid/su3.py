@@ -19,6 +19,7 @@ quantities are assembled without finite differencing.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,6 +192,25 @@ def _haar_matrices(seed, n):
         out[lo:lo + len(q)] = q
     out.setflags(write=False)
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class TraceMomentReport:
+    """Mean of |tr U / 3|^2 over n Haar draws, stderr TRACE_MOMENT_SD / sqrt(n);
+    passed within 3 stderr of the Haar value 1/9, never on a NaN mean."""
+
+    mean: float
+    stderr: float
+
+    @property
+    def passed(self):
+        return abs(self.mean - 1.0 / 9.0) <= 3.0 * self.stderr
+
+
+def trace_moment_check(seed, n):
+    """E|tr U / 3|^2 = 1/9 over the draws of haar_sample(seed, n)."""
+    vals = np.abs(np.trace(_haar_matrices(seed, n), axis1=1, axis2=2) / 3.0) ** 2
+    return TraceMomentReport(float(vals.mean()), TRACE_MOMENT_SD / math.sqrt(n))
 
 
 def _mat_of(u):

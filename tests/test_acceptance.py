@@ -1,9 +1,12 @@
 """One test per headline criterion, each printing its own verdict line."""
 
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 
-from deltoid import eigen
+from deltoid import eigen, spectral
 from deltoid.acceptance import CRITERIA, run_criterion
 from deltoid.exact import Rat
 from deltoid.geometry import plane_to_deltoid, sample_interior, triangle_to_deltoid
@@ -44,6 +47,31 @@ def test_eigen_system_fails_on_one_wrong_closed_p_at_one(monkeypatch):
     res = run_criterion(4)
     assert not res.passed
     assert res.summary.startswith("P(1) off its closed value at (7, 5, ")
+
+
+def test_eigen_system_fails_on_one_wrong_norm(monkeypatch):
+    # <P, P> from the moments must equal each mode's closed norm2: one
+    # norm off by 1/10^6 fails the Gram block at that mode.  The empty
+    # map makes c04 build its own truncations
+    built = spectral._pieri_modes
+
+    def off(lam, degree):
+        return [dataclasses.replace(ep, norm2=ep.norm2 + Rat(1, 10**6))
+                if (ep.p, ep.q) == (7, 5) else ep for ep in built(lam, degree)]
+
+    monkeypatch.setattr(spectral, "_deepest", weakref.WeakValueDictionary())
+    monkeypatch.setattr(spectral, "_pieri_modes", off)
+    res = run_criterion(4)
+    assert not res.passed
+    assert res.summary.startswith("<P, P> != norm2 at (7, 5, ")
+
+
+def test_eigen_system_refuses_a_shallow_moment_table(monkeypatch):
+    # the Gram block pairs modes of degree 12 against a table of degree 24;
+    # one degree short, it raises instead of reading a missing moment as 0
+    monkeypatch.setattr(eigen, "moments", lambda lam, degree: eigen.MomentTable(lam, degree - 1))
+    with pytest.raises(eigen.MomentRangeExceeded):
+        run_criterion(4)
 
 
 def test_density_points_are_the_point_map():

@@ -220,6 +220,9 @@ def test_bounds_refuse_a_fit_through_one_abscissa(capsys, argv):
     (["cd", "verify", "--lambda", "4", "--rho", "9/4", "--n", "8", "--grid", "0"],
      "need points >= 1"),
     (["cd", "scan-b", "--a", "1/3", "--grid", "2"], "need grid >= 3"),
+    (["heat", "trace", "--lambda", "4", "--t-min", "0.3", "--t-max", "0.2"],
+     "need t_min < t_max, not 0.3 >= 0.2"),
+    (["heat", "trace", "--lambda", "4", "--nt", "0"], "need nt >= 1, not 0"),
 ])
 def test_refused_inputs_fail_with_one_line(capsys, argv, reason):
     # main() turns a runner's ValueError into "<command>: <reason>" on

@@ -14,6 +14,7 @@ from deltoid.eigen import (
     eigenvalue,
     inner_product,
     moments,
+    pairings,
     solve_eigenpoly,
 )
 from deltoid.operator import Lambda, generator
@@ -126,6 +127,20 @@ def test_inner_product_basics():
     for p, q in ((1, 0), (1, 1), (2, 0), (2, 2)):
         ep = solve_eigenpoly(p, q, lam)
         assert inner_product(ep.poly, ONE, t) == Rat(0)
+
+
+def test_pairings_refuse_degrees_beyond_the_table():
+    # deg f + deg g may reach the table's degree and not pass it: one g,
+    # or any one of several, beyond it is MomentRangeExceeded, not a
+    # moment read as zero
+    t = moments(Lambda(4), 4)
+    assert inner_product(Z * Z, Z * Z, t) == t.get(2, 2)
+    with pytest.raises(MomentRangeExceeded):
+        inner_product(Z * Z * Z, ZBAR * ZBAR, t)
+    with pytest.raises(MomentRangeExceeded):
+        pairings(Z, [ONE, Z * Z * Z, Z * Z * ZBAR * ZBAR], t)
+    (re0, im0, _), (re, im, den) = pairings(Z, [ONE, Z * Z * Z], t)
+    assert re0 == im0 == im == 0 and Rat(re, den) == t.get(1, 3)
 
 
 def test_norm_matches_full_inner_product():

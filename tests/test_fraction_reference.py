@@ -15,7 +15,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from deltoid.eigen import _pieri_modes, solve_eigenpoly
+from deltoid.eigen import _pieri_modes, inner_product, moments, pairings, solve_eigenpoly
 from deltoid.exact import BivarPoly, CRat, Rat
 from deltoid.operator import Lambda, boundary_poly, gamma, gamma2, generator
 
@@ -530,3 +530,34 @@ def test_solve_eigenpoly_matches_fraction_backsubstitution(lam):
                 assert ep.poly.to_records() == ref_records(want)
                 assert F(ep.mu) == (lam - 1) * total + p * p + p * q + q * q
                 assert F(ep.norm2) == norm2
+
+
+def ref_pairing(f, g, m):
+    """<f, g> = sum of f_ij conj(g_kl) m(i + l, j + k), in Fractions."""
+    re = im = F(0)
+    for (i, j), a in f.items():
+        for (k, l), (br, bi) in g.items():
+            w = m.get((i + l, j + k), F(0))
+            pr, pi = cmul(a, (br, -bi))
+            re += pr * w
+            im += pi * w
+    return re, im
+
+
+@pytest.mark.parametrize("lam", [F(4), F(7, 2), F(1, 10)])
+def test_pairings_match_fraction_reference(lam):
+    # f and each g have complex coefficients on terms of every class mod 3;
+    # the pairings of several g at once and inner_product of each one
+    # equal the Fraction sums
+    rng = random.Random(113)
+    table = moments(Lambda(Rat(lam.numerator, lam.denominator)), 8)
+    m = ref_moments(lam, 8)
+    for _ in range(8):
+        f = rand_ref(rng)
+        gs = [rand_ref(rng) for _ in range(4)]
+        want = [ref_pairing(f, g, m) for g in gs]
+        fp, gps = to_poly(f), [to_poly(g) for g in gs]
+        assert [(F(re, den), F(im, den)) for re, im, den in pairings(fp, gps, table)] == want
+        for g, w in zip(gps, want):
+            ip = inner_product(fp, g, table)
+            assert (F(ip.re), F(ip.im)) == w

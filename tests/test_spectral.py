@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from deltoid import eigen, spectral
-from deltoid.eigen import EigenPolynomial, cusp_table, eigenvalue, inner_product, moments
+from deltoid.eigen import (EigenPolynomial, MomentRangeExceeded, cusp_table, eigenvalue,
+                           inner_product, moments)
 from deltoid.exact import BivarPoly, CRat, HornerProgram, Rat
 from deltoid.geometry import V0, V1, V2, TrianglePoint, triangle_to_deltoid
 from deltoid.operator import Lambda
@@ -68,6 +69,15 @@ def test_mode_values_match_polynomials(trunc4):
 def test_integrates_to_delta_exactly():
     assert HeatKernelTruncation(Lambda(4), 12).integrates_to_delta()
     assert HeatKernelTruncation(Lambda(Rat(7, 2)), 8).integrates_to_delta()
+
+
+def test_integrates_to_delta_refuses_a_shallow_table(monkeypatch):
+    # the means read the moments up to the truncation's degree; a table one
+    # degree short is MomentRangeExceeded, not a zero mean
+    trunc = HeatKernelTruncation(Lambda(4), 6)
+    monkeypatch.setattr(spectral, "moments", lambda lam, degree: moments(lam, degree - 1))
+    with pytest.raises(MomentRangeExceeded):
+        trunc.integrates_to_delta()
 
 
 def test_heat_diag_guards(trunc4):

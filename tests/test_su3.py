@@ -547,6 +547,41 @@ def test_c09_and_su3_check_read_one_verdict(monkeypatch):
     assert len(calls) == 4
 
 
+def test_trace_moment_check_reads_the_haar_draws():
+    rep = su3.trace_moment_check(3, 50)
+    tr = np.array([np.trace(u.matrix) for u in haar_sample(3, 50)]) / 3.0
+    assert rep.mean == pytest.approx(float((np.abs(tr) ** 2).mean()), rel=1e-14)
+    assert rep.stderr == su3.TRACE_MOMENT_SD / math.sqrt(50)
+
+
+def test_trace_moment_report_gates():
+    se = 0.01
+    assert su3.TraceMomentReport(1.0 / 9.0 + 2.99 * se, se).passed
+    assert su3.TraceMomentReport(1.0 / 9.0 - 2.99 * se, se).passed
+    assert not su3.TraceMomentReport(1.0 / 9.0 + 3.01 * se, se).passed
+    assert not su3.TraceMomentReport(math.nan, se).passed
+
+
+def test_c05_and_su3_check_read_one_trace_verdict(monkeypatch):
+    # c05 and `su3 check` take the Haar trace-moment verdict from
+    # trace_moment_check alone: both pass or both fail with its report
+    from deltoid import acceptance
+    from deltoid.cli import main
+
+    calls = []
+    for report in (su3.TraceMomentReport(1.0 / 9.0, 0.01),
+                   su3.TraceMomentReport(0.2, 0.01)):
+        def fake(seed, n, report=report):
+            calls.append((seed, n))
+            return report
+
+        monkeypatch.setattr(su3, "trace_moment_check", fake)
+        assert acceptance._c05_moments_and_haar()[0] is report.passed
+        code = main(["su3", "check", "--samples", "5", "--out", os.devnull])
+        assert code == (0 if report.passed else 1)
+    assert calls == [(17, 100000), (0, 5)] * 2
+
+
 def test_c09_summary_names_the_commutator_count(monkeypatch):
     # a report that fails only on the commutator table fails c09, and the
     # summary shows the count that failed it

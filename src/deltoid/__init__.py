@@ -17,7 +17,6 @@ appears at evaluation time.
 
 from .exact import BivarPoly, CRat, Rat, as_rat, Z, ZBAR
 from .operator import (
-    GammaMatrix,
     HermitianTensorField,
     Lambda,
     boundary_poly,
@@ -95,7 +94,6 @@ __all__ = [
     "as_rat",
     "Z",
     "ZBAR",
-    "GammaMatrix",
     "HermitianTensorField",
     "Lambda",
     "boundary_poly",

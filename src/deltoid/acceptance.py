@@ -175,11 +175,10 @@ def _c07_optimal_constants():
     good = psd_check(tensor_residual(Rat(1, 6), Rat(9, 4)), grid, tol=1e-12)
     if not good.passed:
         return False, f"optimal pair failed with margin {good.min_margin2:.2e}"
-    bad = psd_check(tensor_residual(Rat(1, 6), Rat(113, 50)), grid, tol=1e-12)
+    perturbed = tensor_residual(Rat(1, 6), Rat(113, 50))
+    bad = psd_check(perturbed, grid, tol=1e-12)
     # the perturbed pair must fail, including on a cusp ray
-    _, cusp_margin = tensor_residual(Rat(1, 6), Rat(113, 50)).psd_margins(
-        0.975 + 0j
-    )
+    _, cusp_margin = perturbed.psd_margins(0.975 + 0j)
     scan = scan_inf_b(1.0 / 3.0, grid=80)
     inf_ok = 1.125 - 1e-6 <= scan.inf_estimate <= 1.135
     probe = divergence_probe(0.4, "quad")

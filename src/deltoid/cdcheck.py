@@ -36,7 +36,9 @@ from .geometry import (
     sample_interior,
 )
 from .operator import (
-    GammaMatrix,
+    G11,
+    G12,
+    G22,
     HermitianTensorField,
     Lambda,
     gamma,
@@ -70,16 +72,15 @@ def tensor_residual(a1, b1) -> HermitianTensorField:
     """
     a1 = as_rat(a1)
     b1 = as_rat(b1)
-    g = GammaMatrix.deltoid()
 
     def entry(gp):
         return gp.scale(Rat(3) - b1) - gp.euler().scale(Rat(3, 2))
 
     m = outer_logP()
     return HermitianTensorField(
-        entry(g.g11) - m.r11.scale(a1),
-        entry(g.g12) - m.r12.scale(a1),
-        entry(g.g22) - m.r22.scale(a1),
+        entry(G11) - m.r11.scale(a1),
+        entry(G12) - m.r12.scale(a1),
+        entry(G22) - m.r22.scale(a1),
     )
 
 
@@ -480,33 +481,28 @@ def scan_inf_b(a: float, grid: int = 80, refine_near_cusps: bool = True) -> Scan
     """
     if grid < 3:
         raise ValueError("need grid >= 3")
-    best = math.inf
-    arg = None
-    for th, ph in _scan_lattice(grid):
-        a1v, b1v, c1v, nv = _trig_forms(a, th, ph)
-        if nv < N_TOL:
-            continue
-        b = _b_from_parts(a1v, b1v, c1v, nv)
-        if b < best:
-            best = b
-            arg = (th, ph)
-    trace = [best]
+    regions = [_scan_lattice(grid)]
     if refine_near_cusps:
         for k in range(5):
             eps = 0.5 / 2 ** k
-            for th, ph in product(
-                _linspace(eps / 3.0, eps, 20), _linspace(eps / 3.0, eps / 2.0, 10)
-            ):
-                if _edge_min(th, ph) <= eps / 4.0:
-                    continue
-                a1v, b1v, c1v, nv = _trig_forms(a, th, ph)
-                if nv < N_TOL:
-                    continue
-                b = _b_from_parts(a1v, b1v, c1v, nv)
-                if b < best:
-                    best = b
-                    arg = (th, ph)
-            trace.append(best)
+            regions.append([
+                (th, ph) for th, ph in product(
+                    _linspace(eps / 3.0, eps, 20), _linspace(eps / 3.0, eps / 2.0, 10)
+                ) if _edge_min(th, ph) > eps / 4.0
+            ])
+    best = math.inf
+    arg = None
+    trace = []
+    for points in regions:
+        for th, ph in points:
+            a1v, b1v, c1v, nv = _trig_forms(a, th, ph)
+            if nv < N_TOL:
+                continue
+            b = _b_from_parts(a1v, b1v, c1v, nv)
+            if b < best:
+                best = b
+                arg = (th, ph)
+        trace.append(best)
     return ScanReport(
         a=a,
         inf_estimate=best,

@@ -10,9 +10,9 @@ kept canonical: the content gcd(den, every re, every im) is divided out
 once per result, so the zero polynomial has an empty map and den = 1.
 Equal polynomials therefore have equal (num, den), which makes identity
 checks exact: two expressions are equal iff their difference has an
-empty map.  Ring operations, derivatives and exact division run on ints
-with one gcd normalisation per result, instead of a gcd per coefficient
-operation.
+empty map.  Ring operations, the degree operators `euler` and
+`conj_swap`, and exact division (`divexact`) run on ints with one gcd
+normalisation per result, instead of a gcd per coefficient operation.
 
 Float conversion divides each numerator by den as Python ints.  Integer
 true division is correctly rounded, so a float coefficient is exactly
@@ -68,7 +68,12 @@ def as_rat(x) -> "Rat":
 
 
 class CRat:
-    """Gaussian rational a + b*i with exact rational a, b."""
+    """Gaussian rational a + b*i with exact rational a, b, as a value.
+
+    It carries coefficients and scale factors across the API boundary and
+    compares, hashes and tests truth (zero is falsy); it has no arithmetic.
+    Gaussian-rational arithmetic lives in BivarPoly, on integer numerators.
+    """
 
     __slots__ = ("re", "im")
 
@@ -88,47 +93,6 @@ class CRat:
 
     def __hash__(self):
         return hash((self.re, self.im))
-
-    def __add__(self, other):
-        other = _crat(other)
-        return CRat(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CRat(-self.re, -self.im)
-
-    def __sub__(self, other):
-        other = _crat(other)
-        return CRat(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return _crat(other) - self
-
-    def __mul__(self, other):
-        other = _crat(other)
-        return CRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _crat(other)
-        den = other.re * other.re + other.im * other.im
-        if not den:
-            raise ZeroDivisionError("division by zero CRat")
-        return CRat(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
-        )
-
-    def conj(self) -> "CRat":
-        return CRat(self.re, -self.im)
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
 
     def __repr__(self):
         if not self.im:
@@ -347,24 +311,6 @@ class BivarPoly:
         return out
 
     # -- calculus -------------------------------------------------------
-
-    def partial(self, var: str) -> "BivarPoly":
-        """Formal partial derivative; var is 'Z' or 'Zbar'."""
-        if var == "Z":
-            out = {
-                (i - 1, j): (re * i, im * i)
-                for (i, j), (re, im) in self.num.items()
-                if i
-            }
-        elif var == "Zbar":
-            out = {
-                (i, j - 1): (re * j, im * j)
-                for (i, j), (re, im) in self.num.items()
-                if j
-            }
-        else:
-            raise ValueError(f"unknown variable {var!r}")
-        return _make(out, self.den)
 
     def euler(self) -> "BivarPoly":
         """Degree-weighting operator: the (i, j) term picks up factor i+j."""

@@ -49,12 +49,6 @@ class TrianglePoint:
     x: float
     y: float
 
-    def is_interior(self, tol: float = 1e-12) -> bool:
-        """All pairwise z_k separations nonzero, i.e. W above tol."""
-        z1, z2, z3 = zk(self)
-        m = min(abs(z1 - z2), abs(z2 - z3), abs(z3 - z1))
-        return m * m > tol
-
 
 @dataclass(frozen=True)
 class DeltoidPoint:
@@ -162,36 +156,25 @@ _W_FLOOR = 1e-12
 def sample_interior(n: int, mode: str = "low-discrepancy", seed: int = 0):
     """Deterministic strictly-interior plane points, n of them.
 
-    grid mode places ceil(sqrt(n))^2 stratified points and truncates;
-    low-discrepancy mode walks a seeded Kronecker sequence.  Points with
-    density under the floor get pulled toward the centroid.
+    The one mode, low-discrepancy, walks a seeded Kronecker sequence; any
+    other mode is a ValueError.  Points with density under the floor get
+    pulled toward the centroid.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if mode != "low-discrepancy":
+        raise ValueError(f"unknown mode {mode!r}")
     if n == 1:
         return [TrianglePoint(*CENTER)]
-    pts = []
-    if mode == "grid":
-        k = math.isqrt(n)
-        if k * k < n:
-            k += 1
-        for i in range(k):
-            for j in range(k):
-                u = (i + 0.5) / k
-                v = (j + 0.5) / k
-                pts.append(_square_to_triangle(u, v))
-        pts = pts[:n]
-    elif mode == "low-discrepancy":
-        import random as _random
+    import random as _random
 
-        rng = _random.Random(seed)
-        s1, s2 = rng.random(), rng.random()
-        for i in range(n):
-            u = (s1 + (i + 1) * _ALPHA1) % 1.0
-            v = (s2 + (i + 1) * _ALPHA2) % 1.0
-            pts.append(_square_to_triangle(u, v))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    rng = _random.Random(seed)
+    s1, s2 = rng.random(), rng.random()
+    pts = []
+    for i in range(n):
+        u = (s1 + (i + 1) * _ALPHA1) % 1.0
+        v = (s2 + (i + 1) * _ALPHA2) % 1.0
+        pts.append(_square_to_triangle(u, v))
     out = []
     for p in pts:
         guard = 0

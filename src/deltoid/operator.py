@@ -56,7 +56,7 @@ class Lambda:
 def _lam(lam) -> "Rat":
     if isinstance(lam, Lambda):
         return lam.value
-    return as_rat(lam)
+    return Lambda(lam).value
 
 
 # half as an exact scalar, used all over
@@ -65,19 +65,6 @@ _HALF = CRat(Rat(1, 2))
 G11 = ZBAR - Z * Z
 G22 = Z - ZBAR * ZBAR
 G12 = (BivarPoly.const(1) - Z * ZBAR).scale(_HALF)
-
-
-@dataclass(frozen=True)
-class GammaMatrix:
-    """First-order coefficient matrix of the operator in (Z, Zbar)."""
-
-    g11: BivarPoly
-    g12: BivarPoly
-    g22: BivarPoly
-
-    @staticmethod
-    def deltoid() -> "GammaMatrix":
-        return GammaMatrix(G11, G12, G22)
 
 
 @dataclass(frozen=True)
@@ -107,11 +94,6 @@ class HermitianTensorField:
         sq, _ = c_prod(v12.real, v12.imag, v12.real, v12.imag)
         pr, _ = c_prod(v11.real, v11.imag, v22.real, v22.imag)
         return v12.real, sq - pr
-
-    def scale(self, c) -> "HermitianTensorField":
-        return HermitianTensorField(
-            self.r11.scale(c), self.r12.scale(c), self.r22.scale(c)
-        )
 
     def sub(self, other: "HermitianTensorField") -> "HermitianTensorField":
         return HermitianTensorField(

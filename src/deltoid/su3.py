@@ -600,11 +600,6 @@ def _gamma2_parts(f):
     return casimir_apply(gff).scale(0.5) - gamma_fields(f, lf), gff, lf
 
 
-def gamma2_fields(f):
-    """Second iterated form (1/2)(L Gamma(f,f) - 2 Gamma(f, Lf))."""
-    return _gamma2_parts(f)[0]
-
-
 # ---------------------------------------------------------------------------
 # curvature
 

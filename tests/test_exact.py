@@ -35,22 +35,12 @@ def test_as_rat_forms():
         as_rat(0.5)
 
 
-def test_crat_arithmetic():
-    a = CRat(Rat(1, 2), Rat(1, 3))
-    b = CRat(Rat(2), Rat(-1))
-    assert (a * b).re == Rat(1) + Rat(1, 3)
-    assert (a * b).im == Rat(2, 3) - Rat(1, 2)
-    assert a + b - b == a
-    assert (a / b) * b == a
-    assert a.conj().im == -a.im
-    z = a.to_complex()
-    assert abs(z - (0.5 + 1 / 3 * 1j)) < 1e-15
-
-
 def test_constructors_and_coeff():
     p = BivarPoly.monomial(2, 1, CRat(Rat(3)))
     assert p.coeff(2, 1) == CRat(Rat(3))
     assert p.coeff(0, 0) == CRat(Rat(0))
+    # CRat is a value: a zero coefficient is falsy, a nonzero one truthy
+    assert not p.coeff(0, 0) and p.coeff(2, 1)
     assert p.degree() == 3
     assert BivarPoly.zero().is_zero()
     assert BivarPoly.const(Rat(0)).is_zero()
@@ -97,29 +87,6 @@ def test_pow():
     assert p ** 0 == BivarPoly.const(Rat(1))
     assert p ** 1 == p
     assert p ** 5 == p * p * p * p * p
-
-
-def test_partial_examples():
-    p = Z * Z * ZBAR  # Z^2 Zbar
-    assert p.partial("Z") == (Z * ZBAR).scale(Rat(2))
-    assert p.partial("Zbar") == Z * Z
-    assert BivarPoly.const(Rat(5)).partial("Z").is_zero()
-
-
-def test_mixed_partials_commute():
-    rng = random.Random(7)
-    for _ in range(20):
-        p = rand_poly(rng, deg=6)
-        assert p.partial("Z").partial("Zbar") == p.partial("Zbar").partial("Z")
-
-
-def test_partial_leibniz():
-    rng = random.Random(8)
-    for _ in range(15):
-        a = rand_poly(rng)
-        b = rand_poly(rng)
-        for v in ("Z", "Zbar"):
-            assert (a * b).partial(v) == a.partial(v) * b + a * b.partial(v)
 
 
 def test_euler():

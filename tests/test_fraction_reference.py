@@ -178,8 +178,6 @@ def test_calculus_matches_reference():
     for a, _, _ in forms(103):
         pa = to_poly(a)
         for got, want in (
-            (pa.partial("Z"), ref_partial(a, "Z")),
-            (pa.partial("Zbar"), ref_partial(a, "Zbar")),
             (pa.euler(), ref_euler(a)),
             (pa.conj_swap(), ref_conj_swap(a)),
         ):

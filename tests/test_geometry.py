@@ -19,7 +19,7 @@ from deltoid.geometry import (
     w_density,
     zk,
 )
-from deltoid.operator import GammaMatrix
+from deltoid.operator import G11, G12, G22
 from oracles import boundary_points, interior_lattice, pushforward_gamma
 
 
@@ -133,13 +133,12 @@ def test_batch_map_matches_point_map(monkeypatch):
 
 
 def test_pushforward_matches_gamma():
-    g = GammaMatrix.deltoid()
     for p in rand_points(60, seed=7):
         g11, g12, g22 = pushforward_gamma(p)
         zpt = triangle_to_deltoid(p).Z
-        assert abs(g11 - g.g11.eval(zpt)) < 1e-8
-        assert abs(g12 - g.g12.eval(zpt).real) < 1e-8
-        assert abs(g22 - g.g22.eval(zpt)) < 1e-8
+        assert abs(g11 - G11.eval(zpt)) < 1e-8
+        assert abs(g12 - G12.eval(zpt).real) < 1e-8
+        assert abs(g22 - G22.eval(zpt)) < 1e-8
 
 
 def test_pushforward_matches_finite_differences():
@@ -158,10 +157,6 @@ def test_pushforward_matches_finite_differences():
 
 def test_sample_interior_basics():
     assert sample_interior(1) == [TrianglePoint(*CENTER)]
-    g = sample_interior(49, mode="grid")
-    assert len(g) == 49
-    for p in g:
-        assert w_density(p) > 1e-12
     a = sample_interior(200, seed=11)
     b = sample_interior(200, seed=11)
     assert a == b
@@ -171,8 +166,9 @@ def test_sample_interior_basics():
         assert w_density(p) > 1e-12
     with pytest.raises(ValueError):
         sample_interior(0)
-    with pytest.raises(ValueError):
-        sample_interior(5, mode="hexagonal")
+    for n, mode in [(49, "hexagonal"), (49, "grid"), (1, "grid")]:
+        with pytest.raises(ValueError, match="unknown mode"):
+            sample_interior(n, mode=mode)
 
 
 def test_interior_lattice():

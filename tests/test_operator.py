@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from deltoid import operator
+from deltoid import eigen, operator
 from deltoid.exact import BivarPoly, CRat, Rat, Z, ZBAR
 from deltoid.operator import (
-    GammaMatrix,
+    G11,
+    G12,
+    G22,
     Lambda,
     boundary_poly,
     check_boundary_equation,
@@ -124,6 +126,19 @@ def test_lambda_validation():
         Lambda("-1/2")
 
 
+@pytest.mark.parametrize("call", [
+    lambda: eigen.cusp_table(-1, 2),
+    lambda: generator(Z, -3),
+    lambda: eigen.value_at_one(2, 1, -1),
+    lambda: gamma2(Z, Z, 0),
+    lambda: eigen.eigenvalue(1, 1, 0),
+], ids=["cusp_table", "generator", "value_at_one", "gamma2", "eigenvalue"])
+def test_raw_lambda_must_be_positive(call):
+    # a raw lambda is validated as Lambda validates it, not computed on
+    with pytest.raises(ValueError, match="lambda must be > 0"):
+        call()
+
+
 def test_boundary_poly_closed_form():
     p = boundary_poly()
     want = (
@@ -134,8 +149,7 @@ def test_boundary_poly_closed_form():
         + ZBAR ** 3
     )
     assert p == want
-    g = GammaMatrix.deltoid()
-    assert p == g.g12 * g.g12 - g.g11 * g.g22
+    assert p == G12 * G12 - G11 * G22
 
 
 def test_boundary_equation():
@@ -157,11 +171,10 @@ def test_boundary_vanishes_at_corners():
 
 
 def test_ellipticity_inside():
-    g = GammaMatrix.deltoid()
     for z in interior_points(60, seed=6):
-        g11 = g.g11.eval(z)
-        g22 = g.g22.eval(z)
-        g12 = g.g12.eval(z)
+        g11 = G11.eval(z)
+        g22 = G22.eval(z)
+        g12 = G12.eval(z)
         # hermitian frame: diag entries conjugate, off-diagonal real
         assert abs(g11 - g22.conjugate()) < 1e-13
         assert abs(g12.imag) < 1e-13

@@ -26,7 +26,6 @@ from deltoid.su3 import (
     entry_zbar,
     field_apply,
     gamma_fields,
-    gamma2_fields,
     haar_sample,
     normalized_trace,
     pushforward_check,
@@ -604,9 +603,7 @@ def test_curvature_dimension_optimal_at_identity():
     # the real trace function at U = I sits exactly on the CD(3,8) boundary
     zt = normalized_trace()
     f = zt + zt.conj()
-    gff = gamma_fields(f, f)
-    lf = casimir_apply(f)
-    g2 = gamma2_fields(f)
+    g2, gff, lf = su3._gamma2_parts(f)
     ident = np.eye(3)
     margin8 = g2.eval(ident).real - 3.0 * gff.eval(ident).real - lf.eval(ident).real ** 2 / 8.0
     assert abs(margin8) < 1e-12

@@ -49,3 +49,11 @@ def test_workloads_pass_once(workload):
     getattr(workloads, workload)(deltoid, 0).run(tally)
     assert tally.total > 0
     assert tally.missed == []
+
+
+def test_every_export_resolves_once():
+    # a removal that leaves its name in __all__ fails here, not at import *
+    names = deltoid.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(deltoid, name)]
+    assert missing == []

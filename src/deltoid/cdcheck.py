@@ -30,7 +30,6 @@ import numpy as np
 
 from .exact import BivarPoly, CRat, Rat, Z, ZBAR, as_rat
 from .geometry import (
-    DeltoidPoint,
     _bary_xy,
     plane_to_deltoid,
     sample_interior,
@@ -40,7 +39,7 @@ from .operator import (
     G12,
     G22,
     HermitianTensorField,
-    Lambda,
+    _lam,
     gamma,
     gamma2,
     generator,
@@ -109,11 +108,7 @@ def _below(a, b) -> bool:
 
 
 def _points_array(points):
-    if isinstance(points, np.ndarray):
-        zs = np.asarray(points, dtype=complex).ravel()
-    else:
-        zs = np.fromiter((d.Z if isinstance(d, DeltoidPoint) else complex(d)
-                          for d in points), dtype=complex)
+    zs = np.asarray(points, dtype=complex).ravel()
     if not zs.size:
         raise ValueError("no points to check")
     return zs
@@ -282,12 +277,16 @@ def factorization_sweep():
     return [factorization_check(a, b) for a in values_a1 for b in values_b1]
 
 
-def ray_nonneg_on_unit(a1, b1, samples: int = 257):
+# the ray sweep's rho = k / RAY_SAMPLES, k = 0 .. RAY_SAMPLES; the violating
+# window for b1 slightly above 9/4 hugs rho = 1, so this stays above ~64
+RAY_SAMPLES = 257
+
+
+def ray_nonneg_on_unit(a1, b1):
     """Exact-rational sign sweep of the ray polynomial on [0, 1].
 
-    Returns (all nonnegative, worst value, worst rho).  The violating
-    window for b1 slightly above 9/4 hugs rho = 1, so the sample count
-    should stay above ~64.
+    Returns (all nonnegative, worst value, worst rho) over the
+    RAY_SAMPLES + 1 evenly spaced rho.
     """
     a1 = as_rat(a1)
     b1 = as_rat(b1)
@@ -295,8 +294,8 @@ def ray_nonneg_on_unit(a1, b1, samples: int = 257):
     ray = list(res.ray)
     worst = None
     worst_rho = None
-    for k in range(samples + 1):
-        rho = Rat(k, samples)
+    for k in range(RAY_SAMPLES + 1):
+        rho = Rat(k, RAY_SAMPLES)
         v = _u_eval(ray, rho)
         if worst is None or v < worst:
             worst = v
@@ -386,30 +385,32 @@ def _b_from_parts(a1v, b1v, c1v, nv):
 
 N_TOL = 1e-14
 
+# the (z, u) and trigonometric forms of A1, B1, C1 agree to this, relative
+# to the largest of them (and 1)
+FORMS_TOL = 1e-9
 
-def triangle_b(a: float, theta: float, phi: float, cross_check: bool = True,
-               tol: float = 1e-9) -> TriangleScanPoint:
+
+def triangle_b(a: float, theta: float, phi: float) -> TriangleScanPoint:
     """Trigonometric A1, B1, C1, N and the smallest eigenvalue b(a).
 
-    Always evaluates through the stabilized quotient, and optionally
-    cross-checks the independent (z, u) rational forms; disagreement
-    raises rather than picking a side (a transcription bug, not noise).
+    Always evaluates through the stabilized quotient and cross-checks the
+    independent (z, u) rational forms; disagreement raises rather than
+    picking a side (a transcription bug, not noise).
     """
     a1v, b1v, c1v, nv = _trig_forms(a, theta, phi)
     if nv < N_TOL:
         raise DegenerateDenominator(f"N = {nv} at ({theta}, {phi})")
-    if cross_check:
-        za, zb, zc = _zu_forms(a, theta, phi)
-        scale = max(1.0, abs(a1v), abs(b1v), abs(c1v))
-        if (
-            abs(za - a1v) > tol * scale
-            or abs(zb - b1v) > tol * scale
-            or abs(zc - c1v) > tol * scale
-        ):
-            raise IdentityMismatch(
-                f"(z,u) and trig forms disagree at ({theta}, {phi}): "
-                f"{(za, zb, zc)} vs {(a1v, b1v, c1v)}"
-            )
+    za, zb, zc = _zu_forms(a, theta, phi)
+    scale = max(1.0, abs(a1v), abs(b1v), abs(c1v))
+    if (
+        abs(za - a1v) > FORMS_TOL * scale
+        or abs(zb - b1v) > FORMS_TOL * scale
+        or abs(zc - c1v) > FORMS_TOL * scale
+    ):
+        raise IdentityMismatch(
+            f"(z,u) and trig forms disagree at ({theta}, {phi}): "
+            f"{(za, zb, zc)} vs {(a1v, b1v, c1v)}"
+        )
     return TriangleScanPoint(
         theta=theta,
         phi=phi,
@@ -681,7 +682,7 @@ def gamma2_sample_check(lam, rho, n, trials: int = 100, points: int = 100,
     NaN lowest and keeps the first function and point that attain it.
     rho and n must be finite (ValueError otherwise), n > 0 and points >= 1.
     """
-    lam = lam if isinstance(lam, Lambda) else Lambda(lam)
+    lam = _lam(lam)
     rho = float(rho)
     n = float(n)
     if not (math.isfinite(rho) and math.isfinite(n)):

@@ -62,7 +62,7 @@ class NonpositiveNorm(Exception):
 def eigenvalue(p: int, q: int, lam) -> "Rat":
     if p < 0 or q < 0:
         raise ValueError("need p, q >= 0")
-    lv = _lam(lam)
+    lv = _lam(lam).value
     return (lv - 1) * (p + q) + Rat(p * p + p * q + q * q)
 
 
@@ -86,7 +86,7 @@ class MomentTable:
     """
 
     def __init__(self, lam: Lambda, max_degree: int):
-        self.lam = lam if isinstance(lam, Lambda) else Lambda(lam)
+        self.lam = _lam(lam)
         self.max_degree = -1
         self._m = {}
         self._ints = None
@@ -138,7 +138,7 @@ class MomentTable:
 
 
 def moments(lam, max_degree: int) -> MomentTable:
-    return MomentTable(lam if isinstance(lam, Lambda) else Lambda(lam), max_degree)
+    return MomentTable(_lam(lam), max_degree)
 
 
 def _scaled_mu(p: int, q: int, a: int, b: int) -> int:
@@ -177,7 +177,7 @@ def _norm2(p: int, q: int, a: int, b: int) -> "Rat":
 def value_at_one(p: int, q: int, lam) -> "Rat":
     """P_{p,q}(1) = 3^-(p+q) prod alpha, the value at a cusp: the Jack
     evaluation formula at 1^n (Macdonald, VI (10.20)) for the monic P."""
-    lv = _lam(lam)
+    lv = _lam(lam).value
     an, ad, _, _ = _products(p, q, int(lv.numerator), int(lv.denominator))
     return Rat(an, 3 ** (p + q) * ad)
 
@@ -187,7 +187,7 @@ def cusp_table(lam, degree: int) -> tuple:
     truncation order, with w = P(1)^2/||P||^2 = prod alpha/beta, which is
     F_1(p) F_1(q) F_2(p+q) for F_s(d) the product over t < d of s's
     factors.  Each w is one integer ratio, rounded once as float(Rat) is."""
-    lv = _lam(lam)
+    lv = _lam(lam).value
     a, b = int(lv.numerator), int(lv.denominator)
     f = {1: [(1, 1)], 2: [(1, 1)]}  # F_s(d) as (num, den), d = 0 .. degree
     for s, run in f.items():
@@ -224,7 +224,7 @@ def solve_eigenpoly(p: int, q: int, lam) -> EigenPolynomial:
     that the new coefficient's reduced denominator needs.  Pending sums
     are rescaled when it grows, resolved coefficients once at the end.
     """
-    lam = lam if isinstance(lam, Lambda) else Lambda(lam)
+    lam = _lam(lam)
     a, b = int(lam.value.numerator), int(lam.value.denominator)
     target = _scaled_mu(p, q, a, b)
     den = 1

@@ -53,10 +53,9 @@ class Lambda:
             raise ValueError("lambda must be > 0")
 
 
-def _lam(lam) -> "Rat":
-    if isinstance(lam, Lambda):
-        return lam.value
-    return Lambda(lam).value
+def _lam(lam) -> Lambda:
+    """lam as a validated Lambda; a Lambda is returned as it is."""
+    return lam if isinstance(lam, Lambda) else Lambda(lam)
 
 
 # half as an exact scalar, used all over
@@ -173,7 +172,7 @@ def gamma(f: BivarPoly, g: BivarPoly) -> BivarPoly:
 
 
 def generator(f: BivarPoly, lam) -> BivarPoly:
-    lv = _lam(lam)
+    lv = _lam(lam).value
     ln, ld = int(lv.numerator), int(lv.denominator)
     drift = -ln * _G_DEN
     out = {}

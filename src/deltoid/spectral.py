@@ -2,18 +2,18 @@
 
 A truncation keeps every eigenpolynomial up to a fixed total degree with
 exact rational eigenvalue and norm, built by the A2 Pieri recurrence
-(`eigen._pieri_modes`; no mode is solved on its own).  One weak map
-holds the deepest live truncation of each lam, and a truncation no
-deeper than it takes its first modes instead of building; nothing else
-is shared.  For lam >= 1 every mode is a nonnegative combination of the
-lam = 1 orbit sums (Koornwinder 1974, class IV; Knop & Sahi 1997), so
-|P| <= P(1), its value at a cusp: the sup-norm check and the sup of the
-heat diagonal read the cusp weights P(1)^2/||P||^2 from their closed
+(`eigen._pieri_modes`; no mode is solved on its own).  A weak set holds
+every live truncation, and a new one takes its first modes from any
+live truncation of its lam at least as deep instead of building; nothing
+else is shared.  For lam >= 1 every mode is a nonnegative combination of
+the lam = 1 orbit sums (Koornwinder 1974, class IV; Knop & Sahi 1997),
+so |P| <= P(1), its value at a cusp: the sup-norm check and the sup of
+the heat diagonal read the cusp weights P(1)^2/||P||^2 from their closed
 form (`eigen.cusp_table`) and build no mode.
 Other float values of modes, for the heat diagonal at a point and the
-H_k and multiplier-kernel checks, are read from a float mode store, a
-real coefficient matrix per residue class of modes: a truncation's own,
-or one the check builds of the degree levels it keeps.
+H_k and multiplier-kernel checks, are read from the float mode store of
+a whole truncation, a real coefficient matrix per residue class of
+modes, which the truncation builds on its first float read.
 Beside them sit the Sobolev series estimate and the fits, plain least
 squares on log-log data.  Every report is a frozen dataclass; a fit
 records the window it was computed on, and each verdict is stated once,
@@ -30,7 +30,7 @@ import numpy as np
 from .eigen import _pieri_modes, cusp_table, moments, pairings
 from .exact import ONE, c_prod
 from .geometry import V0, V1, V2, DeltoidPoint, plane_to_deltoid
-from .operator import Lambda
+from .operator import _lam
 
 
 # a sup-norm or H_k growth exponent passes when it is at most its target
@@ -71,43 +71,47 @@ def sobolev_passed(rep: FitReport) -> bool:
     return rep.residual < SOBOLEV_RATIO_CAP
 
 
-# the deepest live truncation of each lam, keyed by lam's (numerator,
-# denominator); an entry goes when its truncation is freed
-_deepest = weakref.WeakValueDictionary()
+# every live truncation; a truncation goes when it is freed
+_live = weakref.WeakSet()
 
 
 class HeatKernelTruncation:
     """All eigenmodes of total degree <= max_degree, exact, with one float store.
 
     The exact side (mu, squared norm as rationals, the polynomials
-    themselves) lives in `modes`, with mu and 1 / squared norm as floats
-    beside it.  A truncation no deeper than the deepest live one of its
-    lam takes that one's first (N + 1)(N + 2)/2 modes and builds none;
-    any other builds its modes and becomes the deepest.  Every float
-    value of a mode at a point is read from the truncation's own store,
-    built on first use, so a truncation used only exactly never builds
-    it.  The tail of a truncation at degree N is estimated by `_tail`.
+    themselves) lives in `modes`.  A truncation takes the first
+    (N + 1)(N + 2)/2 modes of any live truncation of its lam at least as
+    deep, all of which hold the same modes, and builds them only when
+    there is none.  Construction is exact: mu and 1 / squared norm as
+    floats, and the store every float value of a mode at a point is read
+    from, are built on their first read, so a truncation used only
+    exactly builds no float array.  The tail of a truncation at degree N
+    is estimated by `_tail`.
     """
 
     def __init__(self, lam, max_degree=40):
-        lam = lam if isinstance(lam, Lambda) else Lambda(lam)
+        lam = _lam(lam)
         _require_positive_degree(max_degree)
         self.lam = lam
         self.max_degree = max_degree
-        key = (lam.value.numerator, lam.value.denominator)
-        deep = _deepest.get(key)
-        if deep is not None and deep.max_degree >= max_degree:
-            n = (max_degree + 1) * (max_degree + 2) // 2
-            self.modes = deep.modes[:n]
-            self._mu, self._inv_norm2 = deep._mu[:n].copy(), deep._inv_norm2[:n].copy()
-        else:
+        deep = next((t for t in _live
+                     if t.lam == lam and t.max_degree >= max_degree), None)
+        if deep is None:
             self.modes = tuple(_pieri_modes(lam, max_degree))
-            self._mu = np.array([float(ep.mu) for ep in self.modes])
-            self._inv_norm2 = np.array([1.0 / float(ep.norm2) for ep in self.modes])
-            _deepest[key] = self
+        else:
+            self.modes = deep.modes[:(max_degree + 1) * (max_degree + 2) // 2]
+        _live.add(self)
 
     def __len__(self):
         return len(self.modes)
+
+    @cached_property
+    def _mu(self):
+        return np.array([float(ep.mu) for ep in self.modes])
+
+    @cached_property
+    def _inv_norm2(self):
+        return np.array([1.0 / float(ep.norm2) for ep in self.modes])
 
     @cached_property
     def _store(self):
@@ -185,7 +189,7 @@ def heat_diag(x, t, trunc):
     trunc.tail_estimate(t).
     """
     t = require_heat_time(t)
-    z = complex(getattr(x, "Z", x))
+    z = complex(x)
     if DeltoidPoint(z).membership_residual() < -1e-12:
         raise ValueError(f"{z} is outside the closed domain")
     weights = trunc.mode_weights([z])
@@ -221,7 +225,7 @@ def heat_cusp_sups(lam, max_degree, ts):
     t whose tail estimate is more than 1% of the sup, and ValueError
     before any sum if some t is not finite and positive.
     """
-    lam = lam if isinstance(lam, Lambda) else Lambda(lam)
+    lam = _lam(lam)
     ts = [require_heat_time(t) for t in ts]
     mu, w = map(np.array, _cusp_table(lam, max_degree))
     return [_tail_checked(max_degree, t, math.fsum(np.exp(-mu * t) * w))
@@ -251,7 +255,7 @@ def ultracontractivity_fit(lam, t_window, trunc=None):
     stated for lam >= 1.  Only trunc's degree is read (40 without one);
     a trunc of another lam is a ValueError.
     """
-    lam = lam if isinstance(lam, Lambda) else Lambda(lam)
+    lam = _lam(lam)
     if trunc is not None and trunc.lam != lam:
         raise ValueError(f"trunc is at lam = {trunc.lam.value}, not {lam.value}")
     max_degree = 40 if trunc is None else trunc.max_degree
@@ -318,29 +322,24 @@ class _ModeStore:
         # classes: (ascending store rows, min(i, j), |i - j|, sign of i - j, coef)
         self.size = size
         self._classes = classes
-        self._degree = max((int(np.max(2 * kk + dd)) for _, kk, dd, _, _ in classes),
-                           default=0)
+        self._degree = max(int(np.max(2 * kk + dd)) for _, kk, dd, _, _ in classes)
 
     @classmethod
     def of_modes(cls, modes):
-        """The store of modes, rows in their order; a class with no mode
-        is left out, so an empty list gives a store of no rows.
+        """The store of a truncation's modes, rows in their order.
 
         complex_coeffs() runs once per mode with p >= q; P_{q,p} takes
         its partner's terms with i and j swapped, as the builder mirrors
-        it, so each mode's partner must be among modes, as it is in whole
-        degree levels.
+        it.
         """
         terms = {(ep.p, ep.q): ep.poly.complex_coeffs() for ep in modes if ep.p >= ep.q}
         terms.update({(q, p): [(j, i, c) for i, j, c in t]
                       for (p, q), t in terms.items() if p > q})
         terms = [terms[ep.p, ep.q] for ep in modes]
-        base = max((ep.p + ep.q for ep in modes), default=0) + 1
+        base = max(ep.p + ep.q for ep in modes) + 1
         classes = []
         for r in range(3):
             rows = [a for a, ep in enumerate(modes) if (ep.p - ep.q) % 3 == r]
-            if not rows:
-                continue
             # every term of the class as (row, i, j, coefficient)
             row = np.repeat(np.arange(len(rows)), [len(terms[a]) for a in rows])
             i, j, c = (np.array(v) for v in zip(*(x for a in rows for x in terms[a])))
@@ -412,7 +411,7 @@ def supnorm_bound_check(lam, max_degree):
     For lam >= 1 the sup-norm is P(1), so each ratio is the square root
     of the mode's closed cusp weight; no mode is built.
     """
-    lam = lam if isinstance(lam, Lambda) else Lambda(lam)
+    lam = _lam(lam)
     half = float(lam.value) / 2.0
     mus, ratios, consts = [], [], []
     for mu, w in zip(*_cusp_table(lam, max_degree)):
@@ -441,10 +440,11 @@ def hk_bound_check(lam, max_k, seed=0):
     combinations cost one normalization.  A combination need not peak
     at a cusp, so each sup is the largest value on the grid-80 lattice.
     """
-    lam = lam if isinstance(lam, Lambda) else Lambda(lam)
+    lam = _lam(lam)
     require_lam_geq_one(lam)
+    trunc = HeatKernelTruncation(lam, max_k)
     # every mode but the constant one, the first
-    modes = HeatKernelTruncation(lam, max_k).modes[1:]
+    modes = trunc.modes[1:]
     zs = _lattice(80)
     norms = np.array([math.sqrt(float(ep.norm2)) for ep in modes])
     rng = np.random.default_rng(seed)
@@ -464,7 +464,8 @@ def hk_bound_check(lam, max_k, seed=0):
     # basis member, the latter tying this to the per-mode check; einsum
     # sums without BLAS, so the bits do not depend on its thread count
     sups = [0.0] * len(ks)
-    for _, vals in _ModeStore.of_modes(modes).blocks(zs):
+    for _, vals in trunc._store.blocks(zs):
+        vals = vals[1:]
         vals /= norms[:, None]
         for n, (level, cs) in enumerate(zip(levels, combos)):
             v = vals[level]
@@ -601,22 +602,24 @@ def kernel_bound_check(nu, lam, max_k, x_grid):
     still scanned as a structural check.  The series is
     sum nu_k^2 k^(2 lam + 1) over the same k range.
     """
-    lam = lam if isinstance(lam, Lambda) else Lambda(lam)
+    lam = _lam(lam)
     if callable(nu):
         nus = [float(nu(k)) for k in range(1, max_k + 1)]
     else:
         nus = [float(v) for v in nu][:max_k]
         if len(nus) < max_k:
             nus = nus + [0.0] * (max_k - len(nus))
-    zs = np.array([complex(getattr(x, "Z", x)) for x in x_grid], dtype=complex)
+    zs = np.array(x_grid, dtype=complex)
     npts = len(zs)
-    # the levels k with nu_k != 0, whole, so each mirror's partner is kept
-    modes = [ep for ep in HeatKernelTruncation(lam, max_k).modes
-             if ep.p + ep.q and nus[ep.p + ep.q - 1] != 0.0]
+    trunc = HeatKernelTruncation(lam, max_k)
     kernel = np.zeros((npts, npts), dtype=complex)
-    for ep, vals in zip(modes, _ModeStore.of_modes(modes).values(zs)):
+    # every mode but the constant one, the first, whose nu_k is not 0
+    for ep, vals in zip(trunc.modes[1:], trunc.mode_values(zs)[1:]):
+        w = nus[ep.p + ep.q - 1]
+        if w == 0.0:
+            continue
         vals /= math.sqrt(float(ep.norm2))
-        kernel += nus[ep.p + ep.q - 1] ** 2 * np.outer(vals, vals.conj())
+        kernel += w ** 2 * np.outer(vals, vals.conj())
     sup_abs = float(np.abs(kernel).max()) if npts else 0.0
     diag_sup = float(np.max(kernel.diagonal().real)) if npts else 0.0
     series = sum(

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from deltoid import eigen
-from deltoid.cdcheck import N_TOL, DegenerateDenominator, triangle_b
+from deltoid.cdcheck import N_TOL, DegenerateDenominator, _b_from_parts, _trig_forms
 from deltoid.exact import BivarPoly, CRat, Rat, as_rat
 from deltoid.geometry import (E, V0, V1, V2, TrianglePoint, _bary_to_plane, w_density,
                               zk)
@@ -289,8 +289,10 @@ def b_one_third_forms(theta: float, phi: float):
     Returns (trig, zu, xw, t) values; they agree to ~1e-11 at interior
     points, which the representation-agreement tests pin down.
     """
-    sp = triangle_b(1.0 / 3.0, theta, phi, cross_check=False)
-    b_trig = sp.b_of_a
+    a1v, b1v, c1v, nv = _trig_forms(1 / 3, theta, phi)
+    if nv < N_TOL:
+        raise DegenerateDenominator(f"N = {nv} at ({theta}, {phi})")
+    b_trig = _b_from_parts(a1v, b1v, c1v, nv)
 
     z = cmath.exp(1j * theta)
     u = cmath.exp(1j * phi)

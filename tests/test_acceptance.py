@@ -52,14 +52,14 @@ def test_eigen_system_fails_on_one_wrong_closed_p_at_one(monkeypatch):
 def test_eigen_system_fails_on_one_wrong_norm(monkeypatch):
     # <P, P> from the moments must equal each mode's closed norm2: one
     # norm off by 1/10^6 fails the Gram block at that mode.  The empty
-    # map makes c04 build its own truncations
+    # live set makes c04 build its own truncations
     built = spectral._pieri_modes
 
     def off(lam, degree):
         return [dataclasses.replace(ep, norm2=ep.norm2 + Rat(1, 10**6))
                 if (ep.p, ep.q) == (7, 5) else ep for ep in built(lam, degree)]
 
-    monkeypatch.setattr(spectral, "_deepest", weakref.WeakValueDictionary())
+    monkeypatch.setattr(spectral, "_live", weakref.WeakSet())
     monkeypatch.setattr(spectral, "_pieri_modes", off)
     res = run_criterion(4)
     assert not res.passed

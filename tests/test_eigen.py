@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import weakref
 
 import pytest
 
@@ -424,7 +425,7 @@ def test_pieri_a_zero_denominator_is_a_typed_error():
 
 def test_growing_in_steps_equals_a_fresh_build(builds):
     # each truncation deeper than the live ones builds afresh, and one no
-    # deeper takes the first modes of the deepest: all are a fresh build's
+    # deeper takes the first modes of a live one: all are a fresh build's
     lam = Lambda(Rat(7, 2))
     fresh = _exact(eigen._pieri_modes(lam, 40))
     held = [HeatKernelTruncation(lam, degree) for degree in (1, 20, 40, 10)]
@@ -443,6 +444,19 @@ def test_trimmed_spectrum_regrows_to_a_fresh_build(builds):
     assert builds == [20, 40, 40]
     assert _exact(again.modes) == _exact(eigen._pieri_modes(lam, 40))
     assert _exact(again.modes[:len(shallow)]) == _exact(shallow.modes)
+
+
+def test_freed_deeper_truncation_leaves_the_live_ones_shared(monkeypatch, builds):
+    # with (4, 40) alive, building and freeing (4, 45) leaves (4, 40) to
+    # share: a later (4, 20) takes its first modes and builds nothing
+    monkeypatch.setattr(spectral, "_live", weakref.WeakSet())
+    lam = Lambda(4)
+    held = HeatKernelTruncation(lam, 40)
+    deeper = HeatKernelTruncation(lam, 45)
+    del deeper
+    prefix = HeatKernelTruncation(lam, 20)
+    assert builds == [40, 45]
+    assert all(a is b for a, b in zip(prefix.modes, held.modes))
 
 
 def test_fresh_truncation_solves_nothing(monkeypatch, builds):

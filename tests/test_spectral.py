@@ -333,16 +333,7 @@ def test_mode_table_row_slices():
 
 
 def test_mode_store_of_no_modes_or_an_empty_class():
-    # degree 1 has no mode of class 0, and a kernel of zero weights keeps
-    # no mode at all: both stores evaluate, to no rows for what is missing
-    trunc = HeatKernelTruncation(Lambda(4), 1)
-    zs = np.array(KERNEL_GRID)
-    level = spectral._ModeStore.of_modes(trunc.modes[1:])
-    assert len(level._classes) == 2
-    assert np.array_equal(level.values(zs), trunc._store.values(zs)[1:])
-    empty = spectral._ModeStore.of_modes([])
-    assert empty.size == 0 and empty.values(zs).shape == (0, len(zs))
-    assert [v.shape for _, v in empty.blocks(zs)] == [(0, len(zs))]
+    # a kernel of zero weights sums no mode: every entry is zero
     rep = kernel_bound_check(lambda k: 0.0, Lambda(4), 3, KERNEL_GRID)
     assert rep.sup_abs == rep.series_value == rep.diag_sup == 0.0 and rep.passed
 
@@ -379,10 +370,10 @@ def test_complex_coeffs_runs_once_per_solved_mode(monkeypatch):
     heat_diag(0.9 * CUSPS[0], 0.1, trunc)
     trunc.mode_weights(0.1j)
     assert sorted(seen) == sorted(solved)
-    # beside trunc, each check builds a store of the levels it keeps, (p, q)
-    # with p >= q: H_k every level 1 to 8, the kernel levels 1 and 2 (nu != 0)
-    for check, count in ((lambda: hk_bound_check(lam, 8), 24),
-                         (lambda: kernel_bound_check([1.0, 0.5], lam, 8, KERNEL_GRID), 3)):
+    # beside trunc, each check builds the store of its own truncation at
+    # degree 8, one call per (p, q) with p >= q, the constant mode included
+    for check, count in ((lambda: hk_bound_check(lam, 8), 25),
+                         (lambda: kernel_bound_check([1.0, 0.5], lam, 8, KERNEL_GRID), 25)):
         seen.clear()
         check()
         assert len(seen) == len(set(seen)) == count
@@ -397,15 +388,15 @@ def _bits(report):
 
 
 @pytest.fixture
-def deepest(monkeypatch):
-    """An empty map of the deepest live truncation of each lam, for a test
-    that needs to know which truncations it holds."""
-    fresh = weakref.WeakValueDictionary()
-    monkeypatch.setattr(spectral, "_deepest", fresh)
+def live(monkeypatch):
+    """An empty set of live truncations, for a test that needs to know
+    which truncations it holds."""
+    fresh = weakref.WeakSet()
+    monkeypatch.setattr(spectral, "_live", fresh)
     return fresh
 
 
-def test_live_truncation_leaves_check_reports_unchanged(deepest):
+def test_live_truncation_leaves_check_reports_unchanged(live):
     # a check beside a deeper live truncation takes that truncation's first
     # modes; its report has the bits of a check that built its own
     lam = Lambda(4)
@@ -417,10 +408,10 @@ def test_live_truncation_leaves_check_reports_unchanged(deepest):
             kernel_bound_check(lambda k: math.exp(-float(k)), lam, 6, KERNEL_GRID))]
 
     alone = reports()
-    assert not deepest
+    assert not live
     deep = HeatKernelTruncation(lam, 20)
     assert reports() == alone
-    assert deepest[4, 1] is deep
+    assert set(live) == {deep}
 
 
 def test_checks_beside_a_deeper_truncation_solve_nothing(trunc4, monkeypatch):
@@ -445,19 +436,30 @@ def test_checks_beside_a_deeper_truncation_solve_nothing(trunc4, monkeypatch):
     assert len(calls) == 4  # (p, q), p >= q, p + q <= 2
 
 
-def test_spectrum_lives_only_while_a_truncation_holds_it(deepest):
-    # the map keeps a lam's deepest truncation only while it lives; a
-    # shallower one takes its first modes and is not entered
-    key = (13, 4)
+def test_spectrum_lives_only_while_a_truncation_holds_it(live):
+    # the set keeps a truncation only while it lives; a shallower one
+    # takes a deeper one's first modes and joins the set too
     deep = HeatKernelTruncation(Lambda(Rat(13, 4)), 6)
     shallow = HeatKernelTruncation(Lambda(Rat(13, 4)), 3)
-    assert deepest[key] is deep
+    assert set(live) == {deep, shallow}
     assert shallow.modes == deep.modes[:10]
     assert all(a is b for a, b in zip(shallow.modes, deep.modes))
     del deep
-    assert key not in deepest
+    assert set(live) == {shallow}
     deeper = HeatKernelTruncation(Lambda(Rat(13, 4)), 4)
-    assert deepest[key] is deeper and deeper.modes[:10] == shallow.modes
+    assert set(live) == {shallow, deeper} and deeper.modes[:10] == shallow.modes
+
+
+def test_truncation_builds_no_float_until_its_first_float_read(live):
+    # construction is exact, built or shared: mu, 1/||P||^2 and the store
+    # are made on the first float read, of that truncation only
+    floats = {"_store", "_mu", "_inv_norm2"}
+    deep = HeatKernelTruncation(Lambda(4), 12)
+    shallow = HeatKernelTruncation(Lambda(4), 6)
+    assert deep.integrates_to_delta()
+    assert not floats & (set(vars(deep)) | set(vars(shallow)))
+    heat_diag(0j, 1.0, shallow)
+    assert floats <= set(vars(shallow)) and not floats & set(vars(deep))
 
 
 def test_spectrum_trims_back_when_its_deepest_truncation_is_freed(trunc1):
@@ -473,21 +475,25 @@ def test_spectrum_trims_back_when_its_deepest_truncation_is_freed(trunc1):
     assert len(trunc1.modes) == len(trunc1._mu) == len(trunc1._inv_norm2) == 351
 
 
-def test_growing_the_spectrum_keeps_a_truncation_bits(deepest):
-    # a truncation cut from a deeper live one reads the mode_values bytes
-    # of a fresh build, and the deeper build leaves the older one's alone
+def test_growing_the_spectrum_keeps_a_truncation_bits(live):
+    # the deeper build leaves the older one's mode_values bytes alone, and
+    # once the older one is freed, a truncation cut from the deeper one,
+    # then the only donor, reads the bytes of a fresh build
     zs = np.array(KERNEL_GRID)
     small = HeatKernelTruncation(Lambda(4), 10)
     modes = small.modes
     vals = small.mode_values(zs)
     big = HeatKernelTruncation(Lambda(4), 20)
+    assert set(live) == {small, big} and small.modes is modes
+    assert small.mode_values(zs).tobytes() == vals.tobytes()
+    mu, inv_norm2 = small._mu, small._inv_norm2
+    del small
     again = HeatKernelTruncation(Lambda(4), 10)
-    assert deepest[4, 1] is big and small.modes is modes
+    assert set(live) == {big, again}
     assert again.modes == modes and all(a is b for a, b in zip(again.modes, big.modes))
-    assert np.array_equal(again._mu, small._mu)
-    assert np.array_equal(again._inv_norm2, small._inv_norm2)
-    for trunc in (small, again):
-        assert trunc.mode_values(zs).tobytes() == vals.tobytes()
+    assert np.array_equal(again._mu, mu)
+    assert np.array_equal(again._inv_norm2, inv_norm2)
+    assert again.mode_values(zs).tobytes() == vals.tobytes()
 
 
 @pytest.mark.parametrize("m", [20, 80])

@@ -7,10 +7,12 @@ polynomial with a known factorization that is checked identically.
 
 Route 2: the triangle picture.  b(a) is the smallest eigenvalue of
 -Hess(sigma) - a grad(sigma) grad(sigma)^T with sigma = (1/2) log W; the
-closed trigonometric forms A1, B1, C1, N are frozen here and are
-cross-checked against an independent (z, u) rational form on every call,
-and against a finite-difference Hessian in the tests.  The a = 1/3
-infimum 9/8 is approached via a corner-refined scan.
+closed trigonometric forms A1, B1, C1, N are frozen here.  triangle_b
+cross-checks them against an independent (z, u) rational form at each
+point it evaluates, and the tests check them against a finite-difference
+Hessian; scan_inf_b and divergence_probe evaluate the trigonometric
+forms alone.  The a = 1/3 infimum 9/8 is approached via a corner-refined
+scan.
 
 Route 3: direct sampling of Gamma_2(f, f) >= rho Gamma(f, f) + (Lf)^2 / n
 over random polynomial test functions and interior points, each margin

@@ -1,11 +1,17 @@
 """Command-line front end: orchestration and deterministic reports.
 
-Every subcommand echoes its configuration into the emitted report, so a
-report is reproducible from its own header plus the package version.
-JSON output is canonicalized (sorted keys, fixed indentation); CSV gets
-a header row.  Exit codes: 0 on pass, 1 on a verification failure or a
-refused input (one stderr line, "<command>: <reason>"), 2 on usage
-errors.  The package reads no environment variable.
+Each subcommand's runner computes and returns (config, result, passed);
+`main` alone writes the report and sets the exit code.  The report is
+canonical JSON (sorted keys, fixed indentation) on stdout, or in the
+file named by --out, and it echoes the run's configuration, so a report
+is reproducible from its own header plus the package version.  Tables
+go to a --csv sidecar with a header row, beside the report.  `accept`
+prints its criterion lines on stdout and writes its report only to
+--out.
+
+Exit codes: 0 on pass, 1 on a verification failure or a refused input,
+2 on usage errors.  Every refusal is one stderr line, "<command>:
+<reason>", with no report.  The package reads no environment variable.
 
 SCHEMA_VERSION names the report layout and the random streams behind
 it: version 2 draws Haar samples from one generator per seed (see
@@ -18,9 +24,17 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 
-from . import __version__
-from .exact import Rat, as_rat
+from . import __version__, su3
+from .acceptance import run_all
+from .cdcheck import (DegenerateDenominator, IdentityMismatch, _scan_lattice,
+                      divergence_probe, factorization_check, gamma2_sample_check,
+                      scan_inf_b, triangle_b)
+from .eigen import moments, solve_eigenpoly
+from .exact import Rat, Z, ZBAR, as_rat
 from .operator import Lambda
+from .spectral import (TruncationInsufficient, _kernel_check_grid, growth_passed,
+                       heat_cusp_sups, heat_times, hk_bound_check, kernel_bound_check,
+                       sobolev_passed, sobolev_series_check, supnorm_bound_check)
 
 SCHEMA_VERSION = 2
 
@@ -56,7 +70,8 @@ class RunConfig:
     """Echo of the knobs a run was invoked with.
 
     lam is carried as a num/den string so the echo stays exact; seed,
-    grid, and degree keep their subcommand defaults when unused.
+    grid, and degree keep their subcommand defaults when unused.  format
+    is always "json".
     """
 
     command: str
@@ -99,12 +114,10 @@ def _emit_csv(header, rows, out):
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners
+# subcommand runners: each returns (config, result, passed)
 
 
 def _run_eigen(args):
-    from .eigen import solve_eigenpoly
-
     p, q = args.pq
     ep = solve_eigenpoly(p, q, Lambda(args.lam))
     config = RunConfig(command="eigen", lam=str(args.lam), out=args.out,
@@ -117,13 +130,10 @@ def _run_eigen(args):
         "coefficients": ep.poly.to_records(),
         "norm2": str(ep.norm2),
     }
-    _emit_json(_report(config, result), args.out)
-    return 0
+    return config, result, True
 
 
 def _run_moments(args):
-    from .eigen import moments
-
     table = moments(Lambda(args.lam), args.max_degree)
     entries = {}
     for i in range(args.max_degree + 1):
@@ -133,13 +143,10 @@ def _run_moments(args):
                        degree=args.max_degree, out=args.out)
     result = {"lambda": str(args.lam), "max_degree": args.max_degree,
               "moments": entries}
-    _emit_json(_report(config, result), args.out)
-    return 0
+    return config, result, True
 
 
 def _run_cd_verify(args):
-    from .cdcheck import gamma2_sample_check
-
     rep = gamma2_sample_check(
         Lambda(args.lam), float(args.rho), float(args.n),
         trials=args.trials, points=args.grid, seed=args.seed,
@@ -155,14 +162,10 @@ def _run_cd_verify(args):
         "tol": rep.tol,
         "passed": rep.passed,
     }
-    _emit_json(_report(config, result), args.out)
-    return 0 if rep.passed else 1
+    return config, result, rep.passed
 
 
 def _run_cd_scan_b(args):
-    from .cdcheck import (DegenerateDenominator, _scan_lattice, scan_inf_b,
-                          triangle_b)
-
     a = float(args.a)
     rep = scan_inf_b(a, grid=args.grid, refine_near_cusps=args.refine)
     if args.csv:
@@ -184,13 +187,10 @@ def _run_cd_scan_b(args):
         "trace": list(rep.trace),
         "refined": rep.refined,
     }
-    _emit_json(_report(config, result), args.out)
-    return 0
+    return config, result, True
 
 
 def _run_cd_probe(args):
-    from .cdcheck import divergence_probe
-
     rep = divergence_probe(float(args.a), args.curve, float(args.c))
     config = RunConfig(command="cd probe", out=args.out,
                        extra={"a": str(args.a), "curve": args.curve,
@@ -203,20 +203,13 @@ def _run_cd_probe(args):
         "sign_matches": rep.sign_matches,
         "ratio_checks": rep.ratio_checks,
     }
-    _emit_json(_report(config, result), args.out)
-    return 0 if rep.sign_matches else 1
+    return config, result, rep.sign_matches
 
 
 def _run_cd_factor_check(args):
-    from .cdcheck import IdentityMismatch, factorization_check
-
+    res = factorization_check(args.a1, args.b1)
     config = RunConfig(command="cd factor-check", out=args.out,
                        extra={"a1": str(args.a1), "b1": str(args.b1)})
-    try:
-        res = factorization_check(args.a1, args.b1)
-    except IdentityMismatch as exc:
-        print(f"factorization mismatch: {exc.args[0]}", file=sys.stderr)
-        return 1
     result = {
         "a1": str(res.a1),
         "b1": str(res.b1),
@@ -224,17 +217,13 @@ def _run_cd_factor_check(args):
         "ray": [str(c) for c in res.ray],
         "reduced_form_checked": res.reduced_form_checked,
     }
-    _emit_json(_report(config, result), args.out)
-    return 0
+    return config, result, True
 
 
 def _run_su3_check(args):
-    from .exact import Z, ZBAR
-    from .su3 import group_model_check, haar_sample, trace_moment_check
-
-    us = haar_sample(args.seed, args.samples)
-    group = group_model_check(us, [Z, ZBAR, Z * ZBAR], args.seed + 1, args.seed)
-    trace = trace_moment_check(args.seed, args.samples)
+    us = su3.haar_sample(args.seed, args.samples)
+    group = su3.group_model_check(us, [Z, ZBAR, Z * ZBAR], args.seed + 1, args.seed)
+    trace = su3.trace_moment_check(args.seed, args.samples)
     result = {
         "ricci": group.ricci,
         "ricci_residual": abs(group.ricci - 3.0),
@@ -253,34 +242,23 @@ def _run_su3_check(args):
     }
     config = RunConfig(command="su3 check", seed=args.seed, out=args.out,
                        extra={"samples": args.samples})
-    _emit_json(_report(config, result), args.out)
-    return 0 if result["passed"] else 1
+    return config, result, result["passed"]
 
 
 def _run_heat_trace(args):
-    from .spectral import TruncationInsufficient, heat_cusp_sups, heat_times
-
     ts = heat_times(args.t_min, args.t_max, args.nt)
-    try:
-        rows = heat_cusp_sups(Lambda(args.lam), args.degree, ts)
-    except TruncationInsufficient as exc:
-        print(f"truncation too shallow: {exc}", file=sys.stderr)
-        return 1
-    if args.format == "csv" or args.csv:
-        _emit_csv(("t", "sup_heat_diag"), rows, args.csv or args.out)
-        return 0
+    rows = heat_cusp_sups(Lambda(args.lam), args.degree, ts)
+    if args.csv:
+        _emit_csv(("t", "sup_heat_diag"), rows, args.csv)
     config = RunConfig(command="heat trace", lam=str(args.lam),
-                       degree=args.degree, out=args.out, format=args.format,
+                       degree=args.degree, out=args.out,
                        extra={"t_min": args.t_min, "t_max": args.t_max,
                               "nt": args.nt})
     result = {"points": [{"t": t, "sup": s} for t, s in rows]}
-    _emit_json(_report(config, result), args.out)
-    return 0
+    return config, result, True
 
 
 def _run_bounds(args):
-    from .spectral import growth_passed, hk_bound_check, supnorm_bound_check
-
     if args.bounds_command == "supnorm":
         degree, seed = args.max_degree, 0
         rep = supnorm_bound_check(Lambda(args.lam), degree)
@@ -297,13 +275,10 @@ def _run_bounds(args):
         "window": list(rep.window),
         "passed": growth_passed(rep),
     }
-    _emit_json(_report(config, result), args.out)
-    return 0 if result["passed"] else 1
+    return config, result, result["passed"]
 
 
 def _run_sobolev_series(args):
-    from .spectral import sobolev_passed, sobolev_series_check
-
     rep = sobolev_series_check(float(args.p), float(args.a))
     config = RunConfig(command="sobolev series", out=args.out,
                        extra={"p": str(args.p), "a": str(args.a)})
@@ -313,8 +288,7 @@ def _run_sobolev_series(args):
         "plateau_constant": rep.constant,
         "passed": sobolev_passed(rep),
     }
-    _emit_json(_report(config, result), args.out)
-    return 0 if result["passed"] else 1
+    return config, result, result["passed"]
 
 
 _NU_CHOICES = {
@@ -325,8 +299,6 @@ _NU_CHOICES = {
 
 
 def _run_kernel_check(args):
-    from .spectral import _kernel_check_grid, kernel_bound_check
-
     rep = kernel_bound_check(_NU_CHOICES[args.nu], Lambda(args.lam),
                              args.max_k, _kernel_check_grid())
     config = RunConfig(command="kernel check", lam=str(args.lam),
@@ -340,16 +312,13 @@ def _run_kernel_check(args):
         "grid_size": rep.grid_size,
         "passed": rep.passed,
     }
-    _emit_json(_report(config, result), args.out)
-    return 0 if result["passed"] else 1
+    return config, result, rep.passed
 
 
 def _run_accept(args):
-    from .acceptance import run_all
-
+    # stdout carries the criterion lines, so the report goes only to --out
     results = run_all(printer=print)
-    config = RunConfig(command="accept", out=args.out,
-                       extra={"suite": args.suite})
+    config = RunConfig(command="accept", out=args.out) if args.out else None
     # seconds stay out of the report so identical configs emit
     # identical bytes
     result = {
@@ -360,9 +329,7 @@ def _run_accept(args):
         ],
         "passed": all(r.passed for r in results),
     }
-    if args.out:
-        _emit_json(_report(config, result), args.out)
-    return 0 if result["passed"] else 1
+    return config, result, result["passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +346,17 @@ def build_parser():
     def add_out(p):
         p.add_argument("--out", default=None, help="write the report here")
 
+    def add_lambda(p):
+        p.add_argument("--lambda", dest="lam", type=positive_rat_arg, required=True)
+
     p = sub.add_parser("eigen", help="solve one eigenpolynomial exactly")
-    p.add_argument("--lambda", dest="lam", type=positive_rat_arg, required=True)
+    add_lambda(p)
     p.add_argument("--pq", type=pq_arg, required=True, metavar="P,Q")
     add_out(p)
     p.set_defaults(fn=_run_eigen)
 
     p = sub.add_parser("moments", help="exact moment table")
-    p.add_argument("--lambda", dest="lam", type=positive_rat_arg, required=True)
+    add_lambda(p)
     p.add_argument("--max-degree", type=int, default=6)
     add_out(p)
     p.set_defaults(fn=_run_moments)
@@ -395,7 +365,7 @@ def build_parser():
     cds = cd.add_subparsers(dest="cd_command", required=True)
 
     p = cds.add_parser("verify", help="sampled curvature inequality margins")
-    p.add_argument("--lambda", dest="lam", type=positive_rat_arg, required=True)
+    add_lambda(p)
     p.add_argument("--rho", type=rat_arg, required=True)
     p.add_argument("--n", type=positive_rat_arg, required=True)
     p.add_argument("--grid", type=int, default=100)
@@ -425,8 +395,8 @@ def build_parser():
     add_out(p)
     p.set_defaults(fn=_run_cd_factor_check)
 
-    su3 = sub.add_parser("su3", help="group-model verification")
-    su3s = su3.add_subparsers(dest="su3_command", required=True)
+    group = sub.add_parser("su3", help="group-model verification")
+    su3s = group.add_subparsers(dest="su3_command", required=True)
     p = su3s.add_parser("check", help="all group-side identities")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -436,25 +406,24 @@ def build_parser():
     heat = sub.add_parser("heat", help="heat-kernel truncations")
     heats = heat.add_subparsers(dest="heat_command", required=True)
     p = heats.add_parser("trace", help="sup of the diagonal over a t-window")
-    p.add_argument("--lambda", dest="lam", type=positive_rat_arg, required=True)
+    add_lambda(p)
     p.add_argument("--degree", type=int, default=40)
     p.add_argument("--t-min", type=float, default=0.02)
     p.add_argument("--t-max", type=float, default=0.2)
     p.add_argument("--nt", type=int, default=12)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--csv", default=None, help="write (t, sup) rows here")
+    p.add_argument("--csv", default=None, help="write the (t, sup) rows here")
     add_out(p)
     p.set_defaults(fn=_run_heat_trace)
 
     bounds = sub.add_parser("bounds", help="spectral growth bounds")
     boundss = bounds.add_subparsers(dest="bounds_command", required=True)
     p = boundss.add_parser("supnorm", help="per-mode sup-norm growth")
-    p.add_argument("--lambda", dest="lam", type=positive_rat_arg, required=True)
+    add_lambda(p)
     p.add_argument("--max-degree", type=int, default=30)
     add_out(p)
     p.set_defaults(fn=_run_bounds)
     p = boundss.add_parser("hk", help="degree-space combination growth")
-    p.add_argument("--lambda", dest="lam", type=positive_rat_arg, required=True)
+    add_lambda(p)
     p.add_argument("--max-k", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     add_out(p)
@@ -471,14 +440,13 @@ def build_parser():
     ker = sub.add_parser("kernel", help="multiplier-kernel boundedness")
     kers = ker.add_subparsers(dest="kernel_command", required=True)
     p = kers.add_parser("check", help="kernel sup against the weight series")
-    p.add_argument("--lambda", dest="lam", type=positive_rat_arg, required=True)
+    add_lambda(p)
     p.add_argument("--max-k", type=int, default=12)
     p.add_argument("--nu", choices=sorted(_NU_CHOICES), default="exp")
     add_out(p)
     p.set_defaults(fn=_run_kernel_check)
 
     p = sub.add_parser("accept", help="run the acceptance suite")
-    p.add_argument("--suite", choices=("primary",), default="primary")
     add_out(p)
     p.set_defaults(fn=_run_accept)
 
@@ -486,17 +454,21 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one subcommand; a ValueError from it, a refused input, is one
-    stderr line naming the command, and exit 1."""
+    """Run one subcommand and write its report; a refused input (a
+    ValueError, a too-shallow truncation or a failed exact identity) is
+    one stderr line naming the command, and exit 1."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except ValueError as exc:
+        config, result, passed = args.fn(args)
+    except (ValueError, TruncationInsufficient, IdentityMismatch) as exc:
         # each group's subparser stores its subcommand in <group>_command
         command = " ".join(filter(None, (args.command,
                                          getattr(args, f"{args.command}_command", None))))
         print(f"{command}: {exc}", file=sys.stderr)
         return 1
+    if config is not None:
+        _emit_json(_report(config, result), config.out)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

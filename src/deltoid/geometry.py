@@ -54,26 +54,12 @@ class TrianglePoint:
 class DeltoidPoint:
     Z: complex
 
-    @property
-    def rho(self) -> float:
-        return abs(self.Z)
-
-    @property
-    def theta(self) -> float:
-        return cmath.phase(self.Z) if self.Z != 0 else 0.0
-
     def membership_residual(self) -> float:
         """P(Z, Zbar): positive inside, zero on the curve, negative outside.
 
         Equals 1/4 (1 - rho^2)^2 - (rho^2 + rho^4 - 2 rho^3 cos 3 theta).
         """
         return _P.eval(self.Z).real
-
-    def is_interior(self, tol: float = 0.0) -> bool:
-        return self.membership_residual() > tol
-
-    def is_boundary(self, tol: float = 1e-9) -> bool:
-        return abs(self.membership_residual()) <= tol
 
 
 def zk(point: TrianglePoint):

@@ -129,9 +129,6 @@ class HeatKernelTruncation:
         v = self.mode_values(z)
         return ((v.real**2 + v.imag**2).T * self._inv_norm2).T
 
-    def tail_estimate(self, t):
-        return _tail(self.max_degree, t)
-
     def integrates_to_delta(self):
         """Exact check that only the constant mode has nonzero mean.
 
@@ -158,7 +155,8 @@ def _tail_checked(max_degree, t, s):
     """(t, s) once the tail estimate at t is at most 1% of the value s."""
     tail = _tail(max_degree, t)
     if tail > 0.01 * s:
-        raise TruncationInsufficient(f"tail {tail:.3e} at t = {t}")
+        raise TruncationInsufficient(
+            f"truncation too shallow: tail {tail:.3e} at t = {t}")
     return t, s
 
 
@@ -185,8 +183,7 @@ def heat_diag(x, t, trunc):
     """Truncated diagonal heat kernel density at x.
 
     Raises TruncationInsufficient when the tail estimate is more than
-    1% of the partial sum; get the tail on its own from
-    trunc.tail_estimate(t).
+    1% of the partial sum.
     """
     t = require_heat_time(t)
     z = complex(x)

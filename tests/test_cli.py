@@ -1,14 +1,23 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import deltoid
-from deltoid.cli import main, rat_arg
+from deltoid import cli
+from deltoid.acceptance import CriterionResult
+from deltoid.cdcheck import IdentityMismatch
+from deltoid.cli import build_parser, main, rat_arg
 from deltoid.exact import Rat
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+SHALLOW = ["heat", "trace", "--lambda", "1", "--degree", "3",
+           "--t-min", "0.01", "--t-max", "0.05", "--nt", "3"]
 
 
 def run_json(capsys, argv):
@@ -42,6 +51,12 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    # heat trace always writes its JSON report, and accept has one suite
+    for argv in (["heat", "trace", "--lambda", "4", "--format", "json"],
+                 ["accept", "--suite", "primary"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -76,8 +91,7 @@ def test_moments_normalization(capsys):
     ["cd", "probe", "--a", "2/5", "--curve", "quad", "--c", "1"],
     ["cd", "factor-check", "--a1", "1/6", "--b1", "9/4"],
     ["su3", "check", "--samples", "15", "--seed", "4"],
-    ["heat", "trace", "--lambda", "4", "--degree", "20", "--nt", "5",
-     "--format", "json"],
+    ["heat", "trace", "--lambda", "4", "--degree", "20", "--nt", "5"],
     ["bounds", "supnorm", "--lambda", "4", "--max-degree", "12"],
     ["bounds", "hk", "--lambda", "4", "--max-k", "8"],
     ["sobolev", "series"],
@@ -152,24 +166,29 @@ def test_su3_check(capsys):
     assert lo < 1 / 9 < hi
 
 
-def test_heat_trace_csv(capsys):
-    code = main(["heat", "trace", "--lambda", "4", "--degree", "20",
-                 "--nt", "5"])
-    out = capsys.readouterr().out
+def test_heat_trace_csv(tmp_path, capsys):
+    # the (t, sup) rows go to the --csv file; stdout is the JSON report,
+    # which holds the same rows
+    csv = tmp_path / "trace.csv"
+    code, rep = run_json(capsys, ["heat", "trace", "--lambda", "4", "--degree", "20",
+                                  "--nt", "5", "--csv", str(csv)])
     assert code == 0
-    lines = out.splitlines()
+    lines = csv.read_text().splitlines()
     assert lines[0] == "t,sup_heat_diag"
     assert len(lines) == 6
-    sups = [float(l.split(",")[1]) for l in lines[1:]]
+    rows = [tuple(float(v) for v in l.split(",")) for l in lines[1:]]
+    sups = [s for _, s in rows]
     assert all(a > b for a, b in zip(sups, sups[1:]))
+    assert [(p["t"], p["sup"]) for p in rep["result"]["points"]] == rows
+    assert rep["config"]["command"] == "heat trace"
 
 
 def test_heat_trace_shallow_truncation_fails(capsys):
-    code = main(["heat", "trace", "--lambda", "1", "--degree", "3",
-                 "--t-min", "0.01", "--t-max", "0.05", "--nt", "3"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "truncation" in err
+    code = main(SHALLOW)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == ("heat trace: truncation too shallow: "
+                   "tail 9.347e-01 at t = 0.010000000000000004\n")
 
 
 def test_bounds_subcommands(capsys):
@@ -223,10 +242,19 @@ def test_bounds_refuse_a_fit_through_one_abscissa(capsys, argv):
     (["heat", "trace", "--lambda", "4", "--t-min", "0.3", "--t-max", "0.2"],
      "need t_min < t_max, not 0.3 >= 0.2"),
     (["heat", "trace", "--lambda", "4", "--nt", "0"], "need nt >= 1, not 0"),
+    (SHALLOW, "truncation too shallow: tail 9.347e-01 at t = 0.010000000000000004"),
+    (["cd", "factor-check", "--a1", "1/6", "--b1", "9/4"],
+     "ray factorization differs: [1]"),
 ])
-def test_refused_inputs_fail_with_one_line(capsys, argv, reason):
-    # main() turns a runner's ValueError into "<command>: <reason>" on
-    # stderr and exit 1, with no report and no traceback
+def test_refused_inputs_fail_with_one_line(capsys, monkeypatch, argv, reason):
+    # main() turns a runner's ValueError, TruncationInsufficient or
+    # IdentityMismatch into "<command>: <reason>" on stderr and exit 1,
+    # with no report and no traceback; only factor-check reaches the
+    # failing identity below
+    def mismatch(a1, b1):
+        raise IdentityMismatch("ray factorization differs: [1]", (1,))
+
+    monkeypatch.setattr(cli, "factorization_check", mismatch)
     code = main(argv)
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
@@ -251,7 +279,7 @@ def test_heat_trace_refuses_lambda_below_one_before_building(capsys, monkeypatch
     ["bounds", "hk", "--lambda", "4"],
     ["kernel", "check", "--lambda", "4"],
     ["bounds", "supnorm", "--lambda", "4"],
-    ["heat", "trace", "--lambda", "4", "--degree", "40", "--format", "json"],
+    ["heat", "trace", "--lambda", "4", "--degree", "40"],
     ["cd", "verify", "--lambda", "4", "--rho", "9/4", "--n", "8"],
 ])
 def test_bounds_supnorm_bytes_do_not_depend_on_blas_threads(sizes):
@@ -312,16 +340,13 @@ def test_kernel_check_exit_codes(capsys):
 
 
 def test_accept_delegates(monkeypatch, capsys, tmp_path):
-    import deltoid.acceptance as acc
-    from deltoid.acceptance import CriterionResult
-
     fake = [
         CriterionResult(1, "one", True, "fine", 0.0),
         CriterionResult(2, "two", True, "fine", 0.0),
     ]
-    monkeypatch.setattr(acc, "run_all", lambda printer=None: fake)
+    monkeypatch.setattr(cli, "run_all", lambda printer=None: fake)
     out = tmp_path / "acc.json"
-    assert main(["accept", "--suite", "primary", "--out", str(out)]) == 0
+    assert main(["accept", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["result"]["passed"] is True
     assert len(rep["result"]["criteria"]) == 2
@@ -330,3 +355,27 @@ def test_accept_delegates(monkeypatch, capsys, tmp_path):
     fake[1] = CriterionResult(2, "two", False, "broken", 0.0)
     assert main(["accept"]) == 1
     capsys.readouterr()
+
+
+def test_accept_without_out_prints_only_its_criterion_lines(monkeypatch, capsys):
+    # stdout carries the suite's own lines; the report goes only to --out
+    def fake(printer=None):
+        printer("c01 one PASS")
+        return [CriterionResult(1, "one", True, "fine", 0.0)]
+
+    monkeypatch.setattr(cli, "run_all", fake)
+    assert main(["accept"]) == 0
+    assert capsys.readouterr().out == "c01 one PASS\n"
+
+
+def test_readme_commands_parse():
+    # every command of README's command-line block is one the parser
+    # accepts; nothing is run
+    text = README.read_text()
+    block = text.split("## command line", 1)[1].split("```")[1]
+    lines = [l for l in block.splitlines() if l.startswith("deltoid ")]
+    assert len(lines) == 13
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.fn), line

@@ -98,7 +98,7 @@ def test_membership_polar_formula():
     # residual agrees with the polar inequality form
     for p in rand_points(30, seed=5):
         d = triangle_to_deltoid(p)
-        r, t = d.rho, d.theta
+        r, t = abs(d.Z), cmath.phase(d.Z)
         polar = 0.25 * (1 - r * r) ** 2 - (
             r * r + r ** 4 - 2 * r ** 3 * math.cos(3 * t)
         )
@@ -107,14 +107,13 @@ def test_membership_polar_formula():
 
 def test_interior_maps_interior():
     for p in rand_points(50, seed=6):
-        assert triangle_to_deltoid(p).is_interior()
+        assert triangle_to_deltoid(p).membership_residual() > 0
 
 
 def test_boundary_maps_to_curve():
     for p in boundary_points(40):
         d = triangle_to_deltoid(p)
         assert abs(d.membership_residual()) < 1e-9
-        assert d.is_boundary()
 
 
 def test_batch_map_matches_point_map(monkeypatch):
@@ -182,6 +181,6 @@ def test_interior_lattice():
 
 
 def test_deltoid_point_interior_flags():
-    assert DeltoidPoint(0j).is_interior()
-    assert not DeltoidPoint(1.2 + 0j).is_interior()
-    assert DeltoidPoint(1.0 + 0j).is_boundary()
+    assert DeltoidPoint(0j).membership_residual() > 0
+    assert DeltoidPoint(1.2 + 0j).membership_residual() < 0
+    assert abs(DeltoidPoint(1.0 + 0j).membership_residual()) <= 1e-9

@@ -138,10 +138,10 @@ def test_mu_monotone_along_diagonal():
 
 
 def test_tail_estimate_decay(trunc4):
-    assert trunc4.tail_estimate(0.02) == pytest.approx(
+    assert spectral._tail(trunc4.max_degree, 0.02) == pytest.approx(
         math.exp(-0.75 * 1600 * 0.02)
     )
-    assert trunc4.tail_estimate(0.1) < trunc4.tail_estimate(0.05)
+    assert spectral._tail(40, 0.1) < spectral._tail(40, 0.05)
 
 
 def test_ultracontractivity_slope_lam4(trunc4):

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# eigen's and su3's names are looked up at call time, through the module
+from . import eigen, su3
+from .cdcheck import (deltoid_grid, divergence_probe, factorization_sweep, gamma2_sample_check,
+                      psd_check, ray_nonneg_on_unit, scan_inf_b, tensor_residual)
 from .exact import ONE, Rat, Z, ZBAR
+from .geometry import plane_to_deltoid, sample_interior, w_density
 from .operator import (
     Lambda,
     boundary_poly,
@@ -24,6 +29,9 @@ from .operator import (
     hessian_logP_direct,
     hessian_logP_reduced,
 )
+from .spectral import (SOBOLEV_RATIO_CAP, HeatKernelTruncation, growth_cap, growth_passed,
+                       hk_bound_check, sobolev_passed, sobolev_series_check, supnorm_bound_check,
+                       ultracontractivity_fit)
 
 
 @dataclass(frozen=True)
@@ -43,8 +51,6 @@ class CriterionResult:
 
 
 def _c01_density_discriminant():
-    from .geometry import plane_to_deltoid, sample_interior, w_density
-
     # re-derive the 108 symbolically: the discriminant of the monic
     # cubic with coefficient functions (-3Z, 3Zbar, -1) must equal
     # -108 times the boundary polynomial, exactly
@@ -84,9 +90,6 @@ def _c03_hessian_reduction():
 
 
 def _c04_eigen_system():
-    from .eigen import eigenvalue, moments, pairings, value_at_one
-    from .spectral import HeatKernelTruncation
-
     # the modes the spectral criteria read; each one is the unique monic
     # eigenpolynomial: L P = -mu P exactly, mu from the closed formula,
     # and Z^p Zbar^q the only term of top degree, with coefficient 1; its
@@ -100,7 +103,7 @@ def _c04_eigen_system():
             return False, f"modes out of order at lam = {lam.value}"
         for ep in modes:
             p, q = ep.p, ep.q
-            if ep.mu != eigenvalue(p, q, lam):
+            if ep.mu != eigen.eigenvalue(p, q, lam):
                 return False, f"eigenvalue formula off at {(p, q, lam)}"
             top = [k for k in ep.poly.num if sum(k) >= p + q]
             if top != [(p, q)] or ep.poly.coeff(p, q) != 1:
@@ -109,14 +112,14 @@ def _c04_eigen_system():
             if not res.is_zero():
                 return False, f"residual nonzero at {(p, q, lam)}"
             re, im = map(sum, zip(*ep.poly.num.values()))
-            if im or Rat(re, ep.poly.den) != value_at_one(p, q, lam):
+            if im or Rat(re, ep.poly.den) != eigen.value_at_one(p, q, lam):
                 return False, f"P(1) off its closed value at {(p, q, lam)}"
             checked += 1
         # degree <= 12: one moment vector per mode, paired with it and each later one
-        table = moments(lam, 24)
+        table = eigen.moments(lam, 24)
         eps = modes[:91]
         for a, ep in enumerate(eps):
-            sums = pairings(ep.poly, [e.poly for e in eps[a:]], table)
+            sums = eigen.pairings(ep.poly, [e.poly for e in eps[a:]], table)
             re, im, den = sums[0]
             if im or Rat(re, den) != ep.norm2:
                 return False, f"<P, P> != norm2 at {(ep.p, ep.q, lam)}"
@@ -130,21 +133,16 @@ def _c04_eigen_system():
 
 
 def _c05_moments_and_haar():
-    from .eigen import moments
-    from .su3 import trace_moment_check
-
     for lam in (Lambda(4), Lambda(1), Lambda(Rat(7, 2)), Lambda(Rat(9, 5))):
-        m11 = moments(lam, 2).get(1, 1)
+        m11 = eigen.moments(lam, 2).get(1, 1)
         if m11 != 1 / (2 * lam.value + 1):
             return False, f"m11 mismatch at lam = {lam.value}"
-    rep = trace_moment_check(17, 100000)
+    rep = su3.trace_moment_check(17, 100000)
     dev = abs(rep.mean - 1.0 / 9.0)
     return rep.passed, f"m11 exact at 4 rationals; MC dev {dev:.2e} vs 3se {3 * rep.stderr:.2e}"
 
 
 def _c06_factorization_threshold():
-    from .cdcheck import factorization_sweep, ray_nonneg_on_unit
-
     results = factorization_sweep()
     reduced = [r for r in results if r.a1 == Rat(1, 6)]
     if len(results) != 25 or len(reduced) != 5:
@@ -163,14 +161,6 @@ def _c06_factorization_threshold():
 
 
 def _c07_optimal_constants():
-    from .cdcheck import (
-        deltoid_grid,
-        divergence_probe,
-        psd_check,
-        scan_inf_b,
-        tensor_residual,
-    )
-
     grid = deltoid_grid(200)
     good = psd_check(tensor_residual(Rat(1, 6), Rat(9, 4)), grid, tol=1e-12)
     if not good.passed:
@@ -196,8 +186,6 @@ def _c07_optimal_constants():
 
 
 def _c08_gamma2_sampling():
-    from .cdcheck import gamma2_sample_check
-
     good = gamma2_sample_check(Lambda(4), 2.25, 8.0, trials=100, points=100,
                                seed=2, tol=1e-10)
     bad = gamma2_sample_check(Lambda(4), 2.25, 7.0, trials=100, points=100,
@@ -210,9 +198,7 @@ def _c08_gamma2_sampling():
 
 
 def _c09_group_model():
-    from .su3 import group_model_check, haar_sample
-
-    rep = group_model_check(haar_sample(23, 100), [Z, ZBAR, Z * ZBAR, Z**2], 29, 5)
+    rep = su3.group_model_check(su3.haar_sample(23, 100), [Z, ZBAR, Z * ZBAR, Z**2], 29, 5)
     return rep.passed, (
         f"ricci {rep.ricci:.12f}; commutators {rep.commutator_entries}; "
         f"push {rep.push.max_gamma_residual:.1e}/"
@@ -222,8 +208,6 @@ def _c09_group_model():
 
 
 def _c10_heat_slopes():
-    from .spectral import ultracontractivity_fit
-
     # both fits read the closed cusp weights to degree 40
     rep4 = ultracontractivity_fit(Lambda(4), (0.02, 0.2))
     rep1 = ultracontractivity_fit(Lambda(1), (0.02, 0.2))
@@ -232,8 +216,6 @@ def _c10_heat_slopes():
 
 
 def _c11_supnorm_exponents():
-    from .spectral import growth_cap, growth_passed, hk_bound_check, supnorm_bound_check
-
     single = supnorm_bound_check(Lambda(4), 30)
     combos = hk_bound_check(Lambda(4), 20, seed=0)
     ok = growth_passed(single) and growth_passed(combos)
@@ -244,8 +226,6 @@ def _c11_supnorm_exponents():
 
 
 def _c12_series_stability():
-    from .spectral import SOBOLEV_RATIO_CAP, sobolev_passed, sobolev_series_check
-
     rep = sobolev_series_check(4.5, 0.75)
     return sobolev_passed(rep), (
         f"normalized max/min {rep.residual:.4f} < {SOBOLEV_RATIO_CAP:g}")

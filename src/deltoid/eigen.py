@@ -12,20 +12,24 @@ with mu_{i,j} = (lam-1)(i+j) + i^2 + ij + j^2.  One mode is solved by
 back-substituting that display (`solve_eigenpoly`, the single-mode API
 and the reference for the builder).  A truncation's modes are built a
 degree at a time by the A2 Pieri recurrence for multiplication by Z
-(`_pieri_modes`), with no back-substitution.  The moment recursion
-integrates the display against the invariant measure; `pairings` alone
-reads the moments, for `inner_product`, the heat truncation's
-`integrates_to_delta` and acceptance's Gram block of the modes.
+(`_pieri_modes`), with no back-substitution, on integer vectors; the
+built polynomials share one key tuple per monomial, and a mirror
+P_{q,p} shares its partner's coefficient tuples.  The moment recursion
+integrates the display against the invariant measure, on integers with
+one denominator per degree; `pairings` alone reads the moments, for
+`inner_product`, the heat truncation's `integrates_to_delta` and
+acceptance's Gram block of the modes.
 
 The squared norms do not.  The eigenpolynomials are the A2
 Heckman-Opdam (Jack-type) polynomials of multiplicity k = (lam - 1)/3,
 and their norms have a closed product formula (Macdonald, Symmetric
 Functions and Hall Polynomials, 2nd ed., VI.10; Heckman and Opdam
-1987), which `_norm2` evaluates in integers.  The moments therefore
-give an independent cross-check: <P, P> = norm2 from a moment table is
-asserted in the tests, in acceptance and in the spectrum benchmark.
-P(1) and the cusp weight P(1)^2/||P||^2 are closed products of the
-same factors (`value_at_one`, `cusp_table`), read with no mode built.
+1987), which `_closed_norm2` reads in integers from running products of
+its factors.  The moments therefore give an independent cross-check:
+<P, P> = norm2 from a moment table is asserted in the tests, in
+acceptance and in the spectrum benchmark.  P(1) and the cusp weight
+P(1)^2/||P||^2 are closed products of the same factors (`value_at_one`,
+`cusp_table`), read with no mode built.
 
 Each lowering move drops i^2+ij+j^2 by at least 3 while dropping total
 degree by at most 2, so mu strictly decreases along moves for every
@@ -36,8 +40,9 @@ believed unreachable; it stays as a defensive check on the divide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, groupby, islice
+from itertools import compress, count, groupby, islice, repeat
 from math import gcd, lcm
+from operator import sub
 
 from .exact import BivarPoly, CRat, Rat, _make
 from .operator import Lambda, _lam
@@ -79,10 +84,14 @@ class EigenPolynomial:
 class MomentTable:
     """Exact values of integral(Z^i Zbar^j) against the invariant measure.
 
-    Only nonzero moments are stored (they vanish unless i = j mod 3, a
-    consequence of the recursion, not an input assumption).  Lookups
-    outside max_degree raise MomentRangeExceeded instead of returning a
-    silent zero.
+    Only nonzero moments are stored: they vanish unless i = j mod 3, as
+    every term of the recursion keeps i - j mod 3 and m(0, 0) = 1 seeds
+    it.  Lookups outside max_degree raise MomentRangeExceeded instead of
+    returning a silent zero.
+
+    The recursion runs on integers: a degree is its numerators over one
+    den, the lcm of its moments' denominators, and each moment is divided
+    by its scaled eigenvalue once, as the one Rat that is stored.
     """
 
     def __init__(self, lam: Lambda, max_degree: int):
@@ -96,22 +105,33 @@ class MomentTable:
         if max_degree <= self.max_degree:
             return self
         lv = self.lam.value
+        a, b = int(lv.numerator), int(lv.denominator)
         start = self.max_degree + 1
         if start == 0:
             self._m[(0, 0)] = Rat(1)
             start = 1
+        # each degree as its numerators by the power of Z over one den
+        rows = [_integer_row([self._m.get((i, e - i), 0) for i in range(e + 1)])
+                for e in (start - 2, start - 1)]
         for deg in range(start, max_degree + 1):
-            for i in range(deg + 1):
+            (n2, d2), (n1, d1) = rows
+            den = lcm(d1, d2)
+            f1, f2 = den // d1, den // d2
+            ms = [0] * (deg + 1)
+            for i in range(2 * deg % 3, deg + 1, 3):
                 j = deg - i
-                acc = Rat(0)
+                # the display's three lower moments, over den
+                acc = 0
                 if i >= 2:
-                    acc += i * (i - 1) * self._m.get((i - 2, j + 1), Rat(0))
-                if i >= 1 and j >= 1:
-                    acc += i * j * self._m.get((i - 1, j - 1), Rat(0))
+                    acc += i * (i - 1) * n1[i - 2]
                 if j >= 2:
-                    acc += j * (j - 1) * self._m.get((i + 1, j - 2), Rat(0))
+                    acc += j * (j - 1) * n1[i + 1]
+                acc *= f1
+                if i and j:
+                    acc += f2 * i * j * n2[i - 1]
                 if acc:
-                    self._m[(i, j)] = acc / eigenvalue(i, j, self.lam)
+                    ms[i] = self._m[(i, j)] = Rat(b * acc, den * _scaled_mu(i, j, a, b))
+            rows = rows[1], _integer_row(ms)
         self.max_degree = max_degree
         self._ints = None
         return self
@@ -137,6 +157,12 @@ class MomentTable:
         return self._ints
 
 
+def _integer_row(ms: list) -> tuple:
+    """(numerators, den) of the rationals ms over the lcm of their denominators."""
+    den = lcm(*(int(m.denominator) for m in ms if m))
+    return [int(m.numerator) * (den // int(m.denominator)) if m else 0 for m in ms], den
+
+
 def moments(lam, max_degree: int) -> MomentTable:
     return MomentTable(_lam(lam), max_degree)
 
@@ -157,28 +183,37 @@ def _factors(s: int, d: int, K: int, B: int):
         yield an, ad, K * (s - 1) + B * (1 + t), K * s + B * (1 + t)
 
 
-def _products(p: int, q: int, a: int, b: int) -> tuple:
-    """(prod alpha num, den, prod beta num, den) of P_{p,q} at lam = a/b,
-    over (s, d) in {(1, p), (1, q), (2, p+q)}, the partition (p+q, q, 0)."""
-    an = ad = bn = bd = 1
-    for s, d in ((1, p), (1, q), (2, p + q)):
-        for x, y, u, v in _factors(s, d, a - b, 3 * b):
-            an, ad, bn, bd = an * x, ad * y, bn * u, bd * v
-    return an, ad, bn, bd
+def _alpha_beta(s: int, d: int, a: int, b: int) -> list:
+    """[(num, den)] of alpha beta for each of s's factors t < d at lam = a/b."""
+    return [(x * u, y * v) for x, y, u, v in _factors(s, d, a - b, 3 * b)]
 
 
-def _norm2(p: int, q: int, a: int, b: int) -> "Rat":
-    """||P_{p,q}||^2 = 9^-(p+q) prod alpha beta at lam = a/b, the closed A2
-    norm, positive for every lam > 0."""
-    an, ad, bn, bd = _products(p, q, a, b)
-    return Rat(an * bn, 9 ** (p + q) * ad * bd)
+def _prefix(pairs) -> list:
+    """Running products of (num, den) pairs: [(1, 1), pairs[0], pairs[0] pairs[1], ...]."""
+    run = [(1, 1)]
+    for x, y in pairs:
+        n, m = run[-1]
+        run.append((n * x, m * y))
+    return run
+
+
+def _closed_norm2(p: int, q: int, g1: list, g2: list) -> "Rat":
+    """||P_{p,q}||^2 = 9^-(p+q) G_1(p) G_1(q) G_2(p+q), the closed A2 norm,
+    positive for every lam > 0; G_s = _prefix(_alpha_beta(s, ...)) holds the
+    running products of s's factors to at least the degree read."""
+    (n1, m1), (n2, m2), (n3, m3) = g1[p], g1[q], g2[p + q]
+    return Rat(n1 * n2 * n3, 9 ** (p + q) * m1 * m2 * m3)
 
 
 def value_at_one(p: int, q: int, lam) -> "Rat":
     """P_{p,q}(1) = 3^-(p+q) prod alpha, the value at a cusp: the Jack
     evaluation formula at 1^n (Macdonald, VI (10.20)) for the monic P."""
     lv = _lam(lam).value
-    an, ad, _, _ = _products(p, q, int(lv.numerator), int(lv.denominator))
+    a, b = int(lv.numerator), int(lv.denominator)
+    an = ad = 1
+    for s, d in ((1, p), (1, q), (2, p + q)):
+        for x, y, _, _ in _factors(s, d, a - b, 3 * b):
+            an, ad = an * x, ad * y
     return Rat(an, 3 ** (p + q) * ad)
 
 
@@ -189,22 +224,19 @@ def cusp_table(lam, degree: int) -> tuple:
     factors.  Each w is one integer ratio, rounded once as float(Rat) is."""
     lv = _lam(lam).value
     a, b = int(lv.numerator), int(lv.denominator)
-    f = {1: [(1, 1)], 2: [(1, 1)]}  # F_s(d) as (num, den), d = 0 .. degree
-    for s, run in f.items():
-        for an, ad, bn, bd in _factors(s, degree, a - b, 3 * b):
-            n, m = run[-1]
-            run.append((n * an * bd, m * ad * bn))
+    f1, f2 = (_prefix((an * bd, ad * bn) for an, ad, bn, bd in _factors(s, degree, a - b, 3 * b))
+              for s in (1, 2))
     mu, w = [], []
     for d in range(degree + 1):
         for p in range(d, -1, -1):
-            (n1, m1), (n2, m2), (n3, m3) = f[1][p], f[1][d - p], f[2][d]
+            (n1, m1), (n2, m2), (n3, m3) = f1[p], f1[d - p], f2[d]
             mu.append(_scaled_mu(p, d - p, a, b) / b)
             w.append(n1 * n2 * n3 / (m1 * m2 * m3))
     return mu, w
 
 
-def _positive_norm2(p: int, q: int, a: int, b: int) -> "Rat":
-    norm2 = _norm2(p, q, a, b)
+def _positive_norm2(p: int, q: int, g1: list, g2: list) -> "Rat":
+    norm2 = _closed_norm2(p, q, g1, g2)
     # positive by the formula for lam > 0; kept as a defensive check
     if norm2 <= 0:
         raise NonpositiveNorm(f"nonpositive norm for P_{p},{q}")
@@ -267,7 +299,7 @@ def solve_eigenpoly(p: int, q: int, lam) -> EigenPolynomial:
                 if w:
                     incoming[tgt] = incoming.get(tgt, 0) + w * c
     poly = _make({k: (n * (den // d), 0) for k, (n, d) in coeffs.items()}, den)
-    norm2 = _positive_norm2(p, q, a, b)
+    norm2 = _positive_norm2(p, q, *(_prefix(_alpha_beta(s, p + q, a, b)) for s in (1, 2)))
     mu = Rat(target, b)
     return EigenPolynomial(p=p, q=q, lam=lam, poly=poly, mu=mu, norm2=norm2)
 
@@ -324,7 +356,10 @@ def _pieri_modes(lam: Lambda, degree: int) -> list:
 
         Z P_{p-1,q} = P_{p,q} + a(p-1) P_{p-2,q+1} + b(p-1,q) P_{p-1,q-1}
 
-    with b(p, q) = ||P_{p,q}||^2 / ||P_{p,q-1}||^2 from the closed norms.
+    with b(p, q) = ||P_{p,q}||^2 / ||P_{p,q-1}||^2 from the closed norms:
+    alpha beta of s = 1 at t = q - 1 times that of s = 2 at t = p + q - 1,
+    over 9.  a(p) is tabulated once per p and b read from the factors,
+    both as integer pairs, and each norm from running products of them.
     A mode is an integer vector over one den, laid out over the monomials
     of its class of degree <= p + q in the solver's order (`_layout`).
     The two lower modes are then suffixes of the new vector, Z times
@@ -332,59 +367,98 @@ def _pieri_modes(lam: Lambda, degree: int) -> list:
     its partner's vector with each degree block reversed.  The vectors
     live only for the build; `num` keeps the nonzero entries in order,
     exactly as a solve lays them out.
+
+    The polynomials share storage, which is safe because a BivarPoly is
+    never mutated.  Degree d's layout is a suffix of the top degree's, so
+    each key (i, j) is one tuple for the whole build; and P_{q,p} holds
+    its partner's (x, 0) value tuples, its mu, norm2 and den, under the
+    swapped keys.
     """
     a, b = int(lam.value.numerator), int(lam.value.denominator)
-    # (p, q) -> (vector, den, norm2) for the two degrees below the one built
+    h1, h2 = (_alpha_beta(s, degree, a, b) for s in (1, 2))
+    g1, g2 = _prefix(h1), _prefix(h2)
+    pa = [None] + [(int(c.numerator), int(c.denominator))
+                   for c in (_pieri_a(p, lam.value) for p in range(1, degree))]
+    top = [_layout(degree, r) for r in range(3)]
+    size = [0, 0, 0]
+    # (p, q) -> (vector, den) for the two degrees below the one built
     window = {}
     out = []
     for d in range(degree + 1):
-        keys = [_layout(d, r) for r in range(3)]
+        keys = []  # _layout(d, r) for each r, as suffixes of top
+        for r, k in enumerate(top):
+            size[r] += len(range(d - (r - d) % 3, -1, -3))  # degree d's keys of class r
+            keys.append(k[len(k) - size[r]:])
         shifts = [_z_shift(k) for k in keys]
         flips = [_block_reversal(k) for k in keys]
-        row = {}
+        row, mirrors = {}, {}
         for p in range(d, (d - 1) // 2, -1):
             q = d - p
-            norm2 = _positive_norm2(p, q, a, b)
-            if not d:
-                row[p, q] = ([1], 1, norm2)
+            r = (p - q) % 3
+            if d:
+                vec, den = _pieri_vector(p, q, window, shifts[r], pa, h1, h2)
+            else:
+                vec, den = [1], 1
+            row[p, q] = vec, den
+            mu = Rat(_scaled_mu(p, q, a, b), b)
+            norm2 = _positive_norm2(p, q, g1, g2)
+            vals = list(zip(vec, repeat(0)))
+            out.append(_mode(p, q, lam, keys[r], vec, compress(vals, vec), den, mu, norm2))
+            if p == q:
                 continue
-            v, den, n2 = window[p - 1, q]
-            vec = list(map((v + [0]).__getitem__, shifts[(p - q) % 3]))  # Z P_{p-1,q}
-            # vec / den - sum of c w over the lower modes, over one den
-            lower = []
-            if p >= 2:
-                w, dw, _ = window[p - 2, q + 1]
-                lower.append((_pieri_a(p - 1, lam.value) / dw, w))
-            if q:
-                w, dw, nw = window[p - 1, q - 1]
-                lower.append((n2 / nw / dw, w))
-            new_den = lcm(den, *(int(c.denominator) for c, _ in lower))
-            f = new_den // den
-            if f != 1:
-                vec = [f * x for x in vec]
-            for c, w in lower:
-                c = int(c.numerator) * (new_den // int(c.denominator))
-                o = len(vec) - len(w)
-                vec[o:] = [x - c * y for x, y in zip(islice(vec, o, None), w)]
-            g = gcd(new_den, *vec)
-            if g != 1:
-                vec = [x // g for x in vec]
-            row[p, q] = (vec, new_den // g, norm2)
-        for p in range((d - 1) // 2, -1, -1):
-            v, den, norm2 = row[d - p, p]
-            row[p, d - p] = (list(map(v.__getitem__, flips[(d - 2 * p) % 3])), den, norm2)
-        for p in range(d, -1, -1):
-            q = d - p
-            v, den, norm2 = row[p, q]
-            # the content is already out, so the polynomial is formed as is
-            poly = BivarPoly.__new__(BivarPoly)
-            poly.num = {k: (x, 0) for k, x in zip(keys[(p - q) % 3], v) if x}
-            poly.den = den
-            out.append(EigenPolynomial(p=p, q=q, lam=lam, poly=poly,
-                                       mu=Rat(_scaled_mu(p, q, a, b), b), norm2=norm2))
+            # the mirror, of class -r: its partner's entries, each degree block reversed
+            flip = flips[r]
+            mvec = list(map(vec.__getitem__, flip))
+            row[q, p] = mvec, den
+            mirrors[q] = _mode(q, p, lam, keys[-r], mvec, compress(map(vals.__getitem__, flip), mvec),
+                               den, mu, norm2)
+        out.extend(mirrors[p] for p in range((d - 1) // 2, -1, -1))
         window = {k: e for k, e in window.items() if sum(k) == d - 1}
         window.update(row)
     return out
+
+
+def _pieri_vector(p: int, q: int, window: dict, shift: list, pa: list, h1: list,
+                  h2: list) -> tuple:
+    """(vector, den) of P_{p,q}, p >= q and p + q >= 1, in lowest terms:
+    Z P_{p-1,q} laid out by shift, less a(p-1) P_{p-2,q+1} and
+    b(p-1,q) P_{p-1,q-1}, with the lower modes read from window, a(p-1) =
+    pa[p-1] and b(p-1,q) = h1[q-1] h2[p+q-2] / 9, all integer pairs."""
+    v, den = window[p - 1, q]
+    vec = list(map((v + [0]).__getitem__, shift))  # Z P_{p-1,q}
+    # vec / den - sum of c w over the lower modes, c = n / m in lowest terms
+    lower = []
+    if p >= 2:
+        w, dw = window[p - 2, q + 1]
+        n, m = pa[p - 1]
+        lower.append((n, m * dw, w))
+    if q:
+        w, dw = window[p - 1, q - 1]
+        (n1, m1), (n2, m2) = h1[q - 1], h2[p + q - 2]
+        lower.append((n1 * n2, 9 * m1 * m2 * dw, w))
+    lower = [(n // g, m // g, w) for n, m, w in lower for g in (gcd(n, m),)]
+    new_den = lcm(den, *(m for _, m, _ in lower))
+    f = new_den // den
+    if f != 1:
+        vec = list(map(f.__mul__, vec))
+    for n, m, w in lower:
+        c = n * (new_den // m)
+        o = len(vec) - len(w)
+        vec[o:] = map(sub, islice(vec, o, None), map(c.__mul__, w))
+    g = gcd(new_den, *vec)
+    if g != 1:
+        vec = [x // g for x in vec]
+    return vec, new_den // g
+
+
+def _mode(p, q, lam, keys, vec, values, den, mu, norm2) -> EigenPolynomial:
+    """The mode with the nonzero entries of vec, laid out on keys, as terms;
+    values are those entries' (x, 0) tuples in order.  The content is
+    already out, so the polynomial is formed as is."""
+    poly = BivarPoly.__new__(BivarPoly)
+    poly.num = dict(zip(compress(keys, vec), values))
+    poly.den = den
+    return EigenPolynomial(p=p, q=q, lam=lam, poly=poly, mu=mu, norm2=norm2)
 
 
 def pairings(f: BivarPoly, gs, table: MomentTable) -> list:

@@ -101,6 +101,26 @@ def sobolev_reference_value(p, a, t):
         k += 1
 
 
+def fraction_moments(lam, degree):
+    """{(i, j): m} for the nonzero moments of total degree <= degree at the
+    Fraction lam, by the moment recursion run term by term in Fractions
+    over every (i, j): the schoolbook form of eigen.MomentTable."""
+    m = {(0, 0): Fraction(1)}
+    for deg in range(1, degree + 1):
+        for i in range(deg + 1):
+            j = deg - i
+            acc = Fraction(0)
+            if i >= 2:
+                acc += i * (i - 1) * m.get((i - 2, j + 1), Fraction(0))
+            if i >= 1 and j >= 1:
+                acc += i * j * m.get((i - 1, j - 1), Fraction(0))
+            if j >= 2:
+                acc += j * (j - 1) * m.get((i + 1, j - 2), Fraction(0))
+            if acc:
+                m[(i, j)] = acc / ((lam - 1) * (i + j) + i * i + i * j + j * j)
+    return m
+
+
 class EigenvalueCountMismatch(Exception):
     """A degree space H_k has other than k // 2 + 1 distinct eigenvalues."""
 

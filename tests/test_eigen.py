@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +21,7 @@ from deltoid.eigen import (
     solve_eigenpoly,
 )
 from deltoid.operator import Lambda, generator
-from oracles import EigenvalueCountMismatch, hk_space
+from oracles import EigenvalueCountMismatch, fraction_moments, hk_space
 
 ONE = BivarPoly.const(Rat(1))
 
@@ -108,6 +110,28 @@ def test_moment_generic_lambda():
                 assert t.get(i, j) == t.get(j, i)
                 if (i - j) % 3 != 0:
                     assert t.get(i, j) == Rat(0)
+
+
+@pytest.mark.parametrize("lv", [Rat(4), Rat(1), Rat(7, 2), Rat(1, 2), Rat(9, 5), Rat(100)])
+def test_moments_equal_the_fraction_recursion(lv):
+    # the integer recursion stores the same rationals, and so the same
+    # one-den integer table, as the recursion run in Fractions
+    want = fraction_moments(Fraction(lv.numerator, lv.denominator), 24)
+    t = moments(Lambda(lv), 24)
+    assert dict(t.items()) == want
+    num, den = t.integers()
+    assert den == math.lcm(*(m.denominator for m in want.values()))
+    assert {(k // 25, k % 25): Fraction(n, den) for k, n in enumerate(num) if n} == want
+
+
+@pytest.mark.parametrize("lv", [Rat(4), Rat(1, 2), Rat(9, 5)])
+def test_moments_grown_in_steps_equal_a_fresh_table(lv):
+    t = MomentTable(Lambda(lv), 0)
+    for degree in (1, 2, 5, 6, 13, 20, 20, 24):
+        assert t.extend_to(degree) is t and t.max_degree == degree
+    fresh = moments(Lambda(lv), 24)
+    assert list(t.items()) == list(fresh.items())
+    assert t.integers() == fresh.integers()
 
 
 def test_moment_range_guard():
@@ -302,7 +326,7 @@ def test_equal_mu_pair_still_orthogonal():
 
 def test_nonpositive_norm_is_a_typed_error(monkeypatch):
     # a norm helper that returns a negative squared norm must be rejected
-    monkeypatch.setattr(eigen, "_norm2", lambda p, q, a, b: Rat(-1, 9))
+    monkeypatch.setattr(eigen, "_closed_norm2", lambda p, q, g1, g2: Rat(-1, 9))
     with pytest.raises(NonpositiveNorm):
         solve_eigenpoly(1, 1, Lambda(4))
     with pytest.raises(NonpositiveNorm):
@@ -421,6 +445,25 @@ def test_pieri_a_zero_denominator_is_a_typed_error():
     # not reachable for lam > 0; lam = -2 zeroes 2 lam + 6p - 8 at p = 2
     with pytest.raises(RecurrenceBreakdown):
         eigen._pieri_a(2, Rat(-2))
+
+
+@pytest.mark.parametrize("lv, degree", [(Rat(4), 24), (Rat(1, 2), 16), (Rat(9, 5), 20)])
+def test_built_modes_share_keys_and_mirror_values(lv, degree):
+    # one key tuple per monomial across the whole build, and a mirror
+    # P_{q,p} holds its partner's value tuples (and so their ints), its
+    # den, mu and norm2, under the swapped keys
+    built = eigen._pieri_modes(Lambda(lv), degree)
+    keys = {}
+    for e in built:
+        for k in e.poly.num:
+            assert keys.setdefault(k, k) is k
+    modes = {(e.p, e.q): e for e in built}
+    for (p, q), e in modes.items():
+        if p > q:
+            m = modes[q, p]
+            assert m.poly.den is e.poly.den and m.mu is e.mu and m.norm2 is e.norm2
+            assert len(m.poly.num) == len(e.poly.num)
+            assert all(m.poly.num[j, i] is x for (i, j), x in e.poly.num.items())
 
 
 def test_growing_in_steps_equals_a_fresh_build(builds):

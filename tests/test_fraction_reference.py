@@ -18,6 +18,7 @@ import pytest
 from deltoid.eigen import _pieri_modes, inner_product, moments, pairings, solve_eigenpoly
 from deltoid.exact import BivarPoly, CRat, Rat
 from deltoid.operator import Lambda, boundary_poly, gamma, gamma2, generator
+from oracles import fraction_moments
 
 
 # -- the reference ------------------------------------------------------
@@ -486,23 +487,6 @@ def ref_eigenpoly(p, q, lam):
     return coeffs
 
 
-def ref_moments(lam, degree):
-    m = {(0, 0): F(1)}
-    for deg in range(1, degree + 1):
-        for i in range(deg + 1):
-            j = deg - i
-            acc = F(0)
-            if i >= 2:
-                acc += i * (i - 1) * m.get((i - 2, j + 1), F(0))
-            if i >= 1 and j >= 1:
-                acc += i * j * m.get((i - 1, j - 1), F(0))
-            if j >= 2:
-                acc += j * (j - 1) * m.get((i + 1, j - 2), F(0))
-            if acc:
-                m[(i, j)] = acc / ((lam - 1) * (i + j) + i * i + i * j + j * j)
-    return m
-
-
 def ref_records(coeffs):
     return [
         {"i": i, "j": j, "re_num": c.numerator, "re_den": c.denominator,
@@ -515,7 +499,7 @@ def ref_records(coeffs):
                                  F(100)])
 def test_solve_eigenpoly_matches_fraction_backsubstitution(lam):
     # the single-mode solver and the spectrum builder alike
-    table = ref_moments(lam, 24)
+    table = fraction_moments(lam, 24)
     lam_rat = Lambda(Rat(lam.numerator, lam.denominator))
     built = {(ep.p, ep.q): ep for ep in _pieri_modes(lam_rat, 12)}
     for total in range(13):
@@ -549,7 +533,7 @@ def test_pairings_match_fraction_reference(lam):
     # equal the Fraction sums
     rng = random.Random(113)
     table = moments(Lambda(Rat(lam.numerator, lam.denominator)), 8)
-    m = ref_moments(lam, 8)
+    m = fraction_moments(lam, 8)
     for _ in range(8):
         f = rand_ref(rng)
         gs = [rand_ref(rng) for _ in range(4)]

@@ -419,13 +419,13 @@ def test_checks_beside_a_deeper_truncation_solve_nothing(trunc4, monkeypatch):
     # a mirror P_{q,p} shares its partner's.  While trunc4 lives, every
     # truncation of lam = 4 no deeper than 40 takes its first modes
     calls = []
-    original = eigen._norm2
+    original = eigen._closed_norm2
 
-    def counted(p, q, a, b):
+    def counted(p, q, g1, g2):
         calls.append((p, q))
-        return original(p, q, a, b)
+        return original(p, q, g1, g2)
 
-    monkeypatch.setattr(eigen, "_norm2", counted)
+    monkeypatch.setattr(eigen, "_closed_norm2", counted)
     lam = Lambda(4)
     assert len(HeatKernelTruncation(lam, 30)) == 496
     supnorm_bound_check(lam, 30)

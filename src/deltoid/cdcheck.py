@@ -431,16 +431,15 @@ S2 = (-2.0 * math.pi, 2.0 * math.pi)
 
 
 def _scan_lattice(m: int):
-    pts = []
-    for i in range(1, m - 1):
-        for j in range(1, m - i):
-            k = m - i - j
-            if k < 1:
-                continue
-            th = (i * S0[0] + j * S1[0] + k * S2[0]) / m
-            ph = (i * S0[1] + j * S1[1] + k * S2[1]) / m
-            pts.append((th, ph))
-    return pts
+    # the interior lattice (i, j, k >= 1) in deltoid_grid's order, as a
+    # list of float pairs
+    r, c = np.triu_indices(m - 2)
+    i = r + 1
+    j = c - r + 1
+    k = m - i - j
+    th = (i * S0[0] + j * S1[0] + k * S2[0]) / m
+    ph = (i * S0[1] + j * S1[1] + k * S2[1]) / m
+    return list(zip(th.tolist(), ph.tolist()))
 
 
 def _linspace(a, b, n):

@@ -455,12 +455,14 @@ def build_parser():
 
 def main(argv=None):
     """Run one subcommand and write its report; a refused input (a
-    ValueError, a too-shallow truncation or a failed exact identity) is
-    one stderr line naming the command, and exit 1."""
+    ValueError, a too-shallow truncation, a failed exact identity or a
+    zero denominator on a probe curve) is one stderr line naming the
+    command, and exit 1."""
     args = build_parser().parse_args(argv)
     try:
         config, result, passed = args.fn(args)
-    except (ValueError, TruncationInsufficient, IdentityMismatch) as exc:
+    except (ValueError, TruncationInsufficient, IdentityMismatch,
+            DegenerateDenominator) as exc:
         # each group's subparser stores its subcommand in <group>_command
         command = " ".join(filter(None, (args.command,
                                          getattr(args, f"{args.command}_command", None))))

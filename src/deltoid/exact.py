@@ -620,7 +620,6 @@ class _Powers(dict):
         return self[n]
 
 
-ZERO = BivarPoly.zero()
 ONE = BivarPoly.const(1)
 Z = BivarPoly.monomial(1, 0)
 ZBAR = BivarPoly.monomial(0, 1)

@@ -16,6 +16,7 @@ two pictures.
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,9 +153,7 @@ def sample_interior(n: int, mode: str = "low-discrepancy", seed: int = 0):
         raise ValueError(f"unknown mode {mode!r}")
     if n == 1:
         return [TrianglePoint(*CENTER)]
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     s1, s2 = rng.random(), rng.random()
     pts = []
     for i in range(n):

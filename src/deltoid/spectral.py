@@ -29,7 +29,7 @@ import numpy as np
 
 from .eigen import _pieri_modes, cusp_table, moments, pairings
 from .exact import ONE, c_prod
-from .geometry import V0, V1, V2, DeltoidPoint, plane_to_deltoid
+from .geometry import DeltoidPoint, _bary_xy, plane_to_deltoid
 from .operator import _lam
 
 
@@ -392,11 +392,8 @@ def _lattice(m):
     three cusps."""
     # (i, j) row by row, i from 0 to m and j from 0 to m - i
     i, c = np.triu_indices(m + 1)
-    j = c - i
-    k = m - i - j
-    x = (i * V0[0] + j * V1[0] + k * V2[0]) / m
-    y = (i * V0[1] + j * V1[1] + k * V2[1]) / m
-    return plane_to_deltoid(x, y)
+    x, y = _bary_xy(i, c - i, m - c)
+    return plane_to_deltoid(x / m, y / m)
 
 
 def supnorm_bound_check(lam, max_degree):

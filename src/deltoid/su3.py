@@ -133,10 +133,10 @@ class LieBasis:
                 mats.append(build(k, l))
         for nm, x in zip(names, mats):
             if np.abs(x + x.conj().T).max() > 1e-15 or abs(np.trace(x)) > 1e-15:
-                raise AssertionError(f"{nm} is not antihermitian traceless")
+                raise ValueError(f"{nm} is not antihermitian traceless")
         cas = sum(x @ x for x in mats)
         if np.abs(cas + (16.0 / 3.0) * np.eye(3)).max() > 1e-14:
-            raise AssertionError("Casimir normalization broken")
+            raise ValueError("Casimir normalization broken")
         self.names = tuple(names)
         self.matrices = tuple(mats)
 
@@ -480,39 +480,22 @@ _FRAME_MOVES = tuple(_field_moves(x) for x in _STD.matrices)
 def _frame_tables():
     """L z_v for each variable v and Gamma(z_v, z_w) for each ordered pair.
 
-    Both are summed over the frame from _FRAME_MOVES: X z_v is a linear
-    form, L z_v = sum_X X(X z_v) and Gamma(z_v, z_w) = sum_X X(z_v) X(z_w).
-    Returns (lz, gam): lz[v] and gam[v][w] are tuples of (monomial key,
-    coefficient).  Built on first use and never changed.
+    Both are summed over the frame by _derive from _FRAME_MOVES: with
+    X z_v = _derive(moves, z_v), L z_v = sum_X X(X z_v) and
+    Gamma(z_v, z_w) = sum_X X(z_v) X(z_w).  Returns (lz, gam): lz[v]
+    and gam[v][w] are tuples of (monomial key, coefficient).  Built on
+    first use and never changed.
     """
-    lz = [{} for _ in range(_NVAR)]
-    gam = [[{} for _ in range(_NVAR)] for _ in range(_NVAR)]
+    lz = [EntryPoly() for _ in range(_NVAR)]
+    gam = [[EntryPoly() for _ in range(_NVAR)] for _ in range(_NVAR)]
     for moves in _FRAME_MOVES:
-        # X z_v = sum of a z_w over the moves (w - v, a) of v, as
-        # (w, key of z_w, a) triples
-        first = []
+        first = [_derive(moves, _entry_var(v)) for v in range(_NVAR)]
         for v in range(_NVAR):
-            keys = [(_unit_key(v) + s, a) for s, a in moves[v]]
-            first.append([((k.bit_length() - 1) // _BITS, k, a) for k, a in keys])
-        for v, dv in enumerate(first):
-            if not dv:
-                continue
-            row = lz[v]
-            for w, _, a in dv:
-                for _, k, b in first[w]:
-                    row[k] = row.get(k, 0j) + a * b
-            for w, dw in enumerate(first):
-                cell = gam[v][w]
-                for _, k1, a in dv:
-                    for _, k2, b in dw:
-                        k = k1 + k2
-                        cell[k] = cell.get(k, 0j) + a * b
-
-    def pairs(d):
-        return tuple((k, c) for k, c in d.items() if c != 0)
-
-    return (tuple(pairs(d) for d in lz),
-            tuple(tuple(pairs(d) for d in row) for row in gam))
+            lz[v] += _derive(moves, first[v])
+            for w in range(_NVAR):
+                gam[v][w] += first[v] * first[w]
+    return (tuple(tuple(f.terms.items()) for f in lz),
+            tuple(tuple(tuple(f.terms.items()) for f in row) for row in gam))
 
 
 def _partials(f):

@@ -217,6 +217,20 @@ def test_bounds_below_lambda_one_fail_with_one_line(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["cd", "probe", "--a", "2/5", "--c", "0"],
+    ["cd", "probe", "--a", "2/5", "--curve", "lin", "--c", "-1"],
+])
+def test_probe_on_a_degenerate_curve_fails_with_one_line(capsys, argv):
+    # c = 0 keeps the quadratic curve on phi = 0, and phi = -theta is a
+    # lattice line: N is zero there, which is one stderr line, not a
+    # traceback
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "cd probe: N = 0.0 on the probe curve\n"
+
+
+@pytest.mark.parametrize("argv", [
     ["bounds", "supnorm", "--lambda", "4", "--max-degree", "1"],
     ["bounds", "hk", "--lambda", "4", "--max-k", "1"],
 ])
@@ -379,3 +393,13 @@ def test_readme_commands_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         assert callable(args.fn), line
+
+
+def test_readme_python_blocks_run():
+    # every Python block of README runs as written, each in a fresh
+    # namespace
+    blocks = [b.split("```", 1)[0]
+              for b in README.read_text().split("```python\n")[1:]]
+    assert len(blocks) == 3
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 
@@ -58,6 +59,14 @@ def test_lie_basis_structure():
         assert abs(np.trace(x)) < 1e-15
     cas = sum(x @ x for _, x in basis)
     assert np.abs(cas + (16.0 / 3.0) * np.eye(3)).max() < 1e-14
+
+
+def test_lie_basis_refuses_a_broken_frame(monkeypatch):
+    # a Cartan weight of 1 keeps every member antihermitian traceless but
+    # breaks sum X_i^2 = -(16/3) I: a typed error, not a bare assert
+    monkeypatch.setattr(su3, "DIAG_WEIGHT", 1.0)
+    with pytest.raises(ValueError, match="Casimir normalization broken"):
+        LieBasis()
 
 
 def test_diagonal_weight_identity():
@@ -388,6 +397,13 @@ def test_frame_table_matches_entry_closed_forms():
                 else:
                     want = entry_gamma(r, q, k, l, m, "zzbar")
                 assert abs(got - want) < 1e-13, (v, w)
+
+
+def test_frame_tables_keep_their_bits():
+    # the closed-form test above holds the tables to a tolerance; this
+    # digest holds their keys, term order and coefficient bits
+    digest = hashlib.sha256(repr(su3._frame_tables()).encode()).hexdigest()
+    assert digest == "d373e52dfdb55ccb45160d0bd3668fb10120af2655367b065d7266186d80de07"
 
 
 def test_gamma_fields_degree_limit():

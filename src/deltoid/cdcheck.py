@@ -3,7 +3,12 @@
 Route 1: exact tensor algebra.  R = (3 - b1) Gamma - (3/2) D Gamma - 9 a1 M
 is a polynomial tensor; positivity reduces to two scalar margins, and on
 the cusp ray Z = Zbar = rho everything collapses to a univariate
-polynomial with a known factorization that is checked identically.
+polynomial with a known factorization that is checked identically.  The
+univariate work runs on plain integers: a polynomial is a canonical pair
+of integer coefficients over one positive denominator, factorizations
+are compared as pairs, and the sign sweep on [0, 1] evaluates each
+v(k / N) N^d den by integer Horner, forming a rational only for the
+worst value and its rho.
 
 Route 2: the triangle picture.  b(a) is the smallest eigenvalue of
 -Hess(sigma) - a grad(sigma) grad(sigma)^T with sigma = (1/2) log W; the
@@ -30,7 +35,7 @@ from itertools import product
 
 import numpy as np
 
-from .exact import BivarPoly, CRat, Rat, Z, ZBAR, as_rat
+from .exact import BivarPoly, CRat, Rat, Z, ZBAR, _make, as_rat
 from .geometry import (
     _bary_xy,
     plane_to_deltoid,
@@ -157,46 +162,48 @@ def deltoid_grid(m: int):
     return plane_to_deltoid(*_bary_xy(i / m, j / m, k / m))
 
 
-# exact univariate helpers, coefficient lists lowest power first
+# exact univariate polynomials, fraction-free: a pair (coeffs, den) of
+# integer coefficients, lowest power first, over one positive den.  Like
+# BivarPoly the pair is canonical (trailing zeros dropped, the content
+# gcd(den, coeffs) divided out; the zero polynomial is ((), 1)), so equal
+# polynomials are equal pairs.
 
-def _u_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _u_make(coeffs, den):
+    # list comprehensions here and in _u_of, not generator expressions:
+    # with a generator per call, CPython 3.11 held the calculus
+    # benchmark's peak RSS about 0.4 MB higher
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        return (), 1
+    g = math.gcd(den, *coeffs)
+    return tuple([c // g for c in coeffs]), den // g
 
 
-def _u_add(p, q):
-    r = [Rat(0)] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        r[i] += c
-    for i, c in enumerate(q):
-        r[i] += c
-    return _u_trim(r)
-
-
-def _u_neg(p):
-    return [-c for c in p]
+def _u_of(*rats):
+    """The polynomial with these rational coefficients, lowest power first."""
+    den = math.lcm(*[int(r.denominator) for r in rats])
+    return _u_make([int(r.numerator) * (den // int(r.denominator)) for r in rats], den)
 
 
 def _u_mul(p, q):
-    if not p or not q:
-        return []
-    r = [Rat(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
+    (pc, pd), (qc, qd) = p, q
+    if not pc or not qc:
+        return (), 1
+    r = [0] * (len(pc) + len(qc) - 1)
+    for i, a in enumerate(pc):
+        for j, b in enumerate(qc):
             r[i + j] += a * b
-    return _u_trim(r)
+    return _u_make(r, pd * qd)
 
 
-def _u_scale(p, c):
-    return _u_trim([a * c for a in p])
+def _u_rats(p):
+    coeffs, den = p
+    return [Rat(c, den) for c in coeffs]
 
 
-def _u_eval(p, x):
-    acc = Rat(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+_U_QUARTER = (1,), 4  # the constant 1/4
 
 
 @dataclass(frozen=True)
@@ -247,28 +254,27 @@ def factorization_check(a1, b1) -> FactorizationResult:
     ray = [0] * 7
     for (i, j), (re, _) in m2.num.items():
         ray[i + j] += re
-    ray = _u_trim([Rat(c, m2.den) for c in ray])
+    ray = _u_make(ray, m2.den)
 
-    lin1 = [Rat(1), Rat(-1)]                      # 1 - rho
-    lin2 = [Rat(3) - b1, b1]                      # 3 - b1 + b1 rho
-    quad = [Rat(3) - b1, Rat(3) - 2 * b1, 3 * (b1 - 12 * a1)]
-    want = _u_scale(_u_mul(_u_mul(lin1, lin2), quad), Rat(1, 4))
-    diff = _u_add(ray, _u_neg(want))
-    if diff:
-        raise IdentityMismatch(f"ray factorization differs: {diff}", tuple(diff))
+    lin1 = _u_of(Rat(1), Rat(-1))                 # 1 - rho
+    lin2 = _u_of(3 - b1, b1)                      # 3 - b1 + b1 rho
+    quad = _u_of(3 - b1, 3 - 2 * b1, 3 * (b1 - 12 * a1))
+    want = _u_mul(_u_mul(_u_mul(lin1, lin2), quad), _U_QUARTER)
+    if ray != want:
+        raise IdentityMismatch(
+            f"ray factorization differs: {_u_rats(ray)} != {_u_rats(want)}", (ray, want))
 
     reduced = False
     if a1 == Rat(1, 6):
-        sq = _u_mul(lin1, lin1)
-        lin3 = [Rat(3) - b1, 3 * (Rat(2) - b1)]
-        want2 = _u_scale(_u_mul(_u_mul(lin2, sq), lin3), Rat(1, 4))
-        diff2 = _u_add(ray, _u_neg(want2))
-        if diff2:
-            raise IdentityMismatch(f"reduced form differs: {diff2}", tuple(diff2))
+        lin3 = _u_of(3 - b1, 3 * (2 - b1))
+        want2 = _u_mul(_u_mul(_u_mul(lin2, _u_mul(lin1, lin1)), lin3), _U_QUARTER)
+        if ray != want2:
+            raise IdentityMismatch(
+                f"reduced form differs: {_u_rats(ray)} != {_u_rats(want2)}", (ray, want2))
         reduced = True
 
     return FactorizationResult(
-        a1=a1, b1=b1, ray=tuple(ray), k_const=k_want, reduced_form_checked=reduced
+        a1=a1, b1=b1, ray=tuple(_u_rats(ray)), k_const=k_want, reduced_form_checked=reduced
     )
 
 
@@ -288,21 +294,24 @@ def ray_nonneg_on_unit(a1, b1):
     """Exact-rational sign sweep of the ray polynomial on [0, 1].
 
     Returns (all nonnegative, worst value, worst rho) over the
-    RAY_SAMPLES + 1 evenly spaced rho.
+    RAY_SAMPLES + 1 evenly spaced rho; the first rho wins a tie.
     """
-    a1 = as_rat(a1)
-    b1 = as_rat(b1)
-    res = factorization_check(a1, b1)
-    ray = list(res.ray)
-    worst = None
-    worst_rho = None
-    for k in range(RAY_SAMPLES + 1):
-        rho = Rat(k, RAY_SAMPLES)
-        v = _u_eval(ray, rho)
+    coeffs, den = _u_of(*factorization_check(a1, b1).ray)
+    # v(k / n) n^d den for k = 0 .. n, by integer Horner in k on the
+    # coefficients c_i n^(d - i); n^d den > 0 keeps the order of the values
+    n = RAY_SAMPLES
+    d = len(coeffs) - 1
+    scaled = [c * n ** (d - i) for i, c in enumerate(coeffs)][::-1]
+    worst = worst_k = None
+    for k in range(n + 1):
+        v = 0
+        for c in scaled:
+            v = v * k + c
         if worst is None or v < worst:
             worst = v
-            worst_rho = rho
-    return worst >= 0, worst, worst_rho
+            worst_k = k
+    worst = Rat(worst, n ** max(d, 0) * den)
+    return worst >= 0, worst, Rat(worst_k, n)
 
 
 # ---------------------------------------------------------------- route 2
@@ -604,15 +613,20 @@ class Gamma2Report:
 
 
 def _random_real_poly(rng, deg=3):
-    g = {}
+    """p + conj_swap(p) for p of five random terms of total degree <= deg.
+
+    A term's coefficient is a / b + (c / d) i with a, c drawn from -5..5
+    and b, d from 1..3, in the order a, b, c, d; its numerators are
+    formed over the den 6, which every b and d divides.  A later term on
+    the same monomial replaces an earlier one.
+    """
+    num = {}
     for _ in range(5):
         i = rng.randrange(deg + 1)
         j = rng.randrange(deg + 1 - i)
-        g[(i, j)] = CRat(
-            Rat(rng.randrange(-5, 6), rng.randrange(1, 4)),
-            Rat(rng.randrange(-5, 6), rng.randrange(1, 4)),
-        )
-    p = BivarPoly(g)
+        re = rng.randrange(-5, 6) * (6 // rng.randrange(1, 4))
+        num[(i, j)] = (re, rng.randrange(-5, 6) * (6 // rng.randrange(1, 4)))
+    p = _make({k: c for k, c in num.items() if c[0] or c[1]}, 6)
     return p + p.conj_swap()
 
 

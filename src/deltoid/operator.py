@@ -15,14 +15,19 @@ For polynomial f, g the chain rule gives
     L(f)    = -lam Z fZ - lam Zbar fZb
               + fZZ G(Z,Z) + 2 fZZb G(Z,Zbar) + fZbZb G(Zbar,Zbar)
 
-with subscripts denoting partials.  The kernels apply it term by term on
-the integer numerators.  A pair of monomials Z^i1 Zbar^j1, Z^i2 Zbar^j2
-contributes its coefficient product times i1 i2, i1 j2 + j1 i2 and j1 j2
-to the three G entries at base exponent (i1 + i2, j1 + j2); one monomial
-Z^i Zbar^j of f contributes -lam (i + j) to L f at its own exponent and
-i (i - 1), 2 i j and j (j - 1) to the entries at (i, j).  Each entry map is
-then spread once over the terms of G11, G12 and G22, read as data from
-those polynomials, and the result is normalised once.
+with subscripts denoting partials.  Read as data, with each term moved by
+the exponents its chain-rule slot lowers ((2, 0) for G(Z,Z), (1, 1) for
+G(Z,Zbar), (0, 2) for G(Zbar,Zbar)), the six terms of the G entries land
+on four exponent shifts: -Z^2, -Z Zbar / 2 and -Zbar^2 on the zero shift,
+and Zbar, 1/2 and Z on (-2, 1), (-1, -1) and (1, -2).  The kernels work
+term by term on the integer numerators against this four-point stencil.
+Gamma adds, for each pair of monomials Z^i1 Zbar^j1, Z^i2 Zbar^j2, the
+coefficient product times i1 i2, i1 j2 + j1 i2 and j1 j2 into one record
+per base exponent (i1 + i2, j1 + j2), then spreads each record once over
+the four shifts.  L writes each monomial Z^i Zbar^j of f straight into
+its result, at no more than four points: each shift's weights times
+i (i - 1), 2 i j and j (j - 1), plus the drift -lam (i + j) on the zero
+shift.  Each result is normalised once.
 
 The G entries stay as polynomials here: nothing in this module knows the
 eigenvalue mu(i, j) that the back-substitution stencil of eigen.py gets by
@@ -100,28 +105,84 @@ class HermitianTensorField:
         )
 
 
-# the G entries over their common denominator, as data for the kernels:
-# per entry, its terms ((di, dj), re, im) with the exponent shift of its
-# chain-rule slot (Z^-2, Z^-1 Zbar^-1, Zbar^-2) folded into (di, dj)
+# the G entries over their common denominator, grouped by exponent shift:
+# a term g Z^gi Zbar^gj of an entry, in the chain-rule slot whose
+# derivatives lower the exponents by (si, sj), moves a base exponent by
+# (gi + si, gj + sj) with the weight g * _G_DEN in that slot, an integer
+# since the G entries are real.  One row per shift, (shift, w11, w12,
+# w22); the zero shift comes first, where L's drift term lands too.
 _G_DEN = lcm(G11.den, G12.den, G22.den)
-_G_SPREAD = tuple(
-    tuple(((gi + si, gj + sj), re * (_G_DEN // e.den), im * (_G_DEN // e.den))
-          for (gi, gj), (re, im) in e.num.items())
-    for e, (si, sj) in ((G11, (-2, 0)), (G12, (-1, -1)), (G22, (0, -2)))
-)
 
 
-def _spread(out: dict, entries) -> None:
-    """Add each entry map, times the terms of its G entry, into out."""
+def _stencil():
+    rows = {(0, 0): [0, 0, 0]}
+    for slot, (e, (si, sj)) in enumerate(((G11, (-2, 0)), (G12, (-1, -1)), (G22, (0, -2)))):
+        for (gi, gj), (re, _) in e.num.items():
+            rows.setdefault((gi + si, gj + sj), [0, 0, 0])[slot] += re * (_G_DEN // e.den)
+    return tuple((shift, *w) for shift, w in rows.items())
+
+
+_STENCIL = _stencil()
+# gamma's view of the rows: the zero shift's weights, then each other
+# shift's nonzero weights as (di, dj, offset of the slot in a record, w)
+_Z11, _Z12, _Z22 = _STENCIL[0][1:]
+_SHIFTED = tuple((di, dj, 2 * slot, w) for (di, dj), *weights in _STENCIL[1:]
+                 for slot, w in enumerate(weights) if w)
+
+
+def _pair_into(recs: dict, i1: int, j1: int, a: int, b: int, terms) -> None:
+    # the term (a + b i) Z^i1 Zbar^j1 paired with each of terms: the
+    # product, times its three chain-rule weights, into the record
+    # (re11, im11, re12, im12, re22, im22) at the base exponent
+    get = recs.get
+    for (i2, j2), (c, d) in terms:
+        w11 = i1 * i2
+        w12 = i1 * j2 + j1 * i2
+        w22 = j1 * j2
+        re = a * c - b * d
+        im = a * d + b * c
+        key = (i1 + i2, j1 + j2)
+        r = get(key)
+        if r is None:
+            recs[key] = [re * w11, im * w11, re * w12, im * w12, re * w22, im * w22]
+        else:
+            r[0] += re * w11
+            r[1] += im * w11
+            r[2] += re * w12
+            r[3] += im * w12
+            r[4] += re * w22
+            r[5] += im * w22
+
+
+def gamma(f: BivarPoly, g: BivarPoly) -> BivarPoly:
+    recs = {}
+    ft = list(f.num.items())
+    if f is g:
+        # G is symmetric: each unordered pair once, off the diagonal twice
+        for n, ((i1, j1), (a, b)) in enumerate(ft):
+            _pair_into(recs, i1, j1, a, b, ft[n:n + 1])
+            _pair_into(recs, i1, j1, a + a, b + b, ft[n + 1:])
+    else:
+        gt = list(g.num.items())
+        for (i1, j1), (a, b) in ft:
+            _pair_into(recs, i1, j1, a, b, gt)
+    # the zero shift maps each base exponent to itself, so it starts the
+    # result with no lookups; the other shifts add onto it
+    out = {}
+    for key, (r11, m11, r12, m12, r22, m22) in recs.items():
+        re = _Z11 * r11 + _Z12 * r12 + _Z22 * r22
+        im = _Z11 * m11 + _Z12 * m12 + _Z22 * m22
+        if re or im:
+            out[key] = (re, im)
     get = out.get
-    for m, g_terms in zip(entries, _G_SPREAD):
-        for (bi, bj), (vr, vi) in m.items():
-            if not (vr or vi):
-                continue
-            for (di, dj), gr, gi in g_terms:
+    for di, dj, o, w in _SHIFTED:
+        for (bi, bj), r in recs.items():
+            re = r[o]
+            im = r[o + 1]
+            if re or im:
+                re *= w
+                im *= w
                 key = (bi + di, bj + dj)
-                re = vr * gr - vi * gi
-                im = vr * gi + vi * gr
                 s = get(key)
                 if s is not None:
                     re += s[0]
@@ -130,44 +191,6 @@ def _spread(out: dict, entries) -> None:
                         del out[key]
                         continue
                 out[key] = (re, im)
-
-
-def _pair_into(entries, i1: int, j1: int, a: int, b: int, terms) -> None:
-    # the term (a + b i) Z^i1 Zbar^j1 paired with each of terms: the
-    # product, times its three chain-rule weights, at the base exponent
-    m11, m12, m22 = entries
-    for (i2, j2), (c, d) in terms:
-        re = a * c - b * d
-        im = a * d + b * c
-        key = (i1 + i2, j1 + j2)
-        w = i1 * i2
-        if w:
-            s = m11.get(key)
-            m11[key] = (re * w, im * w) if s is None else (s[0] + re * w, s[1] + im * w)
-        w = i1 * j2 + j1 * i2
-        if w:
-            s = m12.get(key)
-            m12[key] = (re * w, im * w) if s is None else (s[0] + re * w, s[1] + im * w)
-        w = j1 * j2
-        if w:
-            s = m22.get(key)
-            m22[key] = (re * w, im * w) if s is None else (s[0] + re * w, s[1] + im * w)
-
-
-def gamma(f: BivarPoly, g: BivarPoly) -> BivarPoly:
-    entries = ({}, {}, {})
-    ft = list(f.num.items())
-    if f is g:
-        # G is symmetric: each unordered pair once, off the diagonal twice
-        for n, ((i1, j1), (a, b)) in enumerate(ft):
-            _pair_into(entries, i1, j1, a, b, ft[n:n + 1])
-            _pair_into(entries, i1, j1, a + a, b + b, ft[n + 1:])
-    else:
-        gt = list(g.num.items())
-        for (i1, j1), (a, b) in ft:
-            _pair_into(entries, i1, j1, a, b, gt)
-    out = {}
-    _spread(out, entries)
     return _make(out, f.den * g.den * _G_DEN)
 
 
@@ -176,23 +199,29 @@ def generator(f: BivarPoly, lam) -> BivarPoly:
     ln, ld = int(lv.numerator), int(lv.denominator)
     drift = -ln * _G_DEN
     out = {}
-    m11, m12, m22 = {}, {}, {}
+    get = out.get
     for (i, j), (re, im) in f.num.items():
-        w = drift * (i + j)
-        if w:
-            out[(i, j)] = (re * w, im * w)
-        re *= ld
-        im *= ld
-        w = i * (i - 1)
-        if w:
-            m11[(i, j)] = (re * w, im * w)
-        w = 2 * i * j
-        if w:
-            m12[(i, j)] = (re * w, im * w)
-        w = j * (j - 1)
-        if w:
-            m22[(i, j)] = (re * w, im * w)
-    _spread(out, (m11, m12, m22))
+        d11 = ld * i * (i - 1)
+        d12 = 2 * ld * i * j
+        d22 = ld * j * (j - 1)
+        dl = drift * (i + j)  # on the zero shift, the stencil's first row
+        for (di, dj), w11, w12, w22 in _STENCIL:
+            w = w11 * d11 + w12 * d12 + w22 * d22 + dl
+            dl = 0
+            if w:
+                key = (i + di, j + dj)
+                vr = re * w
+                vi = im * w
+                s = get(key)
+                if s is None:
+                    out[key] = (vr, vi)
+                else:
+                    vr += s[0]
+                    vi += s[1]
+                    if vr or vi:
+                        out[key] = (vr, vi)
+                    else:
+                        del out[key]
     return _make(out, f.den * ld * _G_DEN)
 
 

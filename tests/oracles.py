@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 
 from deltoid import eigen
-from deltoid.cdcheck import N_TOL, DegenerateDenominator, _b_from_parts, _trig_forms
+from deltoid.cdcheck import (N_TOL, RAY_SAMPLES, DegenerateDenominator, FactorizationResult,
+                             IdentityMismatch, _b_from_parts, _trig_forms, tensor_residual)
 from deltoid.exact import BivarPoly, CRat, Rat, as_rat
 from deltoid.geometry import (E, V0, V1, V2, TrianglePoint, _bary_to_plane, w_density,
                               zk)
@@ -364,3 +365,129 @@ def bivar_from_records(records):
             Rat(r["re_num"], r["re_den"]), Rat(r["im_num"], r["im_den"])
         )
     return BivarPoly(terms)
+
+
+# -- route 1 on Rat lists -------------------------------------------------
+# The ray factorization and sign sweep on coefficient lists, lowest power
+# first, with one Rat per coefficient and per operation: a reference for
+# cdcheck's integer pairs and integer Horner sweep.
+
+def _u_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _u_add(p, q):
+    r = [Rat(0)] * max(len(p), len(q))
+    for i, c in enumerate(p):
+        r[i] += c
+    for i, c in enumerate(q):
+        r[i] += c
+    return _u_trim(r)
+
+
+def _u_neg(p):
+    return [-c for c in p]
+
+
+def _u_mul(p, q):
+    if not p or not q:
+        return []
+    r = [Rat(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            r[i + j] += a * b
+    return _u_trim(r)
+
+
+def _u_scale(p, c):
+    return _u_trim([a * c for a in p])
+
+
+def _u_eval(p, x):
+    acc = Rat(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def rat_list_factorization_check(a1, b1) -> FactorizationResult:
+    a1 = as_rat(a1)
+    b1 = as_rat(b1)
+    r = tensor_residual(a1, b1)
+    m2 = r.r12 * r.r12 - r.r11 * r.r22
+
+    allowed = {(0, 0), (1, 1), (2, 2), (3, 0), (0, 3)}
+    stray = [k for k in m2.num if k not in allowed]
+    if stray:
+        raise IdentityMismatch(f"unexpected monomials {sorted(stray)}", m2)
+    for k, (_, im) in m2.num.items():
+        if im:
+            raise IdentityMismatch(f"non-real coefficient at {k}", m2)
+
+    k_want = (b1 - 9 * a1) * (Rat(3, 2) - b1)
+    c30 = m2.coeff(3, 0).re
+    c03 = m2.coeff(0, 3).re
+    if c30 != -k_want or c03 != -k_want:
+        raise IdentityMismatch(
+            f"off-diagonal constant {c30}, {c03} != {-k_want}", m2
+        )
+
+    # ray restriction: rho^(i+j) picks up every term
+    ray = [0] * 7
+    for (i, j), (re, _) in m2.num.items():
+        ray[i + j] += re
+    ray = _u_trim([Rat(c, m2.den) for c in ray])
+
+    lin1 = [Rat(1), Rat(-1)]                      # 1 - rho
+    lin2 = [Rat(3) - b1, b1]                      # 3 - b1 + b1 rho
+    quad = [Rat(3) - b1, Rat(3) - 2 * b1, 3 * (b1 - 12 * a1)]
+    want = _u_scale(_u_mul(_u_mul(lin1, lin2), quad), Rat(1, 4))
+    diff = _u_add(ray, _u_neg(want))
+    if diff:
+        raise IdentityMismatch(f"ray factorization differs: {diff}", tuple(diff))
+
+    reduced = False
+    if a1 == Rat(1, 6):
+        sq = _u_mul(lin1, lin1)
+        lin3 = [Rat(3) - b1, 3 * (Rat(2) - b1)]
+        want2 = _u_scale(_u_mul(_u_mul(lin2, sq), lin3), Rat(1, 4))
+        diff2 = _u_add(ray, _u_neg(want2))
+        if diff2:
+            raise IdentityMismatch(f"reduced form differs: {diff2}", tuple(diff2))
+        reduced = True
+
+    return FactorizationResult(
+        a1=a1, b1=b1, ray=tuple(ray), k_const=k_want, reduced_form_checked=reduced
+    )
+
+
+def rat_list_ray_nonneg_on_unit(a1, b1):
+    a1 = as_rat(a1)
+    b1 = as_rat(b1)
+    res = rat_list_factorization_check(a1, b1)
+    ray = list(res.ray)
+    worst = None
+    worst_rho = None
+    for k in range(RAY_SAMPLES + 1):
+        rho = Rat(k, RAY_SAMPLES)
+        v = _u_eval(ray, rho)
+        if worst is None or v < worst:
+            worst = v
+            worst_rho = rho
+    return worst >= 0, worst, worst_rho
+
+
+def rat_random_real_poly(rng, deg=3):
+    """cdcheck._random_real_poly with one Rat per drawn part."""
+    g = {}
+    for _ in range(5):
+        i = rng.randrange(deg + 1)
+        j = rng.randrange(deg + 1 - i)
+        g[(i, j)] = CRat(
+            Rat(rng.randrange(-5, 6), rng.randrange(1, 4)),
+            Rat(rng.randrange(-5, 6), rng.randrange(1, 4)),
+        )
+    p = BivarPoly(g)
+    return p + p.conj_swap()

@@ -5,7 +5,9 @@ import random
 import numpy as np
 import pytest
 
+from deltoid import cdcheck
 from deltoid.cdcheck import (
+    RAY_SAMPLES,
     DegenerateDenominator,
     Gamma2Report,
     PsdReport,
@@ -29,7 +31,8 @@ from deltoid.exact import BivarPoly, CRat, Rat, Z, ZBAR
 from deltoid.geometry import plane_to_deltoid, sample_interior, triangle_to_deltoid
 from deltoid.operator import Lambda, boundary_poly, gamma, gamma2, generator
 from oracles import (CDParams, b_one_third_forms, b_one_third_of_t, fd_oracle_b,
-                     gamma2_margin_exact, interior_lattice)
+                     gamma2_margin_exact, interior_lattice, rat_list_factorization_check,
+                     rat_list_ray_nonneg_on_unit, rat_random_real_poly)
 
 
 def scan_points(n, seed=0, margin=0.4):
@@ -229,6 +232,64 @@ def test_b1_bound_nine_fourths():
     assert rho_bad > Rat(9, 10)
     bad2, _, _ = ray_nonneg_on_unit("1/6", Rat(9, 4) + Rat(1, 1000))
     assert not bad2
+
+
+def route1_inputs():
+    """(a1, b1) for the Rat-list reference: the sweep's 25 pairs, the
+    pairs either side of b1 = 9/4, and seeded rationals with large
+    denominators."""
+    sweep = [(a1, b1) for a1 in (Rat(0), Rat(1, 12), Rat(1, 6), Rat(1, 4), Rat(1, 3))
+             for b1 in (Rat(0), Rat(3, 4), Rat(3, 2), Rat(9, 4), Rat(3))]
+    edge = [(Rat(1, 6), Rat(9, 4) + d) for d in (Rat(-1, 8), Rat(1, 100), Rat(1, 1000))]
+    rng = random.Random(5)
+    seeded = [(Rat(rng.randrange(-10 ** 9, 10 ** 9), rng.randrange(1, 10 ** 12)),
+               Rat(rng.randrange(-10 ** 9, 4 * 10 ** 9), rng.randrange(1, 10 ** 9)))
+              for _ in range(12)]
+    return sweep + edge + seeded
+
+
+@pytest.mark.parametrize("a1, b1", route1_inputs())
+def test_route1_matches_rat_list_reference(a1, b1):
+    got = factorization_check(a1, b1)
+    want = rat_list_factorization_check(a1, b1)
+    assert (got.ray, got.k_const, got.reduced_form_checked) == (
+        want.ray, want.k_const, want.reduced_form_checked)
+    assert (got.a1, got.b1) == (want.a1, want.b1)
+    assert ray_nonneg_on_unit(a1, b1) == rat_list_ray_nonneg_on_unit(a1, b1)
+
+
+def test_ray_sweep_keeps_the_first_of_tied_minima():
+    # b1 and a1 chosen so that the quadratic factor is a square with its
+    # double root at rho0 = 128/257: the ray is >= 0 on [0, 1] and vanishes
+    # at k = 128 and at k = 257, and the first of the two must win
+    rho0 = Rat(128, RAY_SAMPLES)
+    b1 = (3 * rho0 + 6) / (2 * (1 + rho0))
+    a1 = (b1 - (3 - b1) / (3 * rho0 ** 2)) / 12
+    got = ray_nonneg_on_unit(a1, b1)
+    assert got == (True, 0, rho0)
+    assert got == rat_list_ray_nonneg_on_unit(a1, b1)
+    ray = factorization_check(a1, b1).ray
+    values = [sum(c * Rat(k, RAY_SAMPLES) ** n for n, c in enumerate(ray))
+              for k in range(RAY_SAMPLES + 1)]
+    assert [k for k, v in enumerate(values) if v == 0] == [128, RAY_SAMPLES]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 601, 2024])
+def test_random_real_poly_matches_rat_draws(seed):
+    # the same draws give the same polynomial, term order included
+    rng, ref = random.Random(seed), random.Random(seed)
+    for deg in (3, 3, 3, 4, 2, 3):
+        got, want = _random_real_poly(rng, deg), rat_random_real_poly(ref, deg)
+        assert got == want and list(got.num) == list(want.num)
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_gamma2_report_is_unchanged_by_integer_draws(monkeypatch, seed):
+    got = gamma2_sample_check(4, 2.25, 8.0, trials=15, points=20, seed=seed)
+    monkeypatch.setattr(cdcheck, "_random_real_poly", rat_random_real_poly)
+    want = gamma2_sample_check(4, 2.25, 8.0, trials=15, points=20, seed=seed)
+    assert got == want
 
 
 def test_triangle_b_center():

@@ -54,6 +54,20 @@ def test_gamma_generating_relations():
     assert gamma(ONE, Z).is_zero()
 
 
+def test_stencil_rebuilds_the_g_entries():
+    # each row's weights, put back at the exponent of their chain-rule
+    # slot, give the three G entries exactly: four shifts, zero first
+    slots = ((-2, 0), (-1, -1), (0, -2))
+    terms = [{}, {}, {}]
+    for (di, dj), *weights in operator._STENCIL:
+        for slot, w in enumerate(weights):
+            if w:
+                si, sj = slots[slot]
+                terms[slot][(di - si, dj - sj)] = Rat(w, operator._G_DEN)
+    assert [BivarPoly(t) for t in terms] == [G11, G12, G22]
+    assert [row[0] for row in operator._STENCIL] == [(0, 0), (-2, 1), (-1, -1), (1, -2)]
+
+
 def test_gamma_symmetric_bilinear():
     rng = random.Random(1)
     for _ in range(10):

@@ -5,11 +5,13 @@ run; a rename in the package would make that run fail.  The workloads in
 perfbench/workloads.py hold the package's answers to the paper's values;
 a program change that misses one of them should fail here, before any
 benchmark runs.  Both files are loaded read-only, by path, and nothing
-is wrapped.
+is wrapped.  tools/bench_layers.py, the per-layer harness, is run once
+into a scratch file.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -57,3 +59,20 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(deltoid, name)]
     assert missing == []
+
+
+def test_layer_harness_writes_its_record(tmp_path):
+    # one round per layer into a scratch file: every layer timed, and the
+    # machine, versions and backend recorded beside the numbers
+    spec = importlib.util.spec_from_file_location(
+        "bench_layers", Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py")
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    out = tmp_path / "bench.json"
+    harness.main(["--out", str(out), "--repeats", "1"])
+    record = json.loads(out.read_text())
+    assert {"machine", "python", "numpy", "rational_backend"} <= set(record)
+    assert set(record["layers"]) == {
+        "cdcheck.ray_nonneg_on_unit", "cdcheck.factorization_sweep", "operator.generator",
+        "operator.gamma", "operator.gamma2", "exact.mul", "exact.divexact"}
+    assert all(layer["min_s_per_call"] > 0 for layer in record["layers"].values())

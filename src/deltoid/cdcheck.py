@@ -33,9 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
-from .exact import BivarPoly, CRat, Rat, Z, ZBAR, _make, as_rat
+from .exact import BivarPoly, CRat, Rat, Z, ZBAR, _make, as_rat, np
 from .geometry import (
     _bary_xy,
     plane_to_deltoid,

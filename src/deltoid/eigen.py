@@ -95,6 +95,8 @@ class MomentTable:
     """
 
     def __init__(self, lam: Lambda, max_degree: int):
+        if max_degree < 0:
+            raise ValueError("need max_degree >= 0")
         self.lam = _lam(lam)
         self.max_degree = -1
         self._m = {}
@@ -256,6 +258,8 @@ def solve_eigenpoly(p: int, q: int, lam) -> EigenPolynomial:
     that the new coefficient's reduced denominator needs.  Pending sums
     are rescaled when it grows, resolved coefficients once at the end.
     """
+    if p < 0 or q < 0:
+        raise ValueError("need p, q >= 0")
     lam = _lam(lam)
     a, b = int(lam.value.numerator), int(lam.value.denominator)
     target = _scaled_mu(p, q, a, b)

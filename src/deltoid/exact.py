@@ -32,14 +32,22 @@ The rational type at the API boundary (`coeff`, `terms`, `scale`'s
 argument, inner products) is gmpy2.mpq when available and
 fractions.Fraction otherwise.  Both expose .numerator/.denominator, so the
 rest of the package only ever sees the alias `Rat`.
+
+The numpy binding is made here as well.  `np` is numpy itself when
+numpy was imported before this module, and otherwise a lazy module that
+imports numpy on its first attribute read.  Every module of the package
+takes `np` from here, so the exact layer and the exact subcommands never
+load numpy, and the first float read loads it.  A module that wrote
+`import numpy` would load it at once, since the import statement reads
+the lazy module's __spec__.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from math import gcd
 from types import MappingProxyType
-
-import numpy as np
 
 try:
     from gmpy2 import mpq as Rat
@@ -49,6 +57,22 @@ except ImportError:  # pragma: no cover
     from fractions import Fraction as Rat
 
     HAVE_GMPY2 = False
+
+
+def _lazy_numpy():
+    # the importlib LazyLoader recipe: numpy runs its import on the first
+    # attribute read of the returned module
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = sys.modules.get("numpy") or _lazy_numpy()
 
 _RAT_TYPE = type(Rat(0))
 

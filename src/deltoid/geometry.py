@@ -19,9 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
-from .exact import HornerProgram
+from .exact import HornerProgram, np
 from .operator import boundary_poly
 
 ROOT3 = math.sqrt(3.0)

@@ -25,10 +25,8 @@ import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .eigen import _pieri_modes, cusp_table, moments, pairings
-from .exact import ONE, c_prod
+from .exact import ONE, c_prod, np
 from .geometry import DeltoidPoint, _bary_xy, plane_to_deltoid
 from .operator import _lam
 

@@ -3,15 +3,16 @@
 The group carries nine left-invariant fields: the real antisymmetric
 family R, the imaginary symmetric family S, and the diagonal family Dh
 scaled so the diagonal directions enter the Casimir sum with weight 2/3.
-Everything here is built from that frame.  Two fixed tables, summed
-over the fields once on first use, hold L z_v for each of the 18
-variables and the carre du champ Gamma(z_v, z_w) of each ordered pair;
-the Casimir generator and Gamma of any entry polynomial are then one
-chain-rule pass over its terms.  Ricci comes from commutator outer
-products, and the pushforward along Z = tr(U)/3 lands exactly on the
-deltoid operator at lambda = 4.  group_model_check gathers these claims
-into one frozen report, whose passed is the one place RICCI_TOL and
-IDENTITY_TOL are applied together.
+Everything here is built from that frame.  The frame, its field moves
+and two fixed tables are each built on first use, so importing this
+module computes nothing.  The tables, summed over the fields, hold L z_v
+for each of the 18 variables and the carre du champ Gamma(z_v, z_w) of
+each ordered pair; the Casimir generator and Gamma of any entry
+polynomial are then one chain-rule pass over its terms.  Ricci comes
+from commutator outer products, and the pushforward along Z = tr(U)/3
+lands exactly on the deltoid operator at lambda = 4.  group_model_check
+gathers these claims into one frozen report, whose passed is the one
+place RICCI_TOL and IDENTITY_TOL are applied together.
 
 Polynomials in matrix entries are kept symbolic (complex coefficients on
 18 variables, nine entries and nine conjugates) so that second-order
@@ -22,13 +23,11 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .exact import HornerProgram, c_prod
+from .exact import HornerProgram, c_prod, np
 from .operator import Lambda, gamma as deltoid_gamma, generator as deltoid_generator
 
 # diagonal scaling that gives the Cartan directions Casimir weight 2/3
-DIAG_WEIGHT = np.sqrt(2.0 / 3.0)
+DIAG_WEIGHT = math.sqrt(2.0 / 3.0)
 
 # pass thresholds of the group-model checks: the Ricci constant is 3 to
 # within RICCI_TOL, and the pushforward and characteristic-polynomial
@@ -144,7 +143,10 @@ class LieBasis:
         return iter(zip(self.names, self.matrices))
 
 
-_STD = LieBasis()
+@functools.cache
+def _std():
+    """The standard frame, built on first use and never changed."""
+    return LieBasis()
 
 
 # draws per stack: bounds the temporaries of a large sample
@@ -473,14 +475,17 @@ def _derive(moves, f):
     return EntryPoly(out)
 
 
-_FRAME_MOVES = tuple(_field_moves(x) for x in _STD.matrices)
+@functools.cache
+def _frame_moves():
+    """_field_moves of each frame member, built on first use."""
+    return tuple(_field_moves(x) for x in _std().matrices)
 
 
 @functools.cache
 def _frame_tables():
     """L z_v for each variable v and Gamma(z_v, z_w) for each ordered pair.
 
-    Both are summed over the frame by _derive from _FRAME_MOVES: with
+    Both are summed over the frame by _derive from _frame_moves(): with
     X z_v = _derive(moves, z_v), L z_v = sum_X X(X z_v) and
     Gamma(z_v, z_w) = sum_X X(z_v) X(z_w).  Returns (lz, gam): lz[v]
     and gam[v][w] are tuples of (monomial key, coefficient).  Built on
@@ -488,7 +493,7 @@ def _frame_tables():
     """
     lz = [EntryPoly() for _ in range(_NVAR)]
     gam = [[EntryPoly() for _ in range(_NVAR)] for _ in range(_NVAR)]
-    for moves in _FRAME_MOVES:
+    for moves in _frame_moves():
         first = [_derive(moves, _entry_var(v)) for v in range(_NVAR)]
         for v in range(_NVAR):
             lz[v] += _derive(moves, first[v])
@@ -599,7 +604,8 @@ def commutator_table():
     fails to be proportional to a single member, which would break the
     table structure this model relies on.
     """
-    names, mats = _STD.names, _STD.matrices
+    frame = _std()
+    names, mats = frame.names, frame.matrices
     table = {}
     for i in range(9):
         for j in range(i + 1, 9):
@@ -629,7 +635,7 @@ def ricci_constant():
     vectorization, checks every commutator stays inside the frame span,
     and checks M1 is a scalar multiple of M2.  Returns that scalar.
     """
-    mats = _STD.matrices
+    mats = _std().matrices
     stack = np.stack([_vec(x) for x in mats], axis=1)
     m2 = stack @ stack.T
     m1 = np.zeros_like(m2)

@@ -18,7 +18,7 @@ from deltoid.exact import BivarPoly, CRat, Rat, as_rat
 from deltoid.geometry import (E, V0, V1, V2, TrianglePoint, _bary_to_plane, w_density,
                               zk)
 from deltoid.operator import Lambda, gamma, gamma2, generator
-from deltoid.su3 import _FRAME_MOVES, _derive, _mat_of, entry_const, normalized_trace
+from deltoid.su3 import _derive, _frame_moves, _mat_of, entry_const, normalized_trace
 
 ROOT3 = math.sqrt(3.0)
 
@@ -33,7 +33,7 @@ def vectorfield_gamma_oracle(f, g, u):
     """
     m = _mat_of(u)
     total = 0j
-    for moves in _FRAME_MOVES:
+    for moves in _frame_moves():
         total += _derive(moves, f).eval(m) * _derive(moves, g).eval(m)
     return total
 

@@ -216,6 +216,14 @@ def test_bounds_below_lambda_one_fail_with_one_line(capsys, argv):
     assert err == f"{' '.join(argv[:2])}: stated for lam >= 1\n"
 
 
+def test_negative_moment_degree_fails_with_one_line(capsys):
+    # no empty "moments" table with exit 0: one stderr line, exit 1
+    code = main(["moments", "--lambda", "4", "--max-degree", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "moments: need max_degree >= 0\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["cd", "probe", "--a", "2/5", "--c", "0"],
     ["cd", "probe", "--a", "2/5", "--curve", "lin", "--c", "-1"],

@@ -143,6 +143,20 @@ def test_moment_range_guard():
     assert t.get(5, 2) == Rat(11, 2187)
 
 
+@pytest.mark.parametrize("build", [lambda: moments(4, -1), lambda: MomentTable(Lambda(4), -2)])
+def test_negative_moment_degree_is_refused(build):
+    # a negative degree is a typed refusal, not an empty table
+    with pytest.raises(ValueError, match="need max_degree >= 0"):
+        build()
+
+
+@pytest.mark.parametrize("p, q", [(-1, 2), (2, -1), (-1, -1)])
+def test_negative_mode_index_is_refused(p, q):
+    # the same refusal as eigenvalue's, not an IndexError from the solve
+    with pytest.raises(ValueError, match=r"need p, q >= 0"):
+        solve_eigenpoly(p, q, Lambda(4))
+
+
 def test_inner_product_basics():
     lam = Lambda(4)
     t = moments(lam, 8)

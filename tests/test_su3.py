@@ -368,7 +368,7 @@ def test_charpoly_left_sides_match_field_by_field_oracle():
         assert abs(left_gamma - want) <= 1e-13 * abs(want)
         left_l = ax * v[3] + bx * v[4]
         want_l = sum(su3._derive(moves, su3._derive(moves, fx)).eval(u)
-                     for moves in su3._FRAME_MOVES)
+                     for moves in su3._frame_moves())
         assert abs(left_l - want_l) <= 1e-13 * abs(want_l)
 
 
@@ -425,20 +425,21 @@ def test_gamma_fields_degree_limit():
 
 
 def test_import_builds_no_frame_table():
-    # the frame tables are built on first use, never at import
+    # the frame, its moves and the tables are built on first use, never
+    # at import
     import subprocess
     import sys
 
     src = os.path.dirname(os.path.dirname(su3.__file__))
     code = ("import deltoid, deltoid.su3 as s; "
-            "print(s._frame_tables.cache_info().currsize, "
-            "s._charpoly_parts.cache_info().currsize)")
+            "print(*(f.cache_info().currsize for f in "
+            "(s._std, s._frame_moves, s._frame_tables, s._charpoly_parts)))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "0"]
+    assert done.stdout.split() == ["0", "0", "0", "0"]
 
 
 def test_pushforward_named_examples():
@@ -634,7 +635,7 @@ def test_ricci_guard_raises_on_broken_frame(monkeypatch):
         # drop the diagonal family: [R12, S12] then escapes the span
         matrices = LieBasis().matrices[:6]
 
-    monkeypatch.setattr(su3mod, "_STD", Broken())
+    monkeypatch.setattr(su3mod, "_std", Broken)
     with pytest.raises(NonConstantRicci):
         ricci_constant()
 

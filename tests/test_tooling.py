@@ -6,12 +6,17 @@ perfbench/workloads.py hold the package's answers to the paper's values;
 a program change that misses one of them should fail here, before any
 benchmark runs.  Both files are loaded read-only, by path, and nothing
 is wrapped.  tools/bench_layers.py, the per-layer harness, is run once
-into a scratch file.
+into a scratch file.  Fresh interpreters check that a bare import loads
+every module the tracer wraps, and that the exact half (the import, the
+spectrum and calculus passes, the exact subcommands) loads no numpy.
 """
 
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +24,19 @@ import pytest
 import deltoid
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS = Path(__file__).resolve().parent
+
+
+def _fresh_python(code):
+    """Run code in a new interpreter that imports this deltoid and this
+    directory's modules; returns its stdout."""
+    src = os.path.dirname(os.path.dirname(deltoid.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, str(TESTS), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def _load(name):
@@ -53,6 +71,51 @@ def test_workloads_pass_once(workload):
     assert tally.missed == []
 
 
+def test_bare_import_loads_every_span_target_module():
+    # perfbench's tracer reads sys.modules["deltoid.<module>"] after a bare
+    # import, so no submodule may be left to load on first use
+    out = _fresh_python("import sys, deltoid, test_tooling; "
+                        "print(sorted({t.module for t in test_tooling._spans().TARGETS "
+                        "if 'deltoid.' + t.module not in sys.modules}))")
+    assert out == "[]\n"
+
+
+def test_exact_half_loads_no_numpy():
+    # pytest has loaded numpy already, so this runs in a fresh process.
+    # The lazy numpy module sits under "numpy" itself, so a real load is
+    # seen by its submodules
+    code = """
+import contextlib, io, json, sys
+import deltoid
+from deltoid import cli
+from test_tooling import _load
+loaded = ["numpy.linalg" in sys.modules]
+workloads = _load("workloads")
+for name in ("Calculus", "Spectrum"):
+    tally = workloads.Tally()
+    outputs = getattr(workloads, name)(deltoid, 0).run(tally)
+    assert tally.missed == [], tally.missed
+    workloads.digest(deltoid, outputs)
+for argv in (["eigen", "--lambda", "4", "--pq", "3,2"], ["moments", "--lambda", "4"],
+             ["cd", "factor-check", "--a1", "1/6", "--b1", "9/4"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+loaded.append("numpy.linalg" in sys.modules)
+grid = deltoid.cdcheck.deltoid_grid(7)
+loaded.append("numpy.linalg" in sys.modules)
+print(json.dumps([loaded, grid.tobytes().hex()]))
+"""
+    loaded, grid = json.loads(_fresh_python(code))
+    # not after the import nor the exact runs; then the first float read
+    assert loaded == [False, False, True]
+    assert bytes.fromhex(grid) == deltoid.cdcheck.deltoid_grid(7).tobytes()
+
+
+def test_numpy_imported_first_is_the_package_binding():
+    out = _fresh_python("import numpy, deltoid.exact; print(deltoid.exact.np is numpy)")
+    assert out == "True\n"
+
+
 def test_every_export_resolves_once():
     # a removal that leaves its name in __all__ fails here, not at import *
     names = deltoid.__all__
@@ -76,3 +139,7 @@ def test_layer_harness_writes_its_record(tmp_path):
         "cdcheck.ray_nonneg_on_unit", "cdcheck.factorization_sweep", "operator.generator",
         "operator.gamma", "operator.gamma2", "exact.mul", "exact.divexact"}
     assert all(layer["min_s_per_call"] > 0 for layer in record["layers"].values())
+    # the exact startups, timed in fresh processes, never load numpy
+    assert set(record["startup"]) == set(harness.STARTUP)
+    assert all(row["min_s"] > 0 and row["numpy_loaded"] is False
+               for row in record["startup"].values())

@@ -11,8 +11,14 @@ per input (generator, gamma2 on each form; gamma and BivarPoly.__mul__
 on each form and the next; divexact of each form times the boundary
 polynomial by it; the ray sweep at b1 = 9/4 and 9/4 + 1/100, a1 = 1/6;
 one factorization_sweep).  Each figure is the fastest of --repeats
-rounds divided by the calls in a round.  The output records the
-machine, Python, numpy and the rational backend beside the numbers.
+rounds divided by the calls in a round.
+
+The startup rows time a bare `import deltoid` and three exact
+subcommands (`eigen`, `moments`, `cd factor-check`), each in --repeats
+fresh interpreters: the fastest run's seconds from the start of the
+import to the end of the command, and whether numpy was loaded by then
+(numpy.linalg in sys.modules).  The output records the machine, Python,
+numpy and the rational backend beside the numbers.
 """
 
 import argparse
@@ -20,6 +26,7 @@ import json
 import os
 import platform
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -27,6 +34,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FORMS = 100
 LAMBDAS = ("4", "1", "7/2")
+# startup row name: CLI arguments, or None for the import alone
+STARTUP = {
+    "import deltoid": None,
+    "eigen --lambda 4 --pq 3,2": ["eigen", "--lambda", "4", "--pq", "3,2"],
+    "moments --lambda 4": ["moments", "--lambda", "4"],
+    "cd factor-check --a1 1/6 --b1 9/4": ["cd", "factor-check", "--a1", "1/6",
+                                          "--b1", "9/4"],
+}
+# run in a fresh interpreter: prints [seconds, numpy loaded]
+_STARTUP_CODE = """
+import contextlib, io, json, sys, time
+argv = json.loads(sys.argv[1])
+t0 = time.perf_counter()
+import deltoid
+if argv is not None:
+    from deltoid.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        if main(argv) != 0:
+            sys.exit(f"{argv} exited nonzero")
+seconds = time.perf_counter() - t0
+print(json.dumps([seconds, "numpy.linalg" in sys.modules]))
+"""
 
 
 def _cpu_model():
@@ -75,10 +104,28 @@ def measure(dt, repeats):
     return layers
 
 
+def startup(repeats):
+    """{row name: min seconds over fresh processes, numpy_loaded}."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    rows = {}
+    for name, argv in STARTUP.items():
+        runs = []
+        for _ in range(repeats):
+            done = subprocess.run([sys.executable, "-c", _STARTUP_CODE, json.dumps(argv)],
+                                  env=env, capture_output=True, text=True, timeout=300,
+                                  check=True)
+            runs.append(json.loads(done.stdout))
+        rows[name] = {"min_s": min(s for s, _ in runs),
+                      "numpy_loaded": any(flag for _, flag in runs)}
+    return rows
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="JSON file to write")
-    ap.add_argument("--repeats", type=int, default=21, help="rounds per layer (min of N)")
+    ap.add_argument("--repeats", type=int, default=21,
+                    help="rounds per layer and processes per startup row (min of N)")
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be >= 1")
@@ -96,6 +143,7 @@ def main(argv=None):
         "rational_backend": "gmpy2" if dt.exact.HAVE_GMPY2 else "fractions.Fraction",
         "repeats": args.repeats,
         "layers": measure(dt, args.repeats),
+        "startup": startup(args.repeats),
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return record

@@ -693,7 +693,8 @@ def gamma2_sample_check(lam, rho, n, trials: int = 100, points: int = 100,
     exactly there (Gamma vanishes at the cusps but L f does not).  A
     margin below -tol or not finite is a violation; the minimum ranks
     NaN lowest and keeps the first function and point that attain it.
-    rho and n must be finite (ValueError otherwise), n > 0 and points >= 1.
+    rho and n must be finite (ValueError otherwise), n > 0, points >= 1
+    and trials >= 0; with no trials only the fixed probes run.
     """
     lam = _lam(lam)
     rho = float(rho)
@@ -704,6 +705,8 @@ def gamma2_sample_check(lam, rho, n, trials: int = 100, points: int = 100,
         raise ValueError("need n > 0")
     if points < 1:
         raise ValueError("need points >= 1")
+    if trials < 0:
+        raise ValueError("need trials >= 0")
     rng = random.Random(seed)
 
     cusps = [cmath.exp(2j * math.pi * k / 3) * (1 - 1e-3) for k in range(3)]

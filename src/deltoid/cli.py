@@ -1,7 +1,9 @@
 """Command-line front end: orchestration and deterministic reports.
 
-Each subcommand's runner computes and returns (config, result, passed);
-`main` alone writes the report and sets the exit code.  The report is
+Each subcommand's runner computes and returns (extra, result, passed),
+where extra holds the subcommand's own echo fields, or is None when the
+run writes no report.  `main` alone builds the config echo from the
+parsed options, writes the report and sets the exit code.  The report is
 canonical JSON (sorted keys, fixed indentation) on stdout, or in the
 file named by --out, and it echoes the run's configuration, so a report
 is reproducible from its own header plus the package version.  Tables
@@ -10,8 +12,9 @@ prints its criterion lines on stdout and writes its report only to
 --out.
 
 Exit codes: 0 on pass, 1 on a verification failure or a refused input,
-2 on usage errors.  Every refusal is one stderr line, "<command>:
-<reason>", with no report.  The package reads no environment variable.
+2 on usage errors.  Every refusal, an unwritable --out or --csv path
+included, is one stderr line, "<command>: <reason>", with no report.
+The package reads no environment variable.
 
 SCHEMA_VERSION names the report layout and the random streams behind
 it: version 2 draws Haar samples from one generator per seed (see
@@ -84,7 +87,16 @@ class RunConfig:
     extra: dict = field(default_factory=dict)
 
 
-def _report(config, result):
+def _report(command, args, extra, result):
+    """The report of a parsed run.  Its config echo reads the options that
+    subcommands share where the subcommand has them, beside the
+    subcommand's own extra fields."""
+    degree = next((getattr(args, name) for name in ("degree", "max_degree", "max_k")
+                   if hasattr(args, name)), 0)
+    config = RunConfig(command=command,
+                       lam=str(args.lam) if hasattr(args, "lam") else None,
+                       seed=getattr(args, "seed", 0), grid=getattr(args, "grid", 0),
+                       degree=degree, out=args.out, extra=extra)
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": f"deltoid {__version__}",
@@ -114,14 +126,13 @@ def _emit_csv(header, rows, out):
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: each returns (config, result, passed)
+# subcommand runners: each returns (extra, result, passed); extra is the
+# subcommand's own echo fields, and main echoes the options it shares
 
 
 def _run_eigen(args):
     p, q = args.pq
     ep = solve_eigenpoly(p, q, Lambda(args.lam))
-    config = RunConfig(command="eigen", lam=str(args.lam), out=args.out,
-                       extra={"p": p, "q": q})
     result = {
         "p": p,
         "q": q,
@@ -130,7 +141,7 @@ def _run_eigen(args):
         "coefficients": ep.poly.to_records(),
         "norm2": str(ep.norm2),
     }
-    return config, result, True
+    return {"p": p, "q": q}, result, True
 
 
 def _run_moments(args):
@@ -139,11 +150,9 @@ def _run_moments(args):
     for i in range(args.max_degree + 1):
         for j in range(args.max_degree + 1 - i):
             entries[f"{i},{j}"] = str(table.get(i, j))
-    config = RunConfig(command="moments", lam=str(args.lam),
-                       degree=args.max_degree, out=args.out)
     result = {"lambda": str(args.lam), "max_degree": args.max_degree,
               "moments": entries}
-    return config, result, True
+    return {}, result, True
 
 
 def _run_cd_verify(args):
@@ -151,10 +160,7 @@ def _run_cd_verify(args):
         Lambda(args.lam), float(args.rho), float(args.n),
         trials=args.trials, points=args.grid, seed=args.seed,
     )
-    config = RunConfig(command="cd verify", lam=str(args.lam),
-                       seed=args.seed, grid=args.grid, out=args.out,
-                       extra={"rho": str(args.rho), "n": str(args.n),
-                              "trials": args.trials})
+    extra = {"rho": str(args.rho), "n": str(args.n), "trials": args.trials}
     result = {
         "pairs": rep.pairs,
         "violations": rep.violations,
@@ -162,7 +168,7 @@ def _run_cd_verify(args):
         "tol": rep.tol,
         "passed": rep.passed,
     }
-    return config, result, rep.passed
+    return extra, result, rep.passed
 
 
 def _run_cd_scan_b(args):
@@ -176,10 +182,7 @@ def _run_cd_scan_b(args):
             except DegenerateDenominator:
                 continue
         _emit_csv(("theta", "phi", "b"), rows, args.csv)
-    config = RunConfig(command="cd scan-b", seed=0, grid=args.grid,
-                       out=args.out, extra={"a": str(args.a),
-                                            "refine": args.refine,
-                                            "csv": args.csv})
+    extra = {"a": str(args.a), "refine": args.refine, "csv": args.csv}
     result = {
         "a": a,
         "inf_estimate": rep.inf_estimate,
@@ -187,14 +190,12 @@ def _run_cd_scan_b(args):
         "trace": list(rep.trace),
         "refined": rep.refined,
     }
-    return config, result, True
+    return extra, result, True
 
 
 def _run_cd_probe(args):
     rep = divergence_probe(float(args.a), args.curve, float(args.c))
-    config = RunConfig(command="cd probe", out=args.out,
-                       extra={"a": str(args.a), "curve": args.curve,
-                              "c": str(args.c)})
+    extra = {"a": str(args.a), "curve": args.curve, "c": str(args.c)}
     result = {
         "thetas": list(rep.thetas),
         "b_values": list(rep.b_values),
@@ -203,13 +204,11 @@ def _run_cd_probe(args):
         "sign_matches": rep.sign_matches,
         "ratio_checks": rep.ratio_checks,
     }
-    return config, result, rep.sign_matches
+    return extra, result, rep.sign_matches
 
 
 def _run_cd_factor_check(args):
     res = factorization_check(args.a1, args.b1)
-    config = RunConfig(command="cd factor-check", out=args.out,
-                       extra={"a1": str(args.a1), "b1": str(args.b1)})
     result = {
         "a1": str(res.a1),
         "b1": str(res.b1),
@@ -217,7 +216,7 @@ def _run_cd_factor_check(args):
         "ray": [str(c) for c in res.ray],
         "reduced_form_checked": res.reduced_form_checked,
     }
-    return config, result, True
+    return {"a1": str(args.a1), "b1": str(args.b1)}, result, True
 
 
 def _run_su3_check(args):
@@ -240,9 +239,7 @@ def _run_su3_check(args):
         },
         "passed": group.passed and trace.passed,
     }
-    config = RunConfig(command="su3 check", seed=args.seed, out=args.out,
-                       extra={"samples": args.samples})
-    return config, result, result["passed"]
+    return {"samples": args.samples}, result, result["passed"]
 
 
 def _run_heat_trace(args):
@@ -250,23 +247,15 @@ def _run_heat_trace(args):
     rows = heat_cusp_sups(Lambda(args.lam), args.degree, ts)
     if args.csv:
         _emit_csv(("t", "sup_heat_diag"), rows, args.csv)
-    config = RunConfig(command="heat trace", lam=str(args.lam),
-                       degree=args.degree, out=args.out,
-                       extra={"t_min": args.t_min, "t_max": args.t_max,
-                              "nt": args.nt})
-    result = {"points": [{"t": t, "sup": s} for t, s in rows]}
-    return config, result, True
+    extra = {"t_min": args.t_min, "t_max": args.t_max, "nt": args.nt}
+    return extra, {"points": [{"t": t, "sup": s} for t, s in rows]}, True
 
 
 def _run_bounds(args):
     if args.bounds_command == "supnorm":
-        degree, seed = args.max_degree, 0
-        rep = supnorm_bound_check(Lambda(args.lam), degree)
+        rep = supnorm_bound_check(Lambda(args.lam), args.max_degree)
     else:
-        degree, seed = args.max_k, args.seed
-        rep = hk_bound_check(Lambda(args.lam), degree, seed=seed)
-    config = RunConfig(command=f"bounds {args.bounds_command}", lam=str(args.lam),
-                       degree=degree, seed=seed, out=args.out)
+        rep = hk_bound_check(Lambda(args.lam), args.max_k, seed=args.seed)
     result = {
         "exponent": rep.exponent,
         "target": rep.target,
@@ -275,20 +264,18 @@ def _run_bounds(args):
         "window": list(rep.window),
         "passed": growth_passed(rep),
     }
-    return config, result, result["passed"]
+    return {}, result, result["passed"]
 
 
 def _run_sobolev_series(args):
     rep = sobolev_series_check(float(args.p), float(args.a))
-    config = RunConfig(command="sobolev series", out=args.out,
-                       extra={"p": str(args.p), "a": str(args.a)})
     result = {
         "exponent": rep.exponent,
         "max_min_ratio": rep.residual,
         "plateau_constant": rep.constant,
         "passed": sobolev_passed(rep),
     }
-    return config, result, result["passed"]
+    return {"p": str(args.p), "a": str(args.a)}, result, result["passed"]
 
 
 _NU_CHOICES = {
@@ -301,9 +288,6 @@ _NU_CHOICES = {
 def _run_kernel_check(args):
     rep = kernel_bound_check(_NU_CHOICES[args.nu], Lambda(args.lam),
                              args.max_k, _kernel_check_grid())
-    config = RunConfig(command="kernel check", lam=str(args.lam),
-                       degree=args.max_k, out=args.out,
-                       extra={"nu": args.nu})
     result = {
         "sup_abs": rep.sup_abs,
         "series_value": rep.series_value,
@@ -312,13 +296,12 @@ def _run_kernel_check(args):
         "grid_size": rep.grid_size,
         "passed": rep.passed,
     }
-    return config, result, rep.passed
+    return {"nu": args.nu}, result, rep.passed
 
 
 def _run_accept(args):
     # stdout carries the criterion lines, so the report goes only to --out
     results = run_all(printer=print)
-    config = RunConfig(command="accept", out=args.out) if args.out else None
     # seconds stay out of the report so identical configs emit
     # identical bytes
     result = {
@@ -329,7 +312,7 @@ def _run_accept(args):
         ],
         "passed": all(r.passed for r in results),
     }
-    return config, result, result["passed"]
+    return ({} if args.out else None), result, result["passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -456,20 +439,21 @@ def build_parser():
 def main(argv=None):
     """Run one subcommand and write its report; a refused input (a
     ValueError, a too-shallow truncation, a failed exact identity or a
-    zero denominator on a probe curve) is one stderr line naming the
-    command, and exit 1."""
+    zero denominator on a probe curve) or a report or sidecar that cannot
+    be written (an OSError) is one stderr line naming the command, and
+    exit 1."""
     args = build_parser().parse_args(argv)
+    # each group's subparser stores its subcommand in <group>_command
+    command = " ".join(filter(None, (args.command,
+                                     getattr(args, f"{args.command}_command", None))))
     try:
-        config, result, passed = args.fn(args)
-    except (ValueError, TruncationInsufficient, IdentityMismatch,
+        extra, result, passed = args.fn(args)
+        if extra is not None:
+            _emit_json(_report(command, args, extra, result), args.out)
+    except (OSError, ValueError, TruncationInsufficient, IdentityMismatch,
             DegenerateDenominator) as exc:
-        # each group's subparser stores its subcommand in <group>_command
-        command = " ".join(filter(None, (args.command,
-                                         getattr(args, f"{args.command}_command", None))))
         print(f"{command}: {exc}", file=sys.stderr)
         return 1
-    if config is not None:
-        _emit_json(_report(config, result), config.out)
     return 0 if passed else 1
 
 

@@ -77,8 +77,9 @@ def w_density(point: TrianglePoint) -> float:
     return w.real
 
 
-# a mapped point with P below this has left the closed domain: the map is
-# exact, so only rounding can put an image outside
+# a mapped point with P below this, or with P not a number, has left the
+# closed domain: the map is exact, so only rounding or a non-finite input
+# can put an image outside
 _CLOSED_TOL = -1e-10
 
 
@@ -89,7 +90,7 @@ def _left_domain(d: DeltoidPoint) -> ArithmeticError:
 def triangle_to_deltoid(point: TrianglePoint) -> DeltoidPoint:
     z1, z2, z3 = zk(point)
     d = DeltoidPoint((z1 + z2 + z3) / 3.0)
-    if d.membership_residual() < _CLOSED_TOL:
+    if not d.membership_residual() >= _CLOSED_TOL:
         raise _left_domain(d)
     return d
 
@@ -109,7 +110,7 @@ def plane_to_deltoid(x, y):
     zs = np.empty(np.shape(x), dtype=complex)
     zs.real = (np.cos(angles[0]) + np.cos(angles[1]) + np.cos(angles[2])) / 3.0
     zs.imag = (np.sin(angles[0]) + np.sin(angles[1]) + np.sin(angles[2])) / 3.0
-    bad = np.flatnonzero(_P.eval(zs).real < _CLOSED_TOL)
+    bad = np.flatnonzero(~(_P.eval(zs).real >= _CLOSED_TOL))
     if bad.size:
         raise _left_domain(DeltoidPoint(complex(zs[bad[0]])))
     return zs

@@ -20,6 +20,7 @@ records the window it was computed on, and each verdict is stated once,
 next to its check (growth_passed, sobolev_passed, KernelReport.passed).
 """
 
+import cmath
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -181,11 +182,14 @@ def heat_diag(x, t, trunc):
     """Truncated diagonal heat kernel density at x.
 
     Raises TruncationInsufficient when the tail estimate is more than
-    1% of the partial sum.
+    1% of the partial sum, and ValueError for an x that is not finite or
+    lies outside the closed domain.
     """
     t = require_heat_time(t)
     z = complex(x)
-    if DeltoidPoint(z).membership_residual() < -1e-12:
+    if not cmath.isfinite(z):
+        raise ValueError(f"x must be finite, not {z}")
+    if not DeltoidPoint(z).membership_residual() >= -1e-12:
         raise ValueError(f"{z} is outside the closed domain")
     weights = trunc.mode_weights([z])
     # einsum, not BLAS: the bits do not depend on the thread count
@@ -592,7 +596,8 @@ def kernel_bound_check(nu, lam, max_k, x_grid):
     kernels; it is Hermitian positive semidefinite, so its sup in
     absolute value sits on the diagonal, but off-diagonal pairs are
     still scanned as a structural check.  The series is
-    sum nu_k^2 k^(2 lam + 1) over the same k range.
+    sum nu_k^2 k^(2 lam + 1) over the same k range.  An empty x_grid
+    raises ValueError.
     """
     lam = _lam(lam)
     if callable(nu):
@@ -603,6 +608,8 @@ def kernel_bound_check(nu, lam, max_k, x_grid):
             nus = nus + [0.0] * (max_k - len(nus))
     zs = np.array(x_grid, dtype=complex)
     npts = len(zs)
+    if not npts:
+        raise ValueError("no points to check")
     trunc = HeatKernelTruncation(lam, max_k)
     kernel = np.zeros((npts, npts), dtype=complex)
     # every mode but the constant one, the first, whose nu_k is not 0
@@ -612,8 +619,8 @@ def kernel_bound_check(nu, lam, max_k, x_grid):
             continue
         vals /= math.sqrt(float(ep.norm2))
         kernel += w ** 2 * np.outer(vals, vals.conj())
-    sup_abs = float(np.abs(kernel).max()) if npts else 0.0
-    diag_sup = float(np.max(kernel.diagonal().real)) if npts else 0.0
+    sup_abs = float(np.abs(kernel).max())
+    diag_sup = float(np.max(kernel.diagonal().real))
     series = sum(
         nus[k - 1] ** 2 * k ** (2 * float(lam.value) + 1) for k in range(1, max_k + 1)
     )

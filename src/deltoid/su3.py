@@ -841,8 +841,11 @@ def curvature_dimension_check(trials=8, samples=40, seed=5, tol=1e-8):
     plus one quadratic entry monomial; Gamma_2, Gamma and L are built
     symbolically through the frame tables, Gamma(f, f) and L f once per
     trial, so the only floating error left is coefficient arithmetic.
-    Each is evaluated on the whole sample stack in one call.
+    Each is evaluated on the whole sample stack in one call.  Raises
+    ValueError for trials < 1, which leaves no margin to report.
     """
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     rng = np.random.default_rng(seed)
     stack = _haar_matrices(seed + 1, samples)
     margins = np.empty((trials, samples))

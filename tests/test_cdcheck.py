@@ -556,6 +556,15 @@ def test_gamma2_refuses_nonfinite_rho_and_n(rho, n):
         gamma2_sample_check(4, rho, n, trials=2, points=5, seed=1)
 
 
+def test_gamma2_refuses_negative_trials_and_keeps_the_probes_at_zero():
+    with pytest.raises(ValueError, match="need trials >= 0"):
+        gamma2_sample_check(4, 2.25, 8.0, trials=-3, points=5, seed=1)
+    # no random functions: the three fixed functions on the four probes
+    # and the five pool points
+    rep = gamma2_sample_check(4, 2.25, 8.0, trials=0, points=5, seed=1)
+    assert rep.pairs == 3 * 9 and rep.passed
+
+
 def test_route_agreement():
     # tensor route and sampling route agree on pass/fail at lambda = 4
     opt = CDParams.from_cd(4, "9/4", 8)

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,67 @@ def test_report_determinism(tmp_path, argv):
         assert main(argv + ["--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+# every README command at small sizes, with the config fields its echo
+# holds beyond the defaults; the runs write to --out in the test's
+# directory, so the echo's out and csv paths are relative
+CONFIG_ECHOES = [
+    (["eigen", "--lambda", "4", "--pq", "1,1"],
+     {"command": "eigen", "lam": "4", "extra": {"p": 1, "q": 1}}),
+    (["moments", "--lambda", "7/2", "--max-degree", "3"],
+     {"command": "moments", "lam": "7/2", "degree": 3}),
+    (["cd", "verify", "--lambda", "4", "--rho", "9/4", "--n", "8",
+      "--grid", "5", "--trials", "3", "--seed", "2"],
+     {"command": "cd verify", "lam": "4", "seed": 2, "grid": 5,
+      "extra": {"rho": "9/4", "n": "8", "trials": 3}}),
+    (["cd", "scan-b", "--a", "1/3", "--grid", "10", "--refine",
+      "--csv", "surface.csv"],
+     {"command": "cd scan-b", "grid": 10,
+      "extra": {"a": "1/3", "refine": True, "csv": "surface.csv"}}),
+    (["cd", "probe", "--a", "2/5", "--curve", "quad"],
+     {"command": "cd probe", "extra": {"a": "2/5", "curve": "quad", "c": "1"}}),
+    (["cd", "factor-check", "--a1", "1/6", "--b1", "9/4"],
+     {"command": "cd factor-check", "extra": {"a1": "1/6", "b1": "9/4"}}),
+    (["su3", "check", "--samples", "5", "--seed", "3"],
+     {"command": "su3 check", "seed": 3, "extra": {"samples": 5}}),
+    (["heat", "trace", "--lambda", "4", "--degree", "20", "--nt", "3",
+      "--csv", "trace.csv"],
+     {"command": "heat trace", "lam": "4", "degree": 20,
+      "extra": {"t_min": 0.02, "t_max": 0.2, "nt": 3}}),
+    (["bounds", "supnorm", "--lambda", "4", "--max-degree", "12"],
+     {"command": "bounds supnorm", "lam": "4", "degree": 12}),
+    (["bounds", "hk", "--lambda", "4", "--max-k", "8", "--seed", "1"],
+     {"command": "bounds hk", "lam": "4", "degree": 8, "seed": 1}),
+    (["sobolev", "series"],
+     {"command": "sobolev series", "extra": {"p": "9/2", "a": "3/4"}}),
+    (["kernel", "check", "--lambda", "4", "--max-k", "8", "--nu", "exp"],
+     {"command": "kernel check", "lam": "4", "degree": 8, "extra": {"nu": "exp"}}),
+    (["accept"], {"command": "accept"}),
+]
+
+
+@pytest.mark.parametrize("argv, fields", CONFIG_ECHOES,
+                         ids=[f["command"].replace(" ", "-") for _, f in CONFIG_ECHOES])
+def test_config_echo(tmp_path, monkeypatch, capsys, argv, fields):
+    # the whole config object: command, lam, seed, grid, degree, out,
+    # format and extra
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "rep.json"]) == 0
+    capsys.readouterr()
+    expected = {"lam": None, "seed": 0, "grid": 0, "degree": 0,
+                "out": "rep.json", "format": "json", "extra": {}}
+    expected.update(fields)
+    assert json.loads((tmp_path / "rep.json").read_text())["config"] == expected
+
+
+def test_readme_commands_have_config_echoes():
+    # the table above covers each README command once
+    text = README.read_text()
+    block = text.split("## command line", 1)[1].split("```")[1]
+    readme = [" ".join(takewhile(lambda a: not a.startswith("-"), shlex.split(l)[1:]))
+              for l in block.splitlines() if l.startswith("deltoid ")]
+    assert sorted(readme) == sorted(f["command"] for _, f in CONFIG_ECHOES)
 
 
 def test_cd_verify_small(capsys):
@@ -267,6 +329,8 @@ def test_bounds_refuse_a_fit_through_one_abscissa(capsys, argv):
     (SHALLOW, "truncation too shallow: tail 9.347e-01 at t = 0.010000000000000004"),
     (["cd", "factor-check", "--a1", "1/6", "--b1", "9/4"],
      "ray factorization differs: [1]"),
+    (["cd", "verify", "--lambda", "4", "--rho", "9/4", "--n", "8", "--grid", "5",
+      "--trials", "-3"], "need trials >= 0"),
 ])
 def test_refused_inputs_fail_with_one_line(capsys, monkeypatch, argv, reason):
     # main() turns a runner's ValueError, TruncationInsufficient or
@@ -281,6 +345,24 @@ def test_refused_inputs_fail_with_one_line(capsys, monkeypatch, argv, reason):
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err == f"{' '.join(argv[:2])}: {reason}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigen", "--lambda", "4", "--pq", "1,1", "--out", "{missing}/x.json"],
+    ["heat", "trace", "--lambda", "4", "--degree", "20", "--nt", "3",
+     "--csv", "{missing}/t.csv"],
+    ["cd", "scan-b", "--a", "1/3", "--grid", "10", "--csv", "{missing}/s.csv"],
+])
+def test_unwritable_paths_fail_with_one_line(tmp_path, capsys, argv):
+    # an OSError from the report or from a --csv sidecar is a refusal:
+    # one stderr line and exit 1, with nothing on stdout
+    missing = tmp_path / "missing"
+    argv = [a.replace("{missing}", str(missing)) for a in argv]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    command = " ".join(takewhile(lambda a: not a.startswith("-"), argv))
+    assert code == 1 and out == ""
+    assert err == f"{command}: [Errno 2] No such file or directory: {argv[-1]!r}\n"
 
 
 def test_heat_trace_refuses_lambda_below_one_before_building(capsys, monkeypatch):

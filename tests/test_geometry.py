@@ -131,6 +131,17 @@ def test_batch_map_matches_point_map(monkeypatch):
     assert str(many.value) == str(one.value)
 
 
+# P(nan) is nan, which no "P < tol" test catches: both maps refuse it
+def test_point_map_rejects_a_nan_image():
+    with pytest.raises(ArithmeticError, match="left the closed domain"):
+        triangle_to_deltoid(TrianglePoint(math.nan, 0.0))
+
+
+def test_batch_map_rejects_a_nan_element():
+    with pytest.raises(ArithmeticError, match=r"left the closed domain: .*nan"):
+        plane_to_deltoid(np.array([0.1, math.nan]), np.array([0.1, 0.0]))
+
+
 def test_pushforward_matches_gamma():
     for p in rand_points(60, seed=7):
         g11, g12, g22 = pushforward_gamma(p)

@@ -90,6 +90,15 @@ def test_heat_diag_guards(trunc4):
         heat_diag(0j, 0.02, shallow)
 
 
+@pytest.mark.parametrize("x", [complex(math.nan, 0), complex(0, math.nan),
+                               complex(math.inf, 0), complex(-math.inf, 1)])
+def test_heat_diag_refuses_a_nonfinite_point(trunc4, x):
+    # nan passes no membership test, and inf overflows the Horner
+    # evaluation: both are refused before anything is evaluated
+    with pytest.raises(ValueError, match="x must be finite"):
+        heat_diag(x, 0.5, trunc4)
+
+
 def test_heat_diag_positive_on_mixed_grid(trunc4):
     pts = [0j, -1 / 3 + 0j, 0.2 + 0.1j] + [0.999 * c for c in CUSPS]
     for z in pts:
@@ -614,6 +623,12 @@ def test_kernel_report_passes_at_equality():
     assert at.passed
     above = dataclasses.replace(at, sup_abs=math.nextafter(2.5, math.inf))
     assert not above.passed
+
+
+def test_kernel_refuses_an_empty_grid():
+    # a sup over no points is no check, though it would read 0 and pass
+    with pytest.raises(ValueError, match="no points to check"):
+        kernel_bound_check(lambda k: math.exp(-float(k)), Lambda(4), 3, [])
 
 
 def test_kernel_zero_multiplier():

@@ -616,6 +616,12 @@ def test_curvature_dimension_3_8():
     assert rep.passed
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+def test_curvature_dimension_refuses_no_trials(trials):
+    with pytest.raises(ValueError, match="need trials >= 1"):
+        curvature_dimension_check(trials=trials, samples=3)
+
+
 def test_curvature_dimension_optimal_at_identity():
     # the real trace function at U = I sits exactly on the CD(3,8) boundary
     zt = normalized_trace()

@@ -11,13 +11,12 @@ No verdict reads the clock.
 """
 
 import time
-from dataclasses import dataclass
 
 # eigen's and su3's names are looked up at call time, through the module
 from . import eigen, su3
 from .cdcheck import (deltoid_grid, divergence_probe, factorization_sweep, gamma2_sample_check,
                       psd_check, ray_nonneg_on_unit, scan_inf_b, tensor_residual)
-from .exact import ONE, Rat, Z, ZBAR, np
+from .exact import ONE, Rat, Z, ZBAR, np, record
 from .geometry import plane_to_deltoid, sample_interior, w_density
 from .operator import (
     Lambda,
@@ -32,7 +31,7 @@ from .spectral import (SOBOLEV_RATIO_CAP, HeatKernelTruncation, growth_cap, grow
                        ultracontractivity_fit)
 
 
-@dataclass(frozen=True)
+@record
 class CriterionResult:
     number: int
     name: str

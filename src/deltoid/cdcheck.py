@@ -29,11 +29,10 @@ The three routes exercise deliberately disjoint code paths.
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .exact import BivarPoly, CRat, Rat, Z, ZBAR, _make, as_rat, np
+from .exact import BivarPoly, CRat, Rat, Z, ZBAR, _make, as_rat, np, record
 from .geometry import (
     _bary_xy,
     plane_to_deltoid,
@@ -88,7 +87,7 @@ def tensor_residual(a1, b1) -> HermitianTensorField:
     )
 
 
-@dataclass(frozen=True)
+@record
 class PsdReport:
     count: int
     failures: int
@@ -204,7 +203,7 @@ def _u_rats(p):
 _U_QUARTER = (1,), 4  # the constant 1/4
 
 
-@dataclass(frozen=True)
+@record
 class FactorizationResult:
     a1: object
     b1: object
@@ -314,7 +313,7 @@ def ray_nonneg_on_unit(a1, b1):
 
 # ---------------------------------------------------------------- route 2
 
-@dataclass(frozen=True)
+@record
 class TriangleScanPoint:
     theta: float
     phi: float
@@ -460,7 +459,7 @@ def _edge_min(th, ph):
     return min(ph, th + ph, 2.0 * math.pi - th - 2.0 * ph)
 
 
-@dataclass(frozen=True)
+@record
 class ScanReport:
     a: float
     inf_estimate: float
@@ -522,7 +521,7 @@ def scan_inf_b(a: float, grid: int = 80, refine_near_cusps: bool = True) -> Scan
     )
 
 
-@dataclass(frozen=True)
+@record
 class ProbeReport:
     a: float
     curve: str
@@ -593,7 +592,7 @@ def divergence_probe(a: float, curve: str = "quad", c: float = 1.0) -> ProbeRepo
 
 # ---------------------------------------------------------------- route 3
 
-@dataclass(frozen=True)
+@record
 class Gamma2Report:
     lam: object
     rho: float

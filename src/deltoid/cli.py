@@ -14,6 +14,8 @@ prints its criterion lines on stdout and writes its report only to
 Exit codes: 0 on pass, 1 on a verification failure or a refused input,
 2 on usage errors.  Every refusal, an unwritable --out or --csv path
 included, is one stderr line, "<command>: <reason>", with no report.
+An --out or --csv path in a directory that does not exist is refused
+before the run.
 The package reads no environment variable.
 
 SCHEMA_VERSION names the report layout and the random streams behind
@@ -22,10 +24,11 @@ su3.haar_sample) and drops the threads field of the config echo.
 """
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
-from dataclasses import asdict, dataclass, field
 
 from . import __version__, su3
 from .acceptance import run_all
@@ -68,39 +71,31 @@ def pq_arg(text):
     return (p, q)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of the knobs a run was invoked with.
-
-    lam is carried as a num/den string so the echo stays exact; seed,
-    grid, and degree keep their subcommand defaults when unused.  format
-    is always "json".
-    """
-
-    command: str
-    lam: str = None
-    seed: int = 0
-    grid: int = 0
-    degree: int = 0
-    out: str = None
-    format: str = "json"
-    extra: dict = field(default_factory=dict)
-
-
 def _report(command, args, extra, result):
     """The report of a parsed run.  Its config echo reads the options that
     subcommands share where the subcommand has them, beside the
-    subcommand's own extra fields."""
+    subcommand's own extra fields.
+
+    lam is carried as a num/den string so the echo stays exact; seed,
+    grid and degree are 0 when the subcommand has no such option, and
+    format is always "json".
+    """
     degree = next((getattr(args, name) for name in ("degree", "max_degree", "max_k")
                    if hasattr(args, name)), 0)
-    config = RunConfig(command=command,
-                       lam=str(args.lam) if hasattr(args, "lam") else None,
-                       seed=getattr(args, "seed", 0), grid=getattr(args, "grid", 0),
-                       degree=degree, out=args.out, extra=extra)
+    config = {
+        "command": command,
+        "lam": str(args.lam) if hasattr(args, "lam") else None,
+        "seed": getattr(args, "seed", 0),
+        "grid": getattr(args, "grid", 0),
+        "degree": degree,
+        "out": args.out,
+        "format": "json",
+        "extra": extra,
+    }
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": f"deltoid {__version__}",
-        "config": asdict(config),
+        "config": config,
         "result": result,
     }
 
@@ -111,6 +106,14 @@ def _write(text, out):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _require_parent_dirs(*paths):
+    """Refuse, before any work, an output path whose directory does not
+    exist, with the error that opening it would give."""
+    for path in paths:
+        if path and not os.path.exists(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _emit_json(report, out):
@@ -447,6 +450,7 @@ def main(argv=None):
     command = " ".join(filter(None, (args.command,
                                      getattr(args, f"{args.command}_command", None))))
     try:
+        _require_parent_dirs(args.out, getattr(args, "csv", None))
         extra, result, passed = args.fn(args)
         if extra is not None:
             _emit_json(_report(command, args, extra, result), args.out)

@@ -39,12 +39,11 @@ believed unreachable; it stays as a defensive check on the divide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count, groupby, islice, repeat
 from math import gcd, lcm
 from operator import sub
 
-from .exact import BivarPoly, CRat, Rat, _make
+from .exact import BivarPoly, CRat, Rat, _make, record
 from .operator import Lambda, _lam
 
 
@@ -71,7 +70,7 @@ def eigenvalue(p: int, q: int, lam) -> "Rat":
     return (lv - 1) * (p + q) + Rat(p * p + p * q + q * q)
 
 
-@dataclass(frozen=True)
+@record
 class EigenPolynomial:
     p: int
     q: int

@@ -40,6 +40,13 @@ takes `np` from here, so the exact layer and the exact subcommands never
 load numpy, and the first float read loads it.  A module that wrote
 `import numpy` would load it at once, since the import statement reads
 the lazy module's __spec__.
+
+`record` is here for the same reason: it is the package's one record
+declaration.  The reports and value types (Lambda, EigenPolynomial, the
+check reports) are frozen records with the behaviour of a frozen
+dataclass, but `record` builds their methods as closures, so importing
+the package loads neither dataclasses nor inspect and generates no
+source.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from __future__ import annotations
 import importlib.util
 import sys
 from math import gcd
+from operator import attrgetter
 from types import MappingProxyType
 
 try:
@@ -73,6 +81,91 @@ def _lazy_numpy():
 
 
 np = sys.modules.get("numpy") or _lazy_numpy()
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def record(cls=None, *, eq=True):
+    """Class decorator: a frozen record of the class's annotated fields.
+
+    The annotations give the fields, in order, and a class-level value is
+    a field's default.  It installs what a frozen dataclass would, unless
+    the class defines it: `__init__` (positional, then keyword arguments),
+    `__repr__` as `Name(field=value, ...)`, and a `__setattr__` and
+    `__delattr__` that raise AttributeError.  With eq (the default),
+    `__eq__` compares the field tuples of two instances of one class and
+    `__hash__` hashes the field tuple; with eq=False, equality is
+    identity.  Fields live in the instance `__dict__`, in field order.
+    The methods are closures over the field names: no source is generated.
+    """
+    if cls is None:
+        return lambda c: record(c, eq=eq)
+    names = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    n = len(names)
+
+    def __init__(self, *args, **kwargs):
+        # the fast paths: every field, positionally or by keyword in order
+        if not kwargs and len(args) == n:
+            self.__dict__.update(zip(names, args))
+        elif not args and tuple(kwargs) == names:
+            self.__dict__.update(kwargs)
+        else:
+            self.__dict__.update(_bind(args, kwargs))
+
+    def _bind(args, kwargs):
+        if len(args) > n:
+            raise TypeError(f"{cls.__qualname__}() takes {n} positional arguments "
+                            f"but {len(args)} were given")
+        for key in kwargs:
+            if key not in names:
+                raise TypeError(f"{cls.__qualname__}() got an unexpected keyword "
+                                f"argument {key!r}")
+            if key in names[:len(args)]:
+                raise TypeError(f"{cls.__qualname__}() got multiple values for "
+                                f"argument {key!r}")
+        bound = dict(zip(names, args))
+        for name in names[len(args):]:
+            if name in kwargs:
+                bound[name] = kwargs[name]
+            elif name in defaults:
+                bound[name] = defaults[name]
+            else:
+                raise TypeError(f"{cls.__qualname__}() missing required argument "
+                                f"{name!r}")
+        return bound
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in names) + ")"
+
+    methods = {"__init__": __init__, "__repr__": __repr__,
+               "__setattr__": _frozen_setattr, "__delattr__": _frozen_delattr}
+    if eq:
+        get = attrgetter(*names)
+        # attrgetter of one name returns the value itself, not a 1-tuple
+        values = get if n > 1 else lambda obj: (get(obj),)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return values(self) == values(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(values(self))
+
+        methods.update(__eq__=__eq__, __hash__=__hash__)
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return cls
+
 
 _RAT_TYPE = type(Rat(0))
 

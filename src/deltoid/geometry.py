@@ -17,9 +17,8 @@ two pictures.
 import cmath
 import math
 import random
-from dataclasses import dataclass
 
-from .exact import HornerProgram, np
+from .exact import HornerProgram, np, record
 from .operator import boundary_poly
 
 ROOT3 = math.sqrt(3.0)
@@ -43,13 +42,13 @@ CENTER = (
 _P = HornerProgram(boundary_poly())
 
 
-@dataclass(frozen=True)
+@record
 class TrianglePoint:
     x: float
     y: float
 
 
-@dataclass(frozen=True)
+@record
 class DeltoidPoint:
     Z: complex
 
@@ -57,7 +56,11 @@ class DeltoidPoint:
         """P(Z, Zbar): positive inside, zero on the curve, negative outside.
 
         Equals 1/4 (1 - rho^2)^2 - (rho^2 + rho^4 - 2 rho^3 cos 3 theta).
+        The closed domain lies in the unit disk, so a point with |Z| > 2
+        is -inf without evaluating P, which overflows for a large Z.
         """
+        if abs(self.Z) > 2:
+            return -math.inf
         return _P.eval(self.Z).real
 
 

@@ -40,22 +40,22 @@ the boundary polynomial, divided back out with exact division).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
-from .exact import BivarPoly, CRat, Rat, _make, as_rat, c_prod, Z, ZBAR
+from .exact import BivarPoly, CRat, Rat, _make, as_rat, c_prod, record, Z, ZBAR
 
 
-@dataclass(frozen=True)
+@record
 class Lambda:
     """Spectral-family parameter; rational and strictly positive."""
 
     value: "Rat"
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", as_rat(self.value))
-        if self.value <= 0:
+    def __init__(self, value):
+        value = as_rat(value)
+        if value <= 0:
             raise ValueError("lambda must be > 0")
+        self.__dict__["value"] = value
 
 
 def _lam(lam) -> Lambda:
@@ -71,7 +71,7 @@ G22 = Z - ZBAR * ZBAR
 G12 = (BivarPoly.const(1) - Z * ZBAR).scale(_HALF)
 
 
-@dataclass(frozen=True)
+@record
 class HermitianTensorField:
     """2x2 Hermitian tensor in complex coordinates with polynomial entries.
 

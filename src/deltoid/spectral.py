@@ -15,7 +15,7 @@ H_k and multiplier-kernel checks, are read from the float mode store of
 a whole truncation, a real coefficient matrix per residue class of
 modes, which the truncation builds on its first float read.
 Beside them sit the Sobolev series estimate and the fits, plain least
-squares on log-log data.  Every report is a frozen dataclass; a fit
+squares on log-log data.  Every report is a frozen record; a fit
 records the window it was computed on, and each verdict is stated once,
 next to its check (growth_passed, sobolev_passed, KernelReport.passed).
 """
@@ -23,11 +23,10 @@ next to its check (growth_passed, sobolev_passed, KernelReport.passed).
 import cmath
 import math
 import weakref
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .eigen import _pieri_modes, cusp_table, moments, pairings
-from .exact import ONE, c_prod, np
+from .exact import ONE, c_prod, np, record
 from .geometry import DeltoidPoint, _bary_xy, plane_to_deltoid
 from .operator import _lam
 
@@ -45,14 +44,14 @@ class TruncationInsufficient(ArithmeticError):
     """Dropped-tail estimate too large next to the partial sum."""
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class FitReport:
     window: tuple
     exponent: float
     residual: float
     constant: float = None
     target: float = None
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 def growth_cap(rep: FitReport) -> float:
@@ -555,7 +554,7 @@ def _sobolev_sum(p, a, t):
 # multiplier kernels
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class KernelReport:
     """The kernel sup on grid_size points against the weight series to max_k."""
 

@@ -21,9 +21,8 @@ quantities are assembled without finite differencing.
 
 import functools
 import math
-from dataclasses import dataclass
 
-from .exact import HornerProgram, c_prod, np
+from .exact import HornerProgram, c_prod, np, record
 from .operator import Lambda, gamma as deltoid_gamma, generator as deltoid_generator
 
 # diagonal scaling that gives the Cartan directions Casimir weight 2/3
@@ -196,7 +195,7 @@ def _haar_matrices(seed, n):
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TraceMomentReport:
     """Mean of |tr U / 3|^2 over n Haar draws, stderr TRACE_MOMENT_SD / sqrt(n);
     passed within 3 stderr of the Haar value 1/9, never on a NaN mean."""
@@ -657,7 +656,7 @@ def ricci_constant():
 # spectral identities and the deltoid pushforward
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class CharpolyResiduals:
     """The two residuals of one matrix (floats) or of a stack (arrays)."""
 
@@ -776,7 +775,7 @@ def _compose_with_trace(f):
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PushforwardReport:
     """Residual maxima of the lambda = 4 pushforward over count comparisons."""
 
@@ -820,7 +819,7 @@ def pushforward_check(lam4_grid, u_samples):
     return PushforwardReport(len(lam4_grid) * len(stack), worst_g, worst_l)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Su3CurvatureReport:
     """The lowest CD(3, 8) margin over pairs, and tr U / 3 where it falls."""
 
@@ -870,7 +869,7 @@ def curvature_dimension_check(trials=8, samples=40, seed=5, tol=1e-8):
     return Su3CurvatureReport(margins.size, float(margins.flat[worst]), worst_tr, tol)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class GroupModelReport:
     """Every group-side claim on one sample, with its measured values."""
 

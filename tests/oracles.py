@@ -1,7 +1,8 @@
 """Independent reference implementations that only tests read.
 
 Each one computes a quantity the package computes another way, so a test
-can hold the two against each other.
+can hold the two against each other.  `replaced` copies a record with some
+fields changed, as dataclasses.replace does for a dataclass.
 """
 
 import cmath
@@ -21,6 +22,11 @@ from deltoid.operator import Lambda, gamma, gamma2, generator
 from deltoid.su3 import _derive, _frame_moves, _mat_of, entry_const, normalized_trace
 
 ROOT3 = math.sqrt(3.0)
+
+
+def replaced(obj, **changes):
+    """A copy of the record obj with the given fields changed."""
+    return type(obj)(**{**vars(obj), **changes})
 
 
 def vectorfield_gamma_oracle(f, g, u):

@@ -1,6 +1,5 @@
 """One test per headline criterion, each printing its own verdict line."""
 
-import dataclasses
 import weakref
 
 import numpy as np
@@ -10,6 +9,7 @@ from deltoid import eigen, spectral
 from deltoid.acceptance import CRITERIA, run_criterion
 from deltoid.exact import Rat
 from deltoid.geometry import plane_to_deltoid, sample_interior, triangle_to_deltoid
+from oracles import replaced
 
 _IDS = [name for _, name, _ in CRITERIA]
 
@@ -56,7 +56,7 @@ def test_eigen_system_fails_on_one_wrong_norm(monkeypatch):
     built = spectral._pieri_modes
 
     def off(lam, degree):
-        return [dataclasses.replace(ep, norm2=ep.norm2 + Rat(1, 10**6))
+        return [replaced(ep, norm2=ep.norm2 + Rat(1, 10**6))
                 if (ep.p, ep.q) == (7, 5) else ep for ep in built(lam, degree)]
 
     monkeypatch.setattr(spectral, "_live", weakref.WeakSet())

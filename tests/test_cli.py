@@ -365,6 +365,37 @@ def test_unwritable_paths_fail_with_one_line(tmp_path, capsys, argv):
     assert err == f"{command}: [Errno 2] No such file or directory: {argv[-1]!r}\n"
 
 
+@pytest.mark.parametrize("argv,runner", [
+    (["accept", "--out", "{missing}/a.json"], "_run_accept"),
+    (["eigen", "--lambda", "4", "--pq", "1,1", "--out", "{missing}/x.json"], "_run_eigen"),
+    (["heat", "trace", "--lambda", "4", "--csv", "{missing}/t.csv"], "_run_heat_trace"),
+    (["cd", "scan-b", "--a", "1/3", "--out", "{tmp}/r.json", "--csv", "{missing}/s.csv"],
+     "_run_cd_scan_b"),
+])
+def test_missing_directory_is_refused_before_the_run(tmp_path, capsys, monkeypatch, argv,
+                                                      runner):
+    # the refusal line of a late OSError, but the runner is never called
+    def run(args):
+        raise AssertionError("ran with an output path that cannot be written")
+
+    monkeypatch.setattr(cli, runner, run)
+    argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path) for a in argv]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    command = " ".join(takewhile(lambda a: not a.startswith("-"), argv))
+    assert code == 1 and out == ""
+    assert err == f"{command}: [Errno 2] No such file or directory: {argv[-1]!r}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_out_that_is_a_directory_is_refused_after_the_run(tmp_path, capsys):
+    # any other OSError still comes from writing the report
+    code = main(["eigen", "--lambda", "4", "--pq", "1,1", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"eigen: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
 def test_heat_trace_refuses_lambda_below_one_before_building(capsys, monkeypatch):
     # the refusal needs no truncation: building one fails this test
     from deltoid import spectral

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import weakref
@@ -21,7 +20,7 @@ from deltoid.eigen import (
     solve_eigenpoly,
 )
 from deltoid.operator import Lambda, generator
-from oracles import EigenvalueCountMismatch, fraction_moments, hk_space
+from oracles import EigenvalueCountMismatch, fraction_moments, hk_space, replaced
 
 ONE = BivarPoly.const(Rat(1))
 
@@ -352,7 +351,7 @@ def test_eigenvalue_count_is_a_typed_error(monkeypatch):
     # every mode must be rejected, also under python -O
     solve = eigen.solve_eigenpoly
     monkeypatch.setattr(eigen, "solve_eigenpoly",
-                        lambda p, q, lam: dataclasses.replace(solve(p, q, lam), mu=Rat(1)))
+                        lambda p, q, lam: replaced(solve(p, q, lam), mu=Rat(1)))
     with pytest.raises(EigenvalueCountMismatch):
         hk_space(2, Lambda(4))
 

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import random
+import re
 
 import pytest
 
-from deltoid.exact import BivarPoly, CRat, Rat, Z, ZBAR, as_rat
+from deltoid.exact import BivarPoly, CRat, Rat, Z, ZBAR, as_rat, record
 from oracles import bivar_from_records
 
 
@@ -191,3 +193,54 @@ def test_hash_eq_consistent():
     b = BivarPoly.const(Rat(1, 3)) + ZBAR * Z
     assert a == b
     assert hash(a) == hash(b)
+
+
+def _point_classes():
+    # one declaration, as a frozen dataclass (the reference) and as a record
+    def declare(decorate):
+        @decorate
+        class Point:
+            x: int
+            y: float = 2.5
+            z: object = None
+        return Point
+    return declare(dataclasses.dataclass(frozen=True)), declare(record)
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((1,), {}), ((1, 2, 3), {}), ((), {"x": 1}), ((), {"z": 3, "x": 1}),
+    ((1,), {"z": 4}), ((), {}), ((1, 2, 3, 4), {}), ((1,), {"x": 2}),
+    ((), {"w": 1}),
+])
+def test_record_constructs_as_a_frozen_dataclass(args, kwargs):
+    # the same instance, or a TypeError that names the same field, if any
+    outcomes = []
+    for cls in _point_classes():
+        try:
+            obj = cls(*args, **kwargs)
+        except TypeError as exc:
+            outcomes.append(("TypeError", re.findall(r"'(\w+)'", str(exc))))
+        else:
+            outcomes.append((repr(obj), hash(obj), tuple(vars(obj).items())))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_record_is_frozen_and_compares_by_fields():
+    _, point = _point_classes()
+    a = point(1, z=[2])
+    for change in (lambda: setattr(a, "x", 0), lambda: setattr(a, "new", 0),
+                   lambda: delattr(a, "x")):
+        with pytest.raises(AttributeError):
+            change()
+    assert a == point(1, 2.5, [2]) and a != point(2, z=[2]) and a != (1, 2.5, [2])
+    nan = float("nan")
+    # the identity shortcut of a tuple compare, as a dataclass has it
+    assert point(nan) == point(nan) and point(nan) != point(float("nan"))
+
+    @record(eq=False)
+    class Report:
+        value: float
+
+    r = Report(1.0)
+    assert r == r and r != Report(1.0) and hash(r) == object.__hash__(r)
+    assert repr(r) == "test_record_is_frozen_and_compares_by_fields.<locals>.Report(value=1.0)"

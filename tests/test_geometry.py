@@ -195,3 +195,11 @@ def test_deltoid_point_interior_flags():
     assert DeltoidPoint(0j).membership_residual() > 0
     assert DeltoidPoint(1.2 + 0j).membership_residual() < 0
     assert abs(DeltoidPoint(1.0 + 0j).membership_residual()) <= 1e-9
+
+
+def test_deltoid_point_far_outside_is_minus_inf():
+    # past |Z| = 2 the residual is -inf, not an OverflowError of P
+    for z in (complex(1e200, 0), complex(0, -1e200), complex(1e80, 1), 2.001 + 0j):
+        assert DeltoidPoint(z).membership_residual() == -math.inf
+    # up to |Z| = 2 it is P's finite value, negative outside the curve
+    assert -math.inf < DeltoidPoint(2.0 + 0j).membership_residual() < 0

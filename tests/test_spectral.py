@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import weakref
 
@@ -30,7 +29,7 @@ from deltoid.spectral import (
     supnorm_bound_check,
     ultracontractivity_fit,
 )
-from oracles import sobolev_reference_value, sobolev_term_sum
+from oracles import replaced, sobolev_reference_value, sobolev_term_sum
 
 CUSPS = [complex(np.exp(2j * np.pi * k / 3)) for k in range(3)]
 
@@ -88,6 +87,19 @@ def test_heat_diag_guards(trunc4):
     shallow = HeatKernelTruncation(Lambda(4), 5)
     with pytest.raises(TruncationInsufficient):
         heat_diag(0j, 0.02, shallow)
+
+
+@pytest.mark.parametrize("x", [complex(1e200, 0), complex(0, -1e200), complex(1e80, 0),
+                               2.5 + 0j])
+def test_heat_diag_refuses_a_far_point(trunc4, x, monkeypatch):
+    # a large finite point is refused as outside, not by an OverflowError
+    # of the Horner evaluation, and before any mode is evaluated
+    def fail(self, zs):
+        raise AssertionError("mode weights evaluated")
+
+    monkeypatch.setattr(HeatKernelTruncation, "mode_weights", fail)
+    with pytest.raises(ValueError, match="outside the closed domain"):
+        heat_diag(x, 0.5, trunc4)
 
 
 @pytest.mark.parametrize("x", [complex(math.nan, 0), complex(0, math.nan),
@@ -237,20 +249,20 @@ def test_cusp_sups_build_no_mode(monkeypatch, capsys):
 
 def test_growth_rule_is_inclusive_at_the_cap():
     rep = FitReport(window=(10, 30), exponent=2.0 + GROWTH_SLACK, residual=0.0,
-                    target=2.0)
+                    target=2.0, details={})
     assert growth_cap(rep) == 2.0 + GROWTH_SLACK
     assert growth_passed(rep)
     above = FitReport(window=(10, 30), exponent=math.nextafter(growth_cap(rep), 3.0),
-                      residual=0.0, target=2.0)
+                      residual=0.0, target=2.0, details={})
     assert not growth_passed(above)
 
 
 def test_sobolev_rule_is_strict_at_the_cap():
     below = FitReport(window=(1, 2), exponent=5.0,
-                      residual=math.nextafter(SOBOLEV_RATIO_CAP, 0.0))
+                      residual=math.nextafter(SOBOLEV_RATIO_CAP, 0.0), details={})
     assert sobolev_passed(below)
     for residual in (SOBOLEV_RATIO_CAP, math.nan):
-        assert not sobolev_passed(dataclasses.replace(below, residual=residual))
+        assert not sobolev_passed(replaced(below, residual=residual))
 
 
 def test_supnorm_growth_lam4():
@@ -391,7 +403,7 @@ def test_complex_coeffs_runs_once_per_solved_mode(monkeypatch):
 def _bits(report):
     """Every field of a check report, floats by repr, which round-trips."""
     if isinstance(report, KernelReport):
-        return repr(dataclasses.astuple(report))
+        return repr(tuple(vars(report).values()))
     return repr((report.window, report.exponent, report.residual, report.constant,
                  report.target, sorted(report.details.items())))
 
@@ -621,7 +633,7 @@ def test_kernel_single_level_projector():
 def test_kernel_report_passes_at_equality():
     at = KernelReport(sup_abs=2.5, series_value=2.5, max_k=3, grid_size=4, diag_sup=2.5)
     assert at.passed
-    above = dataclasses.replace(at, sup_abs=math.nextafter(2.5, math.inf))
+    above = replaced(at, sup_abs=math.nextafter(2.5, math.inf))
     assert not above.passed
 
 

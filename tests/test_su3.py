@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import os
@@ -32,7 +31,7 @@ from deltoid.su3 import (
     pushforward_check,
     ricci_constant,
 )
-from oracles import coefficient_function, entry_gamma, vectorfield_gamma_oracle
+from oracles import coefficient_function, entry_gamma, replaced, vectorfield_gamma_oracle
 
 A = DIAG_WEIGHT
 
@@ -513,7 +512,7 @@ def _group_report(**change):
     good = su3.GroupModelReport(
         ricci=3.0, commutator_entries=36, push=su3.PushforwardReport(1, 0.0, 0.0),
         charpoly_residual=0.0, cd=su3.Su3CurvatureReport(1, 0.0, 0j, 1e-8))
-    return dataclasses.replace(good, **change)
+    return replaced(good, **change)
 
 
 def test_group_model_report_gates():

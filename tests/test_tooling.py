@@ -8,13 +8,15 @@ benchmark runs.  Both files are loaded read-only, by path, and nothing
 is wrapped.  tools/bench_layers.py, the per-layer harness, is run once
 into a scratch file.  Fresh interpreters check that a bare import loads
 every module the tracer wraps, and that the exact half (the import, the
-spectrum and calculus passes, the exact subcommands) loads no numpy.
+spectrum and calculus passes, the exact subcommands) loads no numpy; the
+import and the exact subcommands load neither dataclasses nor inspect.
 """
 
 import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,32 +85,42 @@ def test_bare_import_loads_every_span_target_module():
 def test_exact_half_loads_no_numpy():
     # pytest has loaded numpy already, so this runs in a fresh process.
     # The lazy numpy module sits under "numpy" itself, so a real load is
-    # seen by its submodules
+    # seen by its submodules.  Neither the import nor an exact subcommand
+    # loads dataclasses or inspect; they are read before test_tooling is
+    # imported, since pytest loads both
     code = """
 import contextlib, io, json, sys
 import deltoid
 from deltoid import cli
-from test_tooling import _load
 loaded = ["numpy.linalg" in sys.modules]
+stdlib = [["dataclasses" in sys.modules, "inspect" in sys.modules]]
+for argv in (["eigen", "--lambda", "4", "--pq", "3,2"], ["moments", "--lambda", "4"],
+             ["cd", "factor-check", "--a1", "1/6", "--b1", "9/4"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+stdlib.append(["dataclasses" in sys.modules, "inspect" in sys.modules])
+from test_tooling import _load
 workloads = _load("workloads")
 for name in ("Calculus", "Spectrum"):
     tally = workloads.Tally()
     outputs = getattr(workloads, name)(deltoid, 0).run(tally)
     assert tally.missed == [], tally.missed
     workloads.digest(deltoid, outputs)
-for argv in (["eigen", "--lambda", "4", "--pq", "3,2"], ["moments", "--lambda", "4"],
-             ["cd", "factor-check", "--a1", "1/6", "--b1", "9/4"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0, argv
 loaded.append("numpy.linalg" in sys.modules)
 grid = deltoid.cdcheck.deltoid_grid(7)
 loaded.append("numpy.linalg" in sys.modules)
-print(json.dumps([loaded, grid.tobytes().hex()]))
+print(json.dumps([loaded, stdlib, grid.tobytes().hex()]))
 """
-    loaded, grid = json.loads(_fresh_python(code))
+    loaded, stdlib, grid = json.loads(_fresh_python(code))
     # not after the import nor the exact runs; then the first float read
     assert loaded == [False, False, True]
     assert bytes.fromhex(grid) == deltoid.cdcheck.deltoid_grid(7).tobytes()
+    assert stdlib == [[False, False], [False, False]]
+    # the package declares its records with exact.record, not dataclasses
+    package = Path(deltoid.__file__).parent
+    importers = [path.name for path in sorted(package.glob("*.py"))
+                 if re.search(r"^\s*(import|from)\s+dataclasses\b", path.read_text(), re.M)]
+    assert importers == []
 
 
 def test_numpy_imported_first_is_the_package_binding():
@@ -126,7 +138,8 @@ def test_every_export_resolves_once():
 
 def test_layer_harness_writes_its_record(tmp_path):
     # one round per layer into a scratch file: every layer timed, and the
-    # machine, versions and backend recorded beside the numbers
+    # machine, versions and backend recorded beside the numbers; the eigen
+    # rows solve each (p, q) of degree <= 14, 120 modes
     spec = importlib.util.spec_from_file_location(
         "bench_layers", Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py")
     harness = importlib.util.module_from_spec(spec)
@@ -137,7 +150,9 @@ def test_layer_harness_writes_its_record(tmp_path):
     assert {"machine", "python", "numpy", "rational_backend"} <= set(record)
     assert set(record["layers"]) == {
         "cdcheck.ray_nonneg_on_unit", "cdcheck.factorization_sweep", "operator.generator",
-        "operator.gamma", "operator.gamma2", "exact.mul", "exact.divexact"}
+        "operator.gamma", "operator.gamma2", "exact.mul", "exact.divexact",
+        "eigen._pieri_modes(4, 40)", "eigen._pieri_modes(1, 25)", "eigen.solve_eigenpoly"}
+    assert record["layers"]["eigen.solve_eigenpoly"]["calls_per_round"] == 120
     assert all(layer["min_s_per_call"] > 0 for layer in record["layers"].values())
     # the exact startups, timed in fresh processes, never load numpy
     assert set(record["startup"]) == set(harness.STARTUP)

@@ -1,4 +1,5 @@
-"""Per-layer timings of the exact calculus, as min-of-N seconds per call.
+"""Per-layer timings of the exact calculus and the eigen solvers, as
+min-of-N seconds per call.
 
 Run from the root of a checkout:
 
@@ -10,8 +11,11 @@ with lambda cycling through 4, 1 and 7/2.  One round calls a primitive once
 per input (generator, gamma2 on each form; gamma and BivarPoly.__mul__
 on each form and the next; divexact of each form times the boundary
 polynomial by it; the ray sweep at b1 = 9/4 and 9/4 + 1/100, a1 = 1/6;
-one factorization_sweep).  Each figure is the fastest of --repeats
-rounds divided by the calls in a round.
+one factorization_sweep).  The eigen rows build the modes of the two
+truncations the `measure` workload sets up, eigen._pieri_modes at
+(lambda, degree) = (4, 40) and (1, 25), once per round, and solve every
+(p, q) of degree <= 14 at lambda = 4 with solve_eigenpoly.  Each figure
+is the fastest of --repeats rounds divided by the calls in a round.
 
 The startup rows time a bare `import deltoid` and three exact
 subcommands (`eigen`, `moments`, `cd factor-check`), each in --repeats
@@ -34,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FORMS = 100
 LAMBDAS = ("4", "1", "7/2")
+EIGEN_DEGREE = 14
 # startup row name: CLI arguments, or None for the import alone
 STARTUP = {
     "import deltoid": None,
@@ -78,6 +83,8 @@ def layer_rounds(dt):
     boundary = dt.boundary_poly()
     multiples = [f * boundary for f in forms]
     a1, b1 = dt.Rat(1, 6), dt.Rat(9, 4)
+    lam4, lam1 = dt.Lambda(4), dt.Lambda(1)
+    pqs = [(p, d - p) for d in range(EIGEN_DEGREE + 1) for p in range(d + 1)]
     return {
         "cdcheck.ray_nonneg_on_unit": (2, lambda: [
             dt.ray_nonneg_on_unit(a1, b1), dt.ray_nonneg_on_unit(a1, b1 + dt.Rat(1, 100))]),
@@ -89,6 +96,10 @@ def layer_rounds(dt):
                                             for f, lam in zip(forms, lams)]),
         "exact.mul": (FORMS, lambda: [f * g for f, g in pairs]),
         "exact.divexact": (FORMS, lambda: [m.divexact(boundary) for m in multiples]),
+        "eigen._pieri_modes(4, 40)": (1, lambda: dt.eigen._pieri_modes(lam4, 40)),
+        "eigen._pieri_modes(1, 25)": (1, lambda: dt.eigen._pieri_modes(lam1, 25)),
+        "eigen.solve_eigenpoly": (len(pqs), lambda: [dt.solve_eigenpoly(p, q, lam4)
+                                                    for p, q in pqs]),
     }
 
 

@@ -1,9 +1,9 @@
 """Spectral growth bounds and the series-side estimate.
 
 Three related quantities: how fast a single eigenpolynomial's sup-norm
-grows with its eigenvalue, how fast random combinations within a degree
-space grow with the degree, and the normalized Gaussian-type series
-whose stability encodes the same dimension count.
+grows with its eigenvalue, how fast the sup of unit combinations within
+a degree space grows with the degree, and the normalized Gaussian-type
+series whose stability encodes the same dimension count.
 """
 
 import math
@@ -23,7 +23,7 @@ print(f"fitted exponent {rep.exponent:.3f} vs cap lambda/2 = {rep.target}")
 print(f"largest constant ||P||_inf / (||P||_2 mu^(lambda/2)) = {rep.constant:.4f}")
 
 print()
-print("= degree-space combinations =")
+print("= degree-space unit combinations =")
 rep = hk_bound_check(Lambda(4), 20, seed=0)
 print(f"fitted exponent {rep.exponent:.3f} vs cap lambda + 1/2 = {rep.target}")
 

@@ -7,13 +7,13 @@ every live truncation, and a new one takes its first modes from any
 live truncation of its lam at least as deep instead of building; nothing
 else is shared.  For lam >= 1 every mode is a nonnegative combination of
 the lam = 1 orbit sums (Koornwinder 1974, class IV; Knop & Sahi 1997),
-so |P| <= P(1), its value at a cusp: the sup-norm check and the sup of
-the heat diagonal read the cusp weights P(1)^2/||P||^2 from their closed
-form (`eigen.cusp_table`) and build no mode.
+so |P| <= P(1), its value at a cusp: the sup-norm check, the H_k check
+and the sup of the heat diagonal read the cusp weights P(1)^2/||P||^2
+from their closed form (`eigen.cusp_table`) and build no mode.
 Other float values of modes, for the heat diagonal at a point and the
-H_k and multiplier-kernel checks, are read from the float mode store of
-a whole truncation, a real coefficient matrix per residue class of
-modes, which the truncation builds on its first float read.
+multiplier-kernel check, are read from the float mode store of a whole
+truncation, a real coefficient matrix per residue class of modes, which
+the truncation builds on its first float read.
 Beside them sit the Sobolev series estimate and the fits, plain least
 squares on log-log data.  Every report is a frozen record; a fit
 records the window it was computed on, and each verdict is stated once,
@@ -27,7 +27,7 @@ from functools import cached_property
 
 from .eigen import _pieri_modes, cusp_table, moments, pairings
 from .exact import ONE, c_prod, np, record
-from .geometry import DeltoidPoint, _bary_xy, plane_to_deltoid
+from .geometry import DeltoidPoint
 from .operator import _lam
 
 
@@ -274,16 +274,12 @@ def ultracontractivity_fit(lam, t_window, trunc=None):
 # the mode store: many modes at many points
 
 
-# points per block of a store evaluation, so that the monomials and the
-# values of one block stay a few MB whatever the number of points
-_POINT_BLOCK = 256
-
 # A BLAS matrix product is not bound to round the same way at every
 # thread count.  OpenBLAS 0.3.31 (Intel Xeon, AVX-512 kernels) did, for
 # every shape tried at 1 to 4 threads, once the product had a multiple of
 # 8 columns and an inner dimension of at most 386; past 386 it split the
-# sum differently when threaded.  So blocks are padded to a multiple of 4
-# points (8 float64 columns) and the inner dimension, the monomials of a
+# sum differently when threaded.  So the points are padded to a multiple of
+# 4 (8 float64 columns) and the inner dimension, the monomials of a
 # class, is cut into slices of at most _INNER, summed in a fixed order.
 _INNER = 256
 
@@ -311,9 +307,9 @@ class _ModeStore:
     Every term Z^i Zbar^j of P_{p,q} has i - j = p - q mod 3, so the modes
     of one class r = (p - q) mod 3 share one set of monomials.  A class
     holds one real coefficient matrix, rows its modes and columns its
-    monomials in ascending (i, j).  Its values at a block of points are
-    that matrix times the block's monomials, read as float64 pairs: one
-    real matrix product per class and block, one block held at a time.
+    monomials in ascending (i, j).  Its values at the points are that
+    matrix times the points' monomials, read as float64 pairs: one real
+    matrix product per class.
     """
 
     def __init__(self, classes, size):
@@ -354,47 +350,27 @@ class _ModeStore:
                             np.abs(i - j), np.where(i >= j, 1.0, -1.0), coef))
         return cls(classes, len(modes))
 
-    def blocks(self, zs):
-        """(first point index, values of every row at a block of the points zs)."""
-        powers = _power_table(np.concatenate([zs, np.zeros((-len(zs)) % 4)]),
-                              self._degree)
-        for lo in range(0, len(zs), _POINT_BLOCK):
-            hi = min(lo + _POINT_BLOCK, len(zs))
-            width = hi - lo + (lo - hi) % 4
-            r2, re, im = (t[:, lo:lo + width] for t in powers)
-            out = np.empty((self.size, hi - lo), dtype=complex)
-            for rows, kk, dd, sign, coef in self._classes:
-                # Z^i Zbar^j = |z|^(2 min(i, j)) times z^(i - j) or conj(z)^(j - i)
-                mono = np.empty((len(kk), width), dtype=complex)
-                mono.real = r2[kk] * re[dd]
-                mono.imag = r2[kk] * im[dd] * sign[:, None]
-                flat = mono.view(np.float64)
-                vals = coef[:, :_INNER] @ flat[:_INNER]
-                for k in range(_INNER, len(kk), _INNER):
-                    vals += coef[:, k:k + _INNER] @ flat[k:k + _INNER]
-                out[rows] = vals.view(complex)[:, :hi - lo]
-            yield lo, out
-
     def values(self, zs):
         """Every row at every point of the 1-d array zs, (rows, points)."""
+        width = len(zs) + (-len(zs)) % 4
+        r2, re, im = _power_table(np.concatenate([zs, np.zeros(width - len(zs))]),
+                                  self._degree)
         out = np.empty((self.size, len(zs)), dtype=complex)
-        for lo, vals in self.blocks(zs):
-            out[:, lo:lo + vals.shape[1]] = vals
+        for rows, kk, dd, sign, coef in self._classes:
+            # Z^i Zbar^j = |z|^(2 min(i, j)) times z^(i - j) or conj(z)^(j - i)
+            mono = np.empty((len(kk), width), dtype=complex)
+            mono.real = r2[kk] * re[dd]
+            mono.imag = r2[kk] * im[dd] * sign[:, None]
+            flat = mono.view(np.float64)
+            vals = coef[:, :_INNER] @ flat[:_INNER]
+            for k in range(_INNER, len(kk), _INNER):
+                vals += coef[:, k:k + _INNER] @ flat[k:k + _INNER]
+            out[rows] = vals.view(complex)[:, :len(zs)]
         return out
 
 
 # ---------------------------------------------------------------------------
 # sup norms on the closed domain
-
-
-def _lattice(m):
-    """The barycentric lattice of side m over the closed fundamental
-    triangle, mapped into the deltoid; its three vertices map to the
-    three cusps."""
-    # (i, j) row by row, i from 0 to m and j from 0 to m - i
-    i, c = np.triu_indices(m + 1)
-    x, y = _bary_xy(i, c - i, m - c)
-    return plane_to_deltoid(x / m, y / m)
 
 
 def supnorm_bound_check(lam, max_degree):
@@ -428,46 +404,24 @@ def supnorm_bound_check(lam, max_degree):
 
 
 def hk_bound_check(lam, max_k, seed=0):
-    """Sup-norm of random unit combinations in each degree space H_k.
+    """Sup-norm of unit combinations in each degree space H_k, k = 1..max_k.
 
-    Checks growth against k^(lam + 1/2) on five random unit combinations
-    per degree; the basis is orthogonal with exact norms, so unit
-    combinations cost one normalization.  A combination need not peak
-    at a cusp, so each sup is the largest value on the grid-80 lattice.
+    Checks growth against k^(lam + 1/2).  With phi = P / ||P|| over the
+    modes of degree k, a unit f = sum c phi obeys |f| <= sqrt(sum |phi|^2)
+    by Cauchy-Schwarz, and for lam >= 1 each |phi|^2 peaks at the cusp
+    Z = 1 at its closed cusp weight w, so |f| <= sqrt(W_k) with W_k the
+    level's weights summed; equality holds at Z = 1 with c proportional
+    to phi(1).  So each sup is sqrt(W_k) exactly, read from the closed
+    cusp weights in math.fsum, and no mode is built.  details["W"] holds
+    the W_k.  seed is unread; it stays accepted for its callers.
     """
     lam = _lam(lam)
-    require_lam_geq_one(lam)
-    trunc = HeatKernelTruncation(lam, max_k)
-    # every mode but the constant one, the first
-    modes = trunc.modes[1:]
-    zs = _lattice(80)
-    norms = np.array([math.sqrt(float(ep.norm2)) for ep in modes])
-    rng = np.random.default_rng(seed)
-    draws = 5
+    _, w = _cusp_table(lam, max_k)
     target = float(lam.value) + 0.5
     ks = list(range(1, max_k + 1))
-    levels, combos = [], []
-    for k in ks:
-        level = np.array([a for a, ep in enumerate(modes) if ep.p + ep.q == k])
-        cs = np.empty((draws, len(level)), dtype=complex)
-        for d in range(draws):
-            c = rng.standard_normal(len(level)) + 1j * rng.standard_normal(len(level))
-            cs[d] = c / np.linalg.norm(c)
-        levels.append(level)
-        combos.append(cs)
-    # per level, the largest |value| of a combination or of a single
-    # basis member, the latter tying this to the per-mode check; einsum
-    # sums without BLAS, so the bits do not depend on its thread count
-    sups = [0.0] * len(ks)
-    for _, vals in trunc._store.blocks(zs):
-        vals = vals[1:]
-        vals /= norms[:, None]
-        for n, (level, cs) in enumerate(zip(levels, combos)):
-            v = vals[level]
-            combo = np.einsum("dm,mx->dx", cs, v)
-            top = max(float(np.max(np.abs(combo), initial=0.0)),
-                      float(np.max(np.abs(v))))
-            sups[n] = max(sups[n], top)
+    # level k holds the (k + 1) modes p + q = k, in truncation order
+    weights = [math.fsum(w[k * (k + 1) // 2:(k + 1) * (k + 2) // 2]) for k in ks]
+    sups = [math.sqrt(wk) for wk in weights]
     consts = [best / k**target for k, best in zip(ks, sups)]
     slope, _, residual = _loglog_fit(ks, sups)
     return FitReport(
@@ -476,7 +430,7 @@ def hk_bound_check(lam, max_k, seed=0):
         residual=residual,
         constant=max(consts),
         target=target,
-        details={"draws": draws},
+        details={"W": tuple(weights)},
     )
 
 

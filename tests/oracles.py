@@ -16,8 +16,8 @@ from deltoid import eigen
 from deltoid.cdcheck import (N_TOL, RAY_SAMPLES, DegenerateDenominator, FactorizationResult,
                              IdentityMismatch, _b_from_parts, _trig_forms, tensor_residual)
 from deltoid.exact import BivarPoly, CRat, Rat, as_rat
-from deltoid.geometry import (E, V0, V1, V2, TrianglePoint, _bary_to_plane, w_density,
-                              zk)
+from deltoid.geometry import (E, V0, V1, V2, TrianglePoint, _bary_to_plane, _bary_xy,
+                              plane_to_deltoid, w_density, zk)
 from deltoid.operator import Lambda, gamma, gamma2, generator
 from deltoid.su3 import _derive, _frame_moves, _mat_of, entry_const, normalized_trace
 
@@ -226,6 +226,16 @@ def interior_lattice(m: int):
                 continue
             pts.append(_bary_to_plane(i / m, j / m, k / m))
     return pts
+
+
+def closed_lattice(m: int):
+    """The barycentric lattice of side m over the closed fundamental
+    triangle, mapped into the deltoid as one complex array; its three
+    vertices map to the three cusps."""
+    # (i, j) row by row, i from 0 to m and j from 0 to m - i
+    i, c = np.triu_indices(m + 1)
+    x, y = _bary_xy(i, c - i, m - c)
+    return plane_to_deltoid(x / m, y / m)
 
 
 def boundary_points(n: int):

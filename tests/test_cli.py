@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -264,6 +265,15 @@ def test_bounds_subcommands(capsys):
     assert code == 0 and rep["result"]["passed"] is True
 
 
+def test_bounds_hk_at_lambda_one_grows_like_the_square_root(capsys):
+    # at lam = 1 each W_k is 6k, so the H_k sups sqrt(6k) fit the
+    # exponent 1/2 at every depth, far under the cap lam + 1/2 + 0.1
+    code, rep = run_json(capsys, ["bounds", "hk", "--lambda", "1", "--max-k", "40"])
+    assert code == 0 and rep["result"]["passed"] is True
+    assert rep["result"]["exponent"] == pytest.approx(0.5, abs=1e-12)
+    assert rep["result"]["constant"] == pytest.approx(math.sqrt(6), rel=1e-15)
+
+
 @pytest.mark.parametrize("argv", [
     ["bounds", "supnorm", "--lambda", "1/2"],
     ["bounds", "hk", "--lambda", "1/2", "--max-k", "12"],
@@ -418,10 +428,10 @@ def test_heat_trace_refuses_lambda_below_one_before_building(capsys, monkeypatch
     ["cd", "verify", "--lambda", "4", "--rho", "9/4", "--n", "8"],
 ])
 def test_bounds_supnorm_bytes_do_not_depend_on_blas_threads(sizes):
-    # the mode store's matrix products, which the H_k and kernel checks
-    # read, run in BLAS; one and two threads must give the same report
-    # bytes at the default sizes, whose products are large enough for
-    # BLAS to split them between threads.  The sup-norm and heat-trace
+    # the mode store's matrix products, which the kernel check reads,
+    # run in BLAS; one and two threads must give the same report bytes
+    # at the default sizes, whose products are large enough for BLAS to
+    # split them between threads.  The sup-norm, H_k and heat-trace
     # reports, summed from exact cusp weights, and the cd verify report,
     # whose margins einsum sums, must hold the same bytes
     src = os.path.dirname(os.path.dirname(deltoid.__file__))

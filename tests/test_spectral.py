@@ -17,7 +17,6 @@ from deltoid.spectral import (
     HeatKernelTruncation,
     KernelReport,
     TruncationInsufficient,
-    _lattice,
     growth_cap,
     growth_passed,
     heat_cusp_sups,
@@ -29,7 +28,7 @@ from deltoid.spectral import (
     supnorm_bound_check,
     ultracontractivity_fit,
 )
-from oracles import replaced, sobolev_reference_value, sobolev_term_sum
+from oracles import closed_lattice, replaced, sobolev_reference_value, sobolev_term_sum
 
 CUSPS = [complex(np.exp(2j * np.pi * k / 3)) for k in range(3)]
 
@@ -298,7 +297,7 @@ def test_lattice_sup_sits_on_a_cusp(lam):
     # points, so the lattice maximum is the sup-norm: sqrt(w) ||P|| from
     # the exact cusp weight, up to the rounding of a float evaluation
     trunc = HeatKernelTruncation(lam, 20)
-    zs = _lattice(40)
+    zs = closed_lattice(40)
     cusps = {k for k, z in enumerate(zs) if min(abs(z - c) for c in CUSPS) < 1e-12}
     assert len(cusps) == 3
     mag = np.abs(trunc._store.values(zs))
@@ -322,17 +321,19 @@ def test_mode_table_matches_horner():
         assert np.max(np.abs(vals[a] - want)) <= 1e-12 * _mass(ep)
 
 
-def test_mode_table_streams_blocks():
-    # more points than one block: the blocks, side by side, are the
-    # assembled values, and no block is larger than the bound
+def test_mode_table_bytes_do_not_depend_on_a_point_position():
+    # the power table is per point and the points are padded to a multiple
+    # of 4, so a point's values have the same bytes in every slice of the
+    # array it sits in, whatever the slice's length and padding
     trunc = HeatKernelTruncation(Lambda(4), 6)
-    zs = _lattice(40)
-    assert len(zs) > spectral._POINT_BLOCK
-    blocks = list(trunc._store.blocks(zs))
-    assert [lo for lo, _ in blocks] == list(range(0, len(zs), spectral._POINT_BLOCK))
-    assert all(v.shape[1] <= spectral._POINT_BLOCK for _, v in blocks)
+    zs = closed_lattice(40)
+    assert len(zs) == 861
     vals = trunc._store.values(zs)
-    assert np.array_equal(np.concatenate([v for _, v in blocks], axis=1), vals)
+    cuts = np.cumsum([0, 1, 3, 256, 257])
+    parts = [zs[lo:hi] for lo, hi in zip(cuts, cuts[1:])] + [zs[cuts[-1]:]]
+    assert [len(part) for part in parts] == [1, 3, 256, 257, 344]
+    sliced = np.concatenate([trunc._store.values(part) for part in parts], axis=1)
+    assert sliced.tobytes() == vals.tobytes()
 
 
 def test_mode_table_row_slices():
@@ -371,8 +372,9 @@ def test_mode_table_rejects_complex_coefficients():
 def test_complex_coeffs_runs_once_per_solved_mode(monkeypatch):
     # the float store is built on first float use, from one complex_coeffs()
     # pass over the modes with p >= q; mirrors swap their partner's terms.
-    # The sup-norm check and the heat fit read exact cusp weights and
-    # build no store.  Each truncation and check builds its own store
+    # The sup-norm and H_k checks and the heat fit read exact cusp
+    # weights and build no store.  Each truncation and check builds its
+    # own store
     lam = Lambda(Rat(11, 3))
     seen = []
     original = BivarPoly.complex_coeffs
@@ -386,18 +388,17 @@ def test_complex_coeffs_runs_once_per_solved_mode(monkeypatch):
     assert trunc.integrates_to_delta() and seen == []
     ultracontractivity_fit(lam, (0.5, 1.0), trunc)
     supnorm_bound_check(lam, 8)
+    hk_bound_check(lam, 8)
     assert seen == [] and "_store" not in vars(trunc)
     solved = {id(ep.poly) for ep in trunc.modes if ep.p >= ep.q}
     heat_diag(0.9 * CUSPS[0], 0.1, trunc)
     trunc.mode_weights(0.1j)
     assert sorted(seen) == sorted(solved)
-    # beside trunc, each check builds the store of its own truncation at
-    # degree 8, one call per (p, q) with p >= q, the constant mode included
-    for check, count in ((lambda: hk_bound_check(lam, 8), 25),
-                         (lambda: kernel_bound_check([1.0, 0.5], lam, 8, KERNEL_GRID), 25)):
-        seen.clear()
-        check()
-        assert len(seen) == len(set(seen)) == count
+    # beside trunc, the kernel check builds the store of its own truncation
+    # at degree 8, one call per (p, q) with p >= q, the constant mode included
+    seen.clear()
+    kernel_bound_check([1.0, 0.5], lam, 8, KERNEL_GRID)
+    assert len(seen) == len(set(seen)) == 25
 
 
 def _bits(report):
@@ -526,7 +527,7 @@ def test_lattice_is_the_point_map(m):
             x = (i * V0[0] + j * V1[0] + k * V2[0]) / m
             y = (i * V0[1] + j * V1[1] + k * V2[1]) / m
             zs.append(triangle_to_deltoid(TrianglePoint(x, y)).Z)
-    assert _lattice(m).tobytes() == np.array(zs, dtype=complex).tobytes()
+    assert closed_lattice(m).tobytes() == np.array(zs, dtype=complex).tobytes()
 
 
 def test_supnorm_anchors_for_z_itself():
@@ -543,8 +544,36 @@ def test_hk_combination_growth_lam4():
     assert rep.exponent <= 4.6
     assert rep.target == 4.5
     assert rep.constant < 10.0
+    # the constant is the k = 1 sup sqrt(W_1), W_1 = 2(2 lam + 1), the
+    # value of the H_1 projector kernel at a cusp
+    assert rep.constant == math.sqrt(18)
     again = hk_bound_check(Lambda(4), 20, seed=0)
     assert again.exponent == rep.exponent
+
+
+def test_hk_weights_at_lambda_one_are_six_k():
+    # at lam = 1 level k holds two modes of cusp weight 3 and k - 1 of
+    # weight 6, the Weyl orbit sizes, so W_k = 6k exactly
+    rep = hk_bound_check(Lambda(1), 40)
+    assert rep.details["W"] == tuple(6.0 * k for k in range(1, 41))
+
+
+@pytest.mark.parametrize("lam", [Lambda(4), Lambda(Rat(7, 2)), Lambda(1)])
+def test_hk_sup_is_the_lattice_kernel_diagonal(lam):
+    # the float oracle: the sup over unit f in H_k is the sup of the
+    # reproducing-kernel diagonal, the level's mode_weights summed.  On
+    # the closed lattice it peaks on a cusp at sqrt(W_k); k stays <= 12,
+    # where the float store is accurate at lam = 1
+    trunc = HeatKernelTruncation(lam, 12)
+    zs = closed_lattice(40)
+    weights = trunc.mode_weights(zs)
+    rep = hk_bound_check(lam, 12)
+    for k, wk in zip(range(1, 13), rep.details["W"]):
+        level = [a for a, ep in enumerate(trunc.modes) if ep.p + ep.q == k]
+        diag = weights[level].sum(axis=0)
+        top = int(np.argmax(diag))
+        assert abs(abs(zs[top]) - 1.0) <= 1e-12, k
+        assert abs(math.sqrt(diag[top]) - math.sqrt(wk)) <= 1e-9 * math.sqrt(wk), k
 
 
 def test_sobolev_series_stability():

@@ -139,7 +139,8 @@ def test_every_export_resolves_once():
 def test_layer_harness_writes_its_record(tmp_path):
     # one round per layer into a scratch file: every layer timed, and the
     # machine, versions and backend recorded beside the numbers; the eigen
-    # rows solve each (p, q) of degree <= 14, 120 modes
+    # rows solve each (p, q) of degree <= 14, 120 modes, and the spectral
+    # rows run the H_k check and the mode store once per round
     spec = importlib.util.spec_from_file_location(
         "bench_layers", Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py")
     harness = importlib.util.module_from_spec(spec)
@@ -151,8 +152,13 @@ def test_layer_harness_writes_its_record(tmp_path):
     assert set(record["layers"]) == {
         "cdcheck.ray_nonneg_on_unit", "cdcheck.factorization_sweep", "operator.generator",
         "operator.gamma", "operator.gamma2", "exact.mul", "exact.divexact",
-        "eigen._pieri_modes(4, 40)", "eigen._pieri_modes(1, 25)", "eigen.solve_eigenpoly"}
+        "eigen._pieri_modes(4, 40)", "eigen._pieri_modes(1, 25)", "eigen.solve_eigenpoly",
+        "spectral.hk_bound_check(4, 20)", "spectral.hk_bound_check(1, 40)",
+        "spectral._ModeStore.values(4, 40)"}
     assert record["layers"]["eigen.solve_eigenpoly"]["calls_per_round"] == 120
+    assert all(record["layers"][name]["calls_per_round"] == 1 for name in (
+        "spectral.hk_bound_check(4, 20)", "spectral.hk_bound_check(1, 40)",
+        "spectral._ModeStore.values(4, 40)"))
     assert all(layer["min_s_per_call"] > 0 for layer in record["layers"].values())
     # the exact startups, timed in fresh processes, never load numpy
     assert set(record["startup"]) == set(harness.STARTUP)

@@ -14,8 +14,13 @@ polynomial by it; the ray sweep at b1 = 9/4 and 9/4 + 1/100, a1 = 1/6;
 one factorization_sweep).  The eigen rows build the modes of the two
 truncations the `measure` workload sets up, eigen._pieri_modes at
 (lambda, degree) = (4, 40) and (1, 25), once per round, and solve every
-(p, q) of degree <= 14 at lambda = 4 with solve_eigenpoly.  Each figure
-is the fastest of --repeats rounds divided by the calls in a round.
+(p, q) of degree <= 14 at lambda = 4 with solve_eigenpoly.  The spectral
+rows run hk_bound_check at (lambda, max_k) = (4, 20) and (1, 40), each
+while a truncation of its lambda at degree 40 is live, as the `measure`
+workload holds one, and evaluate the float mode store of the (4, 40)
+truncation, built once beforehand, on the closed barycentric lattice of
+side 80 (3,321 points) with _ModeStore.values.  Each figure is the
+fastest of --repeats rounds divided by the calls in a round.
 
 The startup rows time a bare `import deltoid` and three exact
 subcommands (`eigen`, `moments`, `cd factor-check`), each in --repeats
@@ -35,10 +40,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 FORMS = 100
 LAMBDAS = ("4", "1", "7/2")
 EIGEN_DEGREE = 14
+# side of the closed lattice the mode store row evaluates on
+LATTICE_SIDE = 80
 # startup row name: CLI arguments, or None for the import alone
 STARTUP = {
     "import deltoid": None,
@@ -85,6 +94,11 @@ def layer_rounds(dt):
     a1, b1 = dt.Rat(1, 6), dt.Rat(9, 4)
     lam4, lam1 = dt.Lambda(4), dt.Lambda(1)
     pqs = [(p, d - p) for d in range(EIGEN_DEGREE + 1) for p in range(d + 1)]
+    live4, live1 = dt.HeatKernelTruncation(lam4, 40), dt.HeatKernelTruncation(lam1, 40)
+    store = live4._store
+    i, c = np.triu_indices(LATTICE_SIDE + 1)
+    x, y = dt.geometry._bary_xy(i, c - i, LATTICE_SIDE - c)
+    lattice = dt.geometry.plane_to_deltoid(x / LATTICE_SIDE, y / LATTICE_SIDE)
     return {
         "cdcheck.ray_nonneg_on_unit": (2, lambda: [
             dt.ray_nonneg_on_unit(a1, b1), dt.ray_nonneg_on_unit(a1, b1 + dt.Rat(1, 100))]),
@@ -100,6 +114,10 @@ def layer_rounds(dt):
         "eigen._pieri_modes(1, 25)": (1, lambda: dt.eigen._pieri_modes(lam1, 25)),
         "eigen.solve_eigenpoly": (len(pqs), lambda: [dt.solve_eigenpoly(p, q, lam4)
                                                     for p, q in pqs]),
+        # each live truncation is held by its row, so it outlives the rounds
+        "spectral.hk_bound_check(4, 20)": (1, lambda held=live4: dt.hk_bound_check(lam4, 20)),
+        "spectral.hk_bound_check(1, 40)": (1, lambda held=live1: dt.hk_bound_check(lam1, 40)),
+        "spectral._ModeStore.values(4, 40)": (1, lambda: store.values(lattice)),
     }
 
 
@@ -142,8 +160,6 @@ def main(argv=None):
         ap.error("--repeats must be >= 1")
     if str(ROOT / "src") not in sys.path:
         sys.path.insert(0, str(ROOT / "src"))
-    import numpy as np
-
     import deltoid as dt
 
     record = {

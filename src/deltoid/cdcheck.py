@@ -12,11 +12,14 @@ worst value and its rho.
 
 Route 2: the triangle picture.  b(a) is the smallest eigenvalue of
 -Hess(sigma) - a grad(sigma) grad(sigma)^T with sigma = (1/2) log W; the
-closed trigonometric forms A1, B1, C1, N are frozen here.  triangle_b
-cross-checks them against an independent (z, u) rational form at each
-point it evaluates, and the tests check them against a finite-difference
-Hessian; scan_inf_b and divergence_probe evaluate the trigonometric
-forms alone.  The a = 1/3 infimum 9/8 is approached via a corner-refined
+closed trigonometric forms A1, B1, C1, N are frozen here.  They, b and
+an independent (z, u) rational form work elementwise on numpy arrays,
+one call per set of points: the lattice and then each corner box of
+scan_inf_b, the probe curve of divergence_probe, the point of triangle_b
+and the lattice of triangle_surface (the `cd scan-b --csv` surface).
+The last two cross-check the trigonometric forms against the (z, u) form
+at every point, and the tests check them against a finite-difference
+Hessian.  The a = 1/3 infimum 9/8 is approached via a corner-refined
 scan.
 
 Route 3: direct sampling of Gamma_2(f, f) >= rho Gamma(f, f) + (Lf)^2 / n
@@ -30,7 +33,6 @@ import cmath
 import math
 import random
 from fractions import Fraction
-from itertools import product
 
 from .exact import BivarPoly, CRat, Rat, Z, ZBAR, _make, as_rat, np, record
 from .geometry import (
@@ -152,11 +154,17 @@ def deltoid_grid(m: int):
     """
     if m < 3:
         raise ValueError("need m >= 3")
+    i, j, k = _interior_indices(m)
+    return plane_to_deltoid(*_bary_xy(i / m, j / m, k / m))
+
+
+def _interior_indices(m):
+    """(i, j, k) of the strictly interior barycentric lattice of side m,
+    integer arrays: i + j + k = m, all >= 1, i then j ascending."""
     r, c = np.triu_indices(m - 2)
     i = r + 1
     j = c - r + 1
-    k = m - i - j
-    return plane_to_deltoid(*_bary_xy(i / m, j / m, k / m))
+    return i, j, m - i - j
 
 
 # exact univariate polynomials, fraction-free: a pair (coeffs, den) of
@@ -324,40 +332,44 @@ class TriangleScanPoint:
     b_of_a: float
 
 
+# The route-2 forms work elementwise on float arrays th, ph.  An array's
+# x ** 2 is numpy's correctly rounded product x * x; a Python float's
+# goes through libm pow, which need not be correctly rounded.
+
 def _trig_forms(a, th, ph):
-    c2t3p = math.cos(2 * th + 3 * ph)
-    chalf = math.cos(ph / 2)
-    cmid = math.cos(th + 1.5 * ph)
-    cph = math.cos(ph)
+    c2t3p = np.cos(2 * th + 3 * ph)
+    chalf = np.cos(ph / 2)
+    cmid = np.cos(th + 1.5 * ph)
+    cph = np.cos(ph)
     a1v = -12.0 * (
         2 * c2t3p * (a * chalf * chalf - 1)
         - 2 * chalf * cmid * ((4 * a + 1) * cph - 5)
-        + 2 * a * math.cos(2 * ph)
+        + 2 * a * np.cos(2 * ph)
         + a * cph
         + 3 * (a - 2)
     )
-    shalf = math.sin(ph / 2)
+    shalf = np.sin(ph / 2)
     b1v = 72.0 * shalf * shalf * (
-        a * c2t3p - math.cos(th + 2 * ph) - math.cos(th + ph) + (2 - a)
+        a * c2t3p - np.cos(th + 2 * ph) - np.cos(th + ph) + (2 - a)
     )
-    c1v = 48.0 * ROOT3 * shalf * math.sin(th + 1.5 * ph) * (
-        a * math.cos(th + 2 * ph)
-        + a * math.cos(th + ph)
+    c1v = 48.0 * ROOT3 * shalf * np.sin(th + 1.5 * ph) * (
+        a * np.cos(th + 2 * ph)
+        + a * np.cos(th + ph)
         + (1 - 2 * a) * cph
         - 1
     )
     nv = (
         256.0
         * shalf ** 2
-        * math.sin(th / 2 + ph / 2) ** 2
-        * math.sin(th / 2 + ph) ** 2
+        * np.sin(th / 2 + ph / 2) ** 2
+        * np.sin(th / 2 + ph) ** 2
     )
     return a1v, b1v, c1v, nv
 
 
 def _zu_forms(a, th, ph):
-    z = cmath.exp(1j * th)
-    u = cmath.exp(1j * ph)
+    z = np.exp(1j * th)
+    u = np.exp(1j * ph)
     s = z * z * u ** 4
     A = 3 * (
         (a * (u * u + 1) + (2 * a - 4) * u) * (1 + u ** 6 * z ** 4)
@@ -383,12 +395,13 @@ def _zu_forms(a, th, ph):
 
 
 def _b_from_parts(a1v, b1v, c1v, nv):
-    disc = math.sqrt((a1v - b1v) ** 2 + c1v * c1v)
-    if a1v + b1v > 0:
+    disc = np.sqrt((a1v - b1v) ** 2 + c1v * c1v)
+    # a point with N = 0 divides by zero; its b is never read
+    with np.errstate(divide="ignore", invalid="ignore"):
         # quotient form avoids the catastrophic cancellation near corners
         num = 4 * a1v * b1v - c1v * c1v
-        return num / (2 * nv * (a1v + b1v + disc))
-    return (a1v + b1v - disc) / (2 * nv)
+        return np.where(a1v + b1v > 0, num / (2 * nv * (a1v + b1v + disc)),
+                        (a1v + b1v - disc) / (2 * nv))
 
 
 N_TOL = 1e-14
@@ -398,36 +411,37 @@ N_TOL = 1e-14
 FORMS_TOL = 1e-9
 
 
-def triangle_b(a: float, theta: float, phi: float) -> TriangleScanPoint:
-    """Trigonometric A1, B1, C1, N and the smallest eigenvalue b(a).
-
-    Always evaluates through the stabilized quotient and cross-checks the
-    independent (z, u) rational forms; disagreement raises rather than
-    picking a side (a transcription bug, not noise).
-    """
-    a1v, b1v, c1v, nv = _trig_forms(a, theta, phi)
-    if nv < N_TOL:
-        raise DegenerateDenominator(f"N = {nv} at ({theta}, {phi})")
-    za, zb, zc = _zu_forms(a, theta, phi)
-    scale = max(1.0, abs(a1v), abs(b1v), abs(c1v))
-    if (
-        abs(za - a1v) > FORMS_TOL * scale
-        or abs(zb - b1v) > FORMS_TOL * scale
-        or abs(zc - c1v) > FORMS_TOL * scale
-    ):
+def _checked_b(a, th, ph):
+    """(mask of N >= N_TOL, A1, B1, C1, N, b) at the points th, ph.  At
+    the first masked point where the (z, u) forms disagree, raises
+    IdentityMismatch rather than picking a side (a transcription bug, not
+    noise).  A non-finite a is a ValueError."""
+    if not math.isfinite(a):
+        raise ValueError("need finite a")
+    forms = _trig_forms(a, th, ph)
+    kept = ~(forms[3] < N_TOL)
+    # the largest of 1 and |A1|, |B1|, |C1|; fmax skips a NaN as max does
+    scale = np.fmax(np.fmax(np.fmax(1.0, abs(forms[0])), abs(forms[1])), abs(forms[2]))
+    zu = _zu_forms(a, th, ph)
+    bad = np.flatnonzero(kept & np.any(
+        [abs(v - w) > FORMS_TOL * scale for v, w in zip(zu, forms)], axis=0))
+    if bad.size:
+        k = bad[0]
         raise IdentityMismatch(
-            f"(z,u) and trig forms disagree at ({theta}, {phi}): "
-            f"{(za, zb, zc)} vs {(a1v, b1v, c1v)}"
+            f"(z,u) and trig forms disagree at ({th[k].item()}, {ph[k].item()}): "
+            f"{tuple(v[k].item() for v in zu)} vs {tuple(v[k].item() for v in forms[:3])}"
         )
-    return TriangleScanPoint(
-        theta=theta,
-        phi=phi,
-        A1=a1v,
-        B1=b1v,
-        C1=c1v,
-        N=nv,
-        b_of_a=_b_from_parts(a1v, b1v, c1v, nv),
-    )
+    return (kept, *forms, _b_from_parts(*forms))
+
+
+def triangle_b(a: float, theta: float, phi: float) -> TriangleScanPoint:
+    """Trigonometric A1, B1, C1, N and the smallest eigenvalue b(a), through
+    the stabilized quotient and cross-checked as in _checked_b; N < N_TOL
+    raises DegenerateDenominator."""
+    kept, *values = (v[0].item() for v in _checked_b(a, np.array([theta]), np.array([phi])))
+    if not kept:
+        raise DegenerateDenominator(f"N = {values[3]} at ({theta}, {phi})")
+    return TriangleScanPoint(theta, phi, *values)
 
 
 # scan domain in (theta, phi): the open triangle with these vertices
@@ -436,27 +450,42 @@ S1 = (2.0 * math.pi, 0.0)
 S2 = (-2.0 * math.pi, 2.0 * math.pi)
 
 
+def _inside(th, ph, margin=0.0):
+    """Mask of the points where each edge form of the scan triangle,
+    phi, theta + phi and 2 pi - theta - 2 phi, exceeds margin."""
+    return (ph > margin) & (th + ph > margin) & (2.0 * math.pi - th - 2.0 * ph > margin)
+
+
 def _scan_lattice(m: int):
-    # the interior lattice (i, j, k >= 1) in deltoid_grid's order, as a
-    # list of float pairs
-    r, c = np.triu_indices(m - 2)
-    i = r + 1
-    j = c - r + 1
-    k = m - i - j
+    """(theta, phi) arrays of the interior lattice of side m, in
+    deltoid_grid's order; m < 3 leaves no interior point, a ValueError."""
+    if m < 3:
+        raise ValueError("need grid >= 3")
+    i, j, k = _interior_indices(m)
     th = (i * S0[0] + j * S1[0] + k * S2[0]) / m
     ph = (i * S0[1] + j * S1[1] + k * S2[1]) / m
-    return list(zip(th.tolist(), ph.tolist()))
+    return th, ph
 
 
-def _linspace(a, b, n):
-    if n == 1:
-        return [a]
-    step = (b - a) / (n - 1)
-    return [a + i * step for i in range(n)]
+def _corner_box(level: int):
+    """(theta, phi) arrays of a refinement box at the origin corner: with
+    eps = 0.5 / 2^level, 20 evenly spaced theta on [eps/3, eps], each with
+    10 evenly spaced phi on [eps/3, eps/2], where every edge form > eps/4."""
+    eps = 0.5 / 2 ** level
+    lo = eps / 3.0
+    th = np.repeat(lo + np.arange(20) * ((eps - lo) / 19), 10)
+    ph = np.tile(lo + np.arange(10) * ((eps / 2.0 - lo) / 9), 20)
+    keep = _inside(th, ph, eps / 4.0)
+    return th[keep], ph[keep]
 
 
-def _edge_min(th, ph):
-    return min(ph, th + ph, 2.0 * math.pi - th - 2.0 * ph)
+def triangle_surface(a: float, grid: int):
+    """(theta, phi, b) rows, Python floats, of the interior lattice of
+    side grid in deltoid_grid's order: triangle_b's b_of_a at each point,
+    leaving out the points with N < N_TOL."""
+    th, ph = _scan_lattice(grid)
+    kept, *_, b = _checked_b(a, th, ph)
+    return list(zip(th[kept].tolist(), ph[kept].tolist(), b[kept].tolist()))
 
 
 @record
@@ -476,7 +505,10 @@ def scan_inf_b(a: float, grid: int = 80, refine_near_cusps: bool = True) -> Scan
     minimum after each corner level; it is nonincreasing by construction
     and, for a = 1/3, settles just above 9/8.  Refinement stops at box
     size 0.5/2^4: beyond that the closed forms lose to rounding even in
-    the stabilized quotient.
+    the stabilized quotient.  Each region is one evaluation of the forms;
+    points with N < N_TOL or a NaN b are skipped, and the argmin is the
+    first point, in the order of the regions and within them, that
+    attains the minimum.
 
     Refinement boxes hug the origin corner only.  The other two corners
     are exact images of it under the 120 degree rotation of the density,
@@ -485,31 +517,22 @@ def scan_inf_b(a: float, grid: int = 80, refine_near_cusps: bool = True) -> Scan
     a = 1/3, the 4*A1*B1 - C1^2 cancellation deepens and the quotient
     picks up ~1e-4 of noise, enough to dip below the true infimum.
     A lattice of side grid < 3 has no interior point, so it is a
-    ValueError, as in deltoid_grid.
+    ValueError, as in deltoid_grid; so is a non-finite a.
     """
-    if grid < 3:
-        raise ValueError("need grid >= 3")
+    if not math.isfinite(a):
+        raise ValueError("need finite a")
     regions = [_scan_lattice(grid)]
     if refine_near_cusps:
-        for k in range(5):
-            eps = 0.5 / 2 ** k
-            regions.append([
-                (th, ph) for th, ph in product(
-                    _linspace(eps / 3.0, eps, 20), _linspace(eps / 3.0, eps / 2.0, 10)
-                ) if _edge_min(th, ph) > eps / 4.0
-            ])
-    best = math.inf
-    arg = None
-    trace = []
-    for points in regions:
-        for th, ph in points:
-            a1v, b1v, c1v, nv = _trig_forms(a, th, ph)
-            if nv < N_TOL:
-                continue
-            b = _b_from_parts(a1v, b1v, c1v, nv)
-            if b < best:
-                best = b
-                arg = (th, ph)
+        regions += [_corner_box(level) for level in range(5)]
+    best, arg, trace = math.inf, None, []
+    for th, ph in regions:
+        a1v, b1v, c1v, nv = _trig_forms(a, th, ph)
+        b = _b_from_parts(a1v, b1v, c1v, nv)
+        b[(nv < N_TOL) | np.isnan(b)] = math.inf
+        k = int(np.argmin(b))
+        if b[k] < best:
+            best = b[k].item()
+            arg = (th[k].item(), ph[k].item())
         trace.append(best)
     return ScanReport(
         a=a,
@@ -540,31 +563,38 @@ def divergence_probe(a: float, curve: str = "quad", c: float = 1.0) -> ProbeRepo
     On phi = c theta^2 the quadratic form degenerates and b theta^2 tends
     to a constant whose sign is that of (3a - 1) flipped, i.e. negative
     exactly when a > 1/3.  The leading coefficients of A1, B1, C1 are
-    verified against their limits at theta = 1e-3.
+    verified against their limits at theta = 1e-3.  A non-finite a or c
+    is a ValueError, and so is a probe point outside the open scan
+    triangle, once no probe point has N = 0 (DegenerateDenominator).
     """
     if curve not in ("quad", "lin"):
         raise ValueError(f"unknown curve {curve!r}")
+    if not (math.isfinite(a) and math.isfinite(c)):
+        raise ValueError("need finite a and c")
     # stop near 4e-3: the b theta^2 rounding error grows like 1e-17/theta^6
     theta_seq = [0.2 * 0.7 ** j for j in range(12)]
-    bs = []
-    bt2 = []
-    for th in theta_seq:
-        ph = c * th * th if curve == "quad" else c * th
-        a1v, b1v, c1v, nv = _trig_forms(a, th, ph)
-        # N shrinks like theta^8 on the quadratic curve but is a plain
-        # product of sines, accurate in relative terms at any magnitude,
-        # so only a true zero (point on a lattice line) is fatal here
-        if nv <= 0.0:
-            raise DegenerateDenominator(f"N = {nv} on the probe curve")
-        b = _b_from_parts(a1v, b1v, c1v, nv)
-        bs.append(b)
-        bt2.append(b * th * th)
-    limit = bt2[-1]
+    th = np.array(theta_seq)
+    ph = c * th * th if curve == "quad" else c * th
+    a1v, b1v, c1v, nv = _trig_forms(a, th, ph)
+    # N shrinks like theta^8 on the quadratic curve but is a plain
+    # product of sines, accurate in relative terms at any magnitude,
+    # so only a true zero (point on a lattice line) is fatal here
+    zero = np.flatnonzero(nv <= 0.0)
+    if zero.size:
+        raise DegenerateDenominator(f"N = {nv[zero[0]].item()} on the probe curve")
+    outside = np.flatnonzero(~_inside(th, ph))
+    if outside.size:
+        k = outside[0]
+        raise ValueError(f"probe point ({th[k].item()}, {ph[k].item()}) lies outside "
+                         "the open triangle")
+    bs = _b_from_parts(a1v, b1v, c1v, nv)
+    bt2 = bs * th * th
+    limit = bt2[-1].item()
     ratio_checks = {}
     if curve == "quad":
         th = 1e-3
         ph = c * th * th
-        a1v, b1v, c1v, _ = _trig_forms(a, th, ph)
+        a1v, b1v, c1v, _ = (v.item() for v in _trig_forms(a, np.array([th]), np.array([ph])))
         targets = {
             "A1/theta^4": (a1v / th ** 4, 12.0 * (1 - a)),
             "B1/theta^6": (b1v / th ** 6, 18.0 * c * c * (1 - 2 * a)),
@@ -582,8 +612,8 @@ def divergence_probe(a: float, curve: str = "quad", c: float = 1.0) -> ProbeRepo
         curve=curve,
         c=c,
         thetas=tuple(theta_seq),
-        b_values=tuple(bs),
-        b_theta2=tuple(bt2),
+        b_values=tuple(bs.tolist()),
+        b_theta2=tuple(bt2.tolist()),
         limit_estimate=limit,
         sign_matches=sign_ok,
         ratio_checks=ratio_checks,

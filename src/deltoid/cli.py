@@ -32,9 +32,9 @@ import sys
 
 from . import __version__, su3
 from .acceptance import run_all
-from .cdcheck import (DegenerateDenominator, IdentityMismatch, _scan_lattice,
-                      divergence_probe, factorization_check, gamma2_sample_check,
-                      scan_inf_b, triangle_b)
+from .cdcheck import (DegenerateDenominator, IdentityMismatch, divergence_probe,
+                      factorization_check, gamma2_sample_check, scan_inf_b,
+                      triangle_surface)
 from .eigen import moments, solve_eigenpoly
 from .exact import Rat, Z, ZBAR, as_rat
 from .operator import Lambda
@@ -178,13 +178,7 @@ def _run_cd_scan_b(args):
     a = float(args.a)
     rep = scan_inf_b(a, grid=args.grid, refine_near_cusps=args.refine)
     if args.csv:
-        rows = []
-        for th, ph in _scan_lattice(args.grid):
-            try:
-                rows.append((th, ph, triangle_b(a, th, ph).b_of_a))
-            except DegenerateDenominator:
-                continue
-        _emit_csv(("theta", "phi", "b"), rows, args.csv)
+        _emit_csv(("theta", "phi", "b"), triangle_surface(a, args.grid), args.csv)
     extra = {"a": str(args.a), "refine": args.refine, "csv": args.csv}
     result = {
         "a": a,

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -10,12 +11,17 @@ from deltoid.cdcheck import (
     RAY_SAMPLES,
     DegenerateDenominator,
     Gamma2Report,
+    IdentityMismatch,
     PsdReport,
+    _b_from_parts,
     _gamma2_margins,
     _monomial_pairs,
     _pair_polys,
     _pair_weights,
     _random_real_poly,
+    _scan_lattice,
+    _trig_forms,
+    _zu_forms,
     deltoid_grid,
     divergence_probe,
     factorization_check,
@@ -408,6 +414,130 @@ def test_divergence_probe_linear():
     assert rep.ratio_checks == {}
     with pytest.raises(ValueError):
         divergence_probe(0.5, curve="cubic")
+
+
+def test_route2_forms_on_an_array_equal_each_point_alone():
+    # every caller evaluates the forms on arrays; on the grid-200 lattice
+    # each point's A1, B1, C1, N, b and (z, u) forms have the bits of the
+    # same functions on that point alone
+    th, ph = _scan_lattice(200)
+    assert th.size == 19701
+    forms = _trig_forms(1.0 / 3.0, th, ph)
+    b = _b_from_parts(*forms)
+    zu = _zu_forms(1.0 / 3.0, th, ph)
+    for k in range(th.size):
+        one = _trig_forms(1.0 / 3.0, th[k:k + 1], ph[k:k + 1])
+        assert [v[k] for v in forms] == [v[0] for v in one]
+        assert b[k] == _b_from_parts(*one)[0]
+        assert [v[k] for v in zu] == [v[0] for v in _zu_forms(1.0 / 3.0, th[k:k + 1], ph[k:k + 1])]
+
+
+# (argmin, trace) of scan_inf_b with refinement, as the per-point scalar scan gave them
+SCAN_PINS = {
+    (1.0 / 3.0, 80): ((0.010416666666666666, 0.01273148148148148),
+                      (1.1251929598735981, 1.1251929598735981, 1.1251929598735981,
+                       1.1250897253985888, 1.1250223991917523, 1.125002439831458)),
+    (1.0 / 3.0, 200): ((0.010416666666666666, 0.01273148148148148),
+                       (1.1250305381695915, 1.1250305381695915, 1.1250305381695915,
+                        1.1250305381695915, 1.1250223991917523, 1.125002439831458)),
+    (1.0 / 3.0, 60): ((0.010416666666666666, 0.01273148148148148),
+                      (1.125343321716614, 1.125343321716614, 1.125343321716614,
+                       1.1250897253985888, 1.1250223991917523, 1.125002439831458)),
+    (0.0, 60): ((0.10471975511965942, 3.0368728984701336), (1.126544945709075,) * 6),
+}
+
+
+@pytest.mark.parametrize("a, grid", sorted(SCAN_PINS))
+def test_scan_inf_b_is_pinned(a, grid):
+    argmin, trace = SCAN_PINS[a, grid]
+    rep = scan_inf_b(a, grid, refine_near_cusps=True)
+    assert rep.argmin == argmin and rep.trace == trace
+    assert rep.inf_estimate == trace[-1]
+    assert all(type(v) is float for v in (rep.inf_estimate, *rep.argmin, *rep.trace))
+
+
+def test_divergence_probe_b_values_are_pinned():
+    rep = divergence_probe(0.4, curve="quad")
+    assert rep.b_values == (
+        -20.057930826671285, -49.84352356643345, -116.00614640203004, -259.0840780776278,
+        -562.8613406876283, -1199.8431878103509, -2524.2688456364326, -5262.2186019706305,
+        -10899.993380919646, -22477.273886524727, -46206.79379371699, -94779.11002064322)
+    assert rep.limit_estimate == -1.482277437298693
+    assert all(type(v) is float for v in (*rep.thetas, *rep.b_values, *rep.b_theta2))
+
+
+def test_scan_ranking_skips_nan_and_keeps_the_first_of_a_tie(monkeypatch):
+    # b is stubbed per region: the lattice's first point is NaN and the
+    # rest tie at 2; the first box ties at 2 everywhere, so the lattice's
+    # second point keeps the argmin; the second box dips to 1.5 at its
+    # second and third points, and its second point takes it; the later
+    # boxes stay above, so the trace is the running minimum
+    regions = []
+
+    def fake_b(a1v, b1v, c1v, nv):
+        b = np.full(nv.shape, 2.0 if len(regions) < 2 else 3.0)
+        if not regions:
+            b[0] = math.nan
+        elif len(regions) == 2:
+            b[1:3] = 1.5
+        regions.append(nv)
+        return b
+
+    monkeypatch.setattr(cdcheck, "_b_from_parts", fake_b)
+    rep = scan_inf_b(0.2, grid=10, refine_near_cusps=True)
+    assert len(regions) == 6
+    th, ph = _scan_lattice(10)
+    box = cdcheck._corner_box(1)
+    assert rep.trace == (2.0, 2.0, 1.5, 1.5, 1.5, 1.5)
+    assert rep.argmin == (box[0][1], box[1][1])
+    monkeypatch.setattr(cdcheck, "_b_from_parts", lambda *forms: np.full(forms[3].shape, math.nan))
+    rep = scan_inf_b(0.2, grid=10, refine_near_cusps=False)
+    assert rep.inf_estimate == math.inf and rep.argmin is None
+    regions.clear()
+    monkeypatch.setattr(cdcheck, "_b_from_parts", fake_b)
+    assert scan_inf_b(0.2, grid=10, refine_near_cusps=False).argmin == (th[1], ph[1])
+
+
+def test_triangle_surface_stops_at_the_first_disagreeing_point(monkeypatch):
+    # the (z, u) cross-check runs on the surface's own arrays: a (z, u)
+    # form that drifts from the fifth lattice point on is caught there
+    zu_forms = cdcheck._zu_forms
+
+    def drifted(a, th, ph):
+        va, vb, vc = zu_forms(a, th, ph)
+        return va + (np.arange(va.size) >= 4), vb, vc
+
+    monkeypatch.setattr(cdcheck, "_zu_forms", drifted)
+    th, ph = _scan_lattice(10)
+    with pytest.raises(IdentityMismatch, match=re.escape(f"disagree at ({th[4]}, {ph[4]})")):
+        cdcheck.triangle_surface(1 / 3, 10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: scan_inf_b(math.nan),
+    lambda: scan_inf_b(math.inf, grid=10),
+    lambda: divergence_probe(math.nan),
+    lambda: divergence_probe(0.4, c=math.nan),
+    lambda: divergence_probe(0.4, curve="lin", c=-math.inf),
+    lambda: triangle_b(math.nan, 0.5, 1.0),
+    lambda: cdcheck.triangle_surface(math.inf, 10),
+], ids=["scan-nan", "scan-inf", "probe-nan-a", "probe-nan-c", "probe-inf-c", "point-nan",
+        "surface-inf"])
+def test_route2_refuses_a_non_finite_a_or_c(call):
+    with pytest.raises(ValueError, match="need finite"):
+        call()
+
+
+@pytest.mark.parametrize("curve, c, point", [
+    ("quad", -1.0, "(0.2, -0.04000000000000001)"),  # below phi = 0
+    ("lin", 20.0, "(0.2, 4.0)"),                     # past theta + 2 phi = 2 pi
+])
+def test_divergence_probe_refuses_points_outside_the_triangle(curve, c, point):
+    with pytest.raises(ValueError, match=f"probe point {re.escape(point)} lies outside"):
+        divergence_probe(0.4, curve=curve, c=c)
+    # a zero N on the curve is still reported first
+    with pytest.raises(DegenerateDenominator, match="N = 0.0"):
+        divergence_probe(0.4, curve=curve, c=0.0)
 
 
 def test_gamma2_cd94_8_passes():

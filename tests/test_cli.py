@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import deltoid
-from deltoid import cli
+from deltoid import cdcheck, cli
 from deltoid.acceptance import CriterionResult
-from deltoid.cdcheck import IdentityMismatch
+from deltoid.cdcheck import IdentityMismatch, triangle_b
 from deltoid.cli import build_parser, main, rat_arg
 from deltoid.exact import Rat
 
@@ -197,6 +197,18 @@ def test_cd_scan_b_with_surface(tmp_path, capsys):
     float(th), float(ph), float(b)
 
 
+def test_cd_scan_b_surface_rows_are_triangle_b(tmp_path):
+    # the surface is one evaluation of the lattice, and each row holds
+    # triangle_b's b_of_a at its point, bit for bit, in lattice order
+    csv = tmp_path / "surface.csv"
+    assert main(["cd", "scan-b", "--a", "1/3", "--grid", "30", "--csv", str(csv),
+                 "--out", str(tmp_path / "scan.json")]) == 0
+    rows = [tuple(map(float, line.split(","))) for line in csv.read_text().splitlines()[1:]]
+    th, ph = cdcheck._scan_lattice(30)
+    assert [(t, p) for t, p, _ in rows] == list(zip(th.tolist(), ph.tolist()))
+    assert all(b == triangle_b(1 / 3, t, p).b_of_a for t, p, b in rows)
+
+
 def test_cd_probe(capsys):
     code, rep = run_json(
         capsys, ["cd", "probe", "--a", "2/5", "--curve", "quad", "--c", "1"]
@@ -341,6 +353,10 @@ def test_bounds_refuse_a_fit_through_one_abscissa(capsys, argv):
      "ray factorization differs: [1]"),
     (["cd", "verify", "--lambda", "4", "--rho", "9/4", "--n", "8", "--grid", "5",
       "--trials", "-3"], "need trials >= 0"),
+    (["cd", "probe", "--a", "2/5", "--c", "-1"],
+     "probe point (0.2, -0.04000000000000001) lies outside the open triangle"),
+    (["cd", "probe", "--a", "2/5", "--curve", "lin", "--c", "20"],
+     "probe point (0.2, 4.0) lies outside the open triangle"),
 ])
 def test_refused_inputs_fail_with_one_line(capsys, monkeypatch, argv, reason):
     # main() turns a runner's ValueError, TruncationInsufficient or

@@ -140,7 +140,9 @@ def test_layer_harness_writes_its_record(tmp_path):
     # one round per layer into a scratch file: every layer timed, and the
     # machine, versions and backend recorded beside the numbers; the eigen
     # rows solve each (p, q) of degree <= 14, 120 modes, and the spectral
-    # rows run the H_k check and the mode store once per round
+    # and float rows run the H_k check, the mode store, route 2, the
+    # README scan-b surface, the grid PSD margins and the Haar draws once
+    # per round
     spec = importlib.util.spec_from_file_location(
         "bench_layers", Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py")
     harness = importlib.util.module_from_spec(spec)
@@ -154,11 +156,15 @@ def test_layer_harness_writes_its_record(tmp_path):
         "operator.gamma", "operator.gamma2", "exact.mul", "exact.divexact",
         "eigen._pieri_modes(4, 40)", "eigen._pieri_modes(1, 25)", "eigen.solve_eigenpoly",
         "spectral.hk_bound_check(4, 20)", "spectral.hk_bound_check(1, 40)",
-        "spectral._ModeStore.values(4, 40)"}
+        "spectral._ModeStore.values(4, 40)", "cdcheck.scan_inf_b(1/3, 80)",
+        "cdcheck.divergence_probe(0.4)", "cli.cd scan-b --grid 200 --refine --csv",
+        "operator.psd_margins(deltoid_grid(200))", "su3._haar_matrices(0, 6000)"}
     assert record["layers"]["eigen.solve_eigenpoly"]["calls_per_round"] == 120
     assert all(record["layers"][name]["calls_per_round"] == 1 for name in (
         "spectral.hk_bound_check(4, 20)", "spectral.hk_bound_check(1, 40)",
-        "spectral._ModeStore.values(4, 40)"))
+        "spectral._ModeStore.values(4, 40)", "cdcheck.scan_inf_b(1/3, 80)",
+        "cdcheck.divergence_probe(0.4)", "cli.cd scan-b --grid 200 --refine --csv",
+        "operator.psd_margins(deltoid_grid(200))", "su3._haar_matrices(0, 6000)"))
     assert all(layer["min_s_per_call"] > 0 for layer in record["layers"].values())
     # the exact startups, timed in fresh processes, never load numpy
     assert set(record["startup"]) == set(harness.STARTUP)

@@ -19,8 +19,13 @@ rows run hk_bound_check at (lambda, max_k) = (4, 20) and (1, 40), each
 while a truncation of its lambda at degree 40 is live, as the `measure`
 workload holds one, and evaluate the float mode store of the (4, 40)
 truncation, built once beforehand, on the closed barycentric lattice of
-side 80 (3,321 points) with _ModeStore.values.  Each figure is the
-fastest of --repeats rounds divided by the calls in a round.
+side 80 (3,321 points) with _ModeStore.values.  The float rows run
+route 2's scan_inf_b(1/3, 80) and divergence_probe(0.4) on the quadratic
+curve, README's `cd scan-b --a 1/3 --grid 200 --refine --csv` in process
+(the scan, the lattice surface and both files, written to a temporary
+directory), psd_margins of the optimal tensor tensor_residual(1/6, 9/4)
+on deltoid_grid(200), and su3._haar_matrices(0, 6000).  Each figure is
+the fastest of --repeats rounds divided by the calls in a round.
 
 The startup rows time a bare `import deltoid` and three exact
 subcommands (`eigen`, `moments`, `cd factor-check`), each in --repeats
@@ -37,6 +42,7 @@ import platform
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -48,6 +54,8 @@ LAMBDAS = ("4", "1", "7/2")
 EIGEN_DEGREE = 14
 # side of the closed lattice the mode store row evaluates on
 LATTICE_SIDE = 80
+# Haar draws of the su3 row
+HAAR_DRAWS = 6000
 # startup row name: CLI arguments, or None for the import alone
 STARTUP = {
     "import deltoid": None,
@@ -83,8 +91,11 @@ def _cpu_model():
     return platform.processor() or platform.machine()
 
 
-def layer_rounds(dt):
-    """{layer name: (calls in a round, function running one round)}."""
+def layer_rounds(dt, tmpdir):
+    """{layer name: (calls in a round, function running one round)};
+    the CLI row writes its files into the directory tmpdir."""
+    from deltoid.cli import main as cli_main
+
     rng = random.Random(0)
     forms = [dt.cdcheck._random_real_poly(rng) for _ in range(FORMS)]
     pairs = list(zip(forms, forms[1:] + forms[:1]))
@@ -99,6 +110,11 @@ def layer_rounds(dt):
     i, c = np.triu_indices(LATTICE_SIDE + 1)
     x, y = dt.geometry._bary_xy(i, c - i, LATTICE_SIDE - c)
     lattice = dt.geometry.plane_to_deltoid(x / LATTICE_SIDE, y / LATTICE_SIDE)
+    optimal = dt.tensor_residual(a1, b1)
+    grid200 = dt.deltoid_grid(200)
+    scan_b = ["cd", "scan-b", "--a", "1/3", "--grid", "200", "--refine",
+              "--csv", os.path.join(tmpdir, "surface.csv"),
+              "--out", os.path.join(tmpdir, "scan.json")]
     return {
         "cdcheck.ray_nonneg_on_unit": (2, lambda: [
             dt.ray_nonneg_on_unit(a1, b1), dt.ray_nonneg_on_unit(a1, b1 + dt.Rat(1, 100))]),
@@ -118,18 +134,24 @@ def layer_rounds(dt):
         "spectral.hk_bound_check(4, 20)": (1, lambda held=live4: dt.hk_bound_check(lam4, 20)),
         "spectral.hk_bound_check(1, 40)": (1, lambda held=live1: dt.hk_bound_check(lam1, 40)),
         "spectral._ModeStore.values(4, 40)": (1, lambda: store.values(lattice)),
+        "cdcheck.scan_inf_b(1/3, 80)": (1, lambda: dt.scan_inf_b(1 / 3, 80)),
+        "cdcheck.divergence_probe(0.4)": (1, lambda: dt.divergence_probe(0.4)),
+        "cli.cd scan-b --grid 200 --refine --csv": (1, lambda: cli_main(scan_b)),
+        "operator.psd_margins(deltoid_grid(200))": (1, lambda: optimal.psd_margins(grid200)),
+        f"su3._haar_matrices(0, {HAAR_DRAWS})": (1, lambda: dt.su3._haar_matrices(0, HAAR_DRAWS)),
     }
 
 
 def measure(dt, repeats):
     layers = {}
-    for name, (calls, run) in layer_rounds(dt).items():
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - t0)
-        layers[name] = {"calls_per_round": calls, "min_s_per_call": best / calls}
+    with tempfile.TemporaryDirectory() as tmpdir:
+        for name, (calls, run) in layer_rounds(dt, tmpdir).items():
+            best = float("inf")
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                run()
+                best = min(best, time.perf_counter() - t0)
+            layers[name] = {"calls_per_round": calls, "min_s_per_call": best / calls}
     return layers
 
 

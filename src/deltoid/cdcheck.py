@@ -12,15 +12,15 @@ worst value and its rho.
 
 Route 2: the triangle picture.  b(a) is the smallest eigenvalue of
 -Hess(sigma) - a grad(sigma) grad(sigma)^T with sigma = (1/2) log W; the
-closed trigonometric forms A1, B1, C1, N are frozen here.  They, b and
-an independent (z, u) rational form work elementwise on numpy arrays,
-one call per set of points: the lattice and then each corner box of
-scan_inf_b, the probe curve of divergence_probe, the point of triangle_b
-and the lattice of triangle_surface (the `cd scan-b --csv` surface).
-The last two cross-check the trigonometric forms against the (z, u) form
-at every point, and the tests check them against a finite-difference
-Hessian.  The a = 1/3 infimum 9/8 is approached via a corner-refined
-scan.
+closed trigonometric forms A1, B1, C1, N are frozen here.  They and b
+work elementwise on numpy arrays, one evaluation per set of points: the
+lattice and then each corner box of scan_inf_b, the probe curve of
+divergence_probe, the point of triangle_b and the lattice of
+triangle_surface (the `cd scan-b --csv` surface).  Only the tests hold
+them against other readings: an independent (z, u) rational
+transcription, a finite-difference Hessian, and route 1, since 2 b(a) at
+a point is the largest b1 at which R(a / 2, b1) is PSD there.  The
+a = 1/3 infimum 9/8 is approached via a corner-refined scan.
 
 Route 3: direct sampling of Gamma_2(f, f) >= rho Gamma(f, f) + (Lf)^2 / n
 over random polynomial test functions and interior points, each margin
@@ -367,33 +367,6 @@ def _trig_forms(a, th, ph):
     return a1v, b1v, c1v, nv
 
 
-def _zu_forms(a, th, ph):
-    z = np.exp(1j * th)
-    u = np.exp(1j * ph)
-    s = z * z * u ** 4
-    A = 3 * (
-        (a * (u * u + 1) + (2 * a - 4) * u) * (1 + u ** 6 * z ** 4)
-        - z * u * (u + 1) * (4 * a * (u * u + 1) + u * u - 10 * u + 1) * (1 + z * z * u ** 3)
-        + 2 * u * u * z * z * (2 * a * (u ** 4 + 1) + a * (u ** 3 + u) + (6 * a - 12) * u * u)
-    )
-    B = 9 * (u - 1) ** 2 * (
-        a * (u ** 6 * z ** 4 + 1)
-        - (u ** 5 * z ** 3 + u * z)
-        - (u ** 4 * z ** 3 + u * u * z)
-        + (4 - 2 * a) * u ** 3 * z * z
-    )
-    C = 6 * ROOT3 * (u - 1) * (1 - z * z * u ** 3) * (
-        a * (u ** 4 * z * z + 1)
-        + a * (u ** 3 * z * z + u)
-        + (1 - 2 * a) * (u ** 3 * z + u * z)
-        - 2 * u * u * z
-    )
-    va = -A / s
-    vb = -B / s
-    vc = C / s
-    return va.real, vb.real, vc.real
-
-
 def _b_from_parts(a1v, b1v, c1v, nv):
     disc = np.sqrt((a1v - b1v) ** 2 + c1v * c1v)
     # a point with N = 0 divides by zero; its b is never read
@@ -406,38 +379,21 @@ def _b_from_parts(a1v, b1v, c1v, nv):
 
 N_TOL = 1e-14
 
-# the (z, u) and trigonometric forms of A1, B1, C1 agree to this, relative
-# to the largest of them (and 1)
-FORMS_TOL = 1e-9
-
 
 def _checked_b(a, th, ph):
-    """(mask of N >= N_TOL, A1, B1, C1, N, b) at the points th, ph.  At
-    the first masked point where the (z, u) forms disagree, raises
-    IdentityMismatch rather than picking a side (a transcription bug, not
-    noise).  A non-finite a is a ValueError."""
+    """(mask of N >= N_TOL, A1, B1, C1, N, b) at the points th, ph, from
+    one evaluation of the trigonometric forms.  A non-finite a is a
+    ValueError."""
     if not math.isfinite(a):
         raise ValueError("need finite a")
     forms = _trig_forms(a, th, ph)
-    kept = ~(forms[3] < N_TOL)
-    # the largest of 1 and |A1|, |B1|, |C1|; fmax skips a NaN as max does
-    scale = np.fmax(np.fmax(np.fmax(1.0, abs(forms[0])), abs(forms[1])), abs(forms[2]))
-    zu = _zu_forms(a, th, ph)
-    bad = np.flatnonzero(kept & np.any(
-        [abs(v - w) > FORMS_TOL * scale for v, w in zip(zu, forms)], axis=0))
-    if bad.size:
-        k = bad[0]
-        raise IdentityMismatch(
-            f"(z,u) and trig forms disagree at ({th[k].item()}, {ph[k].item()}): "
-            f"{tuple(v[k].item() for v in zu)} vs {tuple(v[k].item() for v in forms[:3])}"
-        )
-    return (kept, *forms, _b_from_parts(*forms))
+    return (~(forms[3] < N_TOL), *forms, _b_from_parts(*forms))
 
 
 def triangle_b(a: float, theta: float, phi: float) -> TriangleScanPoint:
     """Trigonometric A1, B1, C1, N and the smallest eigenvalue b(a), through
-    the stabilized quotient and cross-checked as in _checked_b; N < N_TOL
-    raises DegenerateDenominator."""
+    the stabilized quotient as in _checked_b; N < N_TOL raises
+    DegenerateDenominator."""
     kept, *values = (v[0].item() for v in _checked_b(a, np.array([theta]), np.array([phi])))
     if not kept:
         raise DegenerateDenominator(f"N = {values[3]} at ({theta}, {phi})")

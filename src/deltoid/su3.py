@@ -429,10 +429,6 @@ def entry_z(k, l):
     return _entry_var(3 * k + l)
 
 
-def entry_zbar(k, l):
-    return _entry_var(9 + 3 * k + l)
-
-
 def normalized_trace():
     """Z = tr(U)/3, the map onto the deltoid."""
     out = EntryPoly()

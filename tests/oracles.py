@@ -12,13 +12,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from deltoid import eigen
+from deltoid import cdcheck, eigen
 from deltoid.cdcheck import (N_TOL, RAY_SAMPLES, DegenerateDenominator, FactorizationResult,
                              IdentityMismatch, _b_from_parts, _trig_forms, tensor_residual)
 from deltoid.exact import BivarPoly, CRat, Rat, as_rat
 from deltoid.geometry import (E, V0, V1, V2, TrianglePoint, _bary_to_plane, _bary_xy,
                               plane_to_deltoid, w_density, zk)
-from deltoid.operator import Lambda, gamma, gamma2, generator
+from deltoid.operator import G11, G12, Lambda, gamma, gamma2, generator
 from deltoid.su3 import _derive, _frame_moves, _mat_of, entry_const, normalized_trace
 
 ROOT3 = math.sqrt(3.0)
@@ -318,6 +318,74 @@ def fd_oracle_b(a: float, theta: float, phi: float, h: float = 3e-4) -> float:
     t12 = -sxy - a * gx * gy
     t22 = -syy - a * gy * gy
     return 0.5 * ((t11 + t22) - math.hypot(t11 - t22, 2 * t12))
+
+
+def zu_forms(a, th, ph):
+    """A1, B1, C1 on arrays th, ph, from the (z, u) rational form with
+    z = e^(i theta), u = e^(i phi): an independent transcription of
+    cdcheck._trig_forms at every a."""
+    z = np.exp(1j * th)
+    u = np.exp(1j * ph)
+    s = z * z * u ** 4
+    A = 3 * (
+        (a * (u * u + 1) + (2 * a - 4) * u) * (1 + u ** 6 * z ** 4)
+        - z * u * (u + 1) * (4 * a * (u * u + 1) + u * u - 10 * u + 1) * (1 + z * z * u ** 3)
+        + 2 * u * u * z * z * (2 * a * (u ** 4 + 1) + a * (u ** 3 + u) + (6 * a - 12) * u * u)
+    )
+    B = 9 * (u - 1) ** 2 * (
+        a * (u ** 6 * z ** 4 + 1)
+        - (u ** 5 * z ** 3 + u * z)
+        - (u ** 4 * z ** 3 + u * u * z)
+        + (4 - 2 * a) * u ** 3 * z * z
+    )
+    C = 6 * ROOT3 * (u - 1) * (1 - z * z * u ** 3) * (
+        a * (u ** 4 * z * z + 1)
+        + a * (u ** 3 * z * z + u)
+        + (1 - 2 * a) * (u ** 3 * z + u * z)
+        - 2 * u * u * z
+    )
+    return (-A / s).real, (-B / s).real, (C / s).real
+
+
+def route1_b1(a, th, ph):
+    """Route 1's reading of 2 b(a) on arrays th, ph: the largest b1 at
+    which R(a / 2, b1) is PSD at each point, a entering as the exact
+    rational of its float.
+
+    Each (theta, phi) goes to Z through fd_oracle_b's chart.  R(a1, b1)
+    = R(a1, 0) - b1 Gamma, so with r = R(a1, 0) and g = Gamma at Z the
+    det-type margin (r12 - b1 g12)^2 - |r11 - b1 g11|^2 is the quadratic
+    qa b1^2 - 2 qb b1 + qc, with qa = det Gamma > 0 inside.  R is PSD
+    exactly up to its lesser root, the least eigenvalue of r against g.
+    tensor_residual is read from cdcheck at each call, so a test can
+    substitute it.
+    """
+    z = plane_to_deltoid(th / 3.0, (th + 2.0 * ph) / ROOT3)
+    r = cdcheck.tensor_residual(as_rat(Fraction(a) / 2), 0)
+    r11, r12 = r.r11.eval(z), r.r12.eval(z).real
+    g11, g12 = G11.eval(z), G12.eval(z).real
+    qa = g12 * g12 - (g11 * g11.conjugate()).real
+    qb = r12 * g12 - (r11 * g11.conjugate()).real
+    qc = r12 * r12 - (r11 * r11.conjugate()).real
+    # the pencil is Hermitian against a definite g, so its roots are real:
+    # a negative discriminant is rounding where they meet (the centre)
+    root = np.sqrt(np.maximum(qb * qb - qa * qc, 0.0))
+    # the quotient form where qb > 0 avoids cancelling qb against root
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(qb > 0, qc / (qb + root), (qb - root) / qa)
+
+
+def assert_routes_agree(a, th, ph, b, bound):
+    """Raise AssertionError naming the first point k where route 2's 2 b[k]
+    and route1_b1 differ by more than bound * max(1, |b1|), or by NaN."""
+    b1 = route1_b1(a, th, ph)
+    gap = abs(2.0 * b - b1) / np.maximum(1.0, abs(b1))
+    past = np.flatnonzero(~(gap <= bound))
+    if past.size:
+        k = past[0]
+        raise AssertionError(
+            f"routes part at point {k}, (theta, phi) = ({th[k]}, {ph[k]}): "
+            f"2 b = {2.0 * b[k]}, route 1 b1 = {b1[k]}, gap {gap[k]} > {bound}")
 
 
 def b_one_third_forms(theta: float, phi: float):

@@ -11,9 +11,10 @@ from deltoid.cdcheck import (
     RAY_SAMPLES,
     DegenerateDenominator,
     Gamma2Report,
-    IdentityMismatch,
     PsdReport,
     _b_from_parts,
+    _checked_b,
+    _corner_box,
     _gamma2_margins,
     _monomial_pairs,
     _pair_polys,
@@ -21,7 +22,6 @@ from deltoid.cdcheck import (
     _random_real_poly,
     _scan_lattice,
     _trig_forms,
-    _zu_forms,
     deltoid_grid,
     divergence_probe,
     factorization_check,
@@ -32,13 +32,16 @@ from deltoid.cdcheck import (
     scan_inf_b,
     tensor_residual,
     triangle_b,
+    triangle_surface,
 )
 from deltoid.exact import BivarPoly, CRat, Rat, Z, ZBAR
 from deltoid.geometry import plane_to_deltoid, sample_interior, triangle_to_deltoid
-from deltoid.operator import Lambda, boundary_poly, gamma, gamma2, generator
-from oracles import (CDParams, b_one_third_forms, b_one_third_of_t, fd_oracle_b,
-                     gamma2_margin_exact, interior_lattice, rat_list_factorization_check,
-                     rat_list_ray_nonneg_on_unit, rat_random_real_poly)
+from deltoid.operator import (HermitianTensorField, Lambda, boundary_poly, gamma, gamma2,
+                              generator)
+from oracles import (CDParams, assert_routes_agree, b_one_third_forms, b_one_third_of_t,
+                     fd_oracle_b, gamma2_margin_exact, interior_lattice,
+                     rat_list_factorization_check, rat_list_ray_nonneg_on_unit,
+                     rat_random_real_poly, zu_forms)
 
 
 def scan_points(n, seed=0, margin=0.4):
@@ -305,10 +308,36 @@ def test_triangle_b_center():
         assert abs(sp.b_of_a - 1.5) < 1e-12
 
 
+# the (z, u) and trigonometric forms of A1, B1, C1 agree to this, relative
+# to the largest of them and 1; the worst disagreement measured on the
+# grid-200 lattice and corner boxes 0-4 at the a below was 6.0e-14, more
+# than 4 orders below
+FORMS_TOL = 1e-9
+
+
+def assert_forms_agree(a, th, ph, forms):
+    scale = np.fmax(np.fmax(np.fmax(1.0, abs(forms[0])), abs(forms[1])), abs(forms[2]))
+    for v, w in zip(zu_forms(a, th, ph), forms):
+        assert np.all(abs(v - w) <= FORMS_TOL * scale)
+
+
 def test_triangle_b_cross_check_sweep():
     for th, ph in scan_points(200, seed=1):
-        triangle_b(1.0 / 3.0, th, ph)  # raises on any form disagreement
-        triangle_b(0.1, th, ph)
+        for a in (1.0 / 3.0, 0.1):
+            sp = triangle_b(a, th, ph)
+            assert_forms_agree(a, np.array([th]), np.array([ph]),
+                               [np.array([v]) for v in (sp.A1, sp.B1, sp.C1)])
+
+
+@pytest.mark.parametrize("a", [0.0, 1 / 6, 1 / 4, 1 / 3, 2 / 5])
+def test_zu_forms_equal_trig_forms_on_the_lattice_and_corner_boxes(a):
+    # the two transcriptions of A1, B1, C1 on the points route 2 reads:
+    # README's grid-200 lattice (points with N < N_TOL left out) and the
+    # scan's corner boxes
+    for th, ph in [_scan_lattice(200), *(_corner_box(level) for level in range(5))]:
+        kept, *forms, _ = _checked_b(a, th, ph)
+        assert kept.any()
+        assert_forms_agree(a, th[kept], ph[kept], [v[kept] for v in forms[:3]])
 
 
 def test_triangle_b_degenerate():
@@ -418,18 +447,16 @@ def test_divergence_probe_linear():
 
 def test_route2_forms_on_an_array_equal_each_point_alone():
     # every caller evaluates the forms on arrays; on the grid-200 lattice
-    # each point's A1, B1, C1, N, b and (z, u) forms have the bits of the
-    # same functions on that point alone
+    # each point's A1, B1, C1, N and b have the bits of the same functions
+    # on that point alone
     th, ph = _scan_lattice(200)
     assert th.size == 19701
     forms = _trig_forms(1.0 / 3.0, th, ph)
     b = _b_from_parts(*forms)
-    zu = _zu_forms(1.0 / 3.0, th, ph)
     for k in range(th.size):
         one = _trig_forms(1.0 / 3.0, th[k:k + 1], ph[k:k + 1])
         assert [v[k] for v in forms] == [v[0] for v in one]
         assert b[k] == _b_from_parts(*one)[0]
-        assert [v[k] for v in zu] == [v[0] for v in _zu_forms(1.0 / 3.0, th[k:k + 1], ph[k:k + 1])]
 
 
 # (argmin, trace) of scan_inf_b with refinement, as the per-point scalar scan gave them
@@ -498,19 +525,66 @@ def test_scan_ranking_skips_nan_and_keeps_the_first_of_a_tie(monkeypatch):
     assert scan_inf_b(0.2, grid=10, refine_near_cusps=False).argmin == (th[1], ph[1])
 
 
-def test_triangle_surface_stops_at_the_first_disagreeing_point(monkeypatch):
-    # the (z, u) cross-check runs on the surface's own arrays: a (z, u)
-    # form that drifts from the fifth lattice point on is caught there
-    zu_forms = cdcheck._zu_forms
+# route 2 against route 1, relative to max(1, |b1|).  Measured worst
+# gaps: on the lattice of side 120, 1.6e-10 at a = 0, 1/6, 1/4 and 2/5
+# and 2.1e-8 at a = 1/3, so 47 times below ROUTES_LATTICE_TOL; on corner
+# boxes 0-4, 4.9e-6 at level 4 and a = 1/3, 20 times below ROUTES_BOX_TOL
+ROUTES_LATTICE_TOL = 1e-6
+ROUTES_BOX_TOL = 1e-4
 
-    def drifted(a, th, ph):
-        va, vb, vc = zu_forms(a, th, ph)
-        return va + (np.arange(va.size) >= 4), vb, vc
 
-    monkeypatch.setattr(cdcheck, "_zu_forms", drifted)
-    th, ph = _scan_lattice(10)
-    with pytest.raises(IdentityMismatch, match=re.escape(f"disagree at ({th[4]}, {ph[4]})")):
-        cdcheck.triangle_surface(1 / 3, 10)
+def surface_arrays(a, grid):
+    """The (theta, phi, b) columns of triangle_surface's rows."""
+    return np.array(triangle_surface(a, grid)).T
+
+
+@pytest.mark.parametrize("a", [0.0, 1 / 6, 1 / 4, 1 / 3, 2 / 5])
+def test_route2_surface_is_route1_at_every_lattice_point(a):
+    # 2 b(a) is the largest b1 at which R(a / 2, b1) is PSD, point by point
+    th, ph, b = surface_arrays(a, 120)
+    assert th.size == 7021
+    assert_routes_agree(a, th, ph, b, ROUTES_LATTICE_TOL)
+
+
+@pytest.mark.parametrize("a", [0.0, 1 / 3])
+def test_route2_corner_boxes_are_route1(a):
+    for level in range(5):
+        th, ph = _corner_box(level)
+        kept, *_, b = _checked_b(a, th, ph)
+        assert kept.all()
+        assert_routes_agree(a, th, ph, b, ROUTES_BOX_TOL)
+
+
+def test_cross_route_check_names_the_first_point_of_a_route2_slip(monkeypatch):
+    # B1's -cos(theta + phi) term read as +: the first lattice point stays
+    # within the bound (2.1e-8), the second is past it (31)
+    trig_forms = cdcheck._trig_forms
+
+    def slipped(a, th, ph):
+        a1v, b1v, c1v, nv = trig_forms(a, th, ph)
+        return a1v, b1v + 144.0 * np.sin(ph / 2) ** 2 * np.cos(th + ph), c1v, nv
+
+    monkeypatch.setattr(cdcheck, "_trig_forms", slipped)
+    th, ph, b = surface_arrays(1 / 3, 120)
+    with pytest.raises(AssertionError, match=re.escape(
+            f"routes part at point 1, (theta, phi) = ({th[1]}, {ph[1]})")):
+        assert_routes_agree(1 / 3, th, ph, b, ROUTES_LATTICE_TOL)
+
+
+def test_cross_route_check_names_the_first_point_of_a_route1_slip(monkeypatch):
+    # r12 off by 1e-6: the first lattice point is already past the bound,
+    # 2.4e-4 relative there
+    residual = cdcheck.tensor_residual
+
+    def slipped(a1, b1):
+        r = residual(a1, b1)
+        return HermitianTensorField(r.r11, r.r12 + BivarPoly.const(Rat(1, 10 ** 6)), r.r22)
+
+    th, ph, b = surface_arrays(1 / 3, 120)
+    monkeypatch.setattr(cdcheck, "tensor_residual", slipped)
+    with pytest.raises(AssertionError, match=re.escape(
+            f"routes part at point 0, (theta, phi) = ({th[0]}, {ph[0]})")):
+        assert_routes_agree(1 / 3, th, ph, b, ROUTES_LATTICE_TOL)
 
 
 @pytest.mark.parametrize("call", [

@@ -23,7 +23,6 @@ from deltoid.su3 import (
     curvature_dimension_check,
     entry_const,
     entry_z,
-    entry_zbar,
     field_apply,
     gamma_fields,
     haar_sample,
@@ -187,7 +186,7 @@ def test_casimir_coordinate_coefficient():
     for (p, q) in [(0, 0), (0, 1), (2, 1)]:
         diff = casimir_apply(entry_z(p, q)) - entry_z(p, q).scale(-16.0 / 3.0)
         assert diff.is_zero(tol=1e-12)
-        diffb = casimir_apply(entry_zbar(p, q)) - entry_zbar(p, q).scale(-16.0 / 3.0)
+        diffb = casimir_apply(entry_z(p, q).conj()) - entry_z(p, q).conj().scale(-16.0 / 3.0)
         assert diffb.is_zero(tol=1e-12)
 
 
@@ -204,7 +203,7 @@ def test_oracle_matches_entry_closed_forms():
         for (k, l, r, q) in [(0, 1, 1, 2), (2, 0, 1, 1), (1, 2, 2, 1), (2, 2, 0, 0)]:
             o = vectorfield_gamma_oracle(entry_z(k, l), entry_z(r, q), u)
             assert abs(o - entry_gamma(k, l, r, q, u, "zz")) < 1e-10
-            o = vectorfield_gamma_oracle(entry_z(k, l), entry_zbar(r, q), u)
+            o = vectorfield_gamma_oracle(entry_z(k, l), entry_z(r, q).conj(), u)
             assert abs(o - entry_gamma(k, l, r, q, u, "zzbar")) < 1e-10
 
 
@@ -222,7 +221,7 @@ def test_oracle_constant_and_trace_form():
 
 
 def test_entry_poly_algebra():
-    f = entry_z(0, 1) * entry_zbar(2, 2) + entry_const(1.5)
+    f = entry_z(0, 1) * entry_z(2, 2).conj() + entry_const(1.5)
     g = f.conj().conj()
     assert (g - f).is_zero()
     # derivation product rule through a frame field
@@ -383,8 +382,8 @@ def test_frame_table_matches_entry_closed_forms():
         m = u.matrix
         for v in range(18):
             for w in range(18):
-                fv = entry_z(*divmod(v % 9, 3)) if v < 9 else entry_zbar(*divmod(v % 9, 3))
-                fw = entry_z(*divmod(w % 9, 3)) if w < 9 else entry_zbar(*divmod(w % 9, 3))
+                fv = entry_z(*divmod(v % 9, 3)) if v < 9 else entry_z(*divmod(v % 9, 3)).conj()
+                fw = entry_z(*divmod(w % 9, 3)) if w < 9 else entry_z(*divmod(w % 9, 3)).conj()
                 got = gamma_fields(fv, fw).eval(m)
                 (k, l), (r, q) = divmod(v % 9, 3), divmod(w % 9, 3)
                 if v < 9 and w < 9:
@@ -408,7 +407,7 @@ def test_frame_tables_keep_their_bits():
 def test_gamma_fields_degree_limit():
     # a packed key holds exponents to 255; Gamma(f, g) has degree up to
     # deg f + deg g, so a pair past that raises rather than carry
-    z, zb = entry_z(0, 0), entry_zbar(1, 1)
+    z, zb = entry_z(0, 0), entry_z(1, 1).conj()
     f = entry_const(1.0)
     for _ in range(200):
         f = f * z
@@ -893,6 +892,6 @@ def test_degree_overflow_raises():
     with pytest.raises(DegreeOverflow):
         p * z
     with pytest.raises(DegreeOverflow):
-        p * (entry_const(1.0) + entry_zbar(0, 0))
+        p * (entry_const(1.0) + entry_z(0, 0).conj())
     # a constant factor adds no degree
     assert (p * entry_const(2.0)).terms == {255 << (8 * 8): 2.0}

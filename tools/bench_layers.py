@@ -20,19 +20,29 @@ while a truncation of its lambda at degree 40 is live, as the `measure`
 workload holds one, and evaluate the float mode store of the (4, 40)
 truncation, built once beforehand, on the closed barycentric lattice of
 side 80 (3,321 points) with _ModeStore.values.  The float rows run
-route 2's scan_inf_b(1/3, 80) and divergence_probe(0.4) on the quadratic
-curve, README's `cd scan-b --a 1/3 --grid 200 --refine --csv` in process
-(the scan, the lattice surface and both files, written to a temporary
-directory), psd_margins of the optimal tensor tensor_residual(1/6, 9/4)
-on deltoid_grid(200), and su3._haar_matrices(0, 6000).  Each figure is
-the fastest of --repeats rounds divided by the calls in a round.
+route 2's scan_inf_b(1/3, 80), divergence_probe(0.4) on the quadratic
+curve, triangle_b(1/3, 1.0, 0.5) (100 calls a round) and
+triangle_surface(1/3, 200), README's `cd scan-b --a 1/3 --grid 200
+--refine --csv` in process (the scan, the lattice surface and both files,
+written to a temporary directory), psd_margins of the optimal tensor
+tensor_residual(1/6, 9/4) on deltoid_grid(200), and
+su3._haar_matrices(0, 6000).  Each figure is the fastest of --repeats
+rounds divided by the calls in a round.
+
+The calibration row is a fixed pure-Python dict loop that calls nothing
+of the package.  It moves with the machine's speed only, so every layer
+and startup row also reports its seconds as a ratio to it, beside the
+raw seconds.
 
 The startup rows time a bare `import deltoid` and three exact
 subcommands (`eigen`, `moments`, `cd factor-check`), each in --repeats
 fresh interpreters: the fastest run's seconds from the start of the
 import to the end of the command, and whether numpy was loaded by then
-(numpy.linalg in sys.modules).  The output records the machine, Python,
-numpy and the rational backend beside the numbers.
+(numpy.linalg in sys.modules).  Bytecode is written to and read from a
+temporary PYTHONPYCACHEPREFIX, never the source tree, and one untimed
+run of each row fills it first, so no timed run compiles.  The output
+records the machine, Python, numpy and the rational backend beside the
+numbers.
 """
 
 import argparse
@@ -56,6 +66,10 @@ EIGEN_DEGREE = 14
 LATTICE_SIDE = 80
 # Haar draws of the su3 row
 HAAR_DRAWS = 6000
+# triangle_b calls in a round of its row
+POINT_CALLS = 100
+# iterations of the calibration loop, about 5 ms on a 2-vCPU Xeon VM
+CALIBRATION_STEPS = 50_000
 # startup row name: CLI arguments, or None for the import alone
 STARTUP = {
     "import deltoid": None,
@@ -91,6 +105,15 @@ def _cpu_model():
     return platform.processor() or platform.machine()
 
 
+def calibration():
+    """A fixed pure-Python dict loop, the in-run control of the timings."""
+    counts = {}
+    for k in range(CALIBRATION_STEPS):
+        key = k % 1009
+        counts[key] = counts.get(key, 0) + k
+    return counts
+
+
 def layer_rounds(dt, tmpdir):
     """{layer name: (calls in a round, function running one round)};
     the CLI row writes its files into the directory tmpdir."""
@@ -116,6 +139,7 @@ def layer_rounds(dt, tmpdir):
               "--csv", os.path.join(tmpdir, "surface.csv"),
               "--out", os.path.join(tmpdir, "scan.json")]
     return {
+        "calibration": (1, calibration),
         "cdcheck.ray_nonneg_on_unit": (2, lambda: [
             dt.ray_nonneg_on_unit(a1, b1), dt.ray_nonneg_on_unit(a1, b1 + dt.Rat(1, 100))]),
         "cdcheck.factorization_sweep": (1, dt.factorization_sweep),
@@ -136,6 +160,9 @@ def layer_rounds(dt, tmpdir):
         "spectral._ModeStore.values(4, 40)": (1, lambda: store.values(lattice)),
         "cdcheck.scan_inf_b(1/3, 80)": (1, lambda: dt.scan_inf_b(1 / 3, 80)),
         "cdcheck.divergence_probe(0.4)": (1, lambda: dt.divergence_probe(0.4)),
+        "cdcheck.triangle_b(1/3, 1.0, 0.5)": (POINT_CALLS, lambda: [
+            dt.triangle_b(1 / 3, 1.0, 0.5) for _ in range(POINT_CALLS)]),
+        "cdcheck.triangle_surface(1/3, 200)": (1, lambda: dt.cdcheck.triangle_surface(1 / 3, 200)),
         "cli.cd scan-b --grid 200 --refine --csv": (1, lambda: cli_main(scan_b)),
         "operator.psd_margins(deltoid_grid(200))": (1, lambda: optimal.psd_margins(grid200)),
         f"su3._haar_matrices(0, {HAAR_DRAWS})": (1, lambda: dt.su3._haar_matrices(0, HAAR_DRAWS)),
@@ -157,19 +184,29 @@ def measure(dt, repeats):
 
 def startup(repeats):
     """{row name: min seconds over fresh processes, numpy_loaded}."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     rows = {}
-    for name, argv in STARTUP.items():
-        runs = []
-        for _ in range(repeats):
-            done = subprocess.run([sys.executable, "-c", _STARTUP_CODE, json.dumps(argv)],
-                                  env=env, capture_output=True, text=True, timeout=300,
-                                  check=True)
-            runs.append(json.loads(done.stdout))
-        rows[name] = {"min_s": min(s for s, _ in runs),
-                      "numpy_loaded": any(flag for _, flag in runs)}
+    with tempfile.TemporaryDirectory() as prefix:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=prefix, PYTHONPATH=os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+        # the prefix must fill, or every run would time the compiler
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        for name, argv in STARTUP.items():
+            runs = []
+            # the first run compiles into the prefix and is not counted
+            for _ in range(repeats + 1):
+                done = subprocess.run([sys.executable, "-c", _STARTUP_CODE, json.dumps(argv)],
+                                      env=env, capture_output=True, text=True, timeout=300,
+                                      check=True)
+                runs.append(json.loads(done.stdout))
+            rows[name] = {"min_s": min(s for s, _ in runs[1:]),
+                          "numpy_loaded": any(flag for _, flag in runs)}
     return rows
+
+
+def with_ratios(rows, key, unit):
+    """Each row of rows with ratio_to_calibration, its seconds over unit."""
+    return {name: {**row, "ratio_to_calibration": row[key] / unit}
+            for name, row in rows.items()}
 
 
 def main(argv=None):
@@ -191,9 +228,11 @@ def main(argv=None):
         "numpy": np.__version__,
         "rational_backend": "gmpy2" if dt.exact.HAVE_GMPY2 else "fractions.Fraction",
         "repeats": args.repeats,
-        "layers": measure(dt, args.repeats),
-        "startup": startup(args.repeats),
     }
+    layers = measure(dt, args.repeats)
+    unit = layers["calibration"]["min_s_per_call"]
+    record["layers"] = with_ratios(layers, "min_s_per_call", unit)
+    record["startup"] = with_ratios(startup(args.repeats), "min_s", unit)
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return record
 

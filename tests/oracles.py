@@ -6,6 +6,8 @@ fields changed, as dataclasses.replace does for a dataclass.
 """
 
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +21,8 @@ from deltoid.exact import BivarPoly, CRat, Rat, as_rat
 from deltoid.geometry import (E, V0, V1, V2, TrianglePoint, _bary_to_plane, _bary_xy,
                               plane_to_deltoid, w_density, zk)
 from deltoid.operator import G11, G12, Lambda, gamma, gamma2, generator
-from deltoid.su3 import _derive, _frame_moves, _mat_of, entry_const, normalized_trace
+from deltoid.su3 import (_NVAR, EntryPoly, _entry_var, _exponents, _mat_of, _std, _unit_key,
+                         entry_const, normalized_trace)
 
 ROOT3 = math.sqrt(3.0)
 
@@ -27,6 +30,147 @@ ROOT3 = math.sqrt(3.0)
 def replaced(obj, **changes):
     """A copy of the record obj with the given fields changed."""
     return type(obj)(**{**vars(obj), **changes})
+
+
+def _field_moves(x):
+    """Per variable v, the (key shift, factor) pairs of the field of x.
+
+    z_kl moves with velocity (U x)_kl = sum_m x[m, l] z_km (see
+    field_apply), so v = kl gains one move to km per nonzero x[m, l].
+    """
+    xs = np.asarray(x, dtype=complex).tolist()
+    moves = []
+    for block in (0, 9):
+        for k in range(3):
+            for l in range(3):
+                moves.append([
+                    (_unit_key(block + 3 * k + m) - _unit_key(block + 3 * k + l),
+                     xs[m][l].conjugate() if block else xs[m][l])
+                    for m in range(3) if xs[m][l] != 0
+                ])
+    return moves
+
+
+def _derive(moves, f):
+    # term by term: a factor z_v^p of c z^e gives c p a z^(e - v + w)
+    # for each move (w - v, a) of v
+    out = {}
+    for e, c in f.terms.items():
+        for v, p in enumerate(_exponents(e)):
+            if p:
+                cp = c * p
+                for shift, a in moves[v]:
+                    key = e + shift
+                    out[key] = out.get(key, 0j) + cp * a
+    return EntryPoly(out)
+
+
+@functools.cache
+def _frame_moves():
+    """_field_moves of each frame member, built on first use."""
+    return tuple(_field_moves(x) for x in _std().matrices)
+
+
+def field_apply(x, f):
+    """Derivation of f along the left-invariant field of the matrix x.
+
+    The flow is U exp(t x), so an entry moves with velocity (U x)_kl,
+    which is linear in the entries of the same row; conjugate entries
+    move with the conjugated coefficients.
+    """
+    return _derive(_field_moves(x), f)
+
+
+def derived_frame_tables():
+    """(lz, gam) summed over the frame's field moves, in float arithmetic.
+
+    With X z_v = _derive(moves, z_v), L z_v = sum_X X(X z_v) and
+    Gamma(z_v, z_w) = sum_X X(z_v) X(z_w); lz[v] and gam[v][w] are
+    tuples of (monomial key, coefficient), the shape of su3's table.
+    """
+    lz = [EntryPoly() for _ in range(_NVAR)]
+    gam = [[EntryPoly() for _ in range(_NVAR)] for _ in range(_NVAR)]
+    for moves in _frame_moves():
+        first = [_derive(moves, _entry_var(v)) for v in range(_NVAR)]
+        for v in range(_NVAR):
+            lz[v] += _derive(moves, first[v])
+            for w in range(_NVAR):
+                gam[v][w] += first[v] * first[w]
+    return (tuple(tuple(f.terms.items()) for f in lz),
+            tuple(tuple(tuple(f.terms.items()) for f in row) for row in gam))
+
+
+def _gauss_mul(p, q):
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def exact_frame():
+    """su3.LieBasis's nine members, exactly: (weight, m) with X = sqrt(weight) m.
+
+    m is a 3x3 nested list of Gaussian integers as (re, im) int pairs;
+    the weight is 1 for the R and S families and Fraction(2, 3), the
+    square of DIAG_WEIGHT, for the Dh family.
+    """
+    out = []
+    for tag in ("R", "S", "Dh"):
+        for k, l in ((0, 1), (0, 2), (1, 2)):
+            m = [[(0, 0)] * 3 for _ in range(3)]
+            if tag == "R":
+                m[k][l], m[l][k] = (1, 0), (-1, 0)
+            elif tag == "S":
+                m[k][l] = m[l][k] = (0, 1)
+            else:
+                m[k][k], m[l][l] = (0, 1), (0, -1)
+            out.append((Fraction(2, 3) if tag == "Dh" else Fraction(1), m))
+    return out
+
+
+def exact_frame_products(conj_x, conj_y):
+    """{(a, b, c, d): (re, im)} of sum_X x_ab y_cd over exact_frame(),
+    in Fractions, with x = conj X if conj_x else X, and y likewise."""
+    frame = exact_frame()
+    out = {}
+    for a, b, c, d in itertools.product(range(3), repeat=4):
+        re = im = Fraction(0)
+        for weight, m in frame:
+            x, y = m[a][b], m[c][d]
+            x = (x[0], -x[1]) if conj_x else x
+            y = (y[0], -y[1]) if conj_y else y
+            pr, pi = _gauss_mul(x, y)
+            re += weight * pr
+            im += weight * pi
+        out[(a, b, c, d)] = (re, im)
+    return out
+
+
+def exact_frame_numerators():
+    """{(v, w): {monomial key: n}}: Gamma(z_v, z_w) = sum n/3 z^key, exactly.
+
+    For v = 9 s + 3 i + j, X z_v = sum_a z_(9 s + 3 i + a) x_aj with x = X,
+    or conj X for a conjugate (s = 1), so Gamma(z_v, z_w) =
+    sum_(a, b) z_(9 s + 3 i + a) z_(9 t + 3 k + b) sum_X x_aj y_bl, summed
+    over exact_frame() in Fractions.  Raises ArithmeticError unless every
+    coefficient is real with 3 n an integer.
+    """
+    sums = {(s, t): exact_frame_products(s, t) for s in (0, 1) for t in (0, 1)}
+    out = {}
+    for v in range(_NVAR):
+        s, i, j = v // 9, v % 9 // 3, v % 3
+        for w in range(_NVAR):
+            t, k, l = w // 9, w % 9 // 3, w % 3
+            num = {}
+            for a in range(3):
+                for b in range(3):
+                    re, im = sums[(s, t)][(a, j, b, l)]
+                    key = _unit_key(9 * s + 3 * i + a) + _unit_key(9 * t + 3 * k + b)
+                    num[key] = num.get(key, Fraction(0)) + re
+                    if im:
+                        raise ArithmeticError(f"Gamma({v}, {w}) has an imaginary coefficient")
+            for key, c in num.items():
+                if (3 * c).denominator != 1:
+                    raise ArithmeticError(f"Gamma({v}, {w}) has {c}, not n/3")
+            out[(v, w)] = {key: int(3 * c) for key, c in num.items() if c}
+    return out
 
 
 def vectorfield_gamma_oracle(f, g, u):

@@ -1,11 +1,13 @@
 import hashlib
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from deltoid import su3
+from deltoid.acceptance import run_criterion
 from deltoid.eigen import MomentTable
 from deltoid.exact import Z, ZBAR
 from deltoid.operator import Lambda, gamma as deltoid_gamma
@@ -23,14 +25,15 @@ from deltoid.su3 import (
     curvature_dimension_check,
     entry_const,
     entry_z,
-    field_apply,
     gamma_fields,
     haar_sample,
     normalized_trace,
     pushforward_check,
     ricci_constant,
 )
-from oracles import coefficient_function, entry_gamma, replaced, vectorfield_gamma_oracle
+from oracles import (_derive, _frame_moves, coefficient_function, derived_frame_tables,
+                     entry_gamma, exact_frame, exact_frame_numerators, exact_frame_products,
+                     field_apply, replaced, vectorfield_gamma_oracle)
 
 A = DIAG_WEIGHT
 
@@ -365,19 +368,20 @@ def test_charpoly_left_sides_match_field_by_field_oracle():
         want = vectorfield_gamma_oracle(fx, fy, u)
         assert abs(left_gamma - want) <= 1e-13 * abs(want)
         left_l = ax * v[3] + bx * v[4]
-        want_l = sum(su3._derive(moves, su3._derive(moves, fx)).eval(u)
-                     for moves in su3._frame_moves())
+        want_l = sum(_derive(moves, _derive(moves, fx)).eval(u)
+                     for moves in _frame_moves())
         assert abs(left_l - want_l) <= 1e-13 * abs(want_l)
 
 
 def test_frame_table_matches_entry_closed_forms():
-    # every ordered pair of the Gamma table, built from the frame moves,
-    # against the closed forms of entry_gamma (and their conjugates)
+    # L z_v is -16/3 z_v exactly, and every ordered pair of the Gamma
+    # table against the closed forms of entry_gamma (and their conjugates)
     us = haar_sample(40, 3)
-    lz, _ = su3._frame_tables()
+    assert len(su3._frame_tables()) == 18
     for v in range(18):
-        assert lz[v] == ((1 << (8 * v), lz[v][0][1]),)
-        assert abs(lz[v][0][1] + 16.0 / 3.0) < 1e-14
+        z = entry_z(*divmod(v % 9, 3))
+        z = z if v < 9 else z.conj()
+        assert casimir_apply(z).terms == {1 << (8 * v): complex(-16.0 / 3.0)}
     for u in us:
         m = u.matrix
         for v in range(18):
@@ -398,10 +402,111 @@ def test_frame_table_matches_entry_closed_forms():
 
 
 def test_frame_tables_keep_their_bits():
-    # the closed-form test above holds the tables to a tolerance; this
-    # digest holds their keys, term order and coefficient bits
+    # the closed-form test above holds the table to a tolerance; this
+    # digest holds its keys, term order and coefficient bits
     digest = hashlib.sha256(repr(su3._frame_tables()).encode()).hexdigest()
-    assert digest == "d373e52dfdb55ccb45160d0bd3668fb10120af2655367b065d7266186d80de07"
+    assert digest == "82ac8817433b0230c409a9ccc8de0734319740fc7418c6ea721e311a3df7dab0"
+
+
+def test_frame_obeys_the_fierz_identity_exactly():
+    # the frame as Gaussian-integer matrices with Cartan weight^2 = 2/3:
+    # sum_X X_ab X_cd = -2 d_ad d_bc + (2/3) d_ab d_cd at all 81 entries
+    for (weight, m), x in zip(exact_frame(), su3._std().matrices, strict=True):
+        want = math.sqrt(weight) * np.array([[complex(*z) for z in row] for row in m])
+        assert np.array_equal(x, want)
+    tensor = exact_frame_products(False, False)
+    assert len(tensor) == 81
+    for (a, b, c, d), value in tensor.items():
+        want = -2 * (a == d) * (b == c) + Fraction(2, 3) * (a == b) * (c == d)
+        assert value == (want, 0), (a, b, c, d)
+
+
+def test_lie_basis_refuses_a_frame_off_the_fierz_identity(monkeypatch):
+    # R scaled by sqrt(3/2) and S by sqrt(1/2) keep sum X^2 = -16/3 I,
+    # since R_kl^2 = S_kl^2, but break the Fierz tensor
+    r, s = su3._family_r, su3._family_s
+    monkeypatch.setattr(su3, "_family_r", lambda k, l: math.sqrt(1.5) * r(k, l))
+    monkeypatch.setattr(su3, "_family_s", lambda k, l: math.sqrt(0.5) * s(k, l))
+    with pytest.raises(ValueError, match="Fierz identity broken"):
+        LieBasis()
+
+
+def test_frame_table_is_the_fierz_integers_over_three():
+    # each coefficient is n/3, correctly rounded, for the integer n that
+    # the exact frame's field products sum to, with the same 504 keys
+    num = exact_frame_numerators()
+    gam = su3._frame_tables()
+    assert sum(map(len, num.values())) == 504
+    for v in range(18):
+        for w in range(18):
+            assert dict(gam[v][w]) == {e: complex(n / 3) for e, n in num[(v, w)].items()}, (v, w)
+
+
+def _first_table_gap(got, want):
+    """The first (v, w, key) where two Gamma tables differ in keys or by
+    more than one ulp of want's coefficient; None where there is none."""
+    for v in range(18):
+        for w in range(18):
+            g, h = dict(got[v][w]), dict(want[v][w])
+            for key in sorted(g.keys() | h.keys()):
+                if key not in g or key not in h:
+                    return v, w, key
+                a, b = g[key], h[key]
+                if (abs(a.real - b.real) > math.ulp(b.real)
+                        or abs(a.imag - b.imag) > math.ulp(b.imag)):
+                    return v, w, key
+    return None
+
+
+def test_frame_table_is_the_frame_move_derivation_to_one_ulp():
+    # the derivation sums nine field products in floats; the closed table
+    # divides each integer once, so they differ by rounding alone
+    lz, derived = derived_frame_tables()
+    for v in range(18):
+        (key, c), = lz[v]
+        assert key == 1 << (8 * v) and abs(c - su3.CASIMIR) <= math.ulp(su3.CASIMIR)
+    gap = _first_table_gap(su3._frame_tables(), derived)
+    assert gap is None, f"closed table leaves the derivation at (v, w, key) = {gap}"
+    # a slip of two ulps is named where it is
+    slipped = [list(row) for row in su3._frame_tables()]
+    (key, c), *rest = slipped[3][12]
+    slipped[3][12] = ((key, c + 2 * math.ulp(c.real)), *rest)
+    assert _first_table_gap(slipped, derived) == (3, 12, key)
+
+
+def _table_of(num):
+    return tuple(tuple(tuple((e, complex(n / 3)) for e, n in num[(v, w)].items())
+                       for w in range(18)) for v in range(18))
+
+
+def _slip_two_thirds(num):
+    # the (2/3) z_ij z_kl term of Gamma(z_ij, z_kl) read as 1/3, and so
+    # its conjugate
+    for v in range(9):
+        for w in range(9):
+            for a, b in ((v, w), (9 + v, 9 + w)):
+                num[(a, b)][su3._unit_key(a) + su3._unit_key(b)] -= 1
+
+
+def _slip_one_sign(num):
+    # the z00 zbar00 term of Gamma(z00, zbar00) with its sign flipped
+    num[(0, 9)][su3._unit_key(0) + su3._unit_key(9)] *= -1
+
+
+@pytest.mark.parametrize("slip", [_slip_two_thirds, _slip_one_sign],
+                         ids=["two-thirds-read-as-one-third", "one-sign-flipped"])
+def test_table_slips_fail_the_pushforward_and_c09(slip, monkeypatch):
+    num = exact_frame_numerators()
+    slip(num)
+    table = _table_of(num)
+    monkeypatch.setattr(su3, "_frame_tables", lambda: table)
+    su3._charpoly_parts.cache_clear()
+    try:
+        assert not pushforward_check([Z, ZBAR, Z * ZBAR], haar_sample(23, 100)).passed
+        assert not run_criterion(9).passed
+    finally:
+        monkeypatch.undo()
+        su3._charpoly_parts.cache_clear()
 
 
 def test_gamma_fields_degree_limit():
@@ -423,21 +528,24 @@ def test_gamma_fields_degree_limit():
 
 
 def test_import_builds_no_frame_table():
-    # the frame, its moves and the tables are built on first use, never
-    # at import
+    # the frame, the table and the charpoly parts are built on first use,
+    # never at import
     import subprocess
     import sys
 
     src = os.path.dirname(os.path.dirname(su3.__file__))
     code = ("import deltoid, deltoid.su3 as s; "
             "print(*(f.cache_info().currsize for f in "
-            "(s._std, s._frame_moves, s._frame_tables, s._charpoly_parts)))")
+            "(s._std, s._frame_tables, s._charpoly_parts)))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "0", "0", "0"]
+    assert done.stdout.split() == ["0", "0", "0"]
+    # the frame-move derivation lives in tests/oracles.py alone
+    for name in ("field_apply", "_derive", "_field_moves", "_frame_moves"):
+        assert not hasattr(su3, name), name
 
 
 def test_pushforward_named_examples():

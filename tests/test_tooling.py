@@ -142,8 +142,9 @@ def test_layer_harness_writes_its_record(tmp_path):
     # rows solve each (p, q) of degree <= 14, 120 modes, the route-2 point
     # row calls triangle_b 100 times, and the spectral and float rows run
     # the H_k check, the mode store, route 2's scan, probe and surface, the
-    # README scan-b command, the grid PSD margins and the Haar draws once
-    # per round; every row also reads as a ratio to the calibration loop
+    # README scan-b command, the grid PSD margins, the Haar draws and the
+    # su3 Gamma table (its cache cleared) once per round; every row also
+    # reads as a ratio to the calibration loop
     spec = importlib.util.spec_from_file_location(
         "bench_layers", Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py")
     harness = importlib.util.module_from_spec(spec)
@@ -161,7 +162,7 @@ def test_layer_harness_writes_its_record(tmp_path):
         "cdcheck.divergence_probe(0.4)", "cli.cd scan-b --grid 200 --refine --csv",
         "operator.psd_margins(deltoid_grid(200))", "su3._haar_matrices(0, 6000)",
         "calibration", "cdcheck.triangle_b(1/3, 1.0, 0.5)",
-        "cdcheck.triangle_surface(1/3, 200)"}
+        "cdcheck.triangle_surface(1/3, 200)", "su3._frame_tables"}
     assert record["layers"]["eigen.solve_eigenpoly"]["calls_per_round"] == 120
     assert record["layers"]["cdcheck.triangle_b(1/3, 1.0, 0.5)"]["calls_per_round"] == 100
     assert all(record["layers"][name]["calls_per_round"] == 1 for name in (
@@ -169,7 +170,7 @@ def test_layer_harness_writes_its_record(tmp_path):
         "spectral._ModeStore.values(4, 40)", "cdcheck.scan_inf_b(1/3, 80)",
         "cdcheck.divergence_probe(0.4)", "cli.cd scan-b --grid 200 --refine --csv",
         "operator.psd_margins(deltoid_grid(200))", "su3._haar_matrices(0, 6000)",
-        "calibration", "cdcheck.triangle_surface(1/3, 200)"))
+        "calibration", "cdcheck.triangle_surface(1/3, 200)", "su3._frame_tables"))
     assert all(layer["min_s_per_call"] > 0 for layer in record["layers"].values())
     unit = record["layers"]["calibration"]["min_s_per_call"]
     assert record["layers"]["calibration"]["ratio_to_calibration"] == 1.0

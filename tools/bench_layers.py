@@ -26,8 +26,10 @@ triangle_surface(1/3, 200), README's `cd scan-b --a 1/3 --grid 200
 --refine --csv` in process (the scan, the lattice surface and both files,
 written to a temporary directory), psd_margins of the optimal tensor
 tensor_residual(1/6, 9/4) on deltoid_grid(200), and
-su3._haar_matrices(0, 6000).  Each figure is the fastest of --repeats
-rounds divided by the calls in a round.
+su3._haar_matrices(0, 6000).  The su3._frame_tables row builds the
+Gamma table once a round, its cache cleared first and the frame built
+beforehand.  Each figure is the fastest of --repeats rounds divided by
+the calls in a round.
 
 The calibration row is a fixed pure-Python dict loop that calls nothing
 of the package.  It moves with the machine's speed only, so every layer
@@ -134,6 +136,12 @@ def layer_rounds(dt, tmpdir):
     x, y = dt.geometry._bary_xy(i, c - i, LATTICE_SIDE - c)
     lattice = dt.geometry.plane_to_deltoid(x / LATTICE_SIDE, y / LATTICE_SIDE)
     optimal = dt.tensor_residual(a1, b1)
+    dt.su3._std()
+
+    def frame_tables():
+        dt.su3._frame_tables.cache_clear()
+        return dt.su3._frame_tables()
+
     grid200 = dt.deltoid_grid(200)
     scan_b = ["cd", "scan-b", "--a", "1/3", "--grid", "200", "--refine",
               "--csv", os.path.join(tmpdir, "surface.csv"),
@@ -166,6 +174,7 @@ def layer_rounds(dt, tmpdir):
         "cli.cd scan-b --grid 200 --refine --csv": (1, lambda: cli_main(scan_b)),
         "operator.psd_margins(deltoid_grid(200))": (1, lambda: optimal.psd_margins(grid200)),
         f"su3._haar_matrices(0, {HAAR_DRAWS})": (1, lambda: dt.su3._haar_matrices(0, HAAR_DRAWS)),
+        "su3._frame_tables": (1, frame_tables),
     }
 
 

@@ -34,7 +34,7 @@ import math
 import random
 from fractions import Fraction
 
-from .exact import BivarPoly, CRat, Rat, Z, ZBAR, _make, as_rat, np, record
+from .exact import BivarPoly, CRat, PolyTable, Rat, Z, ZBAR, _make, as_rat, np, record
 from .geometry import (
     _bary_xy,
     plane_to_deltoid,
@@ -652,15 +652,15 @@ def _gamma2_margins(funcs, lam, rho, n, zs):
     """Margins Gamma_2(f,f) - rho Gamma(f,f) - (Lf)^2 / n, one row per f
     and one column per point of zs.
 
-    Each pair polynomial Q_ab is built exactly and evaluated once; the
-    margins are the weights (rounded once each from their exact values)
-    summed against them with einsum, not BLAS, so the bits do not depend
-    on the thread count.  rho and n enter as the exact rationals of
-    their floats.
+    Each pair polynomial Q_ab is built exactly, once, as a row of one
+    PolyTable; the margins are the weights (rounded once each from their
+    exact values) summed against the table's values with einsum, not
+    BLAS, so the bits do not depend on the thread count.  rho and n
+    enter as the exact rationals of their floats.
     """
     pairs = _monomial_pairs(funcs)
     polys = _pair_polys(pairs, lam, as_rat(Fraction(rho)), as_rat(Fraction(n)))
-    q = np.array([p.eval(zs) for p in polys])
+    q = PolyTable([p.complex_coeffs() for p in polys]).values(zs)
     w = np.zeros((len(funcs), len(pairs)), dtype=complex)
     for row, f in zip(w, funcs):
         d2 = f.den * f.den

@@ -17,14 +17,12 @@ normalisation per result, instead of a gcd per coefficient operation.
 Float conversion divides each numerator by den as Python ints.  Integer
 true division is correctly rounded, so a float coefficient is exactly
 the float nearest the rational value, the same as float(Fraction).
-Float evaluation has three implementations, one per shape of work.
-HornerProgram, here, compiles one polynomial into its Horner scheme and
-runs it on a point or on numpy arrays of points with the same bits
-either way; every polynomial in Z and Zbar evaluated on its own (grid
-and sampled margins, the boundary polynomial, the deltoid side of the
-group checks) goes through it.  `spectral._ModeStore` evaluates many
-eigenmodes at many points at once, one real matrix product per residue
-class of modes and block of points, and rounds differently from Horner.
+Float evaluation has one implementation per ring.  PolyTable, here,
+evaluates polynomials in Z and Zbar: rows of one table of monomials,
+each summed in a fixed order, so a value has the same bits wherever it
+is computed.  Every float value of a BivarPoly comes from it: `eval`
+and `eval2`, the grid and sampled margins, the boundary polynomial, the
+deltoid side of the group checks and the eigenmodes of the mode store.
 `su3._eval_compiled` evaluates a polynomial in the entries of a 3x3
 matrix and their conjugates (an `EntryPoly`) on a stack of matrices.
 
@@ -458,24 +456,20 @@ class BivarPoly:
 
     def eval(self, z):
         """Evaluate with Z := z and Zbar := conj(z); z may be a numpy array."""
-        return HornerProgram(self).eval(z)
+        return self.eval2(z, np.conj(z))
 
     def eval2(self, z, w):
         """Evaluate with Z := z, Zbar := w substituted independently.
 
-        Horner in w inside each fixed Z-power group, then Horner in z over
-        the groups; sparse exponent gaps are bridged with integer powers.
-        This compiles the polynomial on every call; to evaluate one
-        polynomial many times, build its HornerProgram once.
-
-        z and w may be numpy arrays of points (broadcast against each
-        other); the result is then a complex array.  Each element is
-        bit for bit the complex that eval2 returns for the Python
-        complex pair of scalars at that position, because the array path
-        repeats CPython's complex arithmetic step by step in float64; where
-        a scalar evaluation raises OverflowError, so does the array one.
+        z and w may be numpy arrays of points, broadcast against each
+        other; the result is then a complex array, and a Python complex
+        for two scalars.  The polynomial is one row of a PolyTable built
+        on every call; to evaluate many polynomials, or one many times,
+        build their table once.  Raises OverflowError where a power of z
+        or w that it forms overflows.
         """
-        return HornerProgram(self).eval2(z, w)
+        v = PolyTable([self.complex_coeffs()]).values(z, w)[0]
+        return complex(v) if v.ndim == 0 else v
 
     # -- exact division -------------------------------------------------
 
@@ -589,152 +583,98 @@ def c_prod(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _c_pow(xr, xi, n):
-    """x ** n for an int n >= 1, as CPython's complex ** int computes it.
+# points per pass of a table evaluation: the monomial arrays of a block
+# stay small enough to be reused from the heap and to stay in cache
+_BLOCK = 1024
 
-    CPython uses binary exponentiation from 1 + 0i up to n = 100 and the
-    polar formula beyond; the polar case is left to CPython, per element.
+
+def _powers(x, n):
+    """(re, im) of x ** k for k = 0..n, stacked along a new first axis,
+    for a complex array x: each power is the one before times x, by
+    c_prod.
+
+    Raises OverflowError, as CPython's complex ** int does, where a
+    power has an infinite part.
     """
-    if n > 100:
-        flat = [complex(r, i) ** n for r, i in
-                zip(np.ravel(xr).tolist(), np.ravel(xi).tolist())]
-        out = np.array(flat, dtype=complex).reshape(np.shape(xr))
-        return out.real, out.imag
-    rr, ri = 1.0, 0.0
-    pr, pi = xr, xi
-    mask = 1
-    while True:
-        if n & mask:
-            rr, ri = c_prod(rr, ri, pr, pi)
-        mask <<= 1
-        if mask > n:
-            break
-        pr, pi = c_prod(pr, pi, pr, pi)
-    # CPython raises where a power overflows to infinity
-    if np.isinf(rr).any() or np.isinf(ri).any():
+    re, im = np.empty((n + 1,) + x.shape), np.empty((n + 1,) + x.shape)
+    re[0], im[0] = 1.0, 0.0
+    # contiguous parts: a ufunc on the strided views of x runs slower
+    xr, xi = np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)
+    for k in range(1, n + 1):
+        re[k], im[k] = c_prod(re[k - 1], im[k - 1], xr, xi)
+    if np.isinf(re[1:]).any() or np.isinf(im[1:]).any():
         raise OverflowError("complex exponentiation")
-    return rr, ri
+    return re, im
 
 
-# points per pass of an array evaluation: the float temporaries of a
-# block stay small enough to be reused from the heap and to stay in cache
-_BLOCK = 4096
+class PolyTable:
+    """Polynomials in Z and Zbar evaluated as the rows of one monomial table.
 
+    Built from one list of (i, j, complex coefficient) terms per row, as
+    complex_coeffs() gives them.  The columns are the monomials
+    Z^i Zbar^j of all the rows, in ascending (i, j); `re` holds the real
+    parts of the coefficients, rows by columns, and `im` the imaginary
+    parts, or None when every coefficient is real.  A table holds floats
+    only and never changes, so one can be shared freely.
 
-class HornerProgram:
-    """A BivarPoly compiled once into its sparse two-level Horner scheme.
-
-    The float coefficients come from complex_coeffs(), grouped by the
-    power of Z in descending order and, inside a group, by the power of
-    Zbar in descending order.  Each group is (gap in the power of Z from
-    the previous group, leading coefficient, ((gap in the power of Zbar,
-    coefficient), ...), trailing power of Zbar); `ztail` is the least
-    power of Z.  The program holds floats only and never changes, so one
-    can be shared freely.
-
-    eval2 and eval take a scalar or numpy arrays (see BivarPoly.eval2).
+    values(z, w) substitutes Z := z and Zbar := w.  Per block of points
+    it forms the powers of z and of w by successive products and each
+    monomial z^i w^j by one more, all in CPython's complex rounding
+    (c_prod).  Each row is then summed against the monomials by einsum,
+    not BLAS, from 0.0 and left to right in ascending (i, j): one sum A
+    over the real parts of the coefficients and, apart, one sum B over
+    the imaginary parts, and the value is A + iB.  A zero coefficient
+    adds a signed zero to a sum that is never -0.0, so where every
+    monomial is finite a row's value has the bits of the plain ordered
+    sum of its own terms, whatever the table, its position in it or its
+    block.  Where a power
+    of z or w up to the table's highest exponent overflows, values raises
+    OverflowError.
     """
 
-    __slots__ = ("groups", "ztail")
+    __slots__ = ("i", "j", "re", "im")
 
-    def __init__(self, poly: BivarPoly):
-        groups = []
-        prev_i = prev_j = None
-        # descending (i, j); no two terms share (i, j), so c is never compared
-        for i, j, c in sorted(poly.complex_coeffs(), reverse=True):
-            if i == prev_i:
-                steps.append((prev_j - j, c))
-            else:
-                if prev_i is not None:
-                    groups.append((zgap, c0, tuple(steps), prev_j))
-                zgap = 0 if prev_i is None else prev_i - i
-                c0, steps = c, []
-                prev_i = i
-            prev_j = j
-        if prev_i is not None:
-            groups.append((zgap, c0, tuple(steps), prev_j))
-        self.groups = tuple(groups)
-        self.ztail = prev_i or 0
+    def __init__(self, rows):
+        keys = sorted({(i, j) for terms in rows for i, j, _ in terms})
+        col = {key: k for k, key in enumerate(keys)}
+        coef = np.zeros((len(rows), len(keys)), dtype=complex)
+        coef.reshape(-1)[[r * len(keys) + col[i, j] for r, terms in enumerate(rows)
+                          for i, j, _ in terms]] = [c for terms in rows for _, _, c in terms]
+        self.i = np.array([i for i, _ in keys], dtype=np.intp)
+        self.j = np.array([j for _, j in keys], dtype=np.intp)
+        self.re = np.ascontiguousarray(coef.real)
+        self.im = np.ascontiguousarray(coef.imag) if coef.imag.any() else None
 
-    def eval(self, z):
-        """Evaluate with Z := z and Zbar := conj(z)."""
-        if isinstance(z, np.ndarray):
-            z = z.astype(complex, copy=False)
-            return self._arrays(z, np.conj(z))
-        return self._scalars(z, complex(z).conjugate())
-
-    def eval2(self, z, w):
-        """Evaluate with Z := z and Zbar := w."""
-        if isinstance(z, np.ndarray) or isinstance(w, np.ndarray):
-            return self._arrays(np.asarray(z, dtype=complex),
-                                np.asarray(w, dtype=complex))
-        return self._scalars(z, w)
-
-    def _scalars(self, z, w):
-        if not self.groups:
-            return 0j
-        acc = None
-        for zgap, c0, steps, jtail in self.groups:
-            inner = c0
-            for gap, c in steps:
-                inner = inner * w**gap + c
-            if jtail:
-                inner *= w**jtail
-            acc = inner if acc is None else acc * z**zgap + inner
-        if self.ztail:
-            acc *= z**self.ztail
-        return acc
-
-    def _arrays(self, z, w):
-        shape = np.broadcast_shapes(z.shape, w.shape)
-        out = np.zeros(shape, dtype=complex)
-        if not self.groups:
-            return out
-        zf = np.broadcast_to(z, shape).reshape(-1)
-        wf = np.broadcast_to(w, shape).reshape(-1)
-        flat = out.reshape(-1)
+    def values(self, z, w=None):
+        """Every row at every point: shape (rows,) + the broadcast shape
+        of z and w, with w = conj(z) when it is not given."""
+        z = np.asarray(z, dtype=complex)
+        z, w = np.broadcast_arrays(z, np.conj(z) if w is None else np.asarray(w, dtype=complex))
+        shape = z.shape
+        z, w = z.reshape(-1), w.reshape(-1)
+        out = np.empty((len(self.re), z.size), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, flat.size, _BLOCK):
+            for lo in range(0, z.size, _BLOCK):
                 hi = lo + _BLOCK
-                self._block(zf[lo:hi], wf[lo:hi], flat[lo:hi])
-        return out
+                out[:, lo:hi] = self._block(z[lo:hi], w[lo:hi])
+        return out.reshape((len(self.re),) + shape)
 
-    def _block(self, z, w, out):
-        # the steps of _scalars, on (re, im) float arrays
-        zp, wp = _Powers(z), _Powers(w)
-        accr = acci = None
-        for zgap, c0, steps, jtail in self.groups:
-            ir, ii = c0.real, c0.imag
-            for gap, c in steps:
-                ir, ii = c_prod(ir, ii, *wp[gap])
-                ir, ii = ir + c.real, ii + c.imag
-            if jtail:
-                ir, ii = c_prod(ir, ii, *wp[jtail])
-            if accr is None:
-                accr, acci = ir, ii
-            else:
-                accr, acci = c_prod(accr, acci, *zp[zgap])
-                accr, acci = accr + ir, acci + ii
-        if self.ztail:
-            accr, acci = c_prod(accr, acci, *zp[self.ztail])
-        out.real = accr
-        out.imag = acci
-
-
-class _Powers(dict):
-    """(re, im) of x ** n for a complex array x, made on first use of n.
-
-    The same power rounds the same way every time, so one evaluation
-    computes each exponent once.
-    """
-
-    def __init__(self, x):
-        super().__init__()
-        self.x = x
-
-    def __missing__(self, n):
-        self[n] = _c_pow(self.x.real, self.x.imag, n)
-        return self[n]
+    def _block(self, z, w):
+        # the powers of z and of w side by side: [k, 0] is z^k, [k, 1] is w^k
+        re, im = _powers(np.stack([z, w]), int(max(self.i.max(initial=0),
+                                                   self.j.max(initial=0))))
+        mono = np.empty((len(self.i), len(z), 2))
+        mono[..., 0], mono[..., 1] = c_prod(re[self.i, 0], im[self.i, 0],
+                                            re[self.j, 1], im[self.j, 1])
+        # one float64 row per monomial, its points' (re, im) side by side
+        mono = mono.reshape(len(self.i), 2 * len(z))
+        vals = np.einsum("pm,mx->px", self.re, mono)
+        if self.im is not None:
+            # sum ci m = (sum ci mr) + i (sum ci mi), times i
+            extra = np.einsum("pm,mx->px", self.im, mono)
+            vals[:, 0::2] -= extra[:, 1::2]
+            vals[:, 1::2] += extra[:, 0::2]
+        return vals.view(complex)
 
 
 ONE = BivarPoly.const(1)

@@ -15,10 +15,11 @@ two pictures.
 """
 
 import cmath
+import functools
 import math
 import random
 
-from .exact import HornerProgram, np, record
+from .exact import PolyTable, np, record
 from .operator import boundary_poly
 
 ROOT3 = math.sqrt(3.0)
@@ -39,7 +40,11 @@ CENTER = (
     (V0[1] + V1[1] + V2[1]) / 3.0,
 )
 
-_P = HornerProgram(boundary_poly())
+
+@functools.cache
+def _p_table():
+    # P's table, built on first use so that an import loads no numpy
+    return PolyTable([boundary_poly().complex_coeffs()])
 
 
 @record
@@ -61,7 +66,7 @@ class DeltoidPoint:
         """
         if abs(self.Z) > 2:
             return -math.inf
-        return _P.eval(self.Z).real
+        return float(_p_table().values(self.Z)[0].real)
 
 
 def zk(point: TrianglePoint):
@@ -113,7 +118,7 @@ def plane_to_deltoid(x, y):
     zs = np.empty(np.shape(x), dtype=complex)
     zs.real = (np.cos(angles[0]) + np.cos(angles[1]) + np.cos(angles[2])) / 3.0
     zs.imag = (np.sin(angles[0]) + np.sin(angles[1]) + np.sin(angles[2])) / 3.0
-    bad = np.flatnonzero(~(_P.eval(zs).real >= _CLOSED_TOL))
+    bad = np.flatnonzero(~(_p_table().values(zs)[0].real >= _CLOSED_TOL))
     if bad.size:
         raise _left_domain(DeltoidPoint(complex(zs[bad[0]])))
     return zs

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .exact import BivarPoly, CRat, Rat, _make, as_rat, c_prod, record, Z, ZBAR
+from .exact import BivarPoly, CRat, PolyTable, Rat, _make, as_rat, c_prod, record, Z, ZBAR
 
 
 @record
@@ -89,12 +89,12 @@ class HermitianTensorField:
         """(trace-type margin r12, det-type margin r12^2 - |r11|^2) at z.
 
         z is one point, giving two floats, or a numpy array of points,
-        giving two float arrays.  The det-type margin is the real part of
-        v12 * v12 - v11 * v22 in CPython's complex arithmetic either way.
+        giving two float arrays.  The three entries are the rows of one
+        PolyTable, and the det-type margin is the real part of
+        v12 * v12 - v11 * v22 in CPython's complex arithmetic.
         """
-        v12 = self.r12.eval(z)
-        v11 = self.r11.eval(z)
-        v22 = self.r22.eval(z)
+        v12, v11, v22 = PolyTable([e.complex_coeffs() for e in
+                                   (self.r12, self.r11, self.r22)]).values(z)
         sq, _ = c_prod(v12.real, v12.imag, v12.real, v12.imag)
         pr, _ = c_prod(v11.real, v11.imag, v22.real, v22.imag)
         return v12.real, sq - pr

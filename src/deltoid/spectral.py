@@ -12,7 +12,7 @@ and the sup of the heat diagonal read the cusp weights P(1)^2/||P||^2
 from their closed form (`eigen.cusp_table`) and build no mode.
 Other float values of modes, for the heat diagonal at a point and the
 multiplier-kernel check, are read from the float mode store of a whole
-truncation, a real coefficient matrix per residue class of modes, which
+truncation, one `exact.PolyTable` per residue class of modes, which
 the truncation builds on its first float read.
 Beside them sit the Sobolev series estimate and the fits, plain least
 squares on log-log data.  Every report is a frozen record; a fit
@@ -26,7 +26,7 @@ import weakref
 from functools import cached_property
 
 from .eigen import _pieri_modes, cusp_table, moments, pairings
-from .exact import ONE, c_prod, np, record
+from .exact import ONE, PolyTable, np, record
 from .geometry import DeltoidPoint
 from .operator import _lam
 
@@ -113,7 +113,7 @@ class HeatKernelTruncation:
 
     @cached_property
     def _store(self):
-        return _ModeStore.of_modes(self.modes)
+        return _ModeStore(self.modes)
 
     def mode_values(self, z):
         """Values of every mode at the complex point z, or at each point of
@@ -274,98 +274,37 @@ def ultracontractivity_fit(lam, t_window, trunc=None):
 # the mode store: many modes at many points
 
 
-# A BLAS matrix product is not bound to round the same way at every
-# thread count.  OpenBLAS 0.3.31 (Intel Xeon, AVX-512 kernels) did, for
-# every shape tried at 1 to 4 threads, once the product had a multiple of
-# 8 columns and an inner dimension of at most 386; past 386 it split the
-# sum differently when threaded.  So the points are padded to a multiple of
-# 4 (8 float64 columns) and the inner dimension, the monomials of a
-# class, is cut into slices of at most _INNER, summed in a fixed order.
-_INNER = 256
-
-
-def _power_table(zs, n):
-    """(r2, re, im) for the monomials of degree <= n at the points zs.
-
-    r2[k] = |z|^(2k) and re[d] + i im[d] = z^d, each the one before times
-    the base, in real arithmetic (exact.c_prod for z): a point's table has
-    the same bits wherever it sits in an array.
-    """
-    shape = (n + 1,) + zs.shape
-    r2, re, im = np.empty(shape), np.empty(shape), np.empty(shape)
-    r2[0], re[0], im[0] = 1.0, 1.0, 0.0
-    base = zs.real * zs.real + zs.imag * zs.imag
-    for i in range(1, n + 1):
-        r2[i] = r2[i - 1] * base
-        re[i], im[i] = c_prod(re[i - 1], im[i - 1], zs.real, zs.imag)
-    return r2, re, im
-
-
 class _ModeStore:
-    """Real eigenmodes as coefficient matrices by residue class.
+    """Real eigenmodes as one PolyTable per residue class.
 
     Every term Z^i Zbar^j of P_{p,q} has i - j = p - q mod 3, so the modes
-    of one class r = (p - q) mod 3 share one set of monomials.  A class
-    holds one real coefficient matrix, rows its modes and columns its
-    monomials in ascending (i, j).  Its values at the points are that
-    matrix times the points' monomials, read as float64 pairs: one real
-    matrix product per class.
+    of one class r = (p - q) mod 3 share one set of monomials, and a
+    class is one table: rows its modes, columns their monomials.
+    complex_coeffs() runs once per mode with p >= q; P_{q,p} takes its
+    partner's terms with i and j swapped, as the builder mirrors it.  A
+    mode with a complex coefficient is a ValueError: eigenmodes are real.
     """
 
-    def __init__(self, classes, size):
-        # classes: (ascending store rows, min(i, j), |i - j|, sign of i - j, coef)
-        self.size = size
-        self._classes = classes
-        self._degree = max(int(np.max(2 * kk + dd)) for _, kk, dd, _, _ in classes)
-
-    @classmethod
-    def of_modes(cls, modes):
-        """The store of a truncation's modes, rows in their order.
-
-        complex_coeffs() runs once per mode with p >= q; P_{q,p} takes
-        its partner's terms with i and j swapped, as the builder mirrors
-        it.
-        """
+    def __init__(self, modes):
         terms = {(ep.p, ep.q): ep.poly.complex_coeffs() for ep in modes if ep.p >= ep.q}
         terms.update({(q, p): [(j, i, c) for i, j, c in t]
                       for (p, q), t in terms.items() if p > q})
-        terms = [terms[ep.p, ep.q] for ep in modes]
-        base = max(ep.p + ep.q for ep in modes) + 1
-        classes = []
+        self.size = len(modes)
+        self._classes = []
         for r in range(3):
             rows = [a for a, ep in enumerate(modes) if (ep.p - ep.q) % 3 == r]
-            # every term of the class as (row, i, j, coefficient)
-            row = np.repeat(np.arange(len(rows)), [len(terms[a]) for a in rows])
-            i, j, c = (np.array(v) for v in zip(*(x for a in rows for x in terms[a])))
-            bad = np.flatnonzero(c.imag)
-            if bad.size:
-                ep = modes[rows[row[bad[0]]]]
+            table = PolyTable([terms[modes[a].p, modes[a].q] for a in rows])
+            if table.im is not None:
+                ep = modes[rows[np.flatnonzero(table.im.any(axis=1))[0]]]
                 raise ValueError(f"P_{ep.p},{ep.q} has a complex coefficient; "
                                  "eigenmodes are real")
-            keys, col = np.unique(i * base + j, return_inverse=True)
-            i, j = np.divmod(keys, base)
-            coef = np.zeros((len(rows), len(keys)))
-            coef[row, col] = c.real
-            classes.append((np.array(rows, dtype=np.intp), np.minimum(i, j),
-                            np.abs(i - j), np.where(i >= j, 1.0, -1.0), coef))
-        return cls(classes, len(modes))
+            self._classes.append((rows, table))
 
     def values(self, zs):
         """Every row at every point of the 1-d array zs, (rows, points)."""
-        width = len(zs) + (-len(zs)) % 4
-        r2, re, im = _power_table(np.concatenate([zs, np.zeros(width - len(zs))]),
-                                  self._degree)
         out = np.empty((self.size, len(zs)), dtype=complex)
-        for rows, kk, dd, sign, coef in self._classes:
-            # Z^i Zbar^j = |z|^(2 min(i, j)) times z^(i - j) or conj(z)^(j - i)
-            mono = np.empty((len(kk), width), dtype=complex)
-            mono.real = r2[kk] * re[dd]
-            mono.imag = r2[kk] * im[dd] * sign[:, None]
-            flat = mono.view(np.float64)
-            vals = coef[:, :_INNER] @ flat[:_INNER]
-            for k in range(_INNER, len(kk), _INNER):
-                vals += coef[:, k:k + _INNER] @ flat[k:k + _INNER]
-            out[rows] = vals.view(complex)[:, :len(zs)]
+        for rows, table in self._classes:
+            out[rows] = table.values(zs)
         return out
 
 

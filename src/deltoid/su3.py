@@ -22,7 +22,7 @@ quantities are assembled without finite differencing.
 import functools
 import math
 
-from .exact import HornerProgram, c_prod, np, record
+from .exact import c_prod, np, record
 from .operator import Lambda, gamma as deltoid_gamma, generator as deltoid_generator
 
 # diagonal scaling that gives the Cartan directions Casimir weight 2/3
@@ -788,8 +788,8 @@ def pushforward_check(lam4_grid, u_samples):
         lifted = _compose_with_trace(f)
         gamma_lift = gamma_fields(lifted, lifted).eval(stack)
         l_lift = casimir_apply(lifted).eval(stack)
-        gamma_flat = HornerProgram(deltoid_gamma(f, f)).eval(zv)
-        l_flat = HornerProgram(deltoid_generator(f, lam)).eval(zv)
+        gamma_flat = deltoid_gamma(f, f).eval(zv)
+        l_flat = deltoid_generator(f, lam).eval(zv)
         # np.maximum, not max(): max(0.0, nan) is 0.0, and a NaN residual
         # must reach the report and fail it
         gamma_res = np.abs(0.75 * gamma_lift - gamma_flat).max()

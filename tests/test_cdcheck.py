@@ -718,22 +718,29 @@ def test_pair_polys_sum_to_the_margin_polynomial(lam, rho, n):
 
 @pytest.mark.parametrize("trials", [0, 5, 40])
 def test_gamma2_evaluates_each_monomial_pair_once(monkeypatch, trials):
-    # one call compiles and evaluates one HornerProgram per monomial pair
-    # (BivarPoly.eval, the exact.eval the benchmark traces), whatever the
-    # number of functions, each on all the points at once
+    # one call builds one PolyTable whose rows are the pair polynomials,
+    # each built once, whatever the number of functions, and evaluates it
+    # once on all the points
     funcs, zs = sweep(trials, 30, 2)
     k = len({key for f in funcs for key in f.num})
-    calls = []
-    evaluate = BivarPoly.eval
+    built, calls = [], []
 
-    def counted(self, z):
-        calls.append(z)
-        return evaluate(self, z)
+    class Counted(cdcheck.PolyTable):
+        def __init__(self, rows):
+            built.append(rows)
+            super().__init__(rows)
 
-    monkeypatch.setattr(BivarPoly, "eval", counted)
+        def values(self, z, w=None):
+            calls.append((z, w))
+            return super().values(z, w)
+
+    monkeypatch.setattr(cdcheck, "PolyTable", Counted)
     gamma2_sample_check(4, 2.25, 8.0, trials=trials, points=30, seed=2)
-    assert len(calls) == k * (k + 1) // 2
-    assert all(z.tobytes() == zs.tobytes() for z in calls)
+    pairs = _monomial_pairs(funcs)
+    want = _pair_polys(pairs, Lambda(4), Rat(9, 4), Rat(8))
+    assert len(pairs) == k * (k + 1) // 2
+    assert built == [[p.complex_coeffs() for p in want]]
+    assert len(calls) == 1 and calls[0][0].tobytes() == zs.tobytes() and calls[0][1] is None
 
 
 def test_gamma2_counts_nonfinite_margins_as_violations(monkeypatch):

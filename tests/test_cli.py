@@ -444,12 +444,11 @@ def test_heat_trace_refuses_lambda_below_one_before_building(capsys, monkeypatch
     ["cd", "verify", "--lambda", "4", "--rho", "9/4", "--n", "8"],
 ])
 def test_bounds_supnorm_bytes_do_not_depend_on_blas_threads(sizes):
-    # the mode store's matrix products, which the kernel check reads,
-    # run in BLAS; one and two threads must give the same report bytes
-    # at the default sizes, whose products are large enough for BLAS to
-    # split them between threads.  The sup-norm, H_k and heat-trace
-    # reports, summed from exact cusp weights, and the cd verify report,
-    # whose margins einsum sums, must hold the same bytes
+    # no float evaluation calls BLAS: the mode store the kernel check
+    # reads and the cd verify margins are summed by einsum, so one and two
+    # threads must give the same report bytes at the default sizes.  The
+    # sup-norm, H_k and heat-trace reports, summed from exact cusp
+    # weights, must hold the same bytes
     src = os.path.dirname(os.path.dirname(deltoid.__file__))
     argv = [sys.executable, "-m", "deltoid.cli"] + sizes
     reports = []

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from deltoid.eigen import _pieri_modes, inner_product, moments, pairings, solve_eigenpoly
-from deltoid.exact import BivarPoly, CRat, Rat
+from deltoid.exact import BivarPoly, CRat, PolyTable, Rat
 from deltoid.operator import Lambda, boundary_poly, gamma, gamma2, generator
 from oracles import fraction_moments
 
@@ -363,29 +363,38 @@ def test_same_object_paths_match_distinct_objects():
 # -- float conversion -----------------------------------------------------
 
 
-def ref_horner(d, z, w):
-    """The sparse two-level Horner scheme of BivarPoly.eval2, on
-    float(Fraction) coefficients."""
-    if not d:
-        return 0j
-    groups = {}
-    for (i, j), (re, im) in d.items():
-        groups.setdefault(i, []).append((j, complex(float(re), float(im))))
-    acc = 0j
-    prev_i = None
-    for i in sorted(groups, reverse=True):
-        inner = 0j
-        prev_j = None
-        for j, c in sorted(groups[i], reverse=True):
-            inner = c if prev_j is None else inner * w ** (prev_j - j) + c
-            prev_j = j
-        if prev_j:
-            inner *= w**prev_j
-        acc = inner if prev_i is None else acc * z ** (prev_i - i) + inner
-        prev_i = i
-    if prev_i:
-        acc *= z**prev_i
-    return acc
+def ref_powers(x, n):
+    """[(re, im) of x ** k for k = 0..n], each the one before times x."""
+    out = [(1.0, 0.0)]
+    for _ in range(n):
+        r, i = out[-1]
+        out.append((r * x.real - i * x.imag, r * x.imag + i * x.real))
+    return out
+
+
+def ref_table(d, z, w):
+    """PolyTable's value of d at Z := z, Zbar := w, in plain Python floats
+    on float(Fraction) coefficients.
+
+    The powers of z and w come by successive products and each monomial
+    by one more.  The sums over the real and the imaginary parts of the
+    coefficients run apart, from 0.0 and in ascending (i, j), and are put
+    together as (re sum) + i (im sum); with no imaginary part, the first
+    sum is the value.
+    """
+    keys = sorted(d)
+    zp = ref_powers(complex(z), max((i for i, _ in keys), default=0))
+    wp = ref_powers(complex(w), max((j for _, j in keys), default=0))
+    ar = ai = br = bi = 0.0
+    for i, j in keys:
+        (zr, zi), (wr, wi) = zp[i], wp[j]
+        mr, mi = zr * wr - zi * wi, zr * wi + zi * wr
+        cr, ci = float(d[i, j][0]), float(d[i, j][1])
+        ar, ai = ar + cr * mr, ai + cr * mi
+        br, bi = br + ci * mr, bi + ci * mi
+    if not any(im for _, im in d.values()):
+        return complex(ar, ai)
+    return complex(ar - bi, ai + br)
 
 
 def bits(values):
@@ -400,31 +409,31 @@ EDGE_POINTS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
 
 def test_float_conversion_is_bit_identical():
     rng = random.Random(106)
-    for a, b, _ in forms(106):
-        for d in (a, b, ref_mul(a, b), {}):
-            p = to_poly(d)
-            for i, j, c in p.complex_coeffs():
-                re, im = d[(i, j)]
-                assert c == complex(float(re), float(im))
-            for _ in range(3):
-                z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                w = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                assert p.eval2(z, w) == ref_horner(d, z, w)
-                assert p.eval(z) == ref_horner(d, z, z.conjugate())
-            # arrays: every element bit for bit the scalar value, with w
-            # independent of z and with w = conj(z)
-            zs = [complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
-                  for _ in range(20)] + EDGE_POINTS
-            ws = [complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
-                  for _ in range(len(zs))]
-            got = p.eval2(np.array(zs), np.array(ws))
-            assert got.shape == (len(zs),)
-            assert bits(got) == bits([p.eval2(z, w) for z, w in zip(zs, ws)])
-            assert bits(p.eval(np.array(zs))) == bits([p.eval(z) for z in zs])
-            # a scalar w broadcasts against an array z
-            grid = np.array(zs).reshape(2, 13)
-            assert bits(p.eval2(grid, ws[0])) == bits(
-                [[p.eval2(z, ws[0]) for z in row] for row in grid.tolist()])
+    for d in [d for a, b, _ in forms(106) for d in (a, b, ref_mul(a, b), {})]:
+        p = to_poly(d)
+        for i, j, c in p.complex_coeffs():
+            re, im = d[(i, j)]
+            assert c == complex(float(re), float(im))
+        for _ in range(3):
+            z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            w = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            assert p.eval2(z, w) == ref_table(d, z, w)
+            assert p.eval(z) == ref_table(d, z, z.conjugate())
+        # arrays: every element bit for bit the reference, with w
+        # independent of z and with w = conj(z)
+        zs = [complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
+              for _ in range(20)] + EDGE_POINTS
+        ws = [complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
+              for _ in range(len(zs))]
+        got = p.eval2(np.array(zs), np.array(ws))
+        assert got.shape == (len(zs),)
+        assert bits(got) == bits([ref_table(d, z, w) for z, w in zip(zs, ws)])
+        assert bits(p.eval(np.array(zs))) == bits(
+            [ref_table(d, z, z.conjugate()) for z in zs])
+        # a scalar w broadcasts against an array z
+        grid = np.array(zs).reshape(2, 13)
+        assert bits(p.eval2(grid, ws[0])) == bits(
+            [[ref_table(d, z, ws[0]) for z in row] for row in grid.tolist()])
 
 
 def test_array_evaluation_spans_blocks():
@@ -440,13 +449,44 @@ def test_array_evaluation_spans_blocks():
 
 
 def test_array_evaluation_beyond_binary_exponentiation():
-    # CPython switches from binary exponentiation to the polar formula for
-    # integer powers above 100; the arrays must follow it there too
+    # powers far past 100 (CPython's own ** turns to the polar formula
+    # there) still come by successive products, in arrays and alone
     d = {(150, 0): (F(1), F(0)), (3, 120): (F(-2, 3), F(1, 5)), (0, 0): (F(1), F(0))}
     p = to_poly(d)
     zs = [0.99 + 0.1j, -0.5 + 0.7j, 1j] + EDGE_POINTS
     assert bits(p.eval(np.array(zs))) == bits([p.eval(z) for z in zs])
-    assert bits(p.eval(np.array(zs))) == bits([ref_horner(d, z, z.conjugate()) for z in zs])
+    assert bits(p.eval(np.array(zs))) == bits([ref_table(d, z, z.conjugate()) for z in zs])
+    ws = zs[::-1]
+    assert bits(p.eval2(np.array(zs), np.array(ws))) == bits(
+        [ref_table(d, z, w) for z, w in zip(zs, ws)])
+
+
+def test_table_row_bytes_do_not_depend_on_the_table():
+    # a row has the bytes of its own ordered sum alone, beside other rows
+    # (real and complex, sharing some monomials), in any row order, and
+    # on either side of a block edge
+    rng = random.Random(108)
+    ds = [rand_ref(rng, deg=6, nterms=7) for _ in range(4)]
+    ds.append({(2, 1): (F(1, 3), F(0)), (0, 0): (F(-1), F(0)), (0, 4): (F(5, 7), F(0))})
+    rows = [to_poly(d).complex_coeffs() for d in ds]
+    zs = np.array([complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
+                   for _ in range(1026)])
+    ws = np.array([complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
+                   for _ in range(1026)])
+    table = PolyTable(rows)
+    assert table.im is not None and table.re.shape[0] == len(ds)
+    full = table.values(zs, ws)
+    assert full.shape == (len(ds), len(zs))
+    backwards = PolyTable(rows[::-1]).values(zs, ws)[::-1]
+    assert backwards.tobytes() == full.tobytes()
+    for k, d in enumerate(ds):
+        assert bits(full[k]) == bits([ref_table(d, z, w) for z, w in zip(zs, ws)])
+        alone = PolyTable([rows[k]])
+        assert alone.values(zs, ws)[0].tobytes() == full[k].tobytes()
+        for n in (1023, 1024, 1025):
+            assert alone.values(zs[:n], ws[:n])[0].tobytes() == full[k, :n].tobytes()
+            assert table.values(zs[1:n + 1], ws[1:n + 1])[k].tobytes() == \
+                full[k, 1:n + 1].tobytes()
 
 
 def test_array_evaluation_raises_where_a_power_overflows():

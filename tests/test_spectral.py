@@ -7,8 +7,8 @@ import pytest
 from deltoid import eigen, spectral
 from deltoid.eigen import (EigenPolynomial, MomentRangeExceeded, cusp_table, eigenvalue,
                            inner_product, moments)
-from deltoid.exact import BivarPoly, CRat, HornerProgram, Rat
-from deltoid.geometry import V0, V1, V2, TrianglePoint, triangle_to_deltoid
+from deltoid.exact import BivarPoly, CRat, Rat
+from deltoid.geometry import V0, V1, V2, DeltoidPoint, TrianglePoint, triangle_to_deltoid
 from deltoid.operator import Lambda
 from deltoid.spectral import (
     GROWTH_SLACK,
@@ -92,7 +92,7 @@ def test_heat_diag_guards(trunc4):
                                2.5 + 0j])
 def test_heat_diag_refuses_a_far_point(trunc4, x, monkeypatch):
     # a large finite point is refused as outside, not by an OverflowError
-    # of the Horner evaluation, and before any mode is evaluated
+    # of the boundary polynomial's powers, and before any mode is evaluated
     def fail(self, zs):
         raise AssertionError("mode weights evaluated")
 
@@ -104,8 +104,8 @@ def test_heat_diag_refuses_a_far_point(trunc4, x, monkeypatch):
 @pytest.mark.parametrize("x", [complex(math.nan, 0), complex(0, math.nan),
                                complex(math.inf, 0), complex(-math.inf, 1)])
 def test_heat_diag_refuses_a_nonfinite_point(trunc4, x):
-    # nan passes no membership test, and inf overflows the Horner
-    # evaluation: both are refused before anything is evaluated
+    # nan passes no membership test, and inf overflows the boundary
+    # polynomial's powers: both are refused before anything is evaluated
     with pytest.raises(ValueError, match="x must be finite"):
         heat_diag(x, 0.5, trunc4)
 
@@ -309,22 +309,22 @@ def test_lattice_sup_sits_on_a_cusp(lam):
         assert abs(mag[a].max() - exact) <= np.finfo(float).eps * _mass(ep)
 
 
-def test_mode_table_matches_horner():
-    # the tolerance is relative to the coefficient mass; the store's
-    # mirror rows (p < q) are checked against their own solves
+def test_mode_table_matches_eval():
+    # a store row is its mode's own eval, bit for bit: a row sums its own
+    # terms in a fixed order, whatever its class table.  The mirror rows
+    # (p < q) take their partner's terms swapped, and match their own
+    # polynomials too
     trunc = HeatKernelTruncation(Lambda(4), 12)
     zs = np.array(KERNEL_GRID)
-    store = trunc._store
-    vals = store.values(zs)
+    vals = trunc._store.values(zs)
     for a, ep in enumerate(trunc.modes):
-        want = HornerProgram(ep.poly).eval(zs)
-        assert np.max(np.abs(vals[a] - want)) <= 1e-12 * _mass(ep)
+        assert vals[a].tobytes() == ep.poly.eval(zs).tobytes(), (ep.p, ep.q)
 
 
 def test_mode_table_bytes_do_not_depend_on_a_point_position():
-    # the power table is per point and the points are padded to a multiple
-    # of 4, so a point's values have the same bytes in every slice of the
-    # array it sits in, whatever the slice's length and padding
+    # each point's powers and monomials are its own, and each row sums
+    # them in a fixed order, so a point's values have the same bytes in
+    # every slice of the array it sits in, whatever the slice's length
     trunc = HeatKernelTruncation(Lambda(4), 6)
     zs = closed_lattice(40)
     assert len(zs) == 861
@@ -337,21 +337,21 @@ def test_mode_table_bytes_do_not_depend_on_a_point_position():
 
 
 def test_mode_table_row_slices():
-    # a store of some whole degree levels keeps only the monomials of its
-    # modes and the degree they need, and its values are the truncation
-    # store's rows to rounding
+    # a store of some whole degree levels has, per class, one table whose
+    # columns are exactly its modes' monomials in ascending (i, j), and
+    # its values are the truncation store's rows, bit for bit
     trunc = HeatKernelTruncation(Lambda(4), 9)
-    store = trunc._store
     rows = [a for a, ep in enumerate(trunc.modes) if ep.p + ep.q in (2, 4)]
-    sub = spectral._ModeStore.of_modes([trunc.modes[a] for a in rows])
-    assert sub.size == len(rows) and sub._degree == 4
-    for _, kk, dd, _, coef in sub._classes:
-        assert np.all(2 * kk + dd <= 4) and np.all(np.any(coef, axis=0))
-    assert sum(c[4].shape[1] for c in sub._classes) == len(
-        {key for a in rows for key in trunc.modes[a].poly.num})
+    sub = spectral._ModeStore([trunc.modes[a] for a in rows])
+    assert sub.size == len(rows)
+    for r, (class_rows, table) in enumerate(sub._classes):
+        modes = [trunc.modes[rows[a]] for a in class_rows]
+        assert modes and all((ep.p - ep.q) % 3 == r for ep in modes)
+        keys = sorted({key for ep in modes for key in ep.poly.num})
+        assert list(zip(table.i.tolist(), table.j.tolist())) == keys
+        assert table.re.shape == (len(modes), len(keys)) and table.im is None
     zs = np.array(KERNEL_GRID)
-    full = store.values(zs)[rows]
-    assert np.max(np.abs(sub.values(zs) - full)) <= 1e-14 * np.max(np.abs(full))
+    assert sub.values(zs).tobytes() == trunc._store.values(zs)[rows].tobytes()
 
 
 def test_mode_store_of_no_modes_or_an_empty_class():
@@ -366,7 +366,7 @@ def test_mode_table_rejects_complex_coefficients():
     bad = EigenPolynomial(p=ep.p, q=ep.q, lam=ep.lam, mu=ep.mu, norm2=ep.norm2,
                           poly=ep.poly + BivarPoly.const(CRat(0, 1)))
     with pytest.raises(ValueError):
-        spectral._ModeStore.of_modes(trunc.modes[:1] + (bad,) + trunc.modes[2:])
+        spectral._ModeStore(trunc.modes[:1] + (bad,) + trunc.modes[2:])
 
 
 def test_complex_coeffs_runs_once_per_solved_mode(monkeypatch):
@@ -374,7 +374,10 @@ def test_complex_coeffs_runs_once_per_solved_mode(monkeypatch):
     # pass over the modes with p >= q; mirrors swap their partner's terms.
     # The sup-norm and H_k checks and the heat fit read exact cusp
     # weights and build no store.  Each truncation and check builds its
-    # own store
+    # own store.  The boundary polynomial's table, which heat_diag's
+    # membership test reads, is built once, on its first use: here, before
+    # the count starts
+    DeltoidPoint(0j).membership_residual()
     lam = Lambda(Rat(11, 3))
     seen = []
     original = BivarPoly.complex_coeffs

@@ -140,11 +140,14 @@ def test_layer_harness_writes_its_record(tmp_path):
     # one round per layer into a scratch file: every layer timed, and the
     # machine, versions and backend recorded beside the numbers; the eigen
     # rows solve each (p, q) of degree <= 14, 120 modes, the route-2 point
-    # row calls triangle_b 100 times, and the spectral and float rows run
-    # the H_k check, the mode store, route 2's scan, probe and surface, the
-    # README scan-b command, the grid PSD margins, the Haar draws and the
-    # su3 Gamma table (its cache cleared) once per round; every row also
-    # reads as a ratio to the calibration loop
+    # row calls triangle_b 100 times, the pairings row pairs each of the
+    # 91 modes of degree <= 12 once, and the spectral and float rows run
+    # the H_k check, the mode store, the kernel check, the heat diagonal,
+    # the moment table, route 2's scan, probe and surface, the README
+    # scan-b command, the grid PSD margins, P on the grid, the sampled
+    # Gamma_2 check, the Haar draws and the su3 Gamma table (its cache
+    # cleared) once per round; every row also reads as a ratio to the
+    # calibration loop
     spec = importlib.util.spec_from_file_location(
         "bench_layers", Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py")
     harness = importlib.util.module_from_spec(spec)
@@ -162,15 +165,22 @@ def test_layer_harness_writes_its_record(tmp_path):
         "cdcheck.divergence_probe(0.4)", "cli.cd scan-b --grid 200 --refine --csv",
         "operator.psd_margins(deltoid_grid(200))", "su3._haar_matrices(0, 6000)",
         "calibration", "cdcheck.triangle_b(1/3, 1.0, 0.5)",
-        "cdcheck.triangle_surface(1/3, 200)", "su3._frame_tables"}
+        "cdcheck.triangle_surface(1/3, 200)", "su3._frame_tables",
+        "spectral.kernel_bound_check(4, 12)", "spectral.heat_diag(4, 40)",
+        "eigen.moments(4, 30)", "eigen.pairings(4, degree 12)",
+        "exact.eval(P, deltoid_grid(200))", "cdcheck.gamma2_sample_check(4, 9/4, 8)"}
     assert record["layers"]["eigen.solve_eigenpoly"]["calls_per_round"] == 120
     assert record["layers"]["cdcheck.triangle_b(1/3, 1.0, 0.5)"]["calls_per_round"] == 100
+    assert record["layers"]["eigen.pairings(4, degree 12)"]["calls_per_round"] == 91
     assert all(record["layers"][name]["calls_per_round"] == 1 for name in (
         "spectral.hk_bound_check(4, 20)", "spectral.hk_bound_check(1, 40)",
         "spectral._ModeStore.values(4, 40)", "cdcheck.scan_inf_b(1/3, 80)",
         "cdcheck.divergence_probe(0.4)", "cli.cd scan-b --grid 200 --refine --csv",
         "operator.psd_margins(deltoid_grid(200))", "su3._haar_matrices(0, 6000)",
-        "calibration", "cdcheck.triangle_surface(1/3, 200)", "su3._frame_tables"))
+        "calibration", "cdcheck.triangle_surface(1/3, 200)", "su3._frame_tables",
+        "spectral.kernel_bound_check(4, 12)", "spectral.heat_diag(4, 40)",
+        "eigen.moments(4, 30)", "exact.eval(P, deltoid_grid(200))",
+        "cdcheck.gamma2_sample_check(4, 9/4, 8)"))
     assert all(layer["min_s_per_call"] > 0 for layer in record["layers"].values())
     unit = record["layers"]["calibration"]["min_s_per_call"]
     assert record["layers"]["calibration"]["ratio_to_calibration"] == 1.0

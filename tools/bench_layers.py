@@ -19,7 +19,17 @@ rows run hk_bound_check at (lambda, max_k) = (4, 20) and (1, 40), each
 while a truncation of its lambda at degree 40 is live, as the `measure`
 workload holds one, and evaluate the float mode store of the (4, 40)
 truncation, built once beforehand, on the closed barycentric lattice of
-side 80 (3,321 points) with _ModeStore.values.  The float rows run
+side 80 (3,321 points) with _ModeStore.values.  While that truncation is
+live, they run kernel_bound_check(exp(-k), 4, 12) on the three cusps and
+24 low-discrepancy interior points (seed 0), as the `measure` workload
+does, which builds the degree-12 store each call, and heat_diag at
+(lambda, degree) = (4, 40), t = 0.1 and Z = 0.3 + 0.2i.  The moment rows
+build eigen.moments(4, 30) and run criterion 4's pairings at lambda = 4:
+one eigen.pairings call per mode of degree <= 12 against it and every
+later mode, on moments(4, 24) built beforehand (91 calls a round).  The
+table rows evaluate the boundary polynomial P with BivarPoly.eval on
+deltoid_grid(200) and run gamma2_sample_check(4, 9/4, 8) with 40 trials
+and 60 points, seed 0.  The float rows run
 route 2's scan_inf_b(1/3, 80), divergence_probe(0.4) on the quadratic
 curve, triangle_b(1/3, 1.0, 0.5) (100 calls a round) and
 triangle_surface(1/3, 200), README's `cd scan-b --a 1/3 --grid 200
@@ -68,6 +78,10 @@ EIGEN_DEGREE = 14
 LATTICE_SIDE = 80
 # Haar draws of the su3 row
 HAAR_DRAWS = 6000
+# interior points of the kernel row, beside the three cusps
+KERNEL_POINTS = 24
+# modes of degree <= 12, the block criterion 4 pairs
+PAIRED_MODES = 91
 # triangle_b calls in a round of its row
 POINT_CALLS = 100
 # iterations of the calibration loop, about 5 ms on a 2-vCPU Xeon VM
@@ -143,6 +157,11 @@ def layer_rounds(dt, tmpdir):
         return dt.su3._frame_tables()
 
     grid200 = dt.deltoid_grid(200)
+    cusps = [complex(np.exp(2j * np.pi * k / 3)) for k in range(3)]
+    kernel_grid = cusps + [dt.triangle_to_deltoid(p).Z for p in dt.sample_interior(
+        KERNEL_POINTS, "low-discrepancy", 0)]
+    table24 = dt.eigen.moments(lam4, 24)
+    paired = [ep.poly for ep in live4.modes[:PAIRED_MODES]]
     scan_b = ["cd", "scan-b", "--a", "1/3", "--grid", "200", "--refine",
               "--csv", os.path.join(tmpdir, "surface.csv"),
               "--out", os.path.join(tmpdir, "scan.json")]
@@ -166,6 +185,15 @@ def layer_rounds(dt, tmpdir):
         "spectral.hk_bound_check(4, 20)": (1, lambda held=live4: dt.hk_bound_check(lam4, 20)),
         "spectral.hk_bound_check(1, 40)": (1, lambda held=live1: dt.hk_bound_check(lam1, 40)),
         "spectral._ModeStore.values(4, 40)": (1, lambda: store.values(lattice)),
+        "spectral.kernel_bound_check(4, 12)": (1, lambda: dt.kernel_bound_check(
+            lambda k: np.exp(-float(k)), lam4, 12, kernel_grid)),
+        "spectral.heat_diag(4, 40)": (1, lambda: dt.heat_diag(0.3 + 0.2j, 0.1, live4)),
+        "eigen.moments(4, 30)": (1, lambda: dt.eigen.moments(lam4, 30)),
+        "eigen.pairings(4, degree 12)": (PAIRED_MODES, lambda: [
+            dt.eigen.pairings(f, paired[a:], table24) for a, f in enumerate(paired)]),
+        "exact.eval(P, deltoid_grid(200))": (1, lambda: boundary.eval(grid200)),
+        "cdcheck.gamma2_sample_check(4, 9/4, 8)": (1, lambda: dt.gamma2_sample_check(
+            4, 2.25, 8.0, trials=40, points=60, seed=0)),
         "cdcheck.scan_inf_b(1/3, 80)": (1, lambda: dt.scan_inf_b(1 / 3, 80)),
         "cdcheck.divergence_probe(0.4)": (1, lambda: dt.divergence_probe(0.4)),
         "cdcheck.triangle_b(1/3, 1.0, 0.5)": (POINT_CALLS, lambda: [

@@ -15,11 +15,15 @@ from deltoid import (
 )
 
 print("= frame structure =")
+# X = sqrt(w) m with m a Gaussian-integer matrix, re and im its integer parts
 basis = LieBasis()
-cas = sum(x @ x for _, x in basis)
+re, im = basis.members[:, 0], basis.members[:, 1]
+w3 = np.array(basis.thirds)[:, None, None]
+cas_re = (w3 * (re @ re - im @ im)).sum(axis=0)
+cas_im = (w3 * (re @ im + im @ re)).sum(axis=0)
 print("fields:", ", ".join(basis.names))
-print("Casimir sum of squares = -16/3 I:",
-      np.abs(cas + (16 / 3) * np.eye(3)).max() < 1e-13)
+print("Casimir sum 3 w m^2 = -16 I, in integers:",
+      np.array_equal(cas_re, -16 * np.identity(3, dtype=int)) and not cas_im.any())
 
 us = haar_sample(11, 60)
 rep = group_model_check(us, [Z, ZBAR, Z * ZBAR, Z**2], 5, 7)

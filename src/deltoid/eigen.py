@@ -97,24 +97,15 @@ class MomentTable:
         if max_degree < 0:
             raise ValueError("need max_degree >= 0")
         self.lam = _lam(lam)
-        self.max_degree = -1
-        self._m = {}
+        self.max_degree = max_degree
         self._ints = None
-        self.extend_to(max_degree)
-
-    def extend_to(self, max_degree: int) -> "MomentTable":
-        if max_degree <= self.max_degree:
-            return self
         lv = self.lam.value
         a, b = int(lv.numerator), int(lv.denominator)
-        start = self.max_degree + 1
-        if start == 0:
-            self._m[(0, 0)] = Rat(1)
-            start = 1
-        # each degree as its numerators by the power of Z over one den
-        rows = [_integer_row([self._m.get((i, e - i), 0) for i in range(e + 1)])
-                for e in (start - 2, start - 1)]
-        for deg in range(start, max_degree + 1):
+        self._m = {(0, 0): Rat(1)}
+        # each degree as its numerators by the power of Z over one den,
+        # from degrees -1 and 0
+        rows = ([], 1), ([1], 1)
+        for deg in range(1, max_degree + 1):
             (n2, d2), (n1, d1) = rows
             den = lcm(d1, d2)
             f1, f2 = den // d1, den // d2
@@ -133,9 +124,11 @@ class MomentTable:
                 if acc:
                     ms[i] = self._m[(i, j)] = Rat(b * acc, den * _scaled_mu(i, j, a, b))
             rows = rows[1], _integer_row(ms)
-        self.max_degree = max_degree
-        self._ints = None
-        return self
+
+    def extend_to(self, max_degree: int) -> "MomentTable":
+        """This table if it reaches max_degree, else a new one that does;
+        a table never changes once built."""
+        return self if max_degree <= self.max_degree else MomentTable(self.lam, max_degree)
 
     def get(self, i: int, j: int) -> "Rat":
         if i < 0 or j < 0 or i + j > self.max_degree:
@@ -147,7 +140,7 @@ class MomentTable:
 
     def integers(self) -> tuple:
         """(num, den): moment (i, j) is num[i * (max_degree + 1) + j] / den,
-        one den for all and 0 for a zero moment; kept until extend_to."""
+        one den for all and 0 for a zero moment; built on first call."""
         if self._ints is None:
             den = lcm(*(int(m.denominator) for m in self._m.values()))
             s = self.max_degree + 1

@@ -6,13 +6,13 @@ scaled so the diagonal directions enter the Casimir sum with weight 2/3.
 The frame is held to the su(3) completeness (Fierz) identity, which
 sums the field products to closed forms: the carre du champ table
 Gamma(z_v, z_w) of the 18 variables has coefficients n/3, and
-L z_v = -(16/3) z_v.  The frame and the table are built on first use,
-so importing this module computes nothing.  The Casimir generator and
-Gamma of any entry polynomial are then one chain-rule pass over its
-terms.  Ricci comes from commutator outer products, and the pushforward
-along Z = tr(U)/3 lands exactly on the deltoid operator at lambda = 4.
-group_model_check gathers these claims into one frozen report, whose
-passed is the one place RICCI_TOL and IDENTITY_TOL are applied together.
+L z_v = -(16/3) z_v.  The frame, in Gaussian integers, and the table
+are built on first use, so importing this module computes nothing.  The
+Casimir generator and Gamma of any entry polynomial are then one
+chain-rule pass over its terms.  The commutator table and Ricci = 3 are
+decided in integers, and the pushforward along Z = tr(U)/3 lands exactly
+on the deltoid operator at lambda = 4.  group_model_check gathers these
+claims into one frozen report, whose passed is the one place they combine.
 
 Polynomials in matrix entries are kept symbolic (complex coefficients on
 18 variables, nine entries and nine conjugates) so that second-order
@@ -21,24 +21,19 @@ quantities are assembled without finite differencing.
 
 import functools
 import math
+from itertools import combinations
 
-from .exact import c_prod, np, record
+from .exact import Rat, c_prod, np, record
 from .operator import Lambda, gamma as deltoid_gamma, generator as deltoid_generator
-
-# diagonal scaling that gives the Cartan directions Casimir weight 2/3
-DIAG_WEIGHT = math.sqrt(2.0 / 3.0)
 
 # the frame's Casimir: sum X_i^2 = CASIMIR I, so L z_v = CASIMIR z_v
 CASIMIR = -16.0 / 3.0
 
-# pass thresholds of the group-model checks: the Ricci constant is 3 to
-# within RICCI_TOL, and the pushforward and characteristic-polynomial
-# identity residuals stay below IDENTITY_TOL.  Both absorb float rounding
-# with no a-priori bound: |ricci - 3| reads 0.0, and on c09's and su3
-# check's samples the pushforward reads 8.2e-16/2.0e-15 and
+# pass threshold of the pushforward and characteristic-polynomial identity
+# residuals, which absorbs float rounding with no a-priori bound: on c09's
+# and su3 check's samples the pushforward reads 8.2e-16/2.0e-15 and
 # 4.3e-16/9.9e-16, the charpoly residual 1.5e-13 and 3.8e-13 (headroom
 # 2.6e3 at the least)
-RICCI_TOL = 1e-10
 IDENTITY_TOL = 1e-9
 
 # the Haar standard deviation of |tr U / 3|^2: its variance is 1/81
@@ -46,30 +41,11 @@ IDENTITY_TOL = 1e-9
 # statistic gives too narrow intervals
 TRACE_MOMENT_SD = 1.0 / 9.0
 
-_PAIRS = ((0, 1), (0, 2), (1, 2))
 _NVAR = 18
 
 
 class NonConstantRicci(ArithmeticError):
     """The commutator quadratic form failed to be a multiple of the metric."""
-
-
-def _unit(k, l):
-    m = np.zeros((3, 3), dtype=complex)
-    m[k, l] = 1.0
-    return m
-
-
-def _family_r(k, l):
-    return _unit(k, l) - _unit(l, k)
-
-
-def _family_s(k, l):
-    return 1j * (_unit(k, l) + _unit(l, k))
-
-
-def _family_d(k, l):
-    return DIAG_WEIGHT * 1j * (_unit(k, k) - _unit(l, l))
 
 
 def _check_special_unitary(m):
@@ -117,46 +93,60 @@ class SpecialUnitary3:
         return f"SpecialUnitary3(trace={np.trace(self.matrix):.6f})"
 
 
+def _members():
+    """(name, 3w, m) of each standard frame member: 3 times its Casimir weight
+    w, and its Gaussian-integer matrix m as (2, 3, 3) integer real, imaginary parts."""
+    out = []
+    for tag, thirds in (("R", 3), ("S", 3), ("Dh", 2)):
+        for k, l in combinations(range(3), 2):
+            m = np.zeros((2, 3, 3), dtype=np.int64)
+            if tag == "R":
+                m[0, k, l], m[0, l, k] = 1, -1
+            elif tag == "S":
+                m[1, k, l] = m[1, l, k] = 1
+            else:
+                m[1, k, k], m[1, l, l] = 1, -1
+            out.append((f"{tag}{k + 1}{l + 1}", thirds, m))
+    return out
+
+
+def _gmul(x, y):
+    # products of Gaussian-integer matrices in _members' layout, over any leading axes
+    xr, xi, yr, yi = x[..., 0, :, :], x[..., 1, :, :], y[..., 0, :, :], y[..., 1, :, :]
+    return np.stack([xr @ yr - xi @ yi, xr @ yi + xi @ yr], axis=-3)
+
+
 class LieBasis:
     """The nine-field frame R12, R13, R23, S12, S13, S23, Dh12, Dh13, Dh23.
 
-    The three Dh directions span a two-dimensional Cartan, so this is a
-    frame rather than a basis, but every commutator of two members is a
-    multiple of a single member, which keeps the structure table simple.
-    Construction checks antihermitian tracelessness, the Casimir sum
-    X_i^2 = -(16/3) I and, at all 81 (a, b, c, d), the Fierz identity
-    sum_X X_ab X_cd = -2 delta_ad delta_bc + (2/3) delta_ab delta_cd.
+    X_i = sqrt(w_i) m_i, with thirds[i] = 3 w_i (3 for R and S, 2 for Dh,
+    whose three directions span a two-dimensional Cartan, so this is a
+    frame rather than a basis) and members a read-only stack of the
+    Gaussian-integer m_i in _members' layout.  Construction checks, in
+    integers, that each m_i is antihermitian and traceless, the Casimir sum
+    sum 3 w m^2 = -16 I (sum X^2 = -(16/3) I) and, at all 81 (a, b, c, d),
+    the Fierz identity sum 3 w m_ab m_cd = -6 d_ad d_bc + 2 d_ab d_cd.
     """
 
-    __slots__ = ("names", "matrices")
+    __slots__ = ("names", "thirds", "members")
 
     def __init__(self):
-        names = []
-        mats = []
-        for tag, build in (("R", _family_r), ("S", _family_s), ("Dh", _family_d)):
-            for k, l in _PAIRS:
-                names.append(f"{tag}{k + 1}{l + 1}")
-                mats.append(build(k, l))
-        for nm, x in zip(names, mats):
-            if np.abs(x + x.conj().T).max() > 1e-15 or abs(np.trace(x)) > 1e-15:
+        names, thirds, members = zip(*_members())
+        ms, w = np.stack(members), np.array(thirds)
+        for nm, (re, im) in zip(names, ms):
+            if (re + re.T).any() or (im - im.T).any() or np.trace(im):
                 raise ValueError(f"{nm} is not antihermitian traceless")
-        # 1e-14 absorbs the rounding of nine products: the Casimir
-        # residual reads 8.9e-16 and the Fierz residual 1.1e-16
-        eye = np.eye(3)
-        cas = sum(x @ x for x in mats)
-        if np.abs(cas - CASIMIR * eye).max() > 1e-14:
+        eye = np.identity(3, dtype=np.int64)
+        if (np.einsum("x,xkab->kab", w, _gmul(ms, ms)) != [-16 * eye, 0 * eye]).any():
             raise ValueError("Casimir normalization broken")
-        stack = np.stack(mats)
-        fierz = (np.einsum("xab,xcd->abcd", stack, stack)
-                 + 2.0 * np.einsum("ad,bc->abcd", eye, eye)
-                 - (2.0 / 3.0) * np.einsum("ab,cd->abcd", eye, eye))
-        if np.abs(fierz).max() > 1e-14:
+        # the real parts re re and im im, and the imaginary parts re im and im re
+        rr, ii, ri, ir = (np.einsum("x,xab,xcd->abcd", w, ms[:, s], ms[:, t])
+                          for s, t in ((0, 0), (1, 1), (0, 1), (1, 0)))
+        want = -6 * np.einsum("ad,bc->abcd", eye, eye) + 2 * np.einsum("ab,cd->abcd", eye, eye)
+        if (rr - ii != want).any() or (ri + ir).any():
             raise ValueError("Fierz identity broken")
-        self.names = tuple(names)
-        self.matrices = tuple(mats)
-
-    def __iter__(self):
-        return iter(zip(self.names, self.matrices))
+        ms.setflags(write=False)
+        self.names, self.thirds, self.members = names, thirds, ms
 
 
 @functools.cache
@@ -343,18 +333,6 @@ class EntryPoly:
     def degree(self):
         """Total degree; 0 for constants and for the zero polynomial."""
         return max((sum(_exponents(e)) for e in self.terms), default=0)
-
-    def diff(self, var):
-        shift = _BITS * var
-        unit = 1 << shift
-        out = {}
-        for e, c in self.terms.items():
-            p = (e >> shift) & _MAX_EXP
-            if p:
-                out[e - unit] = c * p
-        res = EntryPoly()
-        res.terms = out
-        return res
 
     def conj(self):
         """Complex conjugate: swap entry and conjugate blocks, conjugate coefficients."""
@@ -571,65 +549,57 @@ def _gamma2_parts(f):
 # curvature
 
 
-def _vec(m):
-    return np.concatenate([m.real.ravel(), m.imag.ravel()])
+def _brackets(ms):
+    # the pairs i < j of the members ms in order, and [m_i, m_j] as rows of 18 ints
+    i, j = np.triu_indices(len(ms), 1)
+    c = _gmul(ms[i], ms[j]) - _gmul(ms[j], ms[i])
+    return i.tolist(), j.tolist(), c.reshape(len(i), 18)
 
 
 def commutator_table():
     """All 36 pairwise commutators expressed as multiples of frame members.
 
     Returns {(name_i, name_j): (coefficient, name)} for i < j, with
-    (0.0, None) for vanishing commutators.  Raises if any commutator
-    fails to be proportional to a single member, which would break the
-    table structure this model relies on.
+    (0.0, None) for vanishing commutators.  c = [m_i, m_j] = t m_k is
+    decided in integers, as |m_k|^2 c = (c . m_k) m_k, and the coefficient
+    of [X_i, X_j] = t sqrt(w_i w_j / w_k) X_k is float(t) times the
+    rounded root.  Raises NonConstantRicci where c is not a multiple of a
+    single member.
     """
     frame = _std()
-    names, mats = frame.names, frame.matrices
+    names, thirds = frame.names, frame.thirds
+    vecs = frame.members.reshape(len(names), 18)
+    norms = (vecs * vecs).sum(axis=1)
     table = {}
-    for i in range(9):
-        for j in range(i + 1, 9):
-            c = mats[i] @ mats[j] - mats[j] @ mats[i]
-            if np.abs(c).max() < 1e-13:
-                table[(names[i], names[j])] = (0.0, None)
-                continue
-            hit = None
-            for nm, b in zip(names, mats):
-                coeff = np.trace(c @ b.conj().T) / np.trace(b @ b.conj().T)
-                if np.abs(c - coeff * b).max() < 1e-12:
-                    hit = (float(coeff.real), nm)
-                    break
-            if hit is None:
-                raise NonConstantRicci(
-                    f"[{names[i]}, {names[j]}] is not a single frame member"
-                )
-            table[(names[i], names[j])] = hit
+    for i, j, c in zip(*_brackets(frame.members)):
+        dots = vecs @ c
+        hits = np.flatnonzero((norms[:, None] * c == dots[:, None] * vecs).all(axis=1))
+        if not hits.size:
+            raise NonConstantRicci(f"[{names[i]}, {names[j]}] is not a single frame member")
+        k = int(hits[0])
+        t = Rat(int(dots[k]), int(norms[k]))
+        root = math.sqrt(Rat(thirds[i] * thirds[j], 3 * thirds[k]))
+        table[(names[i], names[j])] = (float(t) * root, names[k]) if t else (0.0, None)
     return table
 
 
 def ricci_constant():
-    """Curvature constant from the commutator quadratic form.
+    """Curvature constant from the commutator quadratic form, exactly.
 
-    Builds M1 = (1/2) sum over pairs of vec([Xi, Xj]) outer products and
-    M2 = sum of vec(Xi) outer products on the 18-dimensional real
-    vectorization, checks every commutator stays inside the frame span,
-    and checks M1 is a scalar multiple of M2.  Returns that scalar.
+    On the 18 real coordinates of _members' layout, with c_ij = [m_i, m_j],
+    M1 = (1/2) sum_(i < j) w_i w_j c_ij c_ij^T and M2 = sum w m m^T, summed
+    in integers as 18 M1 and 3 M2.  Returns float(r) for the rational r
+    with M1 = r M2 (so every c_ij lies in M2's range, the frame's span),
+    and raises NonConstantRicci where there is none.
     """
-    mats = _std().matrices
-    stack = np.stack([_vec(x) for x in mats], axis=1)
-    m2 = stack @ stack.T
-    m1 = np.zeros_like(m2)
-    for i in range(9):
-        for j in range(i + 1, 9):
-            c = mats[i] @ mats[j] - mats[j] @ mats[i]
-            v = _vec(c)
-            coeff, *_ = np.linalg.lstsq(stack, v, rcond=None)
-            if np.linalg.norm(stack @ coeff - v) > 1e-12:
-                raise NonConstantRicci("commutator escapes the frame span")
-            m1 += 0.5 * np.outer(v, v)
-    ratio = np.trace(m1) / np.trace(m2)
-    if np.abs(m1 - ratio * m2).max() > 1e-10:
+    frame = _std()
+    w, v = np.array(frame.thirds), frame.members.reshape(len(frame.names), 18)
+    i, j, c = _brackets(frame.members)
+    m1, m2 = (w[i] * w[j] * c.T) @ c, (w * v.T) @ v
+    t1, t2 = int(np.trace(m1)), int(np.trace(m2))
+    if (m1 * t2 != t1 * m2).any():
         raise NonConstantRicci("commutator form is not a multiple of the metric")
-    return float(ratio)
+    return float(Rat(t1, 6 * t2))
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +835,7 @@ class GroupModelReport:
     @property
     def passed(self):
         """Every claim holds; each comparison is false on a NaN, so a NaN fails."""
-        return (abs(self.ricci - 3.0) < RICCI_TOL
+        return (self.ricci == 3.0
                 and self.commutator_entries == 36
                 and self.push.passed
                 and self.charpoly_residual < IDENTITY_TOL

@@ -65,10 +65,17 @@ def _derive(moves, f):
     return EntryPoly(out)
 
 
+def float_frame():
+    """su3's frame as float matrices X = sqrt(w) m, from its exact members."""
+    frame = _std()
+    return tuple(math.sqrt(Fraction(t, 3)) * (re + 1j * im)
+                 for t, (re, im) in zip(frame.thirds, frame.members))
+
+
 @functools.cache
 def _frame_moves():
     """_field_moves of each frame member, built on first use."""
-    return tuple(_field_moves(x) for x in _std().matrices)
+    return tuple(_field_moves(x) for x in float_frame())
 
 
 def field_apply(x, f):
@@ -108,8 +115,8 @@ def exact_frame():
     """su3.LieBasis's nine members, exactly: (weight, m) with X = sqrt(weight) m.
 
     m is a 3x3 nested list of Gaussian integers as (re, im) int pairs;
-    the weight is 1 for the R and S families and Fraction(2, 3), the
-    square of DIAG_WEIGHT, for the Dh family.
+    the weight is 1 for the R and S families and Fraction(2, 3) for the
+    Dh family.  Built here from the families' definitions, apart from su3.
     """
     out = []
     for tag in ("R", "S", "Dh"):

@@ -125,9 +125,15 @@ def test_moments_equal_the_fraction_recursion(lv):
 
 @pytest.mark.parametrize("lv", [Rat(4), Rat(1, 2), Rat(9, 5)])
 def test_moments_grown_in_steps_equal_a_fresh_table(lv):
+    # extend_to keeps a table that reaches the degree and builds a deeper
+    # one otherwise; no table changes once built
     t = MomentTable(Lambda(lv), 0)
     for degree in (1, 2, 5, 6, 13, 20, 20, 24):
-        assert t.extend_to(degree) is t and t.max_degree == degree
+        shallow = t
+        t = t.extend_to(degree)
+        assert t.max_degree == degree and (t is shallow) == (shallow.max_degree == degree)
+        assert t.extend_to(degree - 1) is t
+    assert shallow.max_degree == 20 and len(shallow.integers()[0]) == 21 * 21
     fresh = moments(Lambda(lv), 24)
     assert list(t.items()) == list(fresh.items())
     assert t.integers() == fresh.integers()
@@ -137,9 +143,11 @@ def test_moment_range_guard():
     t = MomentTable(Lambda(4), 4)
     with pytest.raises(MomentRangeExceeded):
         t.get(5, 2)
-    t.extend_to(8)
-    assert t.get(5, 1) == Rat(0)
-    assert t.get(5, 2) == Rat(11, 2187)
+    deeper = t.extend_to(8)
+    assert deeper.get(5, 1) == Rat(0)
+    assert deeper.get(5, 2) == Rat(11, 2187)
+    with pytest.raises(MomentRangeExceeded):
+        t.get(5, 2)
 
 
 @pytest.mark.parametrize("build", [lambda: moments(4, -1), lambda: MomentTable(Lambda(4), -2)])
@@ -373,10 +381,10 @@ def builds(monkeypatch):
 def test_solver_and_truncation_build_no_moment_table(monkeypatch, builds):
     # norms come from the closed formula: neither a solve nor a fresh
     # truncation tabulates moments
-    def refuse(self, max_degree):
+    def refuse(self, lam, max_degree):
         raise AssertionError("a moment table was built")
 
-    monkeypatch.setattr(MomentTable, "extend_to", refuse)
+    monkeypatch.setattr(MomentTable, "__init__", refuse)
     lam = Lambda(Rat(11, 3))
     trunc = HeatKernelTruncation(lam, 20)
     assert len(trunc) == 231 and builds == [20]

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from deltoid.eigen import MomentTable
 from deltoid.exact import Z, ZBAR
 from deltoid.operator import Lambda, gamma as deltoid_gamma
 from deltoid.su3 import (
-    DIAG_WEIGHT,
     DegreeOverflow,
     EntryPoly,
     LieBasis,
@@ -33,9 +33,10 @@ from deltoid.su3 import (
 )
 from oracles import (_derive, _frame_moves, coefficient_function, derived_frame_tables,
                      entry_gamma, exact_frame, exact_frame_numerators, exact_frame_products,
-                     field_apply, replaced, vectorfield_gamma_oracle)
+                     field_apply, float_frame, replaced, vectorfield_gamma_oracle)
 
-A = DIAG_WEIGHT
+# the Cartan scaling sqrt(w), w = 2/3 the Dh family's Casimir weight
+A = math.sqrt(2.0 / 3.0)
 
 
 def test_special_unitary_validation():
@@ -55,25 +56,61 @@ def test_lie_basis_structure():
     basis = LieBasis()
     assert len(basis.names) == 9
     assert basis.names[0] == "R12" and basis.names[-1] == "Dh23"
-    for _, x in basis:
-        assert np.abs(x + x.conj().T).max() < 1e-15
-        assert abs(np.trace(x)) < 1e-15
-    cas = sum(x @ x for _, x in basis)
-    assert np.abs(cas + (16.0 / 3.0) * np.eye(3)).max() < 1e-14
+    assert basis.thirds == (3,) * 6 + (2,) * 3
+    ms = basis.members
+    assert ms.shape == (9, 2, 3, 3) and ms.dtype == np.int64 and not ms.flags.writeable
+    for re, im in ms:
+        assert np.array_equal(re, -re.T) and np.array_equal(im, im.T) and np.trace(im) == 0
+    # sum 3 w m^2 = -16 I, in integers: re^2 - im^2 and re im + im re
+    re, im = ms[:, 0], ms[:, 1]
+    w = np.array(basis.thirds)[:, None, None]
+    assert np.array_equal((w * (re @ re - im @ im)).sum(axis=0), -16 * np.identity(3, dtype=int))
+    assert not (w * (re @ im + im @ re)).sum(axis=0).any()
+
+
+def _frame_with(change):
+    # su3._members with change applied to each (name, 3w, m) row
+    members = su3._members
+    return lambda: [change(*row) for row in members()]
 
 
 def test_lie_basis_refuses_a_broken_frame(monkeypatch):
     # a Cartan weight of 1 keeps every member antihermitian traceless but
     # breaks sum X_i^2 = -(16/3) I: a typed error, not a bare assert
-    monkeypatch.setattr(su3, "DIAG_WEIGHT", 1.0)
+    monkeypatch.setattr(su3, "_members", _frame_with(
+        lambda name, thirds, m: (name, 3 if name.startswith("Dh") else thirds, m)))
     with pytest.raises(ValueError, match="Casimir normalization broken"):
         LieBasis()
 
 
+def test_lie_basis_refuses_a_member_with_one_sign_flipped(monkeypatch):
+    # -S12 in place of S12 is still a frame, since the Casimir and Fierz
+    # sums are even in each member; only the signs of its brackets move
+    monkeypatch.setattr(su3, "_members", _frame_with(
+        lambda name, thirds, m: (name, thirds, -m if name == "S12" else m)))
+    negated = LieBasis()
+    monkeypatch.setattr(su3, "_std", lambda: negated)
+    assert ricci_constant() == 3.0
+    assert commutator_table()[("R12", "S12")] == (-2 / A, "Dh12")
+
+    # S12 = i (E_12 - E_21), one entry's sign off, is hermitian, not antihermitian
+    def flip(name, thirds, m):
+        if name == "S12":
+            m = m.copy()
+            m[1, 1, 0] = -1
+        return name, thirds, m
+
+    monkeypatch.undo()
+    monkeypatch.setattr(su3, "_members", _frame_with(flip))
+    with pytest.raises(ValueError, match="S12 is not antihermitian traceless"):
+        LieBasis()
+
+
 def test_diagonal_weight_identity():
-    # the scaling satisfies 1 + 3 a^2 = 2 / a^2 = 3
-    assert abs(1.0 + 3.0 * A**2 - 3.0) < 1e-15
-    assert abs(2.0 / A**2 - 3.0) < 1e-15
+    # the Cartan weight w = 2/3 satisfies 1 + 3 w = 2 / w = 3, exactly
+    w = Fraction(LieBasis().thirds[-1], 3)
+    assert w == Fraction(2, 3)
+    assert 1 + 3 * w == 2 / w == 3
 
 
 def test_haar_samples_are_special_unitary():
@@ -228,7 +265,7 @@ def test_entry_poly_algebra():
     g = f.conj().conj()
     assert (g - f).is_zero()
     # derivation product rule through a frame field
-    x = LieBasis().matrices[2]
+    x = float_frame()[2]
     p, q = entry_z(0, 0), entry_z(1, 2)
     lhs = field_apply(x, p * q)
     rhs = field_apply(x, p) * q + p * field_apply(x, q)
@@ -236,7 +273,7 @@ def test_entry_poly_algebra():
 
 
 def test_ricci_constant_is_three():
-    assert ricci_constant() == pytest.approx(3.0, abs=1e-10)
+    assert ricci_constant() == 3.0
 
 
 def _expected_commutators():
@@ -290,7 +327,7 @@ def test_commutator_table_all_36():
     for key, (wc, wn) in want.items():
         gc, gn = got[key]
         assert gn == wn, key
-        assert abs(gc - wc) < 1e-12, key
+        assert gc == wc, key
 
 
 def test_commutator_spot_check():
@@ -409,11 +446,13 @@ def test_frame_tables_keep_their_bits():
 
 
 def test_frame_obeys_the_fierz_identity_exactly():
-    # the frame as Gaussian-integer matrices with Cartan weight^2 = 2/3:
+    # su3's frame is the oracle's Gaussian-integer frame, entry for entry,
+    # with Cartan weight 2/3, and the oracle sums in Fractions to
     # sum_X X_ab X_cd = -2 d_ad d_bc + (2/3) d_ab d_cd at all 81 entries
-    for (weight, m), x in zip(exact_frame(), su3._std().matrices, strict=True):
-        want = math.sqrt(weight) * np.array([[complex(*z) for z in row] for row in m])
-        assert np.array_equal(x, want)
+    frame = su3._std()
+    for (weight, m), t, (re, im) in zip(exact_frame(), frame.thirds, frame.members, strict=True):
+        assert weight == Fraction(t, 3)
+        assert m == [[(int(re[a, b]), int(im[a, b])) for b in range(3)] for a in range(3)]
     tensor = exact_frame_products(False, False)
     assert len(tensor) == 81
     for (a, b, c, d), value in tensor.items():
@@ -422,11 +461,11 @@ def test_frame_obeys_the_fierz_identity_exactly():
 
 
 def test_lie_basis_refuses_a_frame_off_the_fierz_identity(monkeypatch):
-    # R scaled by sqrt(3/2) and S by sqrt(1/2) keep sum X^2 = -16/3 I,
-    # since R_kl^2 = S_kl^2, but break the Fierz tensor
-    r, s = su3._family_r, su3._family_s
-    monkeypatch.setattr(su3, "_family_r", lambda k, l: math.sqrt(1.5) * r(k, l))
-    monkeypatch.setattr(su3, "_family_s", lambda k, l: math.sqrt(0.5) * s(k, l))
+    # weights 4/3 on R and 2/3 on S keep sum X^2 = -16/3 I, since
+    # R_kl^2 = S_kl^2, but break the Fierz tensor
+    new = {"R": 4, "S": 2, "D": 2}
+    monkeypatch.setattr(su3, "_members", _frame_with(
+        lambda name, thirds, m: (name, new[name[0]], m)))
     with pytest.raises(ValueError, match="Fierz identity broken"):
         LieBasis()
 
@@ -626,7 +665,7 @@ def test_group_model_report_gates():
     assert _group_report().passed
     for change in (
         {"ricci": math.nan},
-        {"ricci": 3.0 + 2 * su3.RICCI_TOL},
+        {"ricci": math.nextafter(3.0, 4.0)},
         {"commutator_entries": 35},
         {"push": su3.PushforwardReport(1, math.nan, 0.0)},
         {"push": su3.PushforwardReport(1, 0.0, su3.IDENTITY_TOL)},
@@ -638,8 +677,8 @@ def test_group_model_report_gates():
 
 
 def test_nan_ricci_fails_every_group_verdict(monkeypatch):
-    # abs(nan - 3) > RICCI_TOL is False, so a gate written that way lets a
-    # NaN Ricci constant through; the strict gate of the report fails it
+    # abs(nan - 3) > tol is False, so a gate written that way lets a NaN
+    # Ricci constant through; the report's gate, ricci == 3.0, fails it
     from deltoid import acceptance
     from deltoid.cli import main
 
@@ -740,16 +779,31 @@ def test_curvature_dimension_optimal_at_identity():
     assert margin7 < -2.0
 
 
+def _frame_without(*names):
+    # the standard frame with the named members left out, unchecked
+    frame = LieBasis()
+    keep = [k for k, name in enumerate(frame.names) if name not in names]
+    return SimpleNamespace(names=tuple(frame.names[k] for k in keep),
+                           thirds=tuple(frame.thirds[k] for k in keep),
+                           members=frame.members[keep])
+
+
 def test_ricci_guard_raises_on_broken_frame(monkeypatch):
-    import deltoid.su3 as su3mod
-
-    class Broken:
-        # drop the diagonal family: [R12, S12] then escapes the span
-        matrices = LieBasis().matrices[:6]
-
-    monkeypatch.setattr(su3mod, "_std", Broken)
-    with pytest.raises(NonConstantRicci):
+    # drop the diagonal family: [R12, S12] = 2 Dh12 then escapes the span
+    broken = _frame_without("Dh12", "Dh13", "Dh23")
+    monkeypatch.setattr(su3, "_std", lambda: broken)
+    with pytest.raises(NonConstantRicci, match="not a multiple of the metric"):
         ricci_constant()
+    with pytest.raises(NonConstantRicci, match=r"\[R12, S12\] is not a single frame member"):
+        commutator_table()
+
+
+def test_commutator_table_refuses_a_frame_missing_one_member(monkeypatch):
+    # without S23, [R12, S13] = -S23 is a multiple of no member left
+    broken = _frame_without("S23")
+    monkeypatch.setattr(su3, "_std", lambda: broken)
+    with pytest.raises(NonConstantRicci, match=r"\[R12, S13\] is not a single frame member"):
+        commutator_table()
 
 
 # ---------------------------------------------------------------------------
@@ -870,14 +924,14 @@ def tuple_field_apply(x, f):
 
 def tuple_gamma_fields(f, g):
     out = TupleEntryPoly()
-    for _, x in LieBasis():
+    for x in float_frame():
         out = out + tuple_field_apply(x, f) * tuple_field_apply(x, g)
     return out
 
 
 def tuple_casimir_apply(f):
     out = TupleEntryPoly()
-    for _, x in LieBasis():
+    for x in float_frame():
         out = out + tuple_field_apply(x, tuple_field_apply(x, f))
     return out
 
@@ -944,15 +998,13 @@ def assert_same_poly(new, ref, rel=1e-13):
 
 def test_packed_algebra_matches_tuple_reference():
     rng = np.random.default_rng(61)
-    frame = LieBasis().matrices
+    frame = float_frame()
     for _ in range(12):
         a, ra = _random_pair(rng, int(rng.integers(1, 12)))
         b, rb = _random_pair(rng, int(rng.integers(1, 12)))
         assert_same_poly(a * b, ra * rb)
         assert_same_poly(a + b, ra + rb)
         assert_same_poly(a.conj(), ra.conj())
-        for v in range(18):
-            assert_same_poly(a.diff(v), ra.diff(v))
         for x in frame:
             assert_same_poly(field_apply(x, a), tuple_field_apply(x, ra))
         assert_same_poly(gamma_fields(a, b), tuple_gamma_fields(ra, rb))

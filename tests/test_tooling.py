@@ -145,9 +145,10 @@ def test_layer_harness_writes_its_record(tmp_path):
     # the H_k check, the mode store, the kernel check, the heat diagonal,
     # the moment table, route 2's scan, probe and surface, the README
     # scan-b command, the grid PSD margins, P on the grid, the sampled
-    # Gamma_2 check, the Haar draws and the su3 Gamma table (its cache
-    # cleared) once per round; every row also reads as a ratio to the
-    # calibration loop
+    # Gamma_2 check, the Haar draws, the su3 Gamma table (its cache
+    # cleared), and the Ricci constant and the commutator table (the
+    # frame's cache cleared) once per round; every row also reads as a
+    # ratio to the calibration loop
     spec = importlib.util.spec_from_file_location(
         "bench_layers", Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py")
     harness = importlib.util.module_from_spec(spec)
@@ -168,7 +169,8 @@ def test_layer_harness_writes_its_record(tmp_path):
         "cdcheck.triangle_surface(1/3, 200)", "su3._frame_tables",
         "spectral.kernel_bound_check(4, 12)", "spectral.heat_diag(4, 40)",
         "eigen.moments(4, 30)", "eigen.pairings(4, degree 12)",
-        "exact.eval(P, deltoid_grid(200))", "cdcheck.gamma2_sample_check(4, 9/4, 8)"}
+        "exact.eval(P, deltoid_grid(200))", "cdcheck.gamma2_sample_check(4, 9/4, 8)",
+        "su3.ricci_constant", "su3.commutator_table"}
     assert record["layers"]["eigen.solve_eigenpoly"]["calls_per_round"] == 120
     assert record["layers"]["cdcheck.triangle_b(1/3, 1.0, 0.5)"]["calls_per_round"] == 100
     assert record["layers"]["eigen.pairings(4, degree 12)"]["calls_per_round"] == 91
@@ -180,7 +182,8 @@ def test_layer_harness_writes_its_record(tmp_path):
         "calibration", "cdcheck.triangle_surface(1/3, 200)", "su3._frame_tables",
         "spectral.kernel_bound_check(4, 12)", "spectral.heat_diag(4, 40)",
         "eigen.moments(4, 30)", "exact.eval(P, deltoid_grid(200))",
-        "cdcheck.gamma2_sample_check(4, 9/4, 8)"))
+        "cdcheck.gamma2_sample_check(4, 9/4, 8)", "su3.ricci_constant",
+        "su3.commutator_table"))
     assert all(layer["min_s_per_call"] > 0 for layer in record["layers"].values())
     unit = record["layers"]["calibration"]["min_s_per_call"]
     assert record["layers"]["calibration"]["ratio_to_calibration"] == 1.0

@@ -38,8 +38,10 @@ written to a temporary directory), psd_margins of the optimal tensor
 tensor_residual(1/6, 9/4) on deltoid_grid(200), and
 su3._haar_matrices(0, 6000).  The su3._frame_tables row builds the
 Gamma table once a round, its cache cleared first and the frame built
-beforehand.  Each figure is the fastest of --repeats rounds divided by
-the calls in a round.
+beforehand.  The su3.ricci_constant and su3.commutator_table rows clear
+the frame's cache (su3._std) each round, so each round builds the frame
+and then the constant or the table.  Each figure is the fastest of
+--repeats rounds divided by the calls in a round.
 
 The calibration row is a fixed pure-Python dict loop that calls nothing
 of the package.  It moves with the machine's speed only, so every layer
@@ -156,6 +158,10 @@ def layer_rounds(dt, tmpdir):
         dt.su3._frame_tables.cache_clear()
         return dt.su3._frame_tables()
 
+    def on_a_fresh_frame(check):
+        dt.su3._std.cache_clear()
+        return check()
+
     grid200 = dt.deltoid_grid(200)
     cusps = [complex(np.exp(2j * np.pi * k / 3)) for k in range(3)]
     kernel_grid = cusps + [dt.triangle_to_deltoid(p).Z for p in dt.sample_interior(
@@ -203,6 +209,8 @@ def layer_rounds(dt, tmpdir):
         "operator.psd_margins(deltoid_grid(200))": (1, lambda: optimal.psd_margins(grid200)),
         f"su3._haar_matrices(0, {HAAR_DRAWS})": (1, lambda: dt.su3._haar_matrices(0, HAAR_DRAWS)),
         "su3._frame_tables": (1, frame_tables),
+        "su3.ricci_constant": (1, lambda: on_a_fresh_frame(dt.su3.ricci_constant)),
+        "su3.commutator_table": (1, lambda: on_a_fresh_frame(dt.su3.commutator_table)),
     }
 
 
